@@ -5,9 +5,10 @@ Commands
     hodge-domains verify --ranks R --seed S --samples N [--classify-out PATH]
     hodge-domains mesh --subdivisions s --out PATH [--format off|json]
 
-Exit codes: 0 success, 1 suite/audit failure, 2 invalid input, 3 resource
-guard.  All randomness flows from the single --seed value, so identical
-configurations produce byte-identical JSON output.
+Exit codes: 0 success, 1 suite/audit failure, 2 invalid input (including an
+unwritable output path), 3 resource guard.  All randomness flows from the
+single --seed value, so identical configurations produce byte-identical JSON
+output.
 """
 
 from __future__ import annotations
@@ -328,11 +329,7 @@ def _suite_mesh(cfg: RunConfig) -> dict:
             tri = spheremesh_mod.subdivide(tri)
         coloring = spheremesh_mod.three_color(tri)
         audit = spheremesh_mod.audit_mesh(tri, coloring)
-        ok = ok and audit["even"] and audit["proper_coloring"]
-        ok = ok and audit["euler_characteristic"] == 2 and audit["gluing_euler"] == 2
-        ok = ok and audit["circumcenters_inside"]
-        ok = ok and audit["max_equidistance_residual"] < 1e-10
-        ok = ok and audit["gluing_closed"] and audit["gluing_links_single_cycles"]
+        ok = ok and spheremesh_mod.audit_passes(audit)
         if fineness_prev is not None:
             ok = ok and audit["fineness"] < fineness_prev
         fineness_prev = audit["fineness"]
@@ -358,6 +355,8 @@ def run_verify(cfg: RunConfig) -> dict:
     for name, fn in _SUITES:
         try:
             result = fn(cfg)
+        except OSError:  # an unwritable output path is invalid input, not a failed suite
+            raise
         except Exception as exc:  # a crashing suite is a failing suite
             result = {"passed": False, "details": {"error": f"{type(exc).__name__}: {exc}"}}
         entry = {
@@ -406,17 +405,7 @@ def export_mesh(cfg: RunConfig) -> tuple[int, list[str]]:
     for _ in range(cfg.subdivisions):
         tri = spheremesh_mod.subdivide(tri)
     coloring = spheremesh_mod.three_color(tri)
-    audit = spheremesh_mod.audit_mesh(tri, coloring)
-    good = (
-        audit["even"]
-        and audit["proper_coloring"]
-        and audit["euler_characteristic"] == 2
-        and audit["gluing_euler"] == 2
-        and audit["circumcenters_inside"]
-        and audit["gluing_closed"]
-        and audit["gluing_links_single_cycles"]
-    )
-    if not good:
+    if not spheremesh_mod.audit_passes(spheremesh_mod.audit_mesh(tri, coloring)):
         return EXIT_SUITE_FAILURE, []
     out = Path(cfg.output) if cfg.output else Path(f"octahedron_s{cfg.subdivisions}.off")
     if cfg.fmt == "json":
@@ -520,7 +509,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ResourceGuardError as exc:
         sys.stderr.write(f"resource guard: {exc}\n")
         return EXIT_RESOURCE_GUARD
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_INVALID_INPUT
     raise AssertionError("unreachable")

@@ -8,7 +8,7 @@ floating point enters any decision.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable, Sequence
 
 
@@ -115,21 +115,10 @@ def Qi(re=0, im=0) -> GaussianRational:
 
 QI_ZERO = GaussianRational(0)
 QI_ONE = GaussianRational(1)
-QI_I = GaussianRational(0, 1)
-
-Matrix = list  # rows of GaussianRational (or Fraction/int in the real helpers)
 
 
 def mat(rows: Iterable[Iterable]) -> list[list[GaussianRational]]:
     return [[_coerce(x) for x in row] for row in rows]
-
-
-def zeros(n: int, m: int) -> list[list[GaussianRational]]:
-    return [[QI_ZERO] * m for _ in range(n)]
-
-
-def eye(n: int) -> list[list[GaussianRational]]:
-    return [[QI_ONE if i == j else QI_ZERO for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list[GaussianRational]]:
@@ -146,17 +135,8 @@ def _dot_plain(xs, ys) -> GaussianRational:
     return acc
 
 
-def mat_add(a, b):
-    return [[_coerce(x) + _coerce(y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a, b):
     return [[_coerce(x) - _coerce(y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c, a):
-    c = _coerce(c)
-    return [[c * _coerce(x) for x in row] for row in a]
 
 
 def mat_neg(a):
@@ -180,89 +160,104 @@ def bracket(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
-def mat_eq(a, b) -> bool:
-    return len(a) == len(b) and all(
-        len(ra) == len(rb) and all(_coerce(x) == _coerce(y) for x, y in zip(ra, rb))
-        for ra, rb in zip(a, b)
-    )
-
-
 def is_zero_matrix(a) -> bool:
     return all(_coerce(x).is_zero() for row in a for x in row)
 
 
+def _parts(x):
+    if isinstance(x, (int, Fraction)):
+        return x, 0
+    x = _coerce(x)
+    return x.re, x.im
+
+
+def _eliminate(a: Sequence[Sequence]):
+    """Fraction-free Gauss-Jordan elimination over Z[i] (Bareiss 1968).
+
+    Each row is first scaled by the lcm of its denominators, which keeps the
+    row space and multiplies every leading minor by a positive integer.  Each
+    step replaces every other row by (p * row - f * pivot_row) / prev, where p
+    is the new pivot, f the row's entry in the pivot column and prev the
+    previous pivot; the division is exact, so entries stay minors and their
+    size grows polynomially.  After the last step every pivot entry equals the
+    last pivot d, and the reduced row echelon form is the rows divided by d.
+
+    Returns (pivot_cols, rows, pivots, swapped): rows are (re, im) lists of
+    ints, pivots the (re, im) pivot of each step, and swapped whether a row
+    exchange happened (without one, the k-th pivot is the k-th leading minor
+    of the scaled matrix).
+    """
+    rows = []
+    for row in a:
+        parts = [_parts(x) for x in row]
+        l = lcm(*(y.denominator for pair in parts for y in pair))
+        rows.append((
+            [x.numerator * (l // x.denominator) for x, _ in parts],
+            [y.numerator * (l // y.denominator) for _, y in parts],
+        ))
+    nrows = len(rows)
+    ncols = len(rows[0][0]) if rows else 0
+    pivot_cols: list[int] = []
+    pivots: list[tuple[int, int]] = []
+    swapped = False
+    qa, qb = 1, 0  # previous pivot
+    for c in range(ncols):
+        r = len(pivot_cols)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][0][c] or rows[i][1][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            swapped = True
+        yr, yi = rows[r]
+        pa, pb = yr[c], yi[c]
+        qn = qa * qa + qb * qb
+        for i in range(nrows):
+            if i == r:
+                continue
+            xr, xi = rows[i]
+            fa, fb = xr[c], xi[c]
+            tr = [pa * x - pb * u - fa * y + fb * v for x, u, y, v in zip(xr, xi, yr, yi)]
+            ti = [pa * u + pb * x - fa * v - fb * y for x, u, y, v in zip(xr, xi, yr, yi)]
+            # exact division by the previous pivot: t / q = t * conj(q) / |q|^2
+            rows[i] = (
+                [(s * qa + t * qb) // qn for s, t in zip(tr, ti)],
+                [(t * qa - s * qb) // qn for s, t in zip(tr, ti)],
+            )
+        pivot_cols.append(c)
+        pivots.append((pa, pb))
+        qa, qb = pa, pb
+    return pivot_cols, rows, pivots, swapped
+
+
+def _divide(xa: int, xb: int, d: tuple[int, int]) -> GaussianRational:
+    """The Gaussian rational (xa + xb i) / d."""
+    da, db = d
+    n = da * da + db * db
+    return GaussianRational(Fraction(xa * da + xb * db, n), Fraction(xb * da - xa * db, n))
+
+
 def rank(a: Sequence[Sequence]) -> int:
-    """Exact rank over Q(i) by Gaussian elimination with division."""
-    rows = [[_coerce(x) for x in row] for row in a]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = QI_ONE / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
-
-
-def rref(a: Sequence[Sequence]):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = [[_coerce(x) for x in row] for row in a]
-    pivots: list[int] = []
-    if not rows:
-        return rows, pivots
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = QI_ONE / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    """Exact rank over Q(i) of a matrix of Gaussian rationals, Fractions or ints."""
+    return len(_eliminate(a)[0])
 
 
 def nullspace(a: Sequence[Sequence]) -> list[list[GaussianRational]]:
-    """Basis of the right kernel {x : a x = 0} over Q(i)."""
+    """Basis of the right kernel {x : a x = 0} over Q(i), read off the RREF."""
     if not a:
         return []
     ncols = len(a[0])
-    rows, pivots = rref(a)
-    pivot_set = set(pivots)
+    pivot_cols, rows, pivots, _ = _eliminate(a)
+    pivot_set = set(pivot_cols)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free:
         v = [QI_ZERO] * ncols
         v[fc] = QI_ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
+        for (xr, xi), pc in zip(rows, pivot_cols):
+            v[pc] = _divide(-xr[fc], -xi[fc], pivots[-1])
         basis.append(v)
     return basis
 
@@ -270,170 +265,45 @@ def nullspace(a: Sequence[Sequence]) -> list[list[GaussianRational]]:
 def solve(a: Sequence[Sequence], b: Sequence[Sequence]):
     """Solve a X = b for square invertible a over Q(i); returns X or raises."""
     n = len(a)
-    aug = [[_coerce(x) for x in row_a] + [_coerce(y) for y in row_b] for row_a, row_b in zip(a, b)]
-    width = len(b[0])
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if not aug[i][c].is_zero():
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("singular matrix in solve")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = QI_ONE / aug[c][c]
-        aug[c] = [inv * x for x in aug[c]]
-        for i in range(n):
-            if i != c and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:n + width] for row in aug]
-
-
-def det(a: Sequence[Sequence]) -> GaussianRational:
-    """Exact determinant over Q(i) by fraction elimination."""
-    n = len(a)
-    rows = [[_coerce(x) for x in row] for row in a]
-    sign = QI_ONE
-    acc = QI_ONE
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if not rows[i][c].is_zero():
-                piv = i
-                break
-        if piv is None:
-            return QI_ZERO
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        acc = acc * rows[c][c]
-        inv = QI_ONE / rows[c][c]
-        for i in range(c + 1, n):
-            if not rows[i][c].is_zero():
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return sign * acc
-
-
-def hermitian_leading_minors(g: Sequence[Sequence]) -> list[Fraction]:
-    """Leading principal minors of a Hermitian matrix, as exact rationals.
-
-    Raises if the input is not Hermitian (minors of a Hermitian matrix are
-    real, which the computation double-checks).
-    """
-    n = len(g)
-    for i in range(n):
-        for j in range(n):
-            if _coerce(g[i][j]) != _coerce(g[j][i]).conjugate():
-                raise ValueError("matrix is not Hermitian")
-    minors = []
-    for s in range(1, n + 1):
-        d = det([row[:s] for row in g[:s]])
-        if not d.is_real():
-            raise ValueError("non-real minor on a Hermitian matrix")
-        minors.append(d.re)
-    return minors
+    pivot_cols, rows, pivots, _ = _eliminate([list(ra) + list(rb) for ra, rb in zip(a, b)])
+    if pivot_cols[:n] != list(range(n)):
+        raise ValueError("singular matrix in solve")
+    return [[_divide(x, y, pivots[-1]) for x, y in zip(xr[n:], xi[n:])] for xr, xi in rows[:n]]
 
 
 def hermitian_definiteness(g: Sequence[Sequence]) -> str:
     """Classify a Hermitian form: 'positive', 'negative', 'degenerate' or 'indefinite'.
 
     Sylvester: positive definite iff all leading minors > 0; negative definite
-    iff they alternate starting negative.  A zero determinant means the form is
-    degenerate; a zero intermediate minor on a nondegenerate form is indefinite.
-
-    One unpivoted elimination pass produces every leading minor (the running
-    pivot product); a zero pivot already rules definiteness out, and a single
-    full determinant then separates degenerate from indefinite.
+    iff they alternate starting negative.  One elimination pass decides it: a
+    rank below n means degenerate; a row exchange means some leading minor of
+    a nondegenerate form is 0, so it is indefinite; otherwise the pivots are
+    the leading minors times positive row scales.
     """
     n = len(g)
-    work = []
-    for i in range(n):
-        row = [_coerce(x) for x in g[i]]
-        work.append(row)
     for i in range(n):
         for j in range(n):
-            if work[i][j] != work[j][i].conjugate():
+            if _coerce(g[i][j]) != _coerce(g[j][i]).conjugate():
                 raise ValueError("matrix is not Hermitian")
     if n == 0:
         return "positive"  # empty form, vacuously definite either way
-    minors: list[Fraction] = []
-    prev = Fraction(1)
-    for s in range(n):
-        piv = work[s][s]
-        if not piv.is_real():
-            raise ValueError("non-real pivot on a Hermitian matrix")
-        if piv.is_zero():
-            return "degenerate" if det(g).is_zero() else "indefinite"
-        prev = prev * piv.re
-        minors.append(prev)
-        inv = QI_ONE / piv
-        for i in range(s + 1, n):
-            f = work[i][s] * inv
-            if not f.is_zero():
-                wi, ws = work[i], work[s]
-                for j in range(s, n):
-                    wi[j] = wi[j] - f * ws[j]
-    if all(m > 0 for m in minors):
+    pivot_cols, _, pivots, swapped = _eliminate(g)
+    if len(pivot_cols) < n:
+        return "degenerate"
+    if swapped:
+        return "indefinite"
+    if any(im for _, im in pivots):
+        raise ValueError("non-real pivot on a Hermitian matrix")
+    if all(re > 0 for re, _ in pivots):
         return "positive"
-    if all((m < 0 if s % 2 == 1 else m > 0) for s, m in zip(range(1, n + 1), minors)):
+    if all((re < 0) == (k % 2 == 0) for k, (re, _) in enumerate(pivots)):
         return "negative"
     return "indefinite"
 
 
 # ---------------------------------------------------------------------------
-# Integer linear algebra: fraction-free rank, Smith normal form, kernels.
+# Integer linear algebra: Smith and Hermite normal forms, kernels.
 # ---------------------------------------------------------------------------
-
-
-def rank_int(a: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix via fraction-free (Bareiss-style) elimination."""
-    rows = [list(map(int, row)) for row in a]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        pval = prow[c]
-        for i in range(r + 1, len(rows)):
-            if rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [pval * x - f * y for x, y in zip(rows[i], prow)]
-                g = 0
-                for x in rows[i]:
-                    g = gcd(g, x)
-                if g > 1:
-                    rows[i] = [x // g for x in rows[i]]
-        r += 1
-        if r == len(rows):
-            break
-    return r
-
-
-def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (rank-preserving)."""
-    out = []
-    for row in rows:
-        fr = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
-        l = 1
-        for x in fr:
-            l = l * x.denominator // gcd(l, x.denominator)
-        out.append([int(x * l) for x in fr])
-    return out
-
-
-def rank_rational(rows: Sequence[Sequence[Fraction]]) -> int:
-    return rank_int(clear_denominators(rows))
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]):

@@ -5,8 +5,7 @@ detector.
 A field is a single fiber's worth of data: for each layer i and tangent
 direction a, a matrix theta_i^(a) from block i to block i+1.  The commutation
 relation says theta_{i+1}^(a) theta_i^(b) is symmetric in (a, b).  Everything
-is exact by default; an optional floating rank with tolerance 1e-9 is provided
-for large random suites.
+is exact.
 """
 
 from __future__ import annotations
@@ -80,11 +79,6 @@ class HiggsField:
         return all(is_zero_matrix(self.theta[i][a]) for a in range(self.tangent_dim))
 
 
-def zero_layer(ranks: HodgeNumbers, i: int, m_t: int) -> tuple:
-    nr, nc = ranks.ranks[i + 1], ranks.ranks[i]
-    return tuple(tuple(tuple(QI_ZERO for _ in range(nc)) for _ in range(nr)) for _ in range(m_t))
-
-
 @dataclass(frozen=True)
 class CommutationResult:
     commutes: bool
@@ -116,14 +110,11 @@ def stacked_matrix(h: HiggsField, i: int) -> list[list[GaussianRational]]:
     return out
 
 
-def pointwise_rank(h: HiggsField, i: int, floating: bool = False, tol: float = 1e-9) -> int:
+def pointwise_rank(h: HiggsField, i: int) -> int:
     """Rank of theta_i as a map into (block i+1) tensor (tangent dual)."""
     if not 0 <= i <= h.ranks.k - 1:
         raise IndexError(f"layer index {i} out of range 0..{h.ranks.k - 1}")
-    stacked = stacked_matrix(h, i)
-    if floating:
-        return _floating_rank(stacked, tol)
-    return rank(stacked)
+    return rank(stacked_matrix(h, i))
 
 
 def directional_image_rank(h: HiggsField, i: int) -> int:
@@ -133,19 +124,6 @@ def directional_image_rank(h: HiggsField, i: int) -> int:
         raise PreconditionError(f"block {i} must have rank 1")
     cols = [[h.component(i, a)[r][0] for a in range(1, h.tangent_dim + 1)] for r in range(h.ranks.ranks[i + 1])]
     return rank(cols)
-
-
-def _floating_rank(rows, tol: float) -> int:
-    import numpy as np
-
-    if not rows or not rows[0]:
-        return 0
-    arr = np.array(
-        [[complex(Fraction(x.re), Fraction(x.im)) for x in row] for row in rows],
-        dtype=complex,
-    )
-    sv = np.linalg.svd(arr, compute_uv=False)
-    return int((sv > tol).sum())
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from .exactla import (
     mat_mul,
     mat_sub,
     rank,
-    rank_rational,
 )
 from .hodge import HodgeNumbers
 from .pi2 import Pi2Class, class_of_root
@@ -154,7 +153,7 @@ class TwoPlane:
             raise ValueError("rank mismatch between spanning vectors")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
-        if rank_rational([self.u.real_flatten(), self.w.real_flatten()]) != 2:
+        if rank([self.u.real_flatten(), self.w.real_flatten()]) != 2:
             raise ValueError("spanning vectors are linearly dependent over R")
 
     @property
@@ -261,7 +260,7 @@ def is_regular(plane: TwoPlane) -> bool:
             rows[2 * k].append(-z.im)
             rows[2 * k + 1].append(z.im)
             rows[2 * k + 1].append(z.re)
-    return rank_rational(rows) == target_dim
+    return rank(rows) == target_dim
 
 
 def gl2_transform(plane: TwoPlane, a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> TwoPlane:

@@ -18,7 +18,7 @@ from typing import Iterable
 from .exactla import (
     integer_kernel,
     lattices_equal,
-    rank_int,
+    rank,
     smith_invariant_factors,
 )
 from .hodge import HodgeNumbers
@@ -178,7 +178,7 @@ def pi2_report(ranks: HodgeNumbers | Iterable[int]) -> Pi2Report:
     claimed = [list(c.coords) for c in kernel_classes]
     verified = (
         all(pi_u_star(c) == 0 for c in kernel_classes)
-        and rank_int(claimed) == k - 1
+        and rank(claimed) == k - 1
         and (k == 1 or smith_invariant_factors(claimed) == [1] * (k - 1))
         and lattices_equal(claimed, exact_kernel)
     )

@@ -439,6 +439,22 @@ def audit_mesh(tri: SphericalTriangulation, coloring: ThreeColoring) -> dict:
     }
 
 
+def audit_passes(audit: dict) -> bool:
+    """Whether one level's audit_mesh battery passes (fineness is compared
+    across levels by the callers)."""
+    return bool(
+        audit["even"]
+        and audit["proper_coloring"]
+        and audit["euler_characteristic"] == 2
+        and audit["circumcenters_inside"]
+        and audit["max_equidistance_residual"] < 1e-10
+        and audit["gluing_euler"] == 2
+        and audit["gluing_closed"]
+        and audit["gluing_links_single_cycles"]
+        and audit["gluing_color_matched"]
+    )
+
+
 def to_off(tri: SphericalTriangulation) -> str:
     lines = ["OFF", f"{tri.num_vertices} {tri.num_faces} {tri.num_edges}"]
     for v in tri.vertices:

@@ -31,7 +31,7 @@ from hodge_domains.horizontal import (
 )
 from hodge_domains.pi2 import class_closure_oracle, class_of_root, pi2_report
 from hodge_domains.rootcalc import bracket_generating_check, parabolic_from_ranks
-from hodge_domains.spheremesh import audit_mesh, octahedron, subdivide, three_color
+from hodge_domains.spheremesh import audit_mesh, audit_passes, octahedron, subdivide, three_color
 
 
 def _finish(num: int, description: str, ok: bool, elapsed: float, bound: float):
@@ -218,12 +218,7 @@ def test_criterion_09_mesh_suite():
             tri = subdivide(tri)
         coloring = three_color(tri)
         audit = audit_mesh(tri, coloring)
-        ok = ok and audit["even"] and audit["proper_coloring"]
-        ok = ok and audit["euler_characteristic"] == 2
-        ok = ok and audit["circumcenters_inside"]
-        ok = ok and audit["max_equidistance_residual"] < 1e-10
-        ok = ok and audit["gluing_euler"] == 2 and audit["gluing_closed"]
-        ok = ok and audit["gluing_links_single_cycles"] and audit["gluing_color_matched"]
+        ok = ok and audit_passes(audit)
         if prev_fineness is not None:
             ok = ok and audit["fineness"] < prev_fineness
         prev_fineness = audit["fineness"]

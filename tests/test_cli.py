@@ -183,6 +183,22 @@ def test_samples_must_be_positive():
         cfg_verify((1, 1), samples=0)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--ranks", "1,2,1", "--out", "x.json"],
+        ["mesh", "--subdivisions", "1", "--out", "m.off"],
+        ["verify", "--ranks", "1,2,1", "--samples", "4", "--classify-out", "x.jsonl"],
+    ],
+)
+def test_unwritable_output_path_exit_2(tmp_path, capsys, argv):
+    argv = argv[:-1] + [str(tmp_path / "missing" / argv[-1])]
+    assert main(argv) == EXIT_INVALID_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+
+
 # -- mesh export ------------------------------------------------------------------
 
 

@@ -1,0 +1,249 @@
+"""The fraction-free elimination kernel against the Gauss-Jordan code it replaced.
+
+The reference functions below are the earlier field-elimination kernels kept
+verbatim (plus readers for rank, nullspace and solve built on the reference
+RREF), so every property here compares the kernel with an independent oracle.
+"""
+
+from fractions import Fraction
+from typing import Sequence
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hodge_domains.exactla import (
+    GaussianRational,
+    QI_ONE,
+    QI_ZERO,
+    _coerce,
+    hermitian_definiteness,
+    nullspace,
+    rank,
+    solve,
+)
+
+# ---------------------------------------------------------------------------
+# Reference: Gauss-Jordan over Fraction pairs, as the kernel was before.
+# ---------------------------------------------------------------------------
+
+
+def rref(a: Sequence[Sequence]):
+    """Reduced row echelon form; returns (rows, pivot_columns)."""
+    rows = [[_coerce(x) for x in row] for row in a]
+    pivots: list[int] = []
+    if not rows:
+        return rows, pivots
+    ncols = len(rows[0])
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, len(rows)):
+            if not rows[i][c].is_zero():
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = QI_ONE / rows[r][c]
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def det(a: Sequence[Sequence]) -> GaussianRational:
+    """Exact determinant over Q(i) by fraction elimination."""
+    n = len(a)
+    rows = [[_coerce(x) for x in row] for row in a]
+    sign = QI_ONE
+    acc = QI_ONE
+    for c in range(n):
+        piv = None
+        for i in range(c, n):
+            if not rows[i][c].is_zero():
+                piv = i
+                break
+        if piv is None:
+            return QI_ZERO
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            sign = -sign
+        acc = acc * rows[c][c]
+        inv = QI_ONE / rows[c][c]
+        for i in range(c + 1, n):
+            if not rows[i][c].is_zero():
+                f = rows[i][c] * inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return sign * acc
+
+
+def reference_definiteness(g: Sequence[Sequence]) -> str:
+    n = len(g)
+    work = []
+    for i in range(n):
+        row = [_coerce(x) for x in g[i]]
+        work.append(row)
+    for i in range(n):
+        for j in range(n):
+            if work[i][j] != work[j][i].conjugate():
+                raise ValueError("matrix is not Hermitian")
+    if n == 0:
+        return "positive"  # empty form, vacuously definite either way
+    minors: list[Fraction] = []
+    prev = Fraction(1)
+    for s in range(n):
+        piv = work[s][s]
+        if not piv.is_real():
+            raise ValueError("non-real pivot on a Hermitian matrix")
+        if piv.is_zero():
+            return "degenerate" if det(g).is_zero() else "indefinite"
+        prev = prev * piv.re
+        minors.append(prev)
+        inv = QI_ONE / piv
+        for i in range(s + 1, n):
+            f = work[i][s] * inv
+            if not f.is_zero():
+                wi, ws = work[i], work[s]
+                for j in range(s, n):
+                    wi[j] = wi[j] - f * ws[j]
+    if all(m > 0 for m in minors):
+        return "positive"
+    if all((m < 0 if s % 2 == 1 else m > 0) for s, m in zip(range(1, n + 1), minors)):
+        return "negative"
+    return "indefinite"
+
+
+def reference_nullspace(a):
+    if not a:
+        return []
+    ncols = len(a[0])
+    rows, pivots = rref(a)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [QI_ZERO] * ncols
+        v[fc] = QI_ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(v)
+    return basis
+
+
+def reference_solve(a, b):
+    n = len(a)
+    rows, pivots = rref([list(ra) + list(rb) for ra, rb in zip(a, b)])
+    if pivots[:n] != list(range(n)):
+        raise ValueError("singular matrix in solve")
+    return [row[n:] for row in rows[:n]]
+
+
+# ---------------------------------------------------------------------------
+# Strategies
+# ---------------------------------------------------------------------------
+
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)) | st.just(Fraction(0))
+gaussians = st.builds(GaussianRational, fractions, fractions)
+
+
+@st.composite
+def matrices(draw, nrows, ncols, entries=gaussians):
+    n, m = draw(nrows), draw(ncols)
+    rows = [[draw(entries) for _ in range(m)] for _ in range(n)]
+    if n >= 1 and draw(st.booleans()):
+        # force a rank deficiency: the last row is a combination of the others
+        coeffs = [draw(entries) for _ in range(n - 1)]
+        rows[-1] = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(m)]
+    return rows
+
+
+@st.composite
+def hermitian_matrices(draw):
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(("sum", "gram", "negative_gram")))
+    if kind == "sum":
+        b = draw(matrices(st.just(n), st.just(n)))
+        return [[b[i][j] + b[j][i].conjugate() for j in range(n)] for i in range(n)]
+    # fewer rows than columns makes B singular, so B*B is degenerate
+    b = draw(matrices(st.integers(0, 6), st.just(n)))
+    sign = 1 if kind == "gram" else -1
+    return [
+        [sign * sum((row[i].conjugate() * row[j] for row in b), QI_ZERO) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Properties
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(st.integers(0, 6), st.integers(1, 7)))
+def test_rank_and_nullspace_match_reference(a):
+    assert rank(a) == len(rref(a)[1])
+    # the RREF is canonical, so the kernel bases agree exactly
+    assert nullspace(a) == reference_nullspace(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(matrices(st.just(n), st.just(n)), matrices(st.just(n), st.integers(1, 3)))
+    )
+)
+def test_solve_matches_reference(ab):
+    a, b = ab
+    try:
+        expected = reference_solve(a, b)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            solve(a, b)
+    else:
+        assert solve(a, b) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(hermitian_matrices())
+def test_definiteness_matches_reference(g):
+    assert hermitian_definiteness(g) == reference_definiteness(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    matrices(st.integers(0, 6), st.integers(1, 7), entries=st.integers(-4, 4))
+    | matrices(st.integers(0, 6), st.integers(1, 7), entries=fractions)
+)
+def test_rank_of_int_and_fraction_matrices(a):
+    assert rank(a) == len(rref(a)[1])
+
+
+# ---------------------------------------------------------------------------
+# Fixed cases
+# ---------------------------------------------------------------------------
+
+
+def test_fixed_definiteness_cases():
+    assert hermitian_definiteness([[0, 1], [1, 0]]) == "indefinite"
+    assert hermitian_definiteness([[0, 0], [0, 1]]) == "degenerate"
+    assert hermitian_definiteness([[2, 1], [1, 2]]) == "positive"
+    assert hermitian_definiteness([[-2, 1], [1, -2]]) == "negative"
+    assert hermitian_definiteness([]) == "positive"
+
+
+def test_non_hermitian_input_raises():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_definiteness([[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_definiteness([[GaussianRational(1, 1)]])
+
+
+def test_empty_and_singular_inputs():
+    assert rank([]) == 0
+    assert nullspace([]) == []
+    with pytest.raises(ValueError, match="singular matrix in solve"):
+        solve([[1, 2], [2, 4]], [[1], [0]])

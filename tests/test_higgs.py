@@ -82,12 +82,6 @@ def test_pointwise_rank_bound():
             assert pointwise_rank(h, i) <= min(r[i], m_t * r[i + 1])
 
 
-def test_pointwise_rank_floating_agrees():
-    h = random_commuting_higgs((2, 1, 2), 2, seed=4, strategy="nullspace")
-    for i in range(2):
-        assert pointwise_rank(h, i, floating=True) == pointwise_rank(h, i)
-
-
 def test_pointwise_rank_index_error():
     h = field_111([1], [1])
     with pytest.raises(IndexError):
