@@ -17,6 +17,7 @@ import argparse
 import json
 import random
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -45,6 +46,10 @@ class ResourceGuardError(RuntimeError):
     pass
 
 
+def _is_1n1(ranks: HodgeNumbers) -> bool:
+    return len(ranks.ranks) == 3 and ranks.ranks[0] == ranks.ranks[2] == 1
+
+
 @dataclass(frozen=True)
 class RunConfig:
     command: str
@@ -71,6 +76,8 @@ class RunConfig:
             raise ResourceGuardError(
                 f"total rank {self.ranks.m} exceeds the guard {MAX_TOTAL_RANK}"
             )
+        if self.classify_out and not _is_1n1(self.ranks):
+            raise ValueError(f"--classify-out needs ranks (1, n, 1), got {self.ranks.ranks}")
 
 
 def _root_str(root) -> str:
@@ -164,7 +171,7 @@ def _suite_dimensions(cfg: RunConfig) -> dict:
     base = domain_mod.hodge_flag(ranks)
     ok = ok and domain_mod.flag_in_period_domain(base).in_domain
     checks += 1
-    if len(r) == 3 and r[0] == r[2] == 1:
+    if _is_1n1(ranks):
         n = r[1]
         ok = ok and desc.dim == 2 * n + 1 and desc.horizontal_rank == 2 * n
         checks += 2
@@ -210,8 +217,7 @@ def _suite_flags(cfg: RunConfig) -> dict:
         flag = domain_mod.perturbed_flag(ranks, rng)
         ok = ok and domain_mod.flag_in_period_domain(flag).in_domain
         plane = domain_mod.project_to_symmetric_space(flag, "indefinite")
-        gram = domain_mod.gram_matrix(plane, ranks.signature_signs())
-        ok = ok and domain_mod.hermitian_definiteness(gram) == "positive"
+        ok = ok and domain_mod.form_definiteness(plane, ranks.signature_signs()) == "positive"
         u = domain_mod.random_block_unitary(ranks, rng)
         moved = domain_mod.apply_matrix(u, flag)
         ok = ok and domain_mod.flag_in_period_domain(moved).in_domain
@@ -221,23 +227,12 @@ def _suite_flags(cfg: RunConfig) -> dict:
 
 
 def _suite_pu2n(cfg: RunConfig) -> dict:
-    r = cfg.ranks.ranks
-    if len(r) != 3 or r[0] != 1 or r[2] != 1:
+    if not _is_1n1(cfg.ranks):
         return {"applicable": False, "passed": True, "details": {"reason": "ranks are not (1, n, 1)"}}
-    n = r[1]
-    record = None
-    sink = None
-    if cfg.classify_out:
-        sink = open(cfg.classify_out, "w")
-
-        def record(entry):
-            sink.write(json.dumps(entry, sort_keys=True) + "\n")
-
-    try:
+    n = cfg.ranks.ranks[1]
+    with open(cfg.classify_out, "w") if cfg.classify_out else nullcontext() as sink:
+        record = (lambda entry: sink.write(json.dumps(entry, sort_keys=True) + "\n")) if sink else None
         rep = horizontal_mod.verify_pu2n_criterion(n, cfg.samples, cfg.seed, record=record)
-    finally:
-        if sink is not None:
-            sink.close()
     if n == 1:
         passed = (
             rep.mismatches == 0
@@ -350,6 +345,8 @@ _SUITES = (
 
 
 def run_verify(cfg: RunConfig) -> dict:
+    if cfg.classify_out:
+        open(cfg.classify_out, "w").close()  # an unwritable path fails before any suite runs
     suites = []
     all_passed = True
     for name, fn in _SUITES:

@@ -9,9 +9,11 @@ construction.
 Membership: a flag F^0 c F^1 c ... c F^k is in the domain iff for every
 -1 <= i <= k-1 the form (-1)^i h is negative definite on the h-orthogonal
 complement of F^i inside F^{i+1} (with F^{-1} = 0, so the i = -1 condition is
-h > 0 on F^0).  Definiteness is decided exactly by leading principal minors of
-Hermitian Gram matrices; a vanishing Gram determinant is reported as a
-degeneracy in its own right, distinct from a plain sign rejection.
+h > 0 on F^0).  One fraction-free elimination of the Gram matrix G = B* h B
+of the adapted basis over Z[i] gives its leading minors d_n, and by Sylvester's
+criterion step i passes iff d_n * d_{n-1} has sign (-1)^(i+1) for every n in
+block i+1.  A first failing block whose last minor vanishes is reported as a
+degeneracy, distinct from a plain sign rejection.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Optional
 
 from .exactla import (
@@ -26,11 +30,13 @@ from .exactla import (
     Qi,
     QI_ZERO,
     QI_ONE,
+    _eliminate,
     hermitian_definiteness,
     mat_mul,
     nullspace,
     rank,
     solve,
+    transpose,
 )
 from .hodge import HodgeNumbers
 
@@ -86,55 +92,67 @@ def hodge_flag(ranks: HodgeNumbers) -> Flag:
     return Flag(ranks, tuple(cols))
 
 
-def hermitian_product(x: Vector, y: Vector, signs: Optional[tuple[int, ...]]) -> GaussianRational:
-    """The form sum_c s_c x_c conj(y_c); signs=None means the definite form."""
-    acc = QI_ZERO
-    if signs is None:
-        for a, b in zip(x, y):
-            acc = acc + a * b.conjugate()
-    else:
-        for s, a, b in zip(signs, x, y):
-            term = a * b.conjugate()
-            acc = acc + (term if s > 0 else -term)
-    return acc
+def _cleared(v: Vector) -> tuple[int, list[int], list[int]]:
+    """(l, re, im): the lcm l of the denominators in v and the parts of l * v."""
+    l = lcm(*(x.denominator for z in v for x in (z.re, z.im)))
+    return (l, [z.re.numerator * (l // z.re.denominator) for z in v],
+            [z.im.numerator * (l // z.im.denominator) for z in v])
 
 
-def gram_matrix(vectors: Iterable[Vector], signs: Optional[tuple[int, ...]]) -> list[list[GaussianRational]]:
-    vs = list(vectors)
-    return [[hermitian_product(a, b, signs) for b in vs] for a in vs]
+def _integer_gram(vectors: Iterable[Vector], signs: Optional[tuple[int, ...]]):
+    """(G, columns, scales): G = B* diag(signs) B over Z[i] (signs=None means the
+    identity) after scaling each column of B by the lcm of its denominators, the
+    scaled columns as (re, im) int lists, and the scales.  A congruence by a
+    positive diagonal, so no leading minor changes sign."""
+    scales, cols = [], []
+    for l, re, im in map(_cleared, vectors):
+        scales.append(l)
+        cols.append((re, im))
+    n = len(cols)
+    g = [[QI_ZERO] * n for _ in range(n)]
+    for a, (ar, ai) in enumerate(cols):
+        if signs is not None:
+            ar, ai = list(map(mul, signs, ar)), list(map(mul, signs, ai))
+        for b in range(a, n):
+            br, bi = cols[b]
+            re = sum(map(mul, ar, br)) + sum(map(mul, ai, bi))
+            im = sum(map(mul, ar, bi)) - sum(map(mul, ai, br))
+            g[a][b], g[b][a] = GaussianRational(re, im), GaussianRational(re, -im)
+    return g, cols, scales
 
 
-def orthocomplement_step(
-    flag: Flag, i: int, signs: Optional[tuple[int, ...]]
-) -> list[Vector]:
-    """Basis of the orthogonal complement of F^i inside F^{i+1} for the given
-    form.  Raises DegenerateComplementError when the form restricts
-    degenerately (complement not transverse)."""
-    small = flag.subspace_basis(i)
-    big = flag.subspace_basis(i + 1)
-    if not small:
-        return list(big)
-    a = [[hermitian_product(g, f, signs) for g in big] for f in small]
-    null = nullspace(a)
-    expected = len(big) - len(small)
-    if len(null) != expected:
-        raise DegenerateComplementError(
-            f"form degenerates on flag step {i}: complement has dimension "
-            f"{len(null)}, expected {expected}"
-        )
+def form_definiteness(vectors: Iterable[Vector], signs: Optional[tuple[int, ...]]) -> str:
+    """hermitian_definiteness of the form sum_c s_c x_c conj(y_c) on the span
+    of the vectors (signs=None means the definite form), from their Gram matrix."""
+    g, _, scales = _integer_gram(vectors, signs)
+    return hermitian_definiteness([[GaussianRational(x.re / (la * lb), x.im / (la * lb)) for x, lb in zip(row, scales)]
+                                   for row, la in zip(g, scales)])
+
+
+def _leading_minors(g) -> list[int]:
+    """[1, d_1, ..., d_t]: the leading minors of g over Z[i] before the first zero
+    one (d_{t+1} = 0 if t < n), the pivots of one elimination before a row swap."""
+    pivot_cols, _, pivots, swap = _eliminate(g)
+    return [1] + [re for k, (c, (re, _)) in enumerate(zip(pivot_cols[:swap], pivots)) if c == k]
+
+
+def _minor_vanishes(g, d: list[int], n: int) -> bool:
+    """Whether the leading n x n minor of g is 0, given d = _leading_minors(g)."""
+    return n >= len(d) and (n == len(d) or rank([row[:n] for row in g[:n]]) < n)
+
+
+def _complement(g, cols, scales, small: int, big: int) -> list[Vector]:
+    """Basis of the orthogonal complement of the first `small` basis vectors
+    inside the first `big`, one vector per free column f of the nullspace of
+    the block g[:small][:big], scaled so that its coefficient on the f-th
+    basis vector is 1.  The form must be nondegenerate on the first `small`."""
     out = []
-    for coeffs in null:
-        vec = [QI_ZERO] * flag.m
-        for c, g in zip(coeffs, big):
-            if not c.is_zero():
-                vec = [acc + c * comp for acc, comp in zip(vec, g)]
-        out.append(tuple(vec))
-    # Transversality: the complement must meet F^i only in 0 (fails exactly
-    # when the form restricts degenerately to F^i).
-    if rank([list(v) for v in small] + [list(v) for v in out]) != len(big):
-        raise DegenerateComplementError(
-            f"form degenerates on flag step {i}: complement meets the subspace"
-        )
+    for f, c in zip(range(small, big), nullspace([row[:big] for row in g[:small]])):
+        l, cr, ci = _cleared(c)
+        terms, d = list(zip(cr, ci, cols)), l * scales[f]
+        re = [sum(a * xr[x] - b * xi[x] for a, b, (xr, xi) in terms) for x in range(len(cols[0][0]))]
+        im = [sum(a * xi[x] + b * xr[x] for a, b, (xr, xi) in terms) for x in range(len(cols[0][0]))]
+        out.append(tuple(GaussianRational(Fraction(x, d), Fraction(y, d)) for x, y in zip(re, im)))
     return out
 
 
@@ -152,23 +170,18 @@ def flag_in_period_domain(flag: Flag) -> MembershipResult:
     """Exact membership test for the open orbit.
 
     For each -1 <= i <= k-1 the complement of F^i in F^{i+1} with respect to
-    h must carry (-1)^i h negative definite.  Degenerate restrictions are
-    flagged separately from sign failures.
+    h must carry (-1)^i h negative definite.  Its Gram matrix is the Schur
+    complement of the F^i block of G in the F^{i+1} block, so this holds iff
+    d_n * d_{n-1} has sign (-1)^(i+1) for dim F^i < n <= dim F^{i+1}.  The first
+    failing step is degenerate iff d_n vanishes at n = dim F^{i+1}.
     """
-    signs = flag.ranks.signature_signs()
-    for i in range(-1, flag.ranks.k):
-        try:
-            comp = orthocomplement_step(flag, i, signs)
-        except DegenerateComplementError:
-            return MembershipResult(False, True, i)
-        g = gram_matrix(comp, signs)
-        if i % 2 == 1:  # odd i, including i = -1: sign (-1)^i = -1
-            g = [[-x for x in row] for row in g]
-        verdict = hermitian_definiteness(g)
-        if verdict == "degenerate":
-            return MembershipResult(False, True, i)
-        if verdict != "negative":
-            return MembershipResult(False, False, i)
+    g, _, _ = _integer_gram(flag.basis, flag.ranks.signature_signs())
+    d = _leading_minors(g)
+    bounds = (0, *flag.ranks.walls, flag.m)
+    for b in range(flag.ranks.k + 1):
+        sign = -1 if b % 2 else 1
+        if any(n >= len(d) or sign * d[n] * d[n - 1] <= 0 for n in range(bounds[b] + 1, bounds[b + 1] + 1)):
+            return MembershipResult(False, _minor_vanishes(g, d, bounds[b + 1]), b - 1)
     return MembershipResult(True, False, None)
 
 
@@ -177,21 +190,23 @@ def project_to_symmetric_space(flag: Flag, mode: str) -> tuple[Vector, ...]:
 
     mode='indefinite' uses h (fibration over the noncompact symmetric space);
     mode='definite' uses the standard form (fibration of the compact dual).
-    The i = -1 step contributes F^0 itself.
+    The i = -1 step contributes F^0 itself.  With h, the form must be
+    nondegenerate on F^i and F^{i+1} for every odd i >= 1.
     """
     if mode not in ("definite", "indefinite"):
         raise ValueError(f"mode must be 'definite' or 'indefinite', got {mode!r}")
     signs = flag.ranks.signature_signs() if mode == "indefinite" else None
-    plane: list[Vector] = []
-    for i in range(-1, flag.ranks.k):
-        if i % 2 == 1:
-            comp = orthocomplement_step(flag, i, signs)
-            if signs is not None and i >= 0:
-                if hermitian_definiteness(gram_matrix(comp, signs)) == "degenerate":
-                    raise DegenerateComplementError(
-                        f"indefinite form degenerates on the step-{i} complement"
-                    )
-            plane.extend(comp)
+    g, cols, scales = _integer_gram(flag.basis, signs)
+    bounds = (0, *flag.ranks.walls, flag.m)
+    odd_steps = range(1, flag.ranks.k, 2)
+    if signs is not None:
+        d = _leading_minors(g)
+        for i in odd_steps:
+            if _minor_vanishes(g, d, bounds[i + 1]) or _minor_vanishes(g, d, bounds[i + 2]):
+                raise DegenerateComplementError(f"indefinite form degenerates on flag step {i}")
+    plane = list(flag.basis[: bounds[1]])
+    for i in odd_steps:
+        plane.extend(_complement(g, cols, scales, bounds[i + 1], bounds[i + 2]))
     if len(plane) != flag.ranks.p:
         raise AssertionError("projection produced a plane of the wrong dimension")
     return tuple(plane)
@@ -200,9 +215,7 @@ def project_to_symmetric_space(flag: Flag, mode: str) -> tuple[Vector, ...]:
 def same_span(a: Iterable[Vector], b: Iterable[Vector]) -> bool:
     """Exact equality of column spans."""
     la, lb = list(map(list, a)), list(map(list, b))
-    ra = rank(la)
-    rb = rank(lb)
-    return ra == rb == rank(la + lb)
+    return rank(la) == rank(lb) == rank(la + lb)
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +318,7 @@ def random_block_unitary(ranks: HodgeNumbers, rng) -> list[list[GaussianRational
 
 
 def apply_matrix(u: list[list[GaussianRational]], flag: Flag) -> Flag:
-    cols = []
-    for col in flag.basis:
-        new = [QI_ZERO] * flag.m
-        for i in range(flag.m):
-            acc = QI_ZERO
-            for j in range(flag.m):
-                acc = acc + u[i][j] * col[j]
-            new[i] = acc
-        cols.append(tuple(new))
-    return Flag(flag.ranks, tuple(cols))
+    return Flag(flag.ranks, tuple(map(tuple, transpose(mat_mul(u, transpose(flag.basis))))))
 
 
 # ---------------------------------------------------------------------------

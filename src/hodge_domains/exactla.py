@@ -65,10 +65,6 @@ class GaussianRational:
     def conjugate(self):
         return GaussianRational(self.re, -self.im)
 
-    def abs2(self) -> Fraction:
-        """Squared modulus, an exact nonnegative rational."""
-        return self.re * self.re + self.im * self.im
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
@@ -131,7 +127,9 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list[GaussianR
 def _dot_plain(xs, ys) -> GaussianRational:
     acc = QI_ZERO
     for x, y in zip(xs, ys):
-        acc = acc + _coerce(x) * _coerce(y)
+        x, y = _coerce(x), _coerce(y)
+        if x and y:  # zero terms are skipped; the sum is the same exact value
+            acc = acc + x * y
     return acc
 
 
@@ -182,10 +180,10 @@ def _eliminate(a: Sequence[Sequence]):
     size grows polynomially.  After the last step every pivot entry equals the
     last pivot d, and the reduced row echelon form is the rows divided by d.
 
-    Returns (pivot_cols, rows, pivots, swapped): rows are (re, im) lists of
-    ints, pivots the (re, im) pivot of each step, and swapped whether a row
-    exchange happened (without one, the k-th pivot is the k-th leading minor
-    of the scaled matrix).
+    Returns (pivot_cols, rows, pivots, swap): rows are (re, im) lists of
+    ints, pivots the (re, im) pivot of each step, and swap the step of the
+    first row exchange, or None.  Before it, a step k (from 0) with pivot
+    column k has the (k+1)-th leading minor of the scaled matrix as its pivot.
     """
     rows = []
     for row in a:
@@ -199,7 +197,7 @@ def _eliminate(a: Sequence[Sequence]):
     ncols = len(rows[0][0]) if rows else 0
     pivot_cols: list[int] = []
     pivots: list[tuple[int, int]] = []
-    swapped = False
+    swap = None
     qa, qb = 1, 0  # previous pivot
     for c in range(ncols):
         r = len(pivot_cols)
@@ -210,7 +208,7 @@ def _eliminate(a: Sequence[Sequence]):
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-            swapped = True
+            swap = r if swap is None else swap
         yr, yi = rows[r]
         pa, pb = yr[c], yi[c]
         qn = qa * qa + qb * qb
@@ -229,7 +227,7 @@ def _eliminate(a: Sequence[Sequence]):
         pivot_cols.append(c)
         pivots.append((pa, pb))
         qa, qb = pa, pb
-    return pivot_cols, rows, pivots, swapped
+    return pivot_cols, rows, pivots, swap
 
 
 def _divide(xa: int, xb: int, d: tuple[int, int]) -> GaussianRational:
@@ -287,10 +285,10 @@ def hermitian_definiteness(g: Sequence[Sequence]) -> str:
                 raise ValueError("matrix is not Hermitian")
     if n == 0:
         return "positive"  # empty form, vacuously definite either way
-    pivot_cols, _, pivots, swapped = _eliminate(g)
+    pivot_cols, _, pivots, swap = _eliminate(g)
     if len(pivot_cols) < n:
         return "degenerate"
-    if swapped:
+    if swap is not None:
         return "indefinite"
     if any(im for _, im in pivots):
         raise ValueError("non-real pivot on a Hermitian matrix")

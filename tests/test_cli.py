@@ -199,6 +199,27 @@ def test_unwritable_output_path_exit_2(tmp_path, capsys, argv):
     assert err.startswith("invalid input: ") and err.count("\n") == 1
 
 
+def test_unwritable_classify_out_fails_before_any_suite(tmp_path, capsys, monkeypatch):
+    import hodge_domains.cli as cli
+
+    ran = []
+    monkeypatch.setattr(cli, "_SUITES", tuple((name, lambda cfg, name=name: ran.append(name)) for name, _ in cli._SUITES))
+    argv = ["verify", "--ranks", "1,6,1", "--classify-out", str(tmp_path / "missing" / "x.jsonl")]
+    assert main(argv) == EXIT_INVALID_INPUT
+    assert ran == []
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+
+
+def test_classify_out_rejected_for_other_ranks(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--ranks", "1,1", "--samples", "2", "--classify-out", "x.jsonl"]) == EXIT_INVALID_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invalid input: --classify-out needs ranks (1, n, 1)") and err.count("\n") == 1
+    assert not (tmp_path / "x.jsonl").exists()
+
+
 # -- mesh export ------------------------------------------------------------------
 
 

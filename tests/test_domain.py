@@ -1,20 +1,33 @@
 import random
 from fractions import Fraction
+from typing import Iterable, Optional
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import all_rank_tuples
-from hodge_domains.exactla import Qi, hermitian_definiteness, mat_mul, conj_transpose
+from hodge_domains.exactla import (
+    GaussianRational,
+    QI_ZERO,
+    Qi,
+    conj_transpose,
+    hermitian_definiteness,
+    mat_mul,
+    nullspace,
+    rank,
+)
 from hodge_domains.hodge import HodgeNumbers
 from hodge_domains.domain import (
     DegenerateComplementError,
     Flag,
+    MembershipResult,
+    Vector,
     apply_matrix,
     describe_domain,
     flag_dumps,
     flag_in_period_domain,
     flag_loads,
-    gram_matrix,
+    form_definiteness,
     hodge_flag,
     perturbed_flag,
     project_to_symmetric_space,
@@ -22,6 +35,126 @@ from hodge_domains.domain import (
     same_span,
 )
 from hodge_domains.rootcalc import grading, parabolic_from_ranks
+
+
+# -- reference: the step-by-step complement path the Gram-minor test replaced ---
+# Kept verbatim (only the public names are prefixed with reference_) so the
+# new path is checked against an independent oracle.
+
+
+def hermitian_product(x: Vector, y: Vector, signs: Optional[tuple[int, ...]]) -> GaussianRational:
+    """The form sum_c s_c x_c conj(y_c); signs=None means the definite form."""
+    acc = QI_ZERO
+    if signs is None:
+        for a, b in zip(x, y):
+            acc = acc + a * b.conjugate()
+    else:
+        for s, a, b in zip(signs, x, y):
+            term = a * b.conjugate()
+            acc = acc + (term if s > 0 else -term)
+    return acc
+
+
+def reference_gram_matrix(vectors: Iterable[Vector], signs: Optional[tuple[int, ...]]) -> list[list[GaussianRational]]:
+    vs = list(vectors)
+    return [[hermitian_product(a, b, signs) for b in vs] for a in vs]
+
+
+def orthocomplement_step(
+    flag: Flag, i: int, signs: Optional[tuple[int, ...]]
+) -> list[Vector]:
+    """Basis of the orthogonal complement of F^i inside F^{i+1} for the given
+    form.  Raises DegenerateComplementError when the form restricts
+    degenerately (complement not transverse)."""
+    small = flag.subspace_basis(i)
+    big = flag.subspace_basis(i + 1)
+    if not small:
+        return list(big)
+    a = [[hermitian_product(g, f, signs) for g in big] for f in small]
+    null = nullspace(a)
+    expected = len(big) - len(small)
+    if len(null) != expected:
+        raise DegenerateComplementError(
+            f"form degenerates on flag step {i}: complement has dimension "
+            f"{len(null)}, expected {expected}"
+        )
+    out = []
+    for coeffs in null:
+        vec = [QI_ZERO] * flag.m
+        for c, g in zip(coeffs, big):
+            if not c.is_zero():
+                vec = [acc + c * comp for acc, comp in zip(vec, g)]
+        out.append(tuple(vec))
+    # Transversality: the complement must meet F^i only in 0 (fails exactly
+    # when the form restricts degenerately to F^i).
+    if rank([list(v) for v in small] + [list(v) for v in out]) != len(big):
+        raise DegenerateComplementError(
+            f"form degenerates on flag step {i}: complement meets the subspace"
+        )
+    return out
+
+
+def reference_flag_in_period_domain(flag: Flag) -> MembershipResult:
+    signs = flag.ranks.signature_signs()
+    for i in range(-1, flag.ranks.k):
+        try:
+            comp = orthocomplement_step(flag, i, signs)
+        except DegenerateComplementError:
+            return MembershipResult(False, True, i)
+        g = reference_gram_matrix(comp, signs)
+        if i % 2 == 1:  # odd i, including i = -1: sign (-1)^i = -1
+            g = [[-x for x in row] for row in g]
+        verdict = hermitian_definiteness(g)
+        if verdict == "degenerate":
+            return MembershipResult(False, True, i)
+        if verdict != "negative":
+            return MembershipResult(False, False, i)
+    return MembershipResult(True, False, None)
+
+
+def reference_project_to_symmetric_space(flag: Flag, mode: str) -> tuple[Vector, ...]:
+    if mode not in ("definite", "indefinite"):
+        raise ValueError(f"mode must be 'definite' or 'indefinite', got {mode!r}")
+    signs = flag.ranks.signature_signs() if mode == "indefinite" else None
+    plane: list[Vector] = []
+    for i in range(-1, flag.ranks.k):
+        if i % 2 == 1:
+            comp = orthocomplement_step(flag, i, signs)
+            if signs is not None and i >= 0:
+                if hermitian_definiteness(reference_gram_matrix(comp, signs)) == "degenerate":
+                    raise DegenerateComplementError(
+                        f"indefinite form degenerates on the step-{i} complement"
+                    )
+            plane.extend(comp)
+    if len(plane) != flag.ranks.p:
+        raise AssertionError("projection produced a plane of the wrong dimension")
+    return tuple(plane)
+
+
+def agrees_with_reference(flag: Flag) -> MembershipResult:
+    """Assert the new and reference paths agree on flag; return the verdict."""
+    new = flag_in_period_domain(flag)
+    old = reference_flag_in_period_domain(flag)
+    assert (new.in_domain, new.degenerate, new.failing_step) == (
+        old.in_domain,
+        old.degenerate,
+        old.failing_step,
+    )
+    for mode in ("definite", "indefinite"):
+        try:
+            expected = reference_project_to_symmetric_space(flag, mode)
+        except DegenerateComplementError:
+            with pytest.raises(DegenerateComplementError):
+                project_to_symmetric_space(flag, mode)
+        else:
+            plane = project_to_symmetric_space(flag, mode)
+            assert same_span(plane, expected)
+            assert plane == expected  # the same vectors, not only the same span
+    for signs in (flag.ranks.signature_signs(), None):
+        for n in range(flag.m + 1):
+            vectors = flag.basis[:n]
+            assert form_definiteness(vectors, signs) == hermitian_definiteness(reference_gram_matrix(vectors, signs))
+    return old
 
 
 # -- descriptors ------------------------------------------------------------
@@ -170,8 +303,7 @@ def test_projection_positive_definite_on_seeded_flags():
         for _ in range(20):
             flag = perturbed_flag(hn, rng)
             plane = project_to_symmetric_space(flag, "indefinite")
-            gram = gram_matrix(plane, hn.signature_signs())
-            assert hermitian_definiteness(gram) == "positive"
+            assert form_definiteness(plane, hn.signature_signs()) == "positive"
             count += 1
     assert count == 100
 
@@ -220,6 +352,81 @@ def test_projection_degenerate_complement_raises():
 def test_projection_rejects_unknown_mode():
     with pytest.raises(ValueError):
         project_to_symmetric_space(hodge_flag(HodgeNumbers((1, 1))), "either")
+
+
+# -- the Gram-minor path against the reference ---------------------------------
+
+SMALL_RANKS = list(all_rank_tuples(6))
+small_scalars = st.builds(
+    lambda re, im, den: Qi(Fraction(re, den), Fraction(im, den)),
+    st.integers(-2, 2),
+    st.integers(-1, 1),
+    st.sampled_from((1, 1, 1, 2, 3)),
+)
+
+
+@st.composite
+def small_flags(draw):
+    """Flags with m <= 6 and small Gaussian-rational bases, so that h-null
+    vectors (degenerate steps) and sign failures are common."""
+    hn = draw(st.sampled_from(SMALL_RANKS))
+    cols = draw(st.lists(st.lists(small_scalars, min_size=hn.m, max_size=hn.m), min_size=hn.m, max_size=hn.m))
+    assume(rank(cols) == hn.m)
+    return Flag(hn, tuple(map(tuple, cols)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_flags())
+def test_membership_and_projection_match_reference(flag):
+    agrees_with_reference(flag)
+
+
+def test_membership_and_projection_match_reference_seeded():
+    # base flags with Gaussian-integer noise: failures spread over every step
+    rng = random.Random(2024)
+    verdicts = []
+    for hn in SMALL_RANKS:
+        for _ in range(6):
+            cols = [list(col) for col in hodge_flag(hn).basis]
+            for col in cols:
+                for _ in range(2):
+                    col[rng.randrange(hn.m)] += Qi(rng.randint(-1, 1), rng.randint(-1, 1))
+            if rank(cols) == hn.m:
+                verdicts.append(agrees_with_reference(Flag(hn, tuple(map(tuple, cols)))))
+    # in-domain flags occur, and both kinds of failure at steps -1, 0 and 1
+    assert any(v.in_domain for v in verdicts)
+    assert {v.failing_step for v in verdicts if v.degenerate} >= {-1, 0, 1}
+    assert {v.failing_step for v in verdicts if not v.in_domain and not v.degenerate} >= {-1, 0, 1}
+
+
+def test_zero_leading_minor_inside_a_block_is_a_sign_failure():
+    # F^0 is spanned by two h-null vectors pairing to 1: its Gram matrix
+    # [[0, 1], [1, 0]] has d_1 = 0 but boundary minor d_2 = -1.
+    hn = HodgeNumbers((2, 2))
+    e = [[Qi(int(i == c)) for i in range(4)] for c in range(4)]
+    v1 = tuple(x + y for x, y in zip(e[0], e[2]))
+    v2 = tuple((x - y) / 2 for x, y in zip(e[0], e[2]))
+    flag = Flag(hn, (v1, v2, tuple(e[1]), tuple(e[3])))
+    assert reference_gram_matrix(flag.basis[:2], hn.signature_signs()) == [[Qi(0), Qi(1)], [Qi(1), Qi(0)]]
+    res = agrees_with_reference(flag)
+    assert (res.in_domain, res.degenerate, res.failing_step) == (False, False, -1)
+
+
+def test_zero_boundary_minor_is_degenerate():
+    # (1, 1): F^0 spanned by an h-null vector, so d_1 = 0 is the boundary minor.
+    hn = HodgeNumbers((1, 1))
+    res = agrees_with_reference(Flag(hn, ((Qi(1), Qi(1)), (Qi(1), Qi(0)))))
+    assert (res.in_domain, res.degenerate, res.failing_step) == (False, True, -1)
+    # (3, 3): Gram of F^0 is [[0, 1, 0], [1, 0, 0], [0, 0, 0]], so d_1 = 0,
+    # d_2 = -1 and the boundary minor d_3 = 0 lies past the first zero.
+    hn = HodgeNumbers((3, 3))
+    e = [[Qi(int(i == c)) for i in range(6)] for c in range(6)]
+    v1 = tuple(x + y for x, y in zip(e[0], e[3]))
+    v2 = tuple((x - y) / 2 for x, y in zip(e[0], e[3]))
+    v3 = tuple(x + y for x, y in zip(e[1], e[4]))
+    flag = Flag(hn, (v1, v2, v3, tuple(e[2]), tuple(e[5]), tuple(e[4])))
+    res = agrees_with_reference(flag)
+    assert (res.in_domain, res.degenerate, res.failing_step) == (False, True, -1)
 
 
 # -- wire format -------------------------------------------------------------
