@@ -402,11 +402,14 @@ def export_mesh(cfg: RunConfig) -> tuple[int, list[str]]:
     for _ in range(cfg.subdivisions):
         tri = spheremesh_mod.subdivide(tri)
     coloring = spheremesh_mod.three_color(tri)
-    if not spheremesh_mod.audit_passes(spheremesh_mod.audit_mesh(tri, coloring)):
+    # geometry and gluing are computed once and shared by the audit and the sidecar
+    geometry = spheremesh_mod.mesh_geometry(tri)
+    glue = spheremesh_mod.gluing_pattern(tri, coloring)
+    if not spheremesh_mod.audit_passes(spheremesh_mod.audit_mesh(tri, coloring, geometry, glue)):
         return EXIT_SUITE_FAILURE, []
     out = Path(cfg.output) if cfg.output else Path(f"octahedron_s{cfg.subdivisions}.off")
     if cfg.fmt == "json":
-        doc = spheremesh_mod.sidecar_document(tri, coloring)
+        doc = spheremesh_mod.sidecar_document(tri, coloring, geometry, glue)
         doc["vertices"] = [[float(x) for x in v] for v in tri.vertices]
         doc["faces"] = [list(f) for f in tri.faces]
         target = out if out.suffix == ".json" else out.with_suffix(".json")
@@ -416,7 +419,7 @@ def export_mesh(cfg: RunConfig) -> tuple[int, list[str]]:
         raise ValueError("OFF output path must not end in .json (the sidecar uses it)")
     sidecar = out.with_suffix(".json")
     out.write_text(spheremesh_mod.to_off(tri))
-    sidecar.write_text(spheremesh_mod.sidecar_dumps(tri, coloring))
+    sidecar.write_text(spheremesh_mod.sidecar_dumps(tri, coloring, geometry, glue))
     return EXIT_OK, [str(out), str(sidecar)]
 
 

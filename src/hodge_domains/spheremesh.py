@@ -79,11 +79,11 @@ class SphericalTriangulation:
     # -- validation --------------------------------------------------------
 
     def _validate(self):
-        v, f = self.num_vertices, len(self.faces)
-        if self.vertices.shape != (v, 3):
+        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise MeshInvariantError("vertices must be an (V, 3) array")
+        v = self.num_vertices
         norms = np.linalg.norm(self.vertices, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-12:
+        if not np.all(np.abs(norms - 1.0) <= 1e-12):  # written so that NaN fails too
             raise MeshInvariantError("vertices must lie on the unit sphere")
         directed = set()
         edge_faces: dict[frozenset, list[int]] = {}
@@ -104,30 +104,31 @@ class SphericalTriangulation:
             raise MeshInvariantError(
                 f"Euler characteristic {self.euler_characteristic()} != 2"
             )
-        for vertex in range(v):
-            self._check_link(vertex)
+        _check_links(v, self.faces)
 
-    def _check_link(self, vertex: int):
-        nxt = {}
-        for face in self.faces:
-            if vertex in face:
-                j = face.index(vertex)
-                a, b = face[(j + 1) % 3], face[(j + 2) % 3]
-                if a in nxt:
-                    raise MeshInvariantError(f"vertex {vertex} has a pinched link")
-                nxt[a] = b
+
+def _check_links(num_vertices: int, faces) -> None:
+    """Raise MeshInvariantError unless every vertex link is a single cycle.
+    The links (a -> b for each face (v, a, b) up to rotation) are built in one
+    pass over the faces, then checked vertex by vertex in index order."""
+    links: list[dict[int, int]] = [{} for _ in range(num_vertices)]
+    pinched = set()
+    for a, b, c in faces:
+        for vertex, x, y in ((a, b, c), (b, c, a), (c, a, b)):
+            if x in links[vertex]:
+                pinched.add(vertex)
+            links[vertex][x] = y
+    for vertex, nxt in enumerate(links):
+        if vertex in pinched:
+            raise MeshInvariantError(f"vertex {vertex} has a pinched link")
         if not nxt:
             raise MeshInvariantError(f"vertex {vertex} is isolated")
         start = next(iter(nxt))
-        seen = 0
-        cur = start
-        while True:
-            cur = nxt[cur]
-            seen += 1
-            if cur == start:
-                break
-            if seen > len(nxt):
+        cur, seen = nxt[start], 1
+        while cur != start:
+            if seen > len(nxt) or cur not in nxt:
                 raise MeshInvariantError(f"vertex {vertex} link does not close up")
+            cur, seen = nxt[cur], seen + 1
         if seen != len(nxt):
             raise MeshInvariantError(f"vertex {vertex} link splits into several cycles")
 
@@ -163,23 +164,20 @@ def subdivide(tri: SphericalTriangulation) -> SphericalTriangulation:
     Old vertex degrees are unchanged; each new midpoint vertex has degree 6,
     so evenness is preserved.
     """
-    verts = [tuple(v) for v in tri.vertices]
-    edge_index = {}
-    for e in sorted(tuple(sorted(e)) for e in tri.edge_faces):
-        a, b = e
-        mid = tri.vertices[a] + tri.vertices[b]
-        nrm = np.linalg.norm(mid)
-        if nrm < 1e-9:
-            raise DegenerateFaceError(f"edge {e} is antipodal: geodesic midpoint undefined")
-        edge_index[e] = len(verts)
-        verts.append(tuple(mid / nrm))
+    edges = sorted(tuple(sorted(e)) for e in tri.edge_faces)
+    mids = tri.vertices[np.array(edges, dtype=np.intp).reshape(-1, 2)].sum(axis=1)
+    nrm = np.sqrt(_dot(mids, mids))
+    if np.any(nrm < 1e-9):
+        e = edges[int(np.argmax(nrm < 1e-9))]
+        raise DegenerateFaceError(f"edge {e} is antipodal: geodesic midpoint undefined")
+    edge_index = {e: tri.num_vertices + k for k, e in enumerate(edges)}
     faces = []
     for a, b, c in tri.faces:
         mab = edge_index[tuple(sorted((a, b)))]
         mbc = edge_index[tuple(sorted((b, c)))]
         mca = edge_index[tuple(sorted((c, a)))]
         faces.extend([(a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca)])
-    return SphericalTriangulation(np.array(verts), faces)
+    return SphericalTriangulation(np.vstack([tri.vertices, mids / nrm[:, None]]), faces)
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +188,6 @@ def subdivide(tri: SphericalTriangulation) -> SphericalTriangulation:
 @dataclass(frozen=True)
 class ThreeColoring:
     colors: tuple  # vertex -> 0 | 1 | 2
-
-    def name(self, vertex: int) -> str:
-        return COLOR_NAMES[self.colors[vertex]]
 
 
 def three_color(tri: SphericalTriangulation) -> ThreeColoring:
@@ -263,47 +258,72 @@ class FaceGeometry:
     equidistance_residual: float
 
 
-def face_geometry(tri: SphericalTriangulation, face_index: int) -> FaceGeometry:
+@dataclass(frozen=True)
+class MeshGeometry:
+    """FaceGeometry of every face at once: row i belongs to face i."""
+    circumcenters: np.ndarray  # (F, 3)
+    circumradii: np.ndarray  # (F,)
+    midpoints: np.ndarray  # (F, 3, 3)
+    circumcenter_inside: np.ndarray  # (F,) bool
+    equidistance_residuals: np.ndarray  # (F,)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, each through the same kernel as np.dot
+    and np.linalg.norm of one 3-vector, so rows match the one-face results bit
+    for bit (einsum and a sum of squares round differently)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def mesh_geometry(tri: SphericalTriangulation, face_indices: Optional[list[int]] = None) -> MeshGeometry:
     """Circumcenter, angular circumradius, edge midpoints, and containment of
-    the circumcenter in the closed spherical triangle."""
-    face = tri.faces[face_index]
-    v0, v1, v2 = (tri.vertices[x] for x in face)
+    the circumcenter in the closed spherical triangle, for the given faces (by
+    default all of them) in one vectorized pass.
+
+    Raises DegenerateFaceError naming the first face, in the given order,
+    that has collinear vertices or an antipodal edge.
+    """
+    faces = tri.faces if face_indices is None else [tri.faces[i] for i in face_indices]
+    corners = tri.vertices[np.array(faces, dtype=np.intp).reshape(-1, 3)]  # (F, 3, 3)
+    v0, v1, v2 = corners[:, 0], corners[:, 1], corners[:, 2]
+    following = corners[:, (1, 2, 0)]  # the second end of each edge, in face order
     normal = np.cross(v1 - v0, v2 - v0)
-    nrm = np.linalg.norm(normal)
-    if nrm < 1e-13:
-        raise DegenerateFaceError(f"face {face} is degenerate (collinear vertices)")
-    center = normal / nrm
-    if np.dot(center, v0 + v1 + v2) < 0:
-        center = -center
-    cosr = float(np.clip(np.dot(center, v0), -1.0, 1.0))
-    radius = float(np.arccos(cosr))
-    residual = max(
-        abs(float(np.arccos(np.clip(np.dot(center, v), -1.0, 1.0))) - radius)
-        for v in (v0, v1, v2)
+    nrm = np.sqrt(_dot(normal, normal))
+    mids = corners + following
+    mid_norms = np.sqrt(_dot(mids, mids))
+    bad = (nrm < 1e-13) | np.any(mid_norms < 1e-9, axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        why = "is degenerate (collinear vertices)" if nrm[i] < 1e-13 else "has an antipodal edge"
+        raise DegenerateFaceError(f"face {faces[i]} {why}")
+    center = normal / nrm[:, None]
+    center[_dot(center, v0 + v1 + v2) < 0] *= -1.0
+    angles = np.arccos(np.clip(_dot(center[:, None, :], corners), -1.0, 1.0))  # (F, 3)
+    sides = _dot(np.cross(corners, following), center[:, None, :])
+    return MeshGeometry(
+        circumcenters=center,
+        circumradii=angles[:, 0],
+        midpoints=mids / mid_norms[..., None],
+        circumcenter_inside=np.all(sides >= -1e-12, axis=1),
+        equidistance_residuals=np.max(np.abs(angles - angles[:, :1]), axis=1),
     )
-    mids = []
-    for a, b in ((v0, v1), (v1, v2), (v2, v0)):
-        m = a + b
-        mn = np.linalg.norm(m)
-        if mn < 1e-9:
-            raise DegenerateFaceError(f"face {face} has an antipodal edge")
-        mids.append(tuple(m / mn))
-    inside = all(
-        float(np.dot(np.cross(a, b), center)) >= -1e-12
-        for a, b in ((v0, v1), (v1, v2), (v2, v0))
-    )
+
+
+def face_geometry(tri: SphericalTriangulation, face_index: int) -> FaceGeometry:
+    """mesh_geometry of one face."""
+    g = mesh_geometry(tri, [face_index])
     return FaceGeometry(
-        circumcenter=tuple(float(x) for x in center),
-        circumradius=radius,
-        midpoints=tuple(tuple(float(x) for x in m) for m in mids),
-        circumcenter_inside=inside,
-        equidistance_residual=residual,
+        circumcenter=tuple(g.circumcenters[0].tolist()),
+        circumradius=float(g.circumradii[0]),
+        midpoints=tuple(tuple(m) for m in g.midpoints[0].tolist()),
+        circumcenter_inside=bool(g.circumcenter_inside[0]),
+        equidistance_residual=float(g.equidistance_residuals[0]),
     )
 
 
 def fineness(tri: SphericalTriangulation) -> float:
     """Largest angular circumradius over all faces."""
-    return max(face_geometry(tri, i).circumradius for i in range(tri.num_faces))
+    return float(mesh_geometry(tri).circumradii.max())
 
 
 # ---------------------------------------------------------------------------
@@ -346,54 +366,21 @@ def gluing_pattern(tri: SphericalTriangulation, coloring: ThreeColoring) -> Glui
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for f in range(tri.num_faces):
-        for c in range(3):
-            parent.setdefault((f, c), (f, c))
     corner_edges: dict[tuple[int, int], int] = {}
     for f, g, pair in identifications:
         for c in pair:
-            union((f, c), (g, c))
+            rf, rg = find((f, c)), find((g, c))
+            if rf != rg:
+                parent[rf] = rg
             corner_edges[(f, c)] = corner_edges.get((f, c), 0) + 1
             corner_edges[(g, c)] = corner_edges.get((g, c), 0) + 1
 
-    classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for f in range(tri.num_faces):
-        for c in range(3):
-            classes.setdefault(find((f, c)), []).append((f, c))
-
-    # Each corner participates in exactly two identifications, so every class
-    # is a disjoint union of cycles; a single cycle means the class size
-    # equals the cycle through any of its corners.
-    links_ok = all(corner_edges.get(k, 0) == 2 for k in parent)
-    if links_ok:
-        adjacency: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for f, g, pair in identifications:
-            for c in pair:
-                adjacency.setdefault((f, c), []).append((g, c))
-                adjacency.setdefault((g, c), []).append((f, c))
-        for members in classes.values():
-            start = members[0]
-            prev, cur = None, start
-            steps = 0
-            while True:
-                nbrs = adjacency[cur]
-                nxt = nbrs[0] if nbrs[0] != prev else nbrs[1]
-                prev, cur = cur, nxt
-                steps += 1
-                if cur == start:
-                    break
-                if steps > len(members):
-                    links_ok = False
-                    break
-            if steps != len(members):
-                links_ok = False
-
-    v_w = len(classes)
+    # A class is a connected component of the graph whose edges are the
+    # identifications, so when every corner lies on exactly two of them each
+    # class is a single cycle.
+    corners = [(f, c) for f in range(tri.num_faces) for c in range(3)]
+    links_ok = all(corner_edges.get(k, 0) == 2 for k in corners)
+    v_w = len({find(k) for k in corners})
     e_w = len(identifications)
     f_w = tri.num_faces
     euler = v_w - e_w + f_w
@@ -416,10 +403,14 @@ def gluing_pattern(tri: SphericalTriangulation, coloring: ThreeColoring) -> Glui
 # ---------------------------------------------------------------------------
 
 
-def audit_mesh(tri: SphericalTriangulation, coloring: ThreeColoring) -> dict:
-    """The full battery of checks used by the verification suites."""
-    geo = [face_geometry(tri, i) for i in range(tri.num_faces)]
-    glue = gluing_pattern(tri, coloring)
+def audit_mesh(
+    tri: SphericalTriangulation, coloring: ThreeColoring,
+    geometry: Optional[MeshGeometry] = None, glue: Optional[GluingPolyhedron] = None,
+) -> dict:
+    """The full battery of checks used by the verification suites.  A caller
+    that already holds the mesh_geometry and gluing_pattern passes them in."""
+    geometry = mesh_geometry(tri) if geometry is None else geometry
+    glue = gluing_pattern(tri, coloring) if glue is None else glue
     try:
         verify_coloring(tri, coloring)
         proper = True
@@ -429,9 +420,9 @@ def audit_mesh(tri: SphericalTriangulation, coloring: ThreeColoring) -> dict:
         "even": tri.is_even(),
         "proper_coloring": proper,
         "euler_characteristic": tri.euler_characteristic(),
-        "circumcenters_inside": all(g.circumcenter_inside for g in geo),
-        "max_equidistance_residual": max(g.equidistance_residual for g in geo),
-        "fineness": max(g.circumradius for g in geo),
+        "circumcenters_inside": bool(geometry.circumcenter_inside.all()),
+        "max_equidistance_residual": float(geometry.equidistance_residuals.max()),
+        "fineness": float(geometry.circumradii.max()),
         "gluing_euler": glue.euler_characteristic,
         "gluing_closed": glue.closed,
         "gluing_links_single_cycles": glue.links_single_cycles,
@@ -447,7 +438,7 @@ def audit_passes(audit: dict) -> bool:
         and audit["proper_coloring"]
         and audit["euler_characteristic"] == 2
         and audit["circumcenters_inside"]
-        and audit["max_equidistance_residual"] < 1e-10
+        and audit["max_equidistance_residual"] < ANGLE_TOL
         and audit["gluing_euler"] == 2
         and audit["gluing_closed"]
         and audit["gluing_links_single_cycles"]
@@ -464,14 +455,16 @@ def to_off(tri: SphericalTriangulation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sidecar_document(tri: SphericalTriangulation, coloring: ThreeColoring) -> dict:
-    glue = gluing_pattern(tri, coloring)
+def sidecar_document(
+    tri: SphericalTriangulation, coloring: ThreeColoring,
+    geometry: Optional[MeshGeometry] = None, glue: Optional[GluingPolyhedron] = None,
+) -> dict:
+    geometry = mesh_geometry(tri) if geometry is None else geometry
+    glue = gluing_pattern(tri, coloring) if glue is None else glue
     return {
         "schema": "hodge-domains/1",
         "colors": [COLOR_NAMES[c] for c in coloring.colors],
-        "circumcenters": [
-            list(face_geometry(tri, i).circumcenter) for i in range(tri.num_faces)
-        ],
+        "circumcenters": geometry.circumcenters.tolist(),
         "gluing": [
             [f, g, [COLOR_NAMES[pair[0]], COLOR_NAMES[pair[1]]]]
             for f, g, pair in glue.identifications
@@ -479,5 +472,8 @@ def sidecar_document(tri: SphericalTriangulation, coloring: ThreeColoring) -> di
     }
 
 
-def sidecar_dumps(tri: SphericalTriangulation, coloring: ThreeColoring) -> str:
-    return json.dumps(sidecar_document(tri, coloring), sort_keys=True, indent=1)
+def sidecar_dumps(
+    tri: SphericalTriangulation, coloring: ThreeColoring,
+    geometry: Optional[MeshGeometry] = None, glue: Optional[GluingPolyhedron] = None,
+) -> str:
+    return json.dumps(sidecar_document(tri, coloring, geometry, glue), sort_keys=True, indent=1)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -264,6 +265,16 @@ def test_mesh_export_deterministic(tmp_path):
     main(["mesh", "--subdivisions", "2", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_mesh_export_s6_within_readme_bound(tmp_path):
+    # README states this bound beside the subdivisions guard
+    start = time.perf_counter()
+    cfg = RunConfig(command="mesh", subdivisions=6, output=str(tmp_path / "m.off"), fmt="off")
+    code, written = export_mesh(cfg)
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_OK and len(written) == 2
+    assert elapsed < 20.0, f"mesh export at 6 subdivisions took {elapsed:.1f} s"
 
 
 # -- subprocess smoke ---------------------------------------------------------------

@@ -6,13 +6,17 @@ import pytest
 
 from hodge_domains.spheremesh import (
     DegenerateFaceError,
+    FaceGeometry,
+    GluingPolyhedron,
     MeshInvariantError,
     NotThreeColorableError,
     SphericalTriangulation,
+    _check_links,
     audit_mesh,
     face_geometry,
     fineness,
     gluing_pattern,
+    mesh_geometry,
     octahedron,
     sidecar_document,
     sidecar_dumps,
@@ -216,6 +220,284 @@ def test_mesh_rejects_off_sphere_vertices():
     verts = np.array([[2.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
     with pytest.raises(MeshInvariantError):
         SphericalTriangulation(verts, [(0, 1, 2)])
+
+
+@pytest.mark.parametrize(
+    "verts",
+    [np.vstack([[np.nan] * 3, octahedron().vertices[1:]]), np.zeros((0, 3))],
+    ids=["nan", "empty"],
+)
+def test_mesh_rejects_nan_or_empty_vertices(verts):
+    for faces in (octahedron().faces, []):
+        with pytest.raises(MeshInvariantError):
+            SphericalTriangulation(verts, faces)
+
+
+# -- oracles: the per-vertex link scan and the per-face geometry -------------------
+#
+# Kept verbatim from the implementation that the one-pass link check, the
+# vectorized geometry pass and the cycle-free gluing audit replaced.
+
+
+def reference_check_link(faces, vertex):
+    nxt = {}
+    for face in faces:
+        if vertex in face:
+            j = face.index(vertex)
+            a, b = face[(j + 1) % 3], face[(j + 2) % 3]
+            if a in nxt:
+                raise MeshInvariantError(f"vertex {vertex} has a pinched link")
+            nxt[a] = b
+    if not nxt:
+        raise MeshInvariantError(f"vertex {vertex} is isolated")
+    start = next(iter(nxt))
+    seen = 0
+    cur = start
+    while True:
+        cur = nxt[cur]
+        seen += 1
+        if cur == start:
+            break
+        if seen > len(nxt):
+            raise MeshInvariantError(f"vertex {vertex} link does not close up")
+    if seen != len(nxt):
+        raise MeshInvariantError(f"vertex {vertex} link splits into several cycles")
+
+
+def reference_check_links(num_vertices, faces):
+    for vertex in range(num_vertices):
+        reference_check_link(faces, vertex)
+
+
+def reference_face_geometry(tri, face_index):
+    face = tri.faces[face_index]
+    v0, v1, v2 = (tri.vertices[x] for x in face)
+    normal = np.cross(v1 - v0, v2 - v0)
+    nrm = np.linalg.norm(normal)
+    if nrm < 1e-13:
+        raise DegenerateFaceError(f"face {face} is degenerate (collinear vertices)")
+    center = normal / nrm
+    if np.dot(center, v0 + v1 + v2) < 0:
+        center = -center
+    cosr = float(np.clip(np.dot(center, v0), -1.0, 1.0))
+    radius = float(np.arccos(cosr))
+    residual = max(
+        abs(float(np.arccos(np.clip(np.dot(center, v), -1.0, 1.0))) - radius)
+        for v in (v0, v1, v2)
+    )
+    mids = []
+    for a, b in ((v0, v1), (v1, v2), (v2, v0)):
+        m = a + b
+        mn = np.linalg.norm(m)
+        if mn < 1e-9:
+            raise DegenerateFaceError(f"face {face} has an antipodal edge")
+        mids.append(tuple(m / mn))
+    inside = all(
+        float(np.dot(np.cross(a, b), center)) >= -1e-12
+        for a, b in ((v0, v1), (v1, v2), (v2, v0))
+    )
+    return FaceGeometry(
+        circumcenter=tuple(float(x) for x in center),
+        circumradius=radius,
+        midpoints=tuple(tuple(float(x) for x in m) for m in mids),
+        circumcenter_inside=inside,
+        equidistance_residual=residual,
+    )
+
+
+def reference_gluing_pattern(tri, coloring):
+    """Assemble the edge identifications of the glued polyhedron and audit
+    that it is a closed surface of Euler characteristic 2."""
+    verify_coloring(tri, coloring)
+    colors = coloring.colors
+
+    identifications = []
+    for e, fs in sorted(tri.edge_faces.items(), key=lambda kv: tuple(sorted(kv[0]))):
+        a, b = tuple(sorted(e))
+        f, g = sorted(fs)
+        pair = tuple(sorted((colors[a], colors[b])))
+        identifications.append((f, g, pair))
+
+    # Corner classes: gluing along an edge with colors {c1, c2} matches the
+    # c1 corners of the two copies and likewise the c2 corners.
+    parent: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            parent[x] = parent.get(parent[x], parent[x])
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+
+    for f in range(tri.num_faces):
+        for c in range(3):
+            parent.setdefault((f, c), (f, c))
+    corner_edges: dict[tuple[int, int], int] = {}
+    for f, g, pair in identifications:
+        for c in pair:
+            union((f, c), (g, c))
+            corner_edges[(f, c)] = corner_edges.get((f, c), 0) + 1
+            corner_edges[(g, c)] = corner_edges.get((g, c), 0) + 1
+
+    classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for f in range(tri.num_faces):
+        for c in range(3):
+            classes.setdefault(find((f, c)), []).append((f, c))
+
+    # Each corner participates in exactly two identifications, so every class
+    # is a disjoint union of cycles; a single cycle means the class size
+    # equals the cycle through any of its corners.
+    links_ok = all(corner_edges.get(k, 0) == 2 for k in parent)
+    if links_ok:
+        adjacency: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for f, g, pair in identifications:
+            for c in pair:
+                adjacency.setdefault((f, c), []).append((g, c))
+                adjacency.setdefault((g, c), []).append((f, c))
+        for members in classes.values():
+            start = members[0]
+            prev, cur = None, start
+            steps = 0
+            while True:
+                nbrs = adjacency[cur]
+                nxt = nbrs[0] if nbrs[0] != prev else nbrs[1]
+                prev, cur = cur, nxt
+                steps += 1
+                if cur == start:
+                    break
+                if steps > len(members):
+                    links_ok = False
+                    break
+            if steps != len(members):
+                links_ok = False
+
+    v_w = len(classes)
+    e_w = len(identifications)
+    f_w = tri.num_faces
+    euler = v_w - e_w + f_w
+    closed = e_w * 2 == 3 * f_w
+    color_matched = all(len(set(pair)) == 2 for _, _, pair in identifications)
+
+    return GluingPolyhedron(
+        num_copies=tri.num_faces,
+        identifications=tuple(identifications),
+        euler_characteristic=euler,
+        vertex_class_count=v_w,
+        color_matched=color_matched,
+        closed=closed,
+        links_single_cycles=links_ok,
+    )
+
+
+def outcome(fn, *args):
+    """(exception type, message) raised by fn(*args), or None."""
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_mesh_geometry_matches_per_face_reference_up_to_five():
+    for s, tri in meshes_up_to(5):
+        geo = mesh_geometry(tri)
+        ref = [reference_face_geometry(tri, i) for i in range(tri.num_faces)]
+        assert geo.circumcenters.tobytes() == np.array([r.circumcenter for r in ref]).tobytes()
+        assert geo.circumcenter_inside.tolist() == [r.circumcenter_inside for r in ref]
+        assert (geo.equidistance_residuals < 1e-10).tolist() == [
+            r.equidistance_residual < 1e-10 for r in ref
+        ]
+
+
+def test_face_geometry_equals_reference_up_to_two():
+    for s, tri in meshes_up_to(2):
+        for i in range(tri.num_faces):
+            assert face_geometry(tri, i) == reference_face_geometry(tri, i)
+
+
+def test_gluing_pattern_equals_reference_up_to_three():
+    for s, tri in meshes_up_to(3):
+        coloring = three_color(tri)
+        assert gluing_pattern(tri, coloring) == reference_gluing_pattern(tri, coloring)
+
+
+def _torus_faces():
+    """The 7-vertex torus (Moebius-Csaszar), oriented."""
+    return [f for i in range(7) for f in ((i, (i + 1) % 7, (i + 3) % 7), (i, (i + 3) % 7, (i + 2) % 7))]
+
+
+def _two_octahedra_faces():
+    """Two octahedra sharing their antipodal vertices 0 and 3 (Euler characteristic 2)."""
+    relabel = {0: 0, 1: 6, 2: 7, 3: 3, 4: 8, 5: 9}
+    faces = list(octahedron().faces)
+    return faces + [tuple(relabel[x] for x in f) for f in faces]
+
+
+BAD_LINKS = {
+    # vertex 0 gets a second face leaving along the edge (0, 1)
+    "pinched link": (6, list(octahedron().faces) + [(0, 1, 5)]),
+    "splits into several cycles": (10, _two_octahedra_faces()),
+    "is isolated": (9, _torus_faces()),
+    # the link of vertex 0 is 1 -> 2 -> 3 -> 2
+    "does not close up": (4, [(0, 1, 2), (0, 2, 3), (0, 3, 2)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_LINKS))
+def test_link_check_matches_reference_scan(kind):
+    num_vertices, faces = BAD_LINKS[kind]
+    expected = outcome(reference_check_links, num_vertices, faces)
+    assert expected[0] is MeshInvariantError and kind in expected[1]
+    assert outcome(_check_links, num_vertices, faces) == expected
+
+
+@pytest.mark.parametrize("kind", ["splits into several cycles", "is isolated"])
+def test_constructor_reports_reference_link_failure(kind):
+    # these two pass every edge and Euler check, so the link check decides
+    num_vertices, faces = BAD_LINKS[kind]
+    verts = np.tile([1.0, 0.0, 0.0], (num_vertices, 1))
+    expected = outcome(reference_check_links, num_vertices, faces)
+    assert outcome(SphericalTriangulation, verts, faces) == expected
+
+
+def test_link_check_accepts_what_reference_accepts():
+    for s, tri in meshes_up_to(3):
+        assert outcome(reference_check_links, tri.num_vertices, tri.faces) is None
+        assert outcome(_check_links, tri.num_vertices, tri.faces) is None
+
+
+def test_open_link_is_an_invariant_error():
+    # the reference scan fails on a link path that ends with a bare KeyError
+    faces = [(0, 1, 2), (0, 2, 3)]
+    assert outcome(reference_check_links, 4, faces)[0] is KeyError
+    assert outcome(_check_links, 4, faces) == (
+        MeshInvariantError,
+        "vertex 0 link does not close up",
+    )
+
+
+@pytest.mark.parametrize(
+    "moved, onto, message",
+    [
+        # vertex 4 onto -e1: face 2 (3, 4, 2) repeats a point, face 3 (4, 0, 2) is antipodal
+        (4, 3, "face (3, 4, 2) is degenerate (collinear vertices)"),
+        # vertex 1 onto -e3: face 0 (0, 1, 2) is antipodal, face 4 (1, 0, 5) repeats a point
+        (1, 5, "face (0, 1, 2) has an antipodal edge"),
+    ],
+)
+def test_degenerate_faces_name_first_failing_face(moved, onto, message):
+    t = octahedron()
+    verts = t.vertices.copy()
+    verts[moved] = verts[onto]
+    tri = SphericalTriangulation(verts, t.faces)
+    first = next(o for o in (outcome(reference_face_geometry, tri, i) for i in range(8)) if o)
+    assert first == (DegenerateFaceError, message)
+    assert outcome(mesh_geometry, tri) == first
+    assert outcome(fineness, tri) == first
 
 
 # -- export -----------------------------------------------------------------------
