@@ -14,7 +14,6 @@ output.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from contextlib import nullcontext
@@ -28,9 +27,8 @@ from . import horizontal as horizontal_mod
 from . import pi2 as pi2_mod
 from . import rootcalc as rootcalc_mod
 from . import spheremesh as spheremesh_mod
+from . import wire
 from .hodge import HodgeNumbers
-
-SCHEMA = "hodge-domains/1"
 
 EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
@@ -97,7 +95,7 @@ def run_report(cfg: RunConfig) -> dict:
     pd = rootcalc_mod.parabolic_from_ranks(ranks)
     cert = rootcalc_mod.bracket_generating_check(pd)
     return {
-        "schema": SCHEMA,
+        "schema": wire.SCHEMA,
         "command": "report",
         "ranks": list(ranks.ranks),
         "domain": {
@@ -231,7 +229,7 @@ def _suite_pu2n(cfg: RunConfig) -> dict:
         return {"applicable": False, "passed": True, "details": {"reason": "ranks are not (1, n, 1)"}}
     n = cfg.ranks.ranks[1]
     with open(cfg.classify_out, "w") if cfg.classify_out else nullcontext() as sink:
-        record = (lambda entry: sink.write(json.dumps(entry, sort_keys=True) + "\n")) if sink else None
+        record = (lambda entry: sink.write(wire.dumps(entry) + "\n")) if sink else None
         rep = horizontal_mod.verify_pu2n_criterion(n, cfg.samples, cfg.seed, record=record)
     if n == 1:
         passed = (
@@ -366,7 +364,7 @@ def run_verify(cfg: RunConfig) -> dict:
             all_passed = False
         suites.append(entry)
     return {
-        "schema": SCHEMA,
+        "schema": wire.SCHEMA,
         "command": "verify",
         "ranks": list(cfg.ranks.ranks),
         "seed": cfg.seed,
@@ -413,7 +411,7 @@ def export_mesh(cfg: RunConfig) -> tuple[int, list[str]]:
         doc["vertices"] = [[float(x) for x in v] for v in tri.vertices]
         doc["faces"] = [list(f) for f in tri.faces]
         target = out if out.suffix == ".json" else out.with_suffix(".json")
-        target.write_text(json.dumps(doc, sort_keys=True, indent=1))
+        target.write_text(wire.dumps_indented(doc))
         return EXIT_OK, [str(target)]
     if out.suffix == ".json":
         raise ValueError("OFF output path must not end in .json (the sidecar uses it)")
@@ -460,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(doc: dict, fmt: str, out: Optional[str], to_text) -> None:
-    payload = to_text(doc) if fmt == "text" else json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    payload = to_text(doc) if fmt == "text" else wire.dumps_indented(doc) + "\n"
     if out:
         Path(out).write_text(payload)
     else:

@@ -18,19 +18,20 @@ degeneracy, distinct from a plain sign rejection.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import Iterable, Optional
 
+from . import wire
 from .exactla import (
     GaussianRational,
     Qi,
     QI_ZERO,
     QI_ONE,
     _eliminate,
+    as_matrix,
     hermitian_definiteness,
     mat_mul,
     nullspace,
@@ -56,15 +57,9 @@ class Flag:
     basis: tuple  # m column vectors, each a tuple of GaussianRational
 
     def __post_init__(self):
-        m = self.ranks.m
-        cols = tuple(
-            tuple(x if isinstance(x, GaussianRational) else Qi(x) for x in col)
-            for col in self.basis
-        )
-        if len(cols) != m or any(len(c) != m for c in cols):
-            raise ValueError(f"flag basis must consist of {m} vectors of length {m}")
+        cols = as_matrix(self.basis, self.m, self.m)
         object.__setattr__(self, "basis", cols)
-        if rank(list(map(list, cols))) != m:
+        if rank(list(map(list, cols))) != self.m:
             raise ValueError("flag basis is not linearly independent")
 
     @property
@@ -322,36 +317,16 @@ def apply_matrix(u: list[list[GaussianRational]], flag: Flag) -> Flag:
 
 
 # ---------------------------------------------------------------------------
-# JSON wire format: exact rationals as (numerator, denominator) integer pairs.
+# JSON wire format (see wire): ranks, and basis as columns of scalars.
 # ---------------------------------------------------------------------------
 
 
-def _scalar_to_json(x: GaussianRational) -> list:
-    return [[x.re.numerator, x.re.denominator], [x.im.numerator, x.im.denominator]]
-
-
-def _scalar_from_json(obj) -> GaussianRational:
-    (rn, rd), (im_n, im_d) = obj
-    return Qi(Fraction(rn, rd), Fraction(im_n, im_d))
-
-
-def flag_to_json(flag: Flag) -> dict:
-    return {
-        "schema": "hodge-domains/1",
-        "ranks": list(flag.ranks.ranks),
-        "basis": [[_scalar_to_json(x) for x in col] for col in flag.basis],
-    }
-
-
-def flag_from_json(doc: dict) -> Flag:
-    ranks = HodgeNumbers(tuple(doc["ranks"]))
-    basis = tuple(tuple(_scalar_from_json(x) for x in col) for col in doc["basis"])
-    return Flag(ranks, basis)
-
-
 def flag_dumps(flag: Flag) -> str:
-    return json.dumps(flag_to_json(flag), sort_keys=True)
+    return wire.dumps({"schema": wire.SCHEMA, "ranks": list(flag.ranks.ranks),
+                       "basis": wire.encode_array(flag.basis)})
 
 
 def flag_loads(text: str) -> Flag:
-    return flag_from_json(json.loads(text))
+    """The flag of a flag_dumps document; ValueError on anything malformed."""
+    doc = wire.read(text, "basis")
+    return Flag(doc["ranks"], wire.decode_array(doc["basis"], 2))

@@ -117,6 +117,15 @@ def mat(rows: Iterable[Iterable]) -> list[list[GaussianRational]]:
     return [[_coerce(x) for x in row] for row in rows]
 
 
+def as_matrix(rows: Iterable[Iterable], nr: int, nc: int) -> tuple[tuple[GaussianRational, ...], ...]:
+    """rows as a tuple of row tuples of GaussianRational (other entries go
+    through Qi); ValueError unless the shape is nr x nc."""
+    out = tuple(tuple(x if isinstance(x, GaussianRational) else Qi(x) for x in row) for row in rows)
+    if len(out) != nr or any(len(r) != nc for r in out):
+        raise ValueError(f"expected a {nr}x{nc} matrix")
+    return out
+
+
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list[GaussianRational]]:
     if a and b and len(a[0]) != len(b):
         raise ValueError("matrix dimension mismatch in product")

@@ -10,16 +10,16 @@ is exact.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
+from . import wire
 from .exactla import (
     GaussianRational,
     Qi,
     QI_ZERO,
+    as_matrix,
     is_zero_matrix,
     mat_mul,
     mat_sub,
@@ -39,15 +39,6 @@ class SamplingExhaustedError(RuntimeError):
     """Rejection sampling failed to hit the requested rank profile."""
 
 
-def _coerce_matrix(rows, nr, nc) -> Matrix:
-    out = tuple(
-        tuple(x if isinstance(x, GaussianRational) else Qi(x) for x in row) for row in rows
-    )
-    if len(out) != nr or any(len(r) != nc for r in out):
-        raise ValueError(f"expected a {nr}x{nc} matrix")
-    return out
-
-
 @dataclass(frozen=True)
 class HiggsField:
     """theta[i][a] is the matrix of theta_i in direction a+1, shape r_{i+1} x r_i."""
@@ -58,17 +49,15 @@ class HiggsField:
 
     def __post_init__(self):
         r = self.ranks.ranks
-        if self.tangent_dim < 1:
-            raise ValueError("tangent dimension must be at least 1")
+        if type(self.tangent_dim) is not int or self.tangent_dim < 1:
+            raise ValueError(f"tangent dimension must be a positive int, got {self.tangent_dim!r}")
         if len(self.theta) != self.ranks.k:
             raise ValueError(f"expected {self.ranks.k} layers of component matrices")
         layers = []
         for i, layer in enumerate(self.theta):
             if len(layer) != self.tangent_dim:
                 raise ValueError(f"layer {i}: expected {self.tangent_dim} directions")
-            layers.append(
-                tuple(_coerce_matrix(mx, r[i + 1], r[i]) for mx in layer)
-            )
+            layers.append(tuple(as_matrix(mx, r[i + 1], r[i]) for mx in layer))
         object.__setattr__(self, "theta", tuple(layers))
 
     def component(self, i: int, a: int) -> Matrix:
@@ -324,46 +313,16 @@ def _solve_direction(ranks: HodgeNumbers, fixed: list, rng: random.Random):
 
 
 # ---------------------------------------------------------------------------
-# JSON wire format.
+# JSON wire format (see wire): ranks, tangent_dim, theta[layer][direction][row][col].
 # ---------------------------------------------------------------------------
 
 
-def _scalar_to_json(x: GaussianRational) -> list:
-    return [[x.re.numerator, x.re.denominator], [x.im.numerator, x.im.denominator]]
-
-
-def _scalar_from_json(obj) -> GaussianRational:
-    (rn, rd), (im_n, im_d) = obj
-    return Qi(Fraction(rn, rd), Fraction(im_n, im_d))
-
-
-def higgs_to_json(h: HiggsField) -> dict:
-    return {
-        "schema": "hodge-domains/1",
-        "ranks": list(h.ranks.ranks),
-        "tangent_dim": h.tangent_dim,
-        "theta": [
-            [[[_scalar_to_json(x) for x in row] for row in mx] for mx in layer]
-            for layer in h.theta
-        ],
-    }
-
-
-def higgs_from_json(doc: dict) -> HiggsField:
-    ranks = HodgeNumbers(tuple(doc["ranks"]))
-    theta = tuple(
-        tuple(
-            tuple(tuple(_scalar_from_json(x) for x in row) for row in mx)
-            for mx in layer
-        )
-        for layer in doc["theta"]
-    )
-    return HiggsField(ranks, int(doc["tangent_dim"]), theta)
-
-
 def higgs_dumps(h: HiggsField) -> str:
-    return json.dumps(higgs_to_json(h), sort_keys=True)
+    return wire.dumps({"schema": wire.SCHEMA, "ranks": list(h.ranks.ranks),
+                       "tangent_dim": h.tangent_dim, "theta": wire.encode_array(h.theta)})
 
 
 def higgs_loads(text: str) -> HiggsField:
-    return higgs_from_json(json.loads(text))
+    """The field of a higgs_dumps document; ValueError on anything malformed."""
+    doc = wire.read(text, "tangent_dim", "theta")
+    return HiggsField(doc["ranks"], doc["tangent_dim"], wire.decode_array(doc["theta"], 4))

@@ -24,8 +24,10 @@ class HodgeNumbers:
     ranks: tuple[int, ...]
 
     def __post_init__(self):
-        ranks = tuple(int(r) for r in self.ranks)
+        ranks = tuple(self.ranks)
         object.__setattr__(self, "ranks", ranks)
+        if any(type(r) is not int for r in ranks):
+            raise ValueError(f"invalid ranks {ranks!r}: every rank must be an int")
         if len(ranks) < 2:
             raise ValueError(f"invalid ranks {ranks!r}: need at least two blocks (k >= 1)")
         if any(r <= 0 for r in ranks):

@@ -26,6 +26,7 @@ from .exactla import (
     GaussianRational,
     Qi,
     QI_ZERO,
+    as_matrix,
     is_zero_matrix,
     mat_mul,
     mat_sub,
@@ -40,15 +41,6 @@ class NotApplicableError(ValueError):
     """The construction requires a middle block of rank at least 2."""
 
 
-def _coerce_matrix(rows, nr, nc):
-    out = tuple(
-        tuple(x if isinstance(x, GaussianRational) else Qi(x) for x in row) for row in rows
-    )
-    if len(out) != nr or any(len(r) != nc for r in out):
-        raise ValueError(f"expected a {nr}x{nc} component")
-    return out
-
-
 @dataclass(frozen=True)
 class HorizontalVector:
     """components[i] maps block i to block i+1 (an r_{i+1} x r_i matrix)."""
@@ -60,9 +52,7 @@ class HorizontalVector:
         r = self.ranks.ranks
         if len(self.components) != self.ranks.k:
             raise ValueError(f"expected {self.ranks.k} components")
-        comps = tuple(
-            _coerce_matrix(mx, r[i + 1], r[i]) for i, mx in enumerate(self.components)
-        )
+        comps = tuple(as_matrix(mx, r[i + 1], r[i]) for i, mx in enumerate(self.components))
         object.__setattr__(self, "components", comps)
 
     def is_zero(self) -> bool:
@@ -131,12 +121,9 @@ def horizontal_basis_vector(ranks: HodgeNumbers, pos: tuple[int, int, int]) -> H
 def model_vector(n: int, v1: Iterable, v2: Iterable) -> HorizontalVector:
     """The rank-(1,n,1) model: v1, v2 in C^n give components (column v1, row t(v2))."""
     ranks = HodgeNumbers((1, n, 1))
-    v1 = [x if isinstance(x, GaussianRational) else Qi(x) for x in v1]
-    v2 = [x if isinstance(x, GaussianRational) else Qi(x) for x in v2]
-    if len(v1) != n or len(v2) != n:
-        raise ValueError(f"model vectors must have length {n}")
+    v1, v2 = as_matrix((v1, v2), 2, n)
     a0 = tuple((x,) for x in v1)
-    a1 = (tuple(v2),)
+    a1 = (v2,)
     return HorizontalVector(ranks, (a0, a1))
 
 

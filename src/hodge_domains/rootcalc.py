@@ -27,7 +27,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional
 
-from .exactla import GaussianRational, Qi, QI_ZERO, bracket as mat_bracket, conj_transpose, mat, mat_mul, mat_neg, trace
+from .exactla import (GaussianRational, Qi, QI_ZERO, as_matrix, bracket as mat_bracket, conj_transpose,
+                      mat, mat_mul, mat_neg, trace)
 from .hodge import HodgeNumbers
 
 
@@ -414,11 +415,7 @@ class BlockMatrix:
     entries: tuple  # tuple of row tuples of GaussianRational
 
     def __post_init__(self):
-        m = self.ranks.m
-        rows = tuple(tuple(x if isinstance(x, GaussianRational) else Qi(x) for x in row) for row in self.entries)
-        if len(rows) != m or any(len(r) != m for r in rows):
-            raise ValueError(f"expected a {m}x{m} matrix for ranks {self.ranks.ranks}")
-        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "entries", as_matrix(self.entries, self.m, self.m))
 
     @property
     def m(self) -> int:

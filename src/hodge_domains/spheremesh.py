@@ -12,12 +12,13 @@ Angular comparisons use a 1e-10 tolerance.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
+
+from . import wire
 
 ANGLE_TOL = 1e-10
 COLOR_NAMES = ("red", "green", "blue")
@@ -408,14 +409,15 @@ def audit_mesh(
     geometry: Optional[MeshGeometry] = None, glue: Optional[GluingPolyhedron] = None,
 ) -> dict:
     """The full battery of checks used by the verification suites.  A caller
-    that already holds the mesh_geometry and gluing_pattern passes them in."""
-    geometry = mesh_geometry(tri) if geometry is None else geometry
-    glue = gluing_pattern(tri, coloring) if glue is None else glue
+    that already holds the mesh_geometry and gluing_pattern passes them in.
+    An improper coloring has no glued polyhedron: its gluing fields fail."""
     try:
         verify_coloring(tri, coloring)
         proper = True
     except NotThreeColorableError:
         proper = False
+    geometry = mesh_geometry(tri) if geometry is None else geometry
+    glue = (gluing_pattern(tri, coloring) if glue is None else glue) if proper else None
     return {
         "even": tri.is_even(),
         "proper_coloring": proper,
@@ -423,10 +425,10 @@ def audit_mesh(
         "circumcenters_inside": bool(geometry.circumcenter_inside.all()),
         "max_equidistance_residual": float(geometry.equidistance_residuals.max()),
         "fineness": float(geometry.circumradii.max()),
-        "gluing_euler": glue.euler_characteristic,
-        "gluing_closed": glue.closed,
-        "gluing_links_single_cycles": glue.links_single_cycles,
-        "gluing_color_matched": glue.color_matched,
+        "gluing_euler": getattr(glue, "euler_characteristic", None),
+        "gluing_closed": getattr(glue, "closed", False),
+        "gluing_links_single_cycles": getattr(glue, "links_single_cycles", False),
+        "gluing_color_matched": getattr(glue, "color_matched", False),
     }
 
 
@@ -462,7 +464,7 @@ def sidecar_document(
     geometry = mesh_geometry(tri) if geometry is None else geometry
     glue = gluing_pattern(tri, coloring) if glue is None else glue
     return {
-        "schema": "hodge-domains/1",
+        "schema": wire.SCHEMA,
         "colors": [COLOR_NAMES[c] for c in coloring.colors],
         "circumcenters": geometry.circumcenters.tolist(),
         "gluing": [
@@ -476,4 +478,4 @@ def sidecar_dumps(
     tri: SphericalTriangulation, coloring: ThreeColoring,
     geometry: Optional[MeshGeometry] = None, glue: Optional[GluingPolyhedron] = None,
 ) -> str:
-    return json.dumps(sidecar_document(tri, coloring, geometry, glue), sort_keys=True, indent=1)
+    return wire.dumps_indented(sidecar_document(tri, coloring, geometry, glue))

@@ -2,7 +2,20 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
+import hodge_domains
 from hodge_domains.hodge import HodgeNumbers
+
+
+def cli_env() -> dict:
+    """The environment for a `python -m hodge_domains.cli` child: this one with
+    the package's source directory prepended to PYTHONPATH, so the child finds
+    the package whether or not it is installed."""
+    src = str(Path(hodge_domains.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
 
 
 def compositions(m: int):

@@ -11,7 +11,7 @@ import subprocess
 import sys
 import time
 
-from conftest import all_rank_tuples, bounded_rank_tuples
+from conftest import all_rank_tuples, bounded_rank_tuples, cli_env
 from hodge_domains.cli import RunConfig, run_verify
 from hodge_domains.domain import describe_domain
 from hodge_domains.exactla import Qi, integer_kernel, lattices_equal, smith_invariant_factors
@@ -250,8 +250,8 @@ def test_criterion_10_determinism():
         "--samples",
         "200",
     ]
-    run_a = subprocess.run(cmd, capture_output=True)
-    run_b = subprocess.run(cmd, capture_output=True)
+    run_a = subprocess.run(cmd, capture_output=True, env=cli_env())
+    run_b = subprocess.run(cmd, capture_output=True, env=cli_env())
     ok = ok and run_a.returncode == 0 and run_a.stdout == run_b.stdout
     _finish(
         10,

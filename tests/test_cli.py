@@ -6,6 +6,7 @@ import time
 import pytest
 
 import hodge_domains.pi2
+from conftest import cli_env
 from hodge_domains.cli import (
     EXIT_INVALID_INPUT,
     EXIT_OK,
@@ -282,7 +283,7 @@ def test_mesh_export_s6_within_readme_bound(tmp_path):
 
 def test_cli_subprocess_roundtrip(tmp_path):
     cmd = [sys.executable, "-m", "hodge_domains.cli", "report", "--ranks", "1,2,1"]
-    res = subprocess.run(cmd, capture_output=True, text=True)
+    res = subprocess.run(cmd, capture_output=True, text=True, env=cli_env())
     assert res.returncode == 0
     doc = json.loads(res.stdout)
     assert doc["domain"]["dim"] == 5

@@ -204,6 +204,13 @@ def test_invalid_ranks_rejected():
         HodgeNumbers((2, 0))
 
 
+@pytest.mark.parametrize("ranks", [(1.5, 2.9), ("1", "3"), (True, 2), (1.0, 1)])
+def test_non_int_ranks_rejected(ranks):
+    # int() used to truncate these to (1, 2), (1, 3), (1, 2) and (1, 1)
+    with pytest.raises(ValueError, match="must be an int"):
+        HodgeNumbers(ranks)
+
+
 # -- base flags and membership ----------------------------------------------
 
 

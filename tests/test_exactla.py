@@ -16,6 +16,7 @@ from hodge_domains.exactla import (
     QI_ONE,
     QI_ZERO,
     _coerce,
+    as_matrix,
     hermitian_definiteness,
     nullspace,
     rank,
@@ -247,3 +248,15 @@ def test_empty_and_singular_inputs():
     assert nullspace([]) == []
     with pytest.raises(ValueError, match="singular matrix in solve"):
         solve([[1, 2], [2, 4]], [[1], [0]])
+
+
+# -- constructor coercion --------------------------------------------------------
+
+
+def test_as_matrix_coerces_entries_and_checks_shape():
+    i = GaussianRational(0, 1)
+    assert as_matrix([[1, i], [Fraction(1, 2), "1/3"]], 2, 2) == (
+        (QI_ONE, i), (GaussianRational(Fraction(1, 2)), GaussianRational(Fraction(1, 3))))
+    for rows in ([[1, 2]], [[1], [2]], [[1, 2], [3]], [[1, 2], [3, 4], [5, 6]]):
+        with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+            as_matrix(rows, 2, 2)

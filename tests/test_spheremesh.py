@@ -11,8 +11,10 @@ from hodge_domains.spheremesh import (
     MeshInvariantError,
     NotThreeColorableError,
     SphericalTriangulation,
+    ThreeColoring,
     _check_links,
     audit_mesh,
+    audit_passes,
     face_geometry,
     fineness,
     gluing_pattern,
@@ -540,3 +542,19 @@ def test_audit_mesh_summary():
     assert audit["gluing_euler"] == 2
     assert audit["circumcenters_inside"]
     assert audit["max_equidistance_residual"] < 1e-10
+
+
+@pytest.mark.parametrize("with_glue", [False, True], ids=["computed", "passed_in"])
+def test_audit_mesh_reports_improper_coloring(with_glue):
+    t = octahedron()
+    proper = three_color(t)
+    glue = gluing_pattern(t, proper) if with_glue else None
+    audit = audit_mesh(t, ThreeColoring((0,) * 6), glue=glue)
+    assert audit["proper_coloring"] is False
+    assert audit["gluing_euler"] is None
+    assert not (audit["gluing_closed"] or audit["gluing_links_single_cycles"] or audit["gluing_color_matched"])
+    assert not audit_passes(audit)
+    # the fields that do not depend on the coloring are those of the proper audit
+    good = audit_mesh(t, proper)
+    same = ("even", "euler_characteristic", "circumcenters_inside", "max_equidistance_residual", "fineness")
+    assert {k: audit[k] for k in same} == {k: good[k] for k in same}

@@ -1,0 +1,148 @@
+"""The loader contract of the JSON wire format: flag_loads and higgs_loads
+return the document's object, or raise ValueError and nothing else."""
+
+import copy
+import json
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hodge_domains import wire
+from hodge_domains.domain import flag_dumps, flag_loads, hodge_flag, perturbed_flag
+from hodge_domains.higgs import higgs_dumps, higgs_loads, random_commuting_higgs
+from hodge_domains.hodge import HodgeNumbers
+
+RANKS = [(1, 1), (1, 2), (2, 1), (1, 1, 1), (1, 2, 1), (2, 1, 2), (1, 1, 1, 1)]
+BAD_LEAVES = [1.5, 2.0, True, False, "1", None, []]
+BAD_SCHEMAS = ["hodge-domains/2", "", None, 1, [wire.SCHEMA]]
+
+
+def flag_text(ranks, seed):
+    return flag_dumps(perturbed_flag(HodgeNumbers(ranks), random.Random(seed)))
+
+
+def higgs_text(ranks, seed):
+    return higgs_dumps(random_commuting_higgs(ranks, 1 + seed % 3, seed, "nullspace" if seed % 2 else "pullback"))
+
+
+def leaves(obj, path=()):
+    """The path of every leaf (a value that is not a nonempty array or object)."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from leaves(value, path + (key,))
+    elif isinstance(obj, list) and obj:
+        for i, value in enumerate(obj):
+            yield from leaves(value, path + (i,))
+    else:
+        yield path
+
+
+def replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+@st.composite
+def mutated(draw, text):
+    """text with one defect: a key dropped, a leaf of the wrong type, a zero
+    denominator, another schema, or the text cut short."""
+    doc = json.loads(text)
+    kind = draw(st.sampled_from(["drop", "leaf", "zero_denominator", "schema", "truncate"]))
+    if kind == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif kind == "leaf":
+        doc = replaced(doc, draw(st.sampled_from(list(leaves(doc)))), draw(st.sampled_from(BAD_LEAVES)))
+    elif kind == "zero_denominator":
+        # a scalar is [[re_num, re_den], [im_num, im_den]]: denominators sit at index 1
+        dens = [p for p in leaves(doc) if p[0] in ("basis", "theta") and p[-1] == 1]
+        doc = replaced(doc, draw(st.sampled_from(dens)), 0)
+    elif kind == "schema":
+        doc["schema"] = draw(st.sampled_from(BAD_SCHEMAS))
+    else:
+        return text[: draw(st.integers(0, len(text) - 1))]
+    return json.dumps(doc)
+
+
+def check_contract(loads, dumps, text, bad):
+    assert dumps(loads(text)) == text  # the valid document round-trips byte for byte
+    with pytest.raises(ValueError):
+        loads(bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(RANKS), st.integers(0, 50), st.data())
+def test_flag_loads_round_trips_or_raises_value_error(ranks, seed, data):
+    text = flag_text(ranks, seed)
+    check_contract(flag_loads, flag_dumps, text, data.draw(mutated(text)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(RANKS), st.integers(0, 50), st.data())
+def test_higgs_loads_round_trips_or_raises_value_error(ranks, seed, data):
+    text = higgs_text(ranks, seed)
+    check_contract(higgs_loads, higgs_dumps, text, data.draw(mutated(text)))
+
+
+# Fixed malformed documents: a wrong or missing schema, missing keys, leaves
+# of the wrong type, zero denominators, wrong shapes, and documents that are
+# not objects.
+
+FLAG = json.loads(flag_dumps(hodge_flag(HodgeNumbers((1, 1)))))
+HIGGS = json.loads(higgs_text((1, 1, 1), 1))  # tangent_dim 2
+
+
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize("loads, doc", [
+    (flag_loads, {**FLAG, "schema": "hodge-domains/2"}),
+    (flag_loads, without(FLAG, "schema")),
+    (flag_loads, without(FLAG, "basis")),
+    (flag_loads, without(FLAG, "ranks")),
+    (flag_loads, replaced(FLAG, ("basis", 0, 0, 0, 1), 0)),
+    (flag_loads, replaced(FLAG, ("basis", 0, 0, 0, 0), 1.0)),
+    (flag_loads, replaced(FLAG, ("basis", 0, 0), 1)),
+    (flag_loads, {**FLAG, "ranks": [1.0, 1]}),
+    (flag_loads, {**FLAG, "ranks": "11"}),
+    (flag_loads, {**FLAG, "basis": [[[[1, 1], [0, 1]]]]}),
+    (flag_loads, {**FLAG, "basis": [col[:1] for col in FLAG["basis"]]}),
+    (flag_loads, []),
+    (flag_loads, "hodge-domains/1"),
+    (higgs_loads, {**HIGGS, "schema": None}),
+    (higgs_loads, without(HIGGS, "theta")),
+    (higgs_loads, without(HIGGS, "tangent_dim")),
+    (higgs_loads, replaced(HIGGS, ("theta", 0, 0, 0, 0, 1, 1), 0)),
+    (higgs_loads, {**HIGGS, "tangent_dim": 2.5}),
+    (higgs_loads, {**HIGGS, "tangent_dim": "2"}),
+    (higgs_loads, {**HIGGS, "tangent_dim": True}),
+    (higgs_loads, {**HIGGS, "ranks": [1, 1.0, 1]}),
+    (higgs_loads, None),
+], ids=[
+    "flag-wrong-schema", "flag-no-schema", "flag-no-basis", "flag-no-ranks", "flag-zero-denominator",
+    "flag-float-numerator", "flag-bare-int-scalar", "flag-float-rank", "flag-string-ranks",
+    "flag-one-column", "flag-short-columns", "flag-array-document", "flag-string-document",
+    "higgs-null-schema", "higgs-no-theta", "higgs-no-tangent-dim", "higgs-zero-denominator",
+    "higgs-float-tangent-dim", "higgs-string-tangent-dim", "higgs-bool-tangent-dim", "higgs-float-rank",
+    "higgs-null-document",
+])
+def test_malformed_document_raises_value_error(loads, doc):
+    with pytest.raises(ValueError):
+        loads(json.dumps(doc))
+
+
+@pytest.mark.parametrize("loads", [flag_loads, higgs_loads])
+def test_deeply_nested_text_raises_value_error(loads):
+    with pytest.raises(ValueError):
+        loads("[" * 100_000 + "]" * 100_000)
+
+
+def test_negative_denominator_reads_as_the_same_scalar():
+    doc = replaced(replaced(FLAG, ("basis", 0, 0, 0), [-1, -1]), ("basis", 0, 0, 1), [0, -7])
+    assert flag_loads(json.dumps(doc)).basis == flag_loads(json.dumps(FLAG)).basis
