@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Iterable, Optional
 
@@ -30,7 +29,9 @@ from .exactla import (
     Qi,
     QI_ZERO,
     QI_ONE,
+    _cleared,
     _eliminate,
+    _gaussian,
     as_matrix,
     hermitian_definiteness,
     mat_mul,
@@ -87,13 +88,6 @@ def hodge_flag(ranks: HodgeNumbers) -> Flag:
     return Flag(ranks, tuple(cols))
 
 
-def _cleared(v: Vector) -> tuple[int, list[int], list[int]]:
-    """(l, re, im): the lcm l of the denominators in v and the parts of l * v."""
-    l = lcm(*(x.denominator for z in v for x in (z.re, z.im)))
-    return (l, [z.re.numerator * (l // z.re.denominator) for z in v],
-            [z.im.numerator * (l // z.im.denominator) for z in v])
-
-
 def _integer_gram(vectors: Iterable[Vector], signs: Optional[tuple[int, ...]]):
     """(G, columns, scales): G = B* diag(signs) B over Z[i] (signs=None means the
     identity) after scaling each column of B by the lcm of its denominators, the
@@ -120,7 +114,7 @@ def form_definiteness(vectors: Iterable[Vector], signs: Optional[tuple[int, ...]
     """hermitian_definiteness of the form sum_c s_c x_c conj(y_c) on the span
     of the vectors (signs=None means the definite form), from their Gram matrix."""
     g, _, scales = _integer_gram(vectors, signs)
-    return hermitian_definiteness([[GaussianRational(x.re / (la * lb), x.im / (la * lb)) for x, lb in zip(row, scales)]
+    return hermitian_definiteness([[_gaussian(x.a, x.b, la * lb) for x, lb in zip(row, scales)]
                                    for row, la in zip(g, scales)])
 
 
@@ -147,7 +141,7 @@ def _complement(g, cols, scales, small: int, big: int) -> list[Vector]:
         terms, d = list(zip(cr, ci, cols)), l * scales[f]
         re = [sum(a * xr[x] - b * xi[x] for a, b, (xr, xi) in terms) for x in range(len(cols[0][0]))]
         im = [sum(a * xi[x] + b * xr[x] for a, b, (xr, xi) in terms) for x in range(len(cols[0][0]))]
-        out.append(tuple(GaussianRational(Fraction(x, d), Fraction(y, d)) for x, y in zip(re, im)))
+        out.append(tuple(_gaussian(x, y, d) for x, y in zip(re, im)))
     return out
 
 

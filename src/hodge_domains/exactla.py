@@ -1,6 +1,9 @@
 """Exact linear algebra kernels: Gaussian rationals, rank/nullspace/definiteness
 over Q(i), and integer Smith/kernel computations.
 
+A Gaussian rational is one Gaussian integer a + b*i over one positive
+denominator d; the hot paths read (a, b, d) directly and stay in integers.
+
 Matrices are plain lists (or tuples) of rows.  Everything here is exact; no
 floating point enters any decision.
 """
@@ -8,88 +11,130 @@ floating point enters any decision.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
 class GaussianRational:
-    """A complex number a + b*i with rational a, b.  Immutable."""
+    """The complex number (a + b*i) / d for ints a, b, d with d > 0 and
+    gcd(a, b, d) = 1, so each value has exactly one (a, b, d).  Immutable."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if isinstance(re, Fraction) else Fraction(re))
-        object.__setattr__(self, "im", im if isinstance(im, Fraction) else Fraction(im))
+        """From real and imaginary parts: ints, Fractions or 'a/b' strings."""
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = _fraction(re), _fraction(im)
+            d = lcm(re.denominator, im.denominator)  # gcd(a, b, d) = 1: both parts are in lowest terms
+            a, b = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
     def __add__(self, other):
         other = _coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _gaussian(self.a + other.a, self.b + other.b, d)
+        return _gaussian(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = _coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _gaussian(self.a - other.a, self.b - other.b, d)
+        return _gaussian(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __mul__(self, other):
         other = _coerce(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _gaussian(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
         other = _coerce(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        a, b, c, e = self.a, self.b, other.a, other.b
+        n = c * c + e * e
+        if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        return _gaussian((a * c + b * e) * other.d, (b * c - a * e) * other.d, self.d * n)
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gaussian(-self.a, -self.b, self.d)
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _gaussian(self.a, -self.b, self.d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def is_real(self) -> bool:
-        return self.im == 0
+        return not (self.a or self.b)
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.a or self.b)
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        if isinstance(other, int):
+            return self.b == 0 and self.d == 1 and self.a == other
+        if isinstance(other, Fraction):
+            return self.b == 0 and self.a == other.numerator and self.d == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
+        # equal to hash(int) and hash(Fraction) on real values, which __eq__ matches
+        if self.b == 0:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __repr__(self):
-        if self.im == 0:
+        if self.b == 0:
             return f"Qi({self.re})"
         return f"Qi({self.re}, {self.im})"
+
+
+# the slot descriptors' setters, which bypass __setattr__
+_set_a, _set_b, _set_d = (GaussianRational.__dict__[name].__set__ for name in GaussianRational.__slots__)
+
+
+def _gaussian(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i) / d for ints a, b and d > 0, reduced by one gcd."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    z = object.__new__(GaussianRational)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _fraction(x) -> Fraction:
+    if isinstance(x, float):
+        raise ValueError(f"inexact entry {x!r}: give an int, a Fraction or an 'a/b' string")
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _coerce(x) -> GaussianRational:
@@ -100,14 +145,7 @@ def _coerce(x) -> GaussianRational:
     raise TypeError(f"cannot coerce {type(x).__name__} into GaussianRational")
 
 
-def Qi(re=0, im=0) -> GaussianRational:
-    """Shorthand constructor; accepts ints, Fractions or 'a/b' strings."""
-    if isinstance(re, str):
-        re = Fraction(re)
-    if isinstance(im, str):
-        im = Fraction(im)
-    return GaussianRational(re, im)
-
+Qi = GaussianRational  # the short name repr uses
 
 QI_ZERO = GaussianRational(0)
 QI_ONE = GaussianRational(1)
@@ -119,8 +157,9 @@ def mat(rows: Iterable[Iterable]) -> list[list[GaussianRational]]:
 
 def as_matrix(rows: Iterable[Iterable], nr: int, nc: int) -> tuple[tuple[GaussianRational, ...], ...]:
     """rows as a tuple of row tuples of GaussianRational (other entries go
-    through Qi); ValueError unless the shape is nr x nc."""
-    out = tuple(tuple(x if isinstance(x, GaussianRational) else Qi(x) for x in row) for row in rows)
+    through its constructor, so a float is a ValueError); ValueError unless
+    the shape is nr x nc."""
+    out = tuple(tuple(x if isinstance(x, GaussianRational) else GaussianRational(x) for x in row) for row in rows)
     if len(out) != nr or any(len(r) != nc for r in out):
         raise ValueError(f"expected a {nr}x{nc} matrix")
     return out
@@ -134,12 +173,21 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list[GaussianR
 
 
 def _dot_plain(xs, ys) -> GaussianRational:
-    acc = QI_ZERO
+    """sum(x * y), accumulated as (a + b*i) / d over a common denominator and
+    reduced once."""
+    a = b = 0
+    d = 1
     for x, y in zip(xs, ys):
         x, y = _coerce(x), _coerce(y)
-        if x and y:  # zero terms are skipped; the sum is the same exact value
-            acc = acc + x * y
-    return acc
+        xa, xb, ya, yb = x.a, x.b, y.a, y.b
+        if (xa or xb) and (ya or yb):  # zero terms are skipped; the sum is the same exact value
+            pa, pb, e = xa * ya - xb * yb, xa * yb + xb * ya, x.d * y.d
+            if e == d:
+                a, b = a + pa, b + pb
+            else:
+                l = lcm(d, e)
+                a, b, d = a * (l // d) + pa * (l // e), b * (l // d) + pb * (l // e), l
+    return _gaussian(a, b, d)
 
 
 def mat_sub(a, b):
@@ -171,11 +219,16 @@ def is_zero_matrix(a) -> bool:
     return all(_coerce(x).is_zero() for row in a for x in row)
 
 
-def _parts(x):
-    if isinstance(x, (int, Fraction)):
-        return x, 0
-    x = _coerce(x)
-    return x.re, x.im
+def _cleared(v) -> tuple[int, list[int], list[int]]:
+    """(l, re, im): the lcm l of the denominators of the entries of v (ints,
+    Fractions or GaussianRationals) and the integer parts of l * v."""
+    types = set(map(type, v))
+    if types <= {int}:
+        return 1, list(v), [0] * len(v)
+    if types != {GaussianRational}:
+        v = [_coerce(x) for x in v]
+    l = lcm(*(z.d for z in v))
+    return l, [z.a * (l // z.d) for z in v], [z.b * (l // z.d) for z in v]
 
 
 def _eliminate(a: Sequence[Sequence]):
@@ -189,19 +242,15 @@ def _eliminate(a: Sequence[Sequence]):
     size grows polynomially.  After the last step every pivot entry equals the
     last pivot d, and the reduced row echelon form is the rows divided by d.
 
+    A real matrix stays real, so then only the real parts are updated.
+
     Returns (pivot_cols, rows, pivots, swap): rows are (re, im) lists of
     ints, pivots the (re, im) pivot of each step, and swap the step of the
     first row exchange, or None.  Before it, a step k (from 0) with pivot
     column k has the (k+1)-th leading minor of the scaled matrix as its pivot.
     """
-    rows = []
-    for row in a:
-        parts = [_parts(x) for x in row]
-        l = lcm(*(y.denominator for pair in parts for y in pair))
-        rows.append((
-            [x.numerator * (l // x.denominator) for x, _ in parts],
-            [y.numerator * (l // y.denominator) for _, y in parts],
-        ))
+    rows = [_cleared(row)[1:] for row in a]
+    real = not any(any(xi) for _, xi in rows)
     nrows = len(rows)
     ncols = len(rows[0][0]) if rows else 0
     pivot_cols: list[int] = []
@@ -226,6 +275,9 @@ def _eliminate(a: Sequence[Sequence]):
                 continue
             xr, xi = rows[i]
             fa, fb = xr[c], xi[c]
+            if real:
+                rows[i] = ([(pa * x - fa * y) // qa for x, y in zip(xr, yr)], xi)
+                continue
             tr = [pa * x - pb * u - fa * y + fb * v for x, u, y, v in zip(xr, xi, yr, yi)]
             ti = [pa * u + pb * x - fa * v - fb * y for x, u, y, v in zip(xr, xi, yr, yi)]
             # exact division by the previous pivot: t / q = t * conj(q) / |q|^2
@@ -242,8 +294,7 @@ def _eliminate(a: Sequence[Sequence]):
 def _divide(xa: int, xb: int, d: tuple[int, int]) -> GaussianRational:
     """The Gaussian rational (xa + xb i) / d."""
     da, db = d
-    n = da * da + db * db
-    return GaussianRational(Fraction(xa * da + xb * db, n), Fraction(xb * da - xa * db, n))
+    return _gaussian(xa * da + xb * db, xb * da - xa * db, da * da + db * db)
 
 
 def rank(a: Sequence[Sequence]) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -137,6 +138,25 @@ def test_verify_classification_stream(tmp_path):
     assert len(lines) == 24
     rec = json.loads(lines[0])
     assert set(rec) == {"seed", "isotropic", "regular", "complex_line"}
+
+
+@pytest.mark.parametrize(
+    "ranks, samples, stdout_sha256, planes_sha256",
+    [
+        ("1,2,1", "500", "7fde3c7f7605bbadceece0afca23d773d89bd68e8a1d2593a6f4ebc498b26166",
+         "e545aa5929bb75d0225e40b80330c72c7f3ad8ea3d6fefe6781dc48d54ae807d"),
+        ("1,18,1", "50", "80fa3d153f1978702465d4a4e21f70f1945284b0c51cfddfc56417719aa559fc",
+         "c6fe16acfbe6c03260f2cafa2d1fb325b28fae29b38ab99d98cd7e7003e66e6f"),
+    ],
+    ids=["1,2,1", "1,18,1"],
+)
+def test_verify_planes_bytes_pinned(tmp_path, capsys, monkeypatch, ranks, samples, stdout_sha256, planes_sha256):
+    # digests of the output before the plane path moved to Gaussian integers
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "--ranks", ranks, "--seed", "0", "--samples", samples, "--classify-out", "planes.jsonl"]
+    assert main(argv) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha256
+    assert hashlib.sha256((tmp_path / "planes.jsonl").read_bytes()).hexdigest() == planes_sha256
 
 
 def test_verify_out_file_and_text(tmp_path, capsys):

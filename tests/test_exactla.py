@@ -1,20 +1,26 @@
-"""The fraction-free elimination kernel against the Gauss-Jordan code it replaced.
+"""The exact scalar and the fraction-free elimination kernel against the code
+they replaced.
 
-The reference functions below are the earlier field-elimination kernels kept
-verbatim (plus readers for rank, nullspace and solve built on the reference
-RREF), so every property here compares the kernel with an independent oracle.
+ReferenceGaussianRational is the earlier scalar (two Fractions) kept verbatim,
+and the reference functions below are the earlier field-elimination kernels
+kept verbatim (plus readers for rank, nullspace and solve built on the
+reference RREF), so every property here compares with an independent oracle.
 """
 
+import operator
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hodge_domains.domain import Flag
 from hodge_domains.exactla import (
     GaussianRational,
     QI_ONE,
     QI_ZERO,
+    Qi,
     _coerce,
     as_matrix,
     hermitian_definiteness,
@@ -22,6 +28,107 @@ from hodge_domains.exactla import (
     rank,
     solve,
 )
+from hodge_domains.higgs import HiggsField
+from hodge_domains.hodge import HodgeNumbers
+from hodge_domains.horizontal import HorizontalVector
+
+
+def is_real(x: GaussianRational) -> bool:
+    return x.im == 0
+
+
+# ---------------------------------------------------------------------------
+# Reference: the Gaussian rational as a pair of Fractions, as it was before.
+# ---------------------------------------------------------------------------
+
+
+class ReferenceGaussianRational:
+    """A complex number a + b*i with rational a, b.  Immutable."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", re if isinstance(re, Fraction) else Fraction(re))
+        object.__setattr__(self, "im", im if isinstance(im, Fraction) else Fraction(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GaussianRational is immutable")
+
+    def __add__(self, other):
+        other = _reference_coerce(other)
+        return ReferenceGaussianRational(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _reference_coerce(other)
+        return ReferenceGaussianRational(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return _reference_coerce(other) - self
+
+    def __mul__(self, other):
+        other = _reference_coerce(other)
+        return ReferenceGaussianRational(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _reference_coerce(other)
+        d = other.re * other.re + other.im * other.im
+        if d == 0:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return ReferenceGaussianRational(
+            (self.re * other.re + self.im * other.im) / d,
+            (self.im * other.re - self.re * other.im) / d,
+        )
+
+    def __rtruediv__(self, other):
+        return _reference_coerce(other) / self
+
+    def __neg__(self):
+        return ReferenceGaussianRational(-self.re, -self.im)
+
+    def conjugate(self):
+        return ReferenceGaussianRational(self.re, -self.im)
+
+    def is_zero(self) -> bool:
+        return self.re == 0 and self.im == 0
+
+    def is_real(self) -> bool:
+        return self.im == 0
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def __eq__(self, other):
+        if isinstance(other, ReferenceGaussianRational):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.im == 0 and self.re == other
+        return NotImplemented
+
+    def __hash__(self):
+        if self.im == 0:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        if self.im == 0:
+            return f"Qi({self.re})"
+        return f"Qi({self.re}, {self.im})"
+
+
+def _reference_coerce(x) -> ReferenceGaussianRational:
+    if isinstance(x, ReferenceGaussianRational):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return ReferenceGaussianRational(x)
+    raise TypeError(f"cannot coerce {type(x).__name__} into ReferenceGaussianRational")
+
 
 # ---------------------------------------------------------------------------
 # Reference: Gauss-Jordan over Fraction pairs, as the kernel was before.
@@ -100,7 +207,7 @@ def reference_definiteness(g: Sequence[Sequence]) -> str:
     prev = Fraction(1)
     for s in range(n):
         piv = work[s][s]
-        if not piv.is_real():
+        if not is_real(piv):
             raise ValueError("non-real pivot on a Hermitian matrix")
         if piv.is_zero():
             return "degenerate" if det(g).is_zero() else "indefinite"
@@ -260,3 +367,71 @@ def test_as_matrix_coerces_entries_and_checks_shape():
     for rows in ([[1, 2]], [[1], [2]], [[1, 2], [3]], [[1, 2], [3, 4], [5, 6]]):
         with pytest.raises(ValueError, match="expected a 2x2 matrix"):
             as_matrix(rows, 2, 2)
+
+
+# -- the scalar against the Fraction-pair reference ----------------------------------
+
+operands = st.one_of(
+    st.tuples(fractions, fractions).map(lambda parts: ("gaussian", parts)),
+    st.integers(-6, 6).map(lambda n: ("int", n)),
+    fractions.map(lambda f: ("fraction", f)),
+)
+
+
+def as_both(operand):
+    """(new, reference) forms of an operand; ints and Fractions are shared."""
+    kind, value = operand
+    if kind == "gaussian":
+        return GaussianRational(*value), ReferenceGaussianRational(*value)
+    return value, value
+
+
+def assert_same_scalar(new, ref):
+    assert isinstance(new, GaussianRational)
+    assert new.d > 0 and gcd(new.a, new.b, new.d) == 1
+    assert (new.re, new.im) == (ref.re, ref.im)
+    assert (new.re, new.im) == (Fraction(new.a, new.d), Fraction(new.b, new.d))
+    assert repr(new) == repr(ref)
+    assert hash(new) == hash(ref)
+    assert is_real(new) == ref.is_real()
+    assert new.is_zero() == ref.is_zero() and bool(new) == bool(ref)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.tuples(fractions, fractions), operands)
+def test_scalar_matches_fraction_pair_reference(parts, operand):
+    x, x_ref = GaussianRational(*parts), ReferenceGaussianRational(*parts)
+    y, y_ref = as_both(operand)
+    assert_same_scalar(x, x_ref)
+    assert_same_scalar(x.conjugate(), x_ref.conjugate())
+    assert_same_scalar(-x, -x_ref)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for args, ref_args in (((x, y), (x_ref, y_ref)), ((y, x), (y_ref, x_ref))):
+            try:
+                expected = op(*ref_args)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    op(*args)
+            else:
+                assert_same_scalar(op(*args), expected)
+    assert (x == y) == (x_ref == y_ref) and (y == x) == (y_ref == x_ref)
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GaussianRational(0.1),
+        lambda: GaussianRational(1, 0.5),
+        lambda: Qi(0.1, 0),
+        lambda: as_matrix([[0.1, 0], [0, 1]], 2, 2),
+        lambda: Flag(HodgeNumbers((1, 1)), ((0.1, 0), (0, 1))),
+        lambda: HorizontalVector(HodgeNumbers((1, 1)), (((0.25,),),)),
+        lambda: HiggsField(HodgeNumbers((1, 1)), 1, ((((1.0,),),),)),
+    ],
+    ids=["real", "imaginary", "Qi", "as_matrix", "Flag", "HorizontalVector", "HiggsField"],
+)
+def test_float_entries_raise_value_error(build):
+    with pytest.raises(ValueError, match="inexact entry"):
+        build()

@@ -1,24 +1,33 @@
+"""Horizontal vectors, the bracket 2-form, isotropy and regularity.
+
+The helpers below build horizontal vectors for the tests (basis vectors,
+scaling, sums, GL(2, R) changes of the spanning pair, the (1,n,1) symplectic
+scalar).  The reference_* functions are the plane sampler and the rank-based
+independence tests as they were before the plane path moved to Gaussian
+integers, kept verbatim as the oracle for it.
+"""
+
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hodge_domains.exactla import Qi, rank
+from hodge_domains.exactla import GaussianRational, Qi, QI_ZERO, rank
 from hodge_domains.hodge import HodgeNumbers
 from hodge_domains.horizontal import (
     HorizontalVector,
     NotApplicableError,
     TwoPlane,
+    _sample_model_plane,
     complex_independent,
     dtheta_bracket,
-    gl2_transform,
-    horizontal_basis_vector,
     horizontal_positions,
     is_complex_line,
     is_isotropic,
     is_regular,
     isotropic_tuple_orbit_dimension,
-    model_symplectic_form,
     model_vector,
     stabilizer_dimension,
     su22_embedding,
@@ -26,6 +35,133 @@ from hodge_domains.horizontal import (
 )
 from hodge_domains.pi2 import class_of_root
 from hodge_domains.rootcalc import bridge_root, parabolic_from_ranks
+
+
+def scale(v: HorizontalVector, c) -> HorizontalVector:
+    c = c if isinstance(c, GaussianRational) else Qi(c)
+    return HorizontalVector(
+        v.ranks,
+        tuple(tuple(tuple(c * x for x in row) for row in mx) for mx in v.components),
+    )
+
+
+def add(v: HorizontalVector, other: HorizontalVector) -> HorizontalVector:
+    if v.ranks != other.ranks:
+        raise ValueError("rank mismatch")
+    return HorizontalVector(
+        v.ranks,
+        tuple(
+            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(ma, mb))
+            for ma, mb in zip(v.components, other.components)
+        ),
+    )
+
+
+def real_flatten(v: HorizontalVector) -> list[Fraction]:
+    out = []
+    for x in v.flatten():
+        out.append(x.re)
+        out.append(x.im)
+    return out
+
+
+def horizontal_zero(ranks: HodgeNumbers) -> HorizontalVector:
+    r = ranks.ranks
+    return HorizontalVector(
+        ranks,
+        tuple(
+            tuple(tuple(QI_ZERO for _ in range(r[i])) for _ in range(r[i + 1]))
+            for i in range(ranks.k)
+        ),
+    )
+
+
+def horizontal_basis_vector(ranks: HodgeNumbers, pos: tuple[int, int, int]) -> HorizontalVector:
+    i, row, col = pos
+    base = horizontal_zero(ranks)
+    comps = [list(map(list, mx)) for mx in base.components]
+    comps[i][row][col] = Qi(1)
+    return HorizontalVector(ranks, tuple(tuple(map(tuple, mx)) for mx in comps))
+
+
+def model_symplectic_form(u: HorizontalVector, w: HorizontalVector) -> GaussianRational:
+    """The rank-(1,n,1) specialization: the scalar t(v1) w2 - t(v2) w1."""
+    if u.ranks.ranks != w.ranks.ranks or len(u.ranks.ranks) != 3 or u.ranks.ranks[0] != 1 or u.ranks.ranks[2] != 1:
+        raise ValueError("the symplectic scalar lives in the (1, n, 1) model")
+    n = u.ranks.ranks[1]
+    v1 = [u.components[0][r][0] for r in range(n)]
+    v2 = list(u.components[1][0])
+    w1 = [w.components[0][r][0] for r in range(n)]
+    w2 = list(w.components[1][0])
+    acc = QI_ZERO
+    for i in range(n):
+        acc = acc + v1[i] * w2[i] - v2[i] * w1[i]
+    return acc
+
+
+def gl2_transform(plane: TwoPlane, a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> TwoPlane:
+    """Change the oriented spanning pair by a GL(2,R) matrix [[a, b], [c, d]]."""
+    det = a * d - b * c
+    if det == 0:
+        raise ValueError("transformation is singular")
+    u2 = add(scale(plane.u, Qi(a)), scale(plane.w, Qi(c)))
+    w2 = add(scale(plane.u, Qi(b)), scale(plane.w, Qi(d)))
+    orientation = plane.orientation if det > 0 else -plane.orientation
+    return TwoPlane(u2, w2, orientation)
+
+
+def reference_is_regular(plane):
+    """Independent route: assemble the regularity matrix from generic bracket
+    evaluations on basis vectors."""
+    ranks = plane.ranks
+    r = ranks.ranks
+    t = sum(r[i] * r[i + 2] for i in range(ranks.k - 1))
+    if t == 0:
+        return True
+    rows = [[] for _ in range(4 * t)]
+    for pos in horizontal_positions(ranks):
+        e = horizontal_basis_vector(ranks, pos)
+        flat = []
+        for target in (plane.u, plane.w):
+            for mx in dtheta_bracket(e, target):
+                for row in mx:
+                    flat.extend(row)
+        for k, z in enumerate(flat):
+            rows[2 * k].append(z.re)
+            rows[2 * k].append(-z.im)
+            rows[2 * k + 1].append(z.im)
+            rows[2 * k + 1].append(z.re)
+    return rank(rows) == 4 * t
+
+
+def reference_real_independent(u, w):
+    """TwoPlane's check before: the real rank of the real coordinate vectors."""
+    return rank([real_flatten(u), real_flatten(w)]) == 2
+
+
+def reference_complex_independent(u, w):
+    return rank([u.flatten(), w.flatten()]) == 2
+
+
+def reference_sample_model_plane(n, rng, half_zero=False):
+    """The sampler before, drawing entries over a common denominator; it
+    returns (u, w, den, tries) where the old one built TwoPlane(u, w), whose
+    check was reference_real_independent."""
+    tries = 0
+    while True:
+        tries += 1
+        den = Fraction(1, rng.choice((1, 1, 2, 3)))
+        vecs = []
+        for _ in range(2):
+            v1 = [Qi(rng.randint(-3, 3) * den, rng.randint(-3, 3) * den) for _ in range(n)]
+            if half_zero:
+                v2 = [QI_ZERO] * n
+            else:
+                v2 = [Qi(rng.randint(-3, 3) * den, rng.randint(-3, 3) * den) for _ in range(n)]
+            vecs.append(model_vector(n, v1, v2))
+        if reference_real_independent(*vecs):
+            return vecs[0], vecs[1], den, tries
+        # dependent pair, resample
 
 
 def random_vector(ranks, rng):
@@ -62,7 +198,7 @@ def test_bracket_111_unit_pair():
 
 def test_bracket_of_real_multiples_vanishes():
     u = model_vector(3, [1, 2, 0], [0, 1, 1])
-    w = u.scale(Qi(Fraction(7, 2)))
+    w = scale(u, Qi(Fraction(7, 2)))
     out = dtheta_bracket(u, w)
     assert all(x.is_zero() for mx in out for row in mx for x in row)
 
@@ -91,7 +227,7 @@ def test_bracket_antisymmetry_and_bilinearity_randomized():
                 for xa, xb in zip(ra, rb):
                     assert xa == -xb
         lam = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
-        lhs = dtheta_bracket(u + v.scale(Qi(lam)), w)
+        lhs = dtheta_bracket(add(u, scale(v, Qi(lam))), w)
         rhs_a = dtheta_bracket(u, w)
         rhs_b = dtheta_bracket(v, w)
         for ml, ma, mb in zip(lhs, rhs_a, rhs_b):
@@ -137,7 +273,7 @@ def test_not_isotropic_crossing_pair():
 
 def test_complex_line_is_isotropic_not_regular():
     u = model_vector(1, [1], [0])
-    plane = TwoPlane(u, u.scale(Qi(0, 1)))
+    plane = TwoPlane(u, scale(u, Qi(0, 1)))
     assert is_complex_line(plane)
     assert is_isotropic(plane)
     assert not is_regular(plane)
@@ -153,29 +289,6 @@ def test_regular_iff_complex_independent_sampled():
 
 
 def test_regular_matches_reference_implementation():
-    # Independent route: assemble the regularity matrix from generic bracket
-    # evaluations on basis vectors and compare verdicts.
-    def reference_is_regular(plane):
-        ranks = plane.ranks
-        r = ranks.ranks
-        t = sum(r[i] * r[i + 2] for i in range(ranks.k - 1))
-        if t == 0:
-            return True
-        rows = [[] for _ in range(4 * t)]
-        for pos in horizontal_positions(ranks):
-            e = horizontal_basis_vector(ranks, pos)
-            flat = []
-            for target in (plane.u, plane.w):
-                for mx in dtheta_bracket(e, target):
-                    for row in mx:
-                        flat.extend(row)
-            for k, z in enumerate(flat):
-                rows[2 * k].append(z.re)
-                rows[2 * k].append(-z.im)
-                rows[2 * k + 1].append(z.im)
-                rows[2 * k + 1].append(z.re)
-        return rank(rows) == 4 * t
-
     rng = random.Random(99)
     for ranks_tuple in [(1, 1, 1), (1, 2, 1), (2, 1, 2), (1, 1, 1, 1), (2, 2, 2)]:
         ranks = HodgeNumbers(ranks_tuple)
@@ -209,7 +322,7 @@ def test_classification_invariant_under_oriented_basis_change():
 def test_two_plane_rejects_dependent_pair():
     u = model_vector(2, [1, 0], [0, 1])
     with pytest.raises(ValueError):
-        TwoPlane(u, u.scale(Qi(Fraction(-3, 2))))
+        TwoPlane(u, scale(u, Qi(Fraction(-3, 2))))
 
 
 def test_bracket_rejects_rank_mismatch():
@@ -252,6 +365,80 @@ def test_pu2n_record_stream():
 def test_pu2n_rejects_nonpositive_n():
     with pytest.raises(ValueError):
         verify_pu2n_criterion(0, 10, seed=0)
+
+
+# -- the Gaussian-integer plane path against the reference -----------------------
+
+
+@pytest.mark.parametrize("half_zero", [False, True], ids=["full", "half_zero"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sampler_and_verdicts_match_reference(n, half_zero):
+    resampled = 0
+    for seed in range(500):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        plane = _sample_model_plane(n, rng, half_zero)
+        u, w, den, tries = reference_sample_model_plane(n, ref_rng, half_zero)
+        resampled += tries > 1
+        assert rng.getstate() == ref_rng.getstate()
+        assert (plane.u, plane.w) == (scale(u, 1 / den), scale(w, 1 / den))
+        assert is_regular(plane) == reference_is_regular(TwoPlane(u, w))
+        assert is_isotropic(plane) == (model_symplectic_form(u, w) == 0)
+        assert is_complex_line(plane) == (not reference_complex_independent(u, w))
+    if n == 1:
+        assert resampled > 0  # the retry loop ran, and kept the RNG in step
+
+
+entries = st.builds(
+    GaussianRational,
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+)
+
+
+@st.composite
+def vector_pairs(draw):
+    ranks = HodgeNumbers(draw(st.sampled_from([(1, 1, 1), (1, 2, 1), (1, 4, 1), (2, 1, 2), (1, 1, 1, 1), (2, 2)])))
+    r = ranks.ranks
+
+    def vector():
+        return HorizontalVector(ranks, tuple(
+            tuple(tuple(draw(entries) for _ in range(r[i])) for _ in range(r[i + 1])) for i in range(ranks.k)))
+
+    u = vector()
+    kind = draw(st.sampled_from(["random", "real_multiple", "complex_multiple", "zero_u", "zero_w"]))
+    if kind == "random":
+        w = vector()
+    elif kind == "zero_u":
+        u, w = scale(u, 0), u
+    elif kind == "zero_w":
+        w = scale(u, 0)
+    else:
+        c = draw(entries)
+        if kind == "real_multiple":
+            c = Qi(c.re)
+        w = scale(u, c)
+    return (u, w) if draw(st.booleans()) else (w, u)
+
+
+@settings(max_examples=400, deadline=None)
+@given(vector_pairs())
+def test_minor_scans_match_rank(pair):
+    u, w = pair
+    assert complex_independent(u, w) == reference_complex_independent(u, w)
+    if reference_real_independent(u, w):
+        TwoPlane(u, w)
+    else:
+        with pytest.raises(ValueError, match="linearly dependent over R"):
+            TwoPlane(u, w)
+
+
+def test_pu2n_n18_2000_samples_within_readme_bound():
+    # the bound README states: about 4x the 1.3-1.5 s measured on 2 CPUs
+    start = time.perf_counter()
+    rep = verify_pu2n_criterion(18, 2000, seed=18)
+    elapsed = time.perf_counter() - start
+    assert rep.mismatches == 0 and rep.found_regular_isotropic
+    assert elapsed < 6.0, f"took {elapsed:.2f}s"
 
 
 # -- stabilizer dimensions ----------------------------------------------------------
