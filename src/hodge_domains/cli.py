@@ -50,7 +50,6 @@ def _is_1n1(ranks: HodgeNumbers) -> bool:
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str
     ranks: Optional[HodgeNumbers] = None
     seed: int = 0
     samples: int = 1000
@@ -471,7 +470,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.command == "report":
             cfg = RunConfig(
-                command="report",
                 ranks=HodgeNumbers.parse(args.ranks),
                 fmt=args.format,
                 output=args.out,
@@ -480,7 +478,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             return EXIT_OK
         if args.command == "verify":
             cfg = RunConfig(
-                command="verify",
                 ranks=HodgeNumbers.parse(args.ranks),
                 seed=args.seed,
                 samples=args.samples,
@@ -493,7 +490,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             return EXIT_OK if doc["all_passed"] else EXIT_SUITE_FAILURE
         if args.command == "mesh":
             cfg = RunConfig(
-                command="mesh",
                 subdivisions=args.subdivisions,
                 output=args.out,
                 fmt=args.format,

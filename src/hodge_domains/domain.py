@@ -67,13 +67,6 @@ class Flag:
     def m(self) -> int:
         return self.ranks.m
 
-    def subspace_basis(self, i: int) -> list[Vector]:
-        """Basis of F^i (i = -1 gives the zero subspace)."""
-        if i < -1 or i > self.ranks.k:
-            raise ValueError(f"flag step {i} out of range")
-        upto = 0 if i < 0 else sum(self.ranks.ranks[: i + 1])
-        return list(self.basis[:upto])
-
 
 def hodge_flag(ranks: HodgeNumbers) -> Flag:
     """The base flag: standard basis vectors grouped block by block, even
@@ -201,12 +194,6 @@ def project_to_symmetric_space(flag: Flag, mode: str) -> tuple[Vector, ...]:
     return tuple(plane)
 
 
-def same_span(a: Iterable[Vector], b: Iterable[Vector]) -> bool:
-    """Exact equality of column spans."""
-    la, lb = list(map(list, a)), list(map(list, b))
-    return rank(la) == rank(lb) == rank(la + lb)
-
-
 # ---------------------------------------------------------------------------
 # Domain descriptor.
 # ---------------------------------------------------------------------------
@@ -248,7 +235,10 @@ def describe_domain(ranks: HodgeNumbers) -> DomainDescriptor:
 # ---------------------------------------------------------------------------
 
 
-def perturbed_flag(ranks: HodgeNumbers, rng, scale: Fraction = Fraction(1, 16), tries: int = 8) -> Flag:
+PERTURBATION_TRIES = 8
+
+
+def perturbed_flag(ranks: HodgeNumbers, rng) -> Flag:
     """A rational flag near the base flag, guaranteed inside the domain.
 
     Adds sparse rational perturbations to the base columns and retries with a
@@ -256,7 +246,8 @@ def perturbed_flag(ranks: HodgeNumbers, rng, scale: Fraction = Fraction(1, 16), 
     """
     base = hodge_flag(ranks)
     m = ranks.m
-    for _ in range(tries):
+    scale = Fraction(1, 16)
+    for _ in range(PERTURBATION_TRIES):
         cols = []
         for col in base.basis:
             new = list(col)

@@ -1,5 +1,5 @@
 """Exact linear algebra kernels: Gaussian rationals, rank/nullspace/definiteness
-over Q(i), and integer Smith/kernel computations.
+over Q(i), and integer Smith normal forms, kernels and lattice equality.
 
 A Gaussian rational is one Gaussian integer a + b*i over one positive
 denominator d; the hot paths read (a, b, d) directly and stay in integers.
@@ -11,7 +11,7 @@ floating point enters any decision.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 
@@ -35,6 +35,11 @@ class GaussianRational:
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through _gaussian; the default slot-state
+        # restore would go through the raising __setattr__
+        return _gaussian, (self.a, self.b, self.d)
 
     @property
     def re(self) -> Fraction:
@@ -151,10 +156,6 @@ QI_ZERO = GaussianRational(0)
 QI_ONE = GaussianRational(1)
 
 
-def mat(rows: Iterable[Iterable]) -> list[list[GaussianRational]]:
-    return [[_coerce(x) for x in row] for row in rows]
-
-
 def as_matrix(rows: Iterable[Iterable], nr: int, nc: int) -> tuple[tuple[GaussianRational, ...], ...]:
     """rows as a tuple of row tuples of GaussianRational (other entries go
     through its constructor, so a float is a ValueError); ValueError unless
@@ -208,11 +209,6 @@ def transpose(a):
 
 def trace(a) -> GaussianRational:
     return sum((_coerce(a[i][i]) for i in range(len(a))), QI_ZERO)
-
-
-def bracket(a, b):
-    """Matrix commutator [a, b] = ab - ba."""
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
 def is_zero_matrix(a) -> bool:
@@ -360,35 +356,29 @@ def hermitian_definiteness(g: Sequence[Sequence]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Integer linear algebra: Smith and Hermite normal forms, kernels.
+# Integer linear algebra: Smith normal form, kernels, lattice equality.
 # ---------------------------------------------------------------------------
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]):
     """Smith normal form of an integer matrix.
 
-    Returns (d, u, v) with u a v = d, u and v unimodular and d diagonal with
-    d[i][i] dividing d[i+1][i+1].
+    Returns (d, v) with u a v = d for some unimodular u (not built), v
+    unimodular and d diagonal with d[i][i] dividing d[i+1][i+1].
     """
     m = [list(map(int, row)) for row in a]
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
     v = [[int(i == j) for j in range(nc)] for i in range(nc)]
 
     def row_op(i, j, q):  # row_i -= q * row_j
         m[i] = [x - q * y for x, y in zip(m[i], m[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for row in m:
             row[i] -= q * row[j]
         for row in v:
             row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in m:
@@ -407,7 +397,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]):
             if best is None:
                 break
             if best[0] != s:
-                swap_rows(s, best[0])
+                m[s], m[best[0]] = m[best[0]], m[s]
             if best[1] != s:
                 swap_cols(s, best[1])
             dirty = False
@@ -437,61 +427,35 @@ def smith_normal_form(a: Sequence[Sequence[int]]):
             row_op(s, offender, -1)
         if s < min(nr, nc) and m[s][s] < 0:
             m[s] = [-x for x in m[s]]
-            u[s] = [-x for x in u[s]]
-    return m, u, v
+    return m, v
+
+
+def _invariant_factors(d) -> list[int]:
+    """The nonzero diagonal entries of a Smith form d."""
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0]
 
 
 def smith_invariant_factors(a: Sequence[Sequence[int]]) -> list[int]:
-    d, _, _ = smith_normal_form(a)
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if d[i][i] != 0:
-            out.append(d[i][i])
-    return out
+    return _invariant_factors(smith_normal_form(a)[0])
 
 
 def integer_kernel(a: Sequence[Sequence[int]]) -> list[list[int]]:
     """Basis of the integer kernel {x in Z^n : a x = 0} (columns of V past the rank)."""
     if not a:
         return []
-    d, _, v = smith_normal_form(a)
+    d, v = smith_normal_form(a)
     nc = len(a[0])
-    r = len(smith_invariant_factors(a))
+    r = len(_invariant_factors(d))
     return [[v[i][j] for i in range(nc)] for j in range(r, nc)]
 
 
 def lattices_equal(basis_a: Sequence[Sequence[int]], basis_b: Sequence[Sequence[int]]) -> bool:
-    """Whether two integer row-span lattices coincide, by Hermite form comparison."""
-    return hermite_normal_form(basis_a) == hermite_normal_form(basis_b)
+    """Whether two integer row-span lattices coincide.
 
-
-def hermite_normal_form(rows_in: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Canonical row-style Hermite normal form (zero rows dropped)."""
-    rows = [list(map(int, r)) for r in rows_in]
-    if not rows:
-        return []
-    nr, nc = len(rows), len(rows[0])
-    piv = 0
-    for c in range(nc):
-        # Euclid within column c until at most one row below piv has a nonzero.
-        while True:
-            nz = [i for i in range(piv, nr) if rows[i][c] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda i: abs(rows[i][c]))
-            base = nz[0]
-            for i in nz[1:]:
-                q = rows[i][c] // rows[base][c]
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[base])]
-        nz = [i for i in range(piv, nr) if rows[i][c] != 0]
-        if not nz:
-            continue
-        rows[piv], rows[nz[0]] = rows[nz[0]], rows[piv]
-        if rows[piv][c] < 0:
-            rows[piv] = [-x for x in rows[piv]]
-        for i in range(nr):
-            if i != piv and rows[i][c] != 0:
-                q = rows[i][c] // rows[piv][c]
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[piv])]
-        piv += 1
-    return rows[:piv]
+    A lattice's index in its saturation (the integer points of its rational
+    span) is the product of its invariant factors.  A and B both lie in their
+    sum [A; B]; with equal ranks all three have the same saturation, so A and
+    B equal the sum exactly when all three products agree.
+    """
+    fa, fb, fab = (smith_invariant_factors(x) for x in (basis_a, basis_b, [*basis_a, *basis_b]))
+    return len(fa) == len(fb) == len(fab) and prod(fa) == prod(fb) == prod(fab)

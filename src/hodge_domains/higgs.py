@@ -106,15 +106,6 @@ def pointwise_rank(h: HiggsField, i: int) -> int:
     return rank(stacked_matrix(h, i))
 
 
-def directional_image_rank(h: HiggsField, i: int) -> int:
-    """For a rank-one block i: the dimension of the span of the direction
-    columns theta_i^(a) inside block i+1."""
-    if h.ranks.ranks[i] != 1:
-        raise PreconditionError(f"block {i} must have rank 1")
-    cols = [[h.component(i, a)[r][0] for a in range(1, h.tangent_dim + 1)] for r in range(h.ranks.ranks[i + 1])]
-    return rank(cols)
-
-
 @dataclass(frozen=True)
 class LemmaVerdict:
     verdict: str  # 'holds' or 'violated'

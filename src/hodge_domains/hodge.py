@@ -34,10 +34,6 @@ class HodgeNumbers:
             raise ValueError(f"invalid ranks {ranks!r}: every rank must be positive")
 
     @classmethod
-    def of(cls, *ranks: int) -> "HodgeNumbers":
-        return cls(tuple(ranks))
-
-    @classmethod
     def parse(cls, text: str) -> "HodgeNumbers":
         """Parse a comma-separated rank list such as '1,2,1'."""
         try:

@@ -160,7 +160,7 @@ def pi2_report(ranks: HodgeNumbers | Iterable[int]) -> Pi2Report:
     """Ranks and kernel data of the projection on second homotopy.
 
     The integer span of the reported kernel basis is checked against the exact
-    integer kernel of the alternating-sum matrix (Smith/Hermite forms).
+    integer kernel of the alternating-sum matrix, from Smith normal forms.
     """
     if not isinstance(ranks, HodgeNumbers):
         ranks = HodgeNumbers(tuple(ranks))

@@ -1,5 +1,5 @@
 """Type-A root combinatorics for the block parabolic, its grading, and exact
-Lie-algebra kernels (bracket, Killing form, conjugation).
+Lie-algebra kernels (sparse brackets, Killing form, conjugation).
 
 Conventions.  Roots of sl(m) are integer vectors e_a - e_b (one +1, one -1,
 rest 0).  The simple system is alpha_j = e_{j+1} - e_j, j = 1..m-1, evaluated
@@ -27,8 +27,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional
 
-from .exactla import (GaussianRational, Qi, QI_ZERO, as_matrix, bracket as mat_bracket, conj_transpose,
-                      mat, mat_mul, mat_neg, trace)
+from .exactla import GaussianRational, Qi, QI_ZERO, as_matrix, conj_transpose, mat_mul, mat_neg, trace
 from .hodge import HodgeNumbers
 
 
@@ -60,9 +59,6 @@ class RootVector:
 
     def __neg__(self) -> "RootVector":
         return RootVector(tuple(-c for c in self.coords))
-
-    def dot(self, other: "RootVector") -> int:
-        return sum(a * b for a, b in zip(self.coords, other.coords))
 
     def __repr__(self):
         a, b = self.plus_index + 1, self.minus_index + 1
@@ -127,10 +123,6 @@ class ParabolicData:
     def block_pair(self, root: RootVector) -> tuple[int, int]:
         """(source block, target block) of the root's matrix realization."""
         return (self.block_of[root.plus_index], self.block_of[root.minus_index])
-
-    @property
-    def dim_n(self) -> int:
-        return len(self.n_roots)
 
     def sorted_n_roots(self) -> list[RootVector]:
         return sorted(self.n_roots)
@@ -205,13 +197,6 @@ def sparse_bracket(a: Sparse, b: Sparse) -> Sparse:
                 key = (rb, ca)
                 out[key] = out.get(key, 0) - vb * va
     return {k: v for k, v in out.items() if v != 0}
-
-
-def root_space_matrix(root: RootVector) -> list[list[int]]:
-    m = root.m
-    out = [[0] * m for _ in range(m)]
-    out[root.minus_index][root.plus_index] = 1
-    return out
 
 
 def entry_level(block_of: tuple[int, ...], row: int, col: int) -> int:
@@ -311,10 +296,6 @@ class LevelCertificate:
     dim: int
     achieved: int
     witnesses: tuple  # bracket trees: a RootVector, or (RootVector, subtree)
-
-    @property
-    def spans(self) -> bool:
-        return self.achieved == self.dim
 
 
 @dataclass(frozen=True)
@@ -421,41 +402,12 @@ class BlockMatrix:
     def m(self) -> int:
         return self.ranks.m
 
-    def is_traceless(self) -> bool:
-        return trace([list(r) for r in self.entries]).is_zero()
-
     def rows(self) -> list[list[GaussianRational]]:
         return [list(r) for r in self.entries]
-
-    def level_component(self, level: int) -> "BlockMatrix":
-        """The projection onto grading level `level` (other entries zeroed)."""
-        block_of = self.ranks.block_of
-        rows = [
-            [
-                x if entry_level(block_of, i, j) == level else QI_ZERO
-                for j, x in enumerate(row)
-            ]
-            for i, row in enumerate(self.entries)
-        ]
-        return BlockMatrix(self.ranks, tuple(tuple(r) for r in rows))
-
-    def entry_levels(self) -> dict:
-        """Nonzero entries grouped by grading level."""
-        block_of = self.ranks.block_of
-        out: dict[int, list[tuple[int, int]]] = {}
-        for i, row in enumerate(self.entries):
-            for j, x in enumerate(row):
-                if not x.is_zero():
-                    out.setdefault(entry_level(block_of, i, j), []).append((i, j))
-        return out
 
 
 def block_matrix(ranks: HodgeNumbers, rows: Iterable[Iterable]) -> BlockMatrix:
     return BlockMatrix(ranks, tuple(tuple(row) for row in rows))
-
-
-def root_space_block_matrix(root: RootVector, ranks: HodgeNumbers) -> BlockMatrix:
-    return block_matrix(ranks, mat(root_space_matrix(root)))
 
 
 def grading_element(ranks: HodgeNumbers) -> BlockMatrix:
@@ -476,12 +428,6 @@ def grading_element(ranks: HodgeNumbers) -> BlockMatrix:
     return block_matrix(ranks, rows)
 
 
-def ad(x: BlockMatrix, y: BlockMatrix) -> BlockMatrix:
-    if x.m != y.m:
-        raise ValueError("dimension mismatch in bracket")
-    return block_matrix(x.ranks, mat_bracket(x.rows(), y.rows()))
-
-
 def killing_form(x: BlockMatrix, y: BlockMatrix) -> GaussianRational:
     """Killing form of sl(m): B(X, Y) = 2m * tr(XY)."""
     if x.m != y.m:
@@ -493,7 +439,3 @@ def tau_conjugate(x: BlockMatrix) -> BlockMatrix:
     """Conjugation with respect to the compact real form: tau(X) = -X*."""
     return block_matrix(x.ranks, mat_neg(conj_transpose(x.rows())))
 
-
-def invariant_inner_product(x: BlockMatrix, y: BlockMatrix) -> GaussianRational:
-    """The Ad-invariant inner product (X, Y) -> -B(X, tau(Y)); Hermitian positive."""
-    return -killing_form(x, tau_conjugate(y))

@@ -322,11 +322,6 @@ def face_geometry(tri: SphericalTriangulation, face_index: int) -> FaceGeometry:
     )
 
 
-def fineness(tri: SphericalTriangulation) -> float:
-    """Largest angular circumradius over all faces."""
-    return float(mesh_geometry(tri).circumradii.max())
-
-
 # ---------------------------------------------------------------------------
 # The glued polyhedron: one model triangle per face, edges identified by
 # color pair.

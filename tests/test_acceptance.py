@@ -233,7 +233,7 @@ def test_criterion_09_mesh_suite():
 
 def test_criterion_10_determinism():
     start = time.perf_counter()
-    cfg = RunConfig(command="verify", ranks=HodgeNumbers((1, 2, 1)), seed=42, samples=300)
+    cfg = RunConfig(ranks=HodgeNumbers((1, 2, 1)), seed=42, samples=300)
     first = json.dumps(run_verify(cfg), sort_keys=True)
     second = json.dumps(run_verify(cfg), sort_keys=True)
     ok = first == second and json.loads(first)["all_passed"]

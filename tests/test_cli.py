@@ -25,14 +25,14 @@ from hodge_domains.pi2 import Pi2Class
 
 
 def cfg_verify(ranks, seed=0, samples=50, **kw):
-    return RunConfig(command="verify", ranks=HodgeNumbers(ranks), seed=seed, samples=samples, **kw)
+    return RunConfig(ranks=HodgeNumbers(ranks), seed=seed, samples=samples, **kw)
 
 
 # -- report -----------------------------------------------------------------
 
 
 def test_report_121():
-    doc = run_report(RunConfig(command="report", ranks=HodgeNumbers((1, 2, 1))))
+    doc = run_report(RunConfig(ranks=HodgeNumbers((1, 2, 1))))
     assert doc["schema"] == "hodge-domains/1"
     assert doc["pi2"]["rank_domain"] == 1
     assert doc["superhorizontal"]["fully_generated"] is True
@@ -40,13 +40,13 @@ def test_report_121():
 
 
 def test_report_111():
-    doc = run_report(RunConfig(command="report", ranks=HodgeNumbers((1, 1, 1))))
+    doc = run_report(RunConfig(ranks=HodgeNumbers((1, 1, 1))))
     assert doc["domain"]["interior_rank_one"] is True
     assert doc["superhorizontal"]["generators"][0]["status"] == "unknown"
 
 
 def test_report_131_dimension():
-    doc = run_report(RunConfig(command="report", ranks=HodgeNumbers((1, 3, 1))))
+    doc = run_report(RunConfig(ranks=HodgeNumbers((1, 3, 1))))
     assert doc["domain"]["dim"] == 7
 
 
@@ -247,7 +247,7 @@ def test_classify_out_rejected_for_other_ranks(tmp_path, capsys, monkeypatch):
 
 def test_mesh_export_s0(tmp_path):
     out = tmp_path / "octa.off"
-    code, written = export_mesh(RunConfig(command="mesh", subdivisions=0, output=str(out), fmt="off"))
+    code, written = export_mesh(RunConfig(subdivisions=0, output=str(out), fmt="off"))
     assert code == EXIT_OK
     assert written == [str(out), str(tmp_path / "octa.json")]
     off = out.read_text()
@@ -258,7 +258,7 @@ def test_mesh_export_s0(tmp_path):
 
 def test_mesh_export_s3_audited(tmp_path):
     out = tmp_path / "m.off"
-    code, written = export_mesh(RunConfig(command="mesh", subdivisions=3, output=str(out), fmt="off"))
+    code, written = export_mesh(RunConfig(subdivisions=3, output=str(out), fmt="off"))
     assert code == EXIT_OK
     header = out.read_text().split("\n")[1]
     v, f, e = map(int, header.split())
@@ -291,7 +291,7 @@ def test_mesh_export_deterministic(tmp_path):
 def test_mesh_export_s6_within_readme_bound(tmp_path):
     # README states this bound beside the subdivisions guard
     start = time.perf_counter()
-    cfg = RunConfig(command="mesh", subdivisions=6, output=str(tmp_path / "m.off"), fmt="off")
+    cfg = RunConfig(subdivisions=6, output=str(tmp_path / "m.off"), fmt="off")
     code, written = export_mesh(cfg)
     elapsed = time.perf_counter() - start
     assert code == EXIT_OK and len(written) == 2

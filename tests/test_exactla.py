@@ -7,7 +7,9 @@ kept verbatim (plus readers for rank, nullspace and solve built on the
 reference RREF), so every property here compares with an independent oracle.
 """
 
+import copy
 import operator
+import pickle
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -435,3 +437,28 @@ def test_scalar_matches_fraction_pair_reference(parts, operand):
 def test_float_entries_raise_value_error(build):
     with pytest.raises(ValueError, match="inexact entry"):
         build()
+
+
+def _pickled(x):
+    return pickle.loads(pickle.dumps(x))
+
+
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy, _pickled], ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize(
+    "build, scalar",
+    [
+        (lambda: Qi(1, 2), lambda x: x),
+        (lambda: Qi(3), lambda x: x),
+        (lambda: Flag(HodgeNumbers((1, 1)), ((Qi(1), Qi(Fraction(1, 3), 1)), (0, 1))), lambda f: f.basis[0][1]),
+        (lambda: HiggsField(HodgeNumbers((1, 1)), 1, ((((Qi(Fraction(1, 2), -3),),),),)), lambda h: h.theta[0][0][0][0]),
+    ],
+    ids=["Qi(1, 2)", "Qi(3)", "Flag", "HiggsField"],
+)
+def test_copy_and_pickle_round_trip(copier, build, scalar):
+    x = build()
+    y = copier(x)
+    assert y == x and hash(y) == hash(x)
+    z = scalar(y)
+    assert isinstance(z, GaussianRational) and z == scalar(x) and hash(z) == hash(scalar(x))
+    with pytest.raises(AttributeError, match="immutable"):
+        z.a = 0

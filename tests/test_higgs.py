@@ -11,7 +11,6 @@ from hodge_domains.higgs import (
     PreconditionError,
     SamplingExhaustedError,
     check_commutation,
-    directional_image_rank,
     higgs_dumps,
     higgs_loads,
     pointwise_rank,
@@ -19,6 +18,15 @@ from hodge_domains.higgs import (
     rank_one_lemma_check,
     splitting_detector,
 )
+
+
+def directional_image_rank(h: HiggsField, i: int) -> int:
+    """For a rank-one block i: the dimension of the span of the direction
+    columns theta_i^(a) inside block i+1."""
+    if h.ranks.ranks[i] != 1:
+        raise PreconditionError(f"block {i} must have rank 1")
+    cols = [[h.component(i, a)[r][0] for a in range(1, h.tangent_dim + 1)] for r in range(h.ranks.ranks[i + 1])]
+    return rank(cols)
 
 
 def field_111(theta0_dirs, theta1_dirs):

@@ -1,10 +1,11 @@
+from typing import Sequence
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import all_rank_tuples
 from hodge_domains.exactla import (
-    hermite_normal_form,
     integer_kernel,
     lattices_equal,
     smith_invariant_factors,
@@ -173,9 +174,91 @@ def test_generation_matches_interior_rank_flag_m_le_7():
 # -- integer form helpers -------------------------------------------------------
 
 
+def reference_hermite_normal_form(rows_in: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Canonical row-style Hermite normal form (zero rows dropped).
+
+    The oracle for lattices_equal: two generating sets span one lattice iff
+    their Hermite forms are equal."""
+    rows = [list(map(int, r)) for r in rows_in]
+    if not rows:
+        return []
+    nr, nc = len(rows), len(rows[0])
+    piv = 0
+    for c in range(nc):
+        # Euclid within column c until at most one row below piv has a nonzero.
+        while True:
+            nz = [i for i in range(piv, nr) if rows[i][c] != 0]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda i: abs(rows[i][c]))
+            base = nz[0]
+            for i in nz[1:]:
+                q = rows[i][c] // rows[base][c]
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[base])]
+        nz = [i for i in range(piv, nr) if rows[i][c] != 0]
+        if not nz:
+            continue
+        rows[piv], rows[nz[0]] = rows[nz[0]], rows[piv]
+        if rows[piv][c] < 0:
+            rows[piv] = [-x for x in rows[piv]]
+        for i in range(nr):
+            if i != piv and rows[i][c] != 0:
+                q = rows[i][c] // rows[piv][c]
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[piv])]
+        piv += 1
+    return rows[:piv]
+
+
 def test_hermite_normal_form_basics():
-    assert hermite_normal_form([[2, 4], [1, 3]]) == [[1, 1], [0, 2]]
-    assert hermite_normal_form([[0, 0], [0, 0]]) == []
+    assert reference_hermite_normal_form([[2, 4], [1, 3]]) == [[1, 1], [0, 2]]
+    assert reference_hermite_normal_form([[0, 0], [0, 0]]) == []
+
+
+@st.composite
+def lattice_pairs(draw):
+    """(A, B): generating sets of two lattices in Z^n.  A gets zero, duplicate
+    and dependent rows; B is random, or a unimodular recombination of A (the
+    same lattice), possibly with one row then scaled (often a sublattice)."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    row = st.lists(st.integers(min_value=-4, max_value=4), min_size=n, max_size=n)
+    a = draw(st.lists(row, max_size=4))
+    for kind in draw(st.lists(st.sampled_from(("zero", "duplicate", "dependent")), max_size=2)):
+        if kind == "zero" or not a:
+            a.append([0] * n)
+        elif kind == "duplicate":
+            a.append(list(draw(st.sampled_from(a))))
+        else:
+            x, y, c = draw(st.sampled_from(a)), draw(st.sampled_from(a)), draw(st.integers(-3, 3))
+            a.append([u + c * v for u, v in zip(x, y)])
+    how = draw(st.sampled_from(("random", "recombined", "recombined and scaled")))
+    if how == "random":
+        return a, draw(st.lists(row, max_size=4))
+    b = [list(r) for r in a]
+    for _ in range(draw(st.integers(min_value=0, max_value=6)) if b else 0):
+        i, j = draw(st.integers(0, len(b) - 1)), draw(st.integers(0, len(b) - 1))
+        if i == j:
+            b[i] = [-x for x in b[i]]
+        else:
+            q = draw(st.integers(-3, 3))
+            b[i] = [x + q * y for x, y in zip(b[i], b[j])]
+    b = draw(st.permutations(b))
+    if how == "recombined and scaled" and b:
+        i = draw(st.integers(0, len(b) - 1))
+        b[i] = [draw(st.integers(2, 3)) * x for x in b[i]]
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_pairs())
+@example(([[2, 4], [1, 3]], [[1, 1], [0, 2]]))  # equal, different generators
+@example(([[2, 0]], [[1, 0]]))  # same rank, index 2
+@example(([[1, 0]], [[1, 0], [0, 1]]))  # different rank
+@example(([], [[0, 0]]))  # both zero
+def test_lattices_equal_matches_hermite_forms(pair):
+    a, b = pair
+    expected = reference_hermite_normal_form(a) == reference_hermite_normal_form(b)
+    event("equal" if expected else "unequal")
+    assert lattices_equal(a, b) == expected
 
 
 def test_integer_kernel_alternating_row():

@@ -1,0 +1,97 @@
+"""Dead-code guard: src/ keeps only what the package runs.
+
+Parses every module of ``hodge_domains`` and collects, by name, what is
+reachable from the command line entry point ``cli.main``, from module-level
+statements (tables such as ``cli._SUITES``, aliases such as ``Qi = ...``)
+and from the public names in ``hodge_domains.__all__``.  A reached function
+reaches every name it mentions; a reached class reaches its bases, decorators,
+class-level statements and dunder methods.  Matching is by bare name, so a
+definition counts as used when any reached code mentions its name, and an
+import alias (``bracket as mat_bracket``) counts as its original name.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import hodge_domains
+
+PACKAGE_DIR = Path(hodge_domains.__file__).resolve().parent
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _mentioned(nodes, aliases: dict) -> set:
+    """Every bare name and attribute name under the nodes, aliases resolved."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(aliases.get(sub.id, sub.id))
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+    return out
+
+
+def _scan_package(package_dir: Path):
+    """(definitions, roots, aliases): definitions maps a bare name to the
+    (qualified name, nodes to scan once reached) pairs defining it."""
+    definitions: dict[str, list] = {}
+    roots: list = []
+    aliases: dict[str, str] = {}
+    for path in sorted(package_dir.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    if alias.asname:
+                        aliases[alias.asname] = alias.name.rsplit(".", 1)[-1]
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                definitions.setdefault(stmt.name, []).append((f"{module}.{stmt.name}", [stmt]))
+            elif isinstance(stmt, ast.ClassDef):
+                methods = [s for s in stmt.body if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))]
+                named = [s for s in methods if not _is_dunder(s.name)]
+                body = [s for s in stmt.body if s not in named]
+                nodes = [*stmt.decorator_list, *stmt.bases, *stmt.keywords, *body]
+                definitions.setdefault(stmt.name, []).append((f"{module}.{stmt.name}", nodes))
+                for meth in named:
+                    qualname = f"{module}.{stmt.name}.{meth.name}"
+                    definitions.setdefault(meth.name, []).append((qualname, [meth]))
+            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                roots.append(stmt)
+    return definitions, roots, aliases
+
+
+def unreachable_definitions(package_dir: Path = PACKAGE_DIR) -> list[str]:
+    definitions, roots, aliases = _scan_package(package_dir)
+    reached: set[str] = set()
+    todo = ["main", *hodge_domains.__all__, *_mentioned(roots, aliases)]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for _, nodes in definitions.get(name, ()):
+            todo.extend(_mentioned(nodes, aliases) - reached)
+    return sorted(
+        qualname
+        for name, defs in definitions.items()
+        if name not in reached
+        for qualname, _ in defs
+    )
+
+
+def test_every_definition_is_reachable():
+    dead = unreachable_definitions()
+    assert not dead, "defined in src/ but reachable from neither cli.main nor the public API: " + ", ".join(dead)
+
+
+def test_guard_sees_a_dead_definition(tmp_path):
+    # a module with one called and one uncalled helper
+    (tmp_path / "extra.py").write_text("def used():\n    return 1\n\nX = used()\n\ndef unused_helper():\n    return 2\n")
+    assert unreachable_definitions(tmp_path) == ["extra.unused_helper"]

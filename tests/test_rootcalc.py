@@ -1,16 +1,26 @@
 import random
 from fractions import Fraction
+from typing import Iterable
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_rank_tuples
-from hodge_domains.exactla import Qi, hermitian_definiteness
+from hodge_domains.exactla import (
+    GaussianRational,
+    QI_ZERO,
+    Qi,
+    _coerce,
+    hermitian_definiteness,
+    mat_mul,
+    mat_sub,
+    trace,
+)
 from hodge_domains.hodge import HodgeNumbers
 from hodge_domains.rootcalc import (
+    BlockMatrix,
     RootVector,
-    ad,
     all_roots,
     block_matrix,
     bracket_generating_check,
@@ -18,11 +28,9 @@ from hodge_domains.rootcalc import (
     entry_level,
     grading,
     grading_element,
-    invariant_inner_product,
     killing_form,
     parabolic_from_ranks,
     root_between,
-    root_space_block_matrix,
     root_space_sparse,
     root_sum,
     simple_roots,
@@ -34,6 +42,72 @@ from hodge_domains.rootcalc import (
 
 def is_real(x) -> bool:
     return x.im == 0
+
+
+# -- matrix and root helpers: only the tests below call them -------------------
+
+
+def mat(rows: Iterable[Iterable]) -> list[list[GaussianRational]]:
+    return [[_coerce(x) for x in row] for row in rows]
+
+
+def bracket(a, b):
+    """Matrix commutator [a, b] = ab - ba."""
+    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+
+
+def dot(a: RootVector, b: RootVector) -> int:
+    return sum(x * y for x, y in zip(a.coords, b.coords))
+
+
+def root_space_matrix(root: RootVector) -> list[list[int]]:
+    m = root.m
+    out = [[0] * m for _ in range(m)]
+    out[root.minus_index][root.plus_index] = 1
+    return out
+
+
+def root_space_block_matrix(root: RootVector, ranks: HodgeNumbers) -> BlockMatrix:
+    return block_matrix(ranks, mat(root_space_matrix(root)))
+
+
+def is_traceless(x: BlockMatrix) -> bool:
+    return trace([list(r) for r in x.entries]).is_zero()
+
+
+def level_component(x: BlockMatrix, level: int) -> BlockMatrix:
+    """The projection onto grading level `level` (other entries zeroed)."""
+    block_of = x.ranks.block_of
+    rows = [
+        [
+            v if entry_level(block_of, i, j) == level else QI_ZERO
+            for j, v in enumerate(row)
+        ]
+        for i, row in enumerate(x.entries)
+    ]
+    return BlockMatrix(x.ranks, tuple(tuple(r) for r in rows))
+
+
+def entry_levels(x: BlockMatrix) -> dict:
+    """Nonzero entries grouped by grading level."""
+    block_of = x.ranks.block_of
+    out: dict[int, list[tuple[int, int]]] = {}
+    for i, row in enumerate(x.entries):
+        for j, v in enumerate(row):
+            if not v.is_zero():
+                out.setdefault(entry_level(block_of, i, j), []).append((i, j))
+    return out
+
+
+def ad(x: BlockMatrix, y: BlockMatrix) -> BlockMatrix:
+    if x.m != y.m:
+        raise ValueError("dimension mismatch in bracket")
+    return block_matrix(x.ranks, bracket(x.rows(), y.rows()))
+
+
+def invariant_inner_product(x: BlockMatrix, y: BlockMatrix) -> GaussianRational:
+    """The Ad-invariant inner product (X, Y) -> -B(X, tau(Y)); Hermitian positive."""
+    return -killing_form(x, tau_conjugate(y))
 
 
 # -- simple roots -----------------------------------------------------------
@@ -53,7 +127,7 @@ def test_simple_roots_sl4_cartan_pattern():
     for i, a in enumerate(roots):
         for j, b in enumerate(roots):
             expected = 2 if i == j else (-1 if abs(i - j) == 1 else 0)
-            assert a.dot(b) == expected
+            assert dot(a, b) == expected
 
 
 def test_simple_roots_invalid_dimension():
@@ -281,7 +355,7 @@ def test_grading_element_eigenvalues():
     for ranks in [(1, 1), (1, 2, 1), (2, 1, 2), (1, 1, 2, 1)]:
         hn = HodgeNumbers(ranks)
         xi = grading_element(hn)
-        assert xi.is_traceless()
+        assert is_traceless(xi)
         pd = parabolic_from_ranks(hn)
         for r in all_roots(hn.m):
             x = root_space_block_matrix(r, hn)
@@ -296,11 +370,11 @@ def test_grading_element_eigenvalues():
 def test_block_matrix_level_component():
     hn = HodgeNumbers((1, 1, 1))
     x = block_matrix(hn, [[Qi(1), Qi(2), Qi(3)], [Qi(4), Qi(5), Qi(6)], [Qi(7), Qi(8), Qi(9)]])
-    lv1 = x.level_component(1)
+    lv1 = level_component(x, 1)
     # level 1 entries: block(col) - block(row) = 1, i.e. (row, col) in {(0,1),(1,2)}
     assert lv1.entries[0][1] == Qi(2) and lv1.entries[1][2] == Qi(6)
     assert lv1.entries[0][0].is_zero() and lv1.entries[2][0].is_zero()
-    assert set(x.entry_levels()) == {-2, -1, 0, 1, 2}
+    assert set(entry_levels(x)) == {-2, -1, 0, 1, 2}
 
 
 def test_wall_and_bridge_roots():

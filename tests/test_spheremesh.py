@@ -16,7 +16,6 @@ from hodge_domains.spheremesh import (
     audit_mesh,
     audit_passes,
     face_geometry,
-    fineness,
     gluing_pattern,
     mesh_geometry,
     octahedron,
@@ -27,6 +26,11 @@ from hodge_domains.spheremesh import (
     to_off,
     verify_coloring,
 )
+
+
+def fineness(tri: SphericalTriangulation) -> float:
+    """Largest angular circumradius over all faces."""
+    return float(mesh_geometry(tri).circumradii.max())
 
 
 _CHAIN = []
