@@ -59,8 +59,10 @@ from .spheremesh import (
     face_geometry,
     gluing_pattern,
     octahedron,
+    sidecar_dumps,
     subdivide,
     three_color,
+    to_off,
 )
 
 __version__ = "0.1.0"
@@ -109,7 +111,9 @@ __all__ = [
     "face_geometry",
     "gluing_pattern",
     "octahedron",
+    "sidecar_dumps",
     "subdivide",
     "three_color",
+    "to_off",
     "__version__",
 ]

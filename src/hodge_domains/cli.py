@@ -390,11 +390,29 @@ def _verify_text(doc: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _write_files(pieces: dict) -> None:
+    """Write each path's text pieces; if one fails, remove the files opened so far and re-raise."""
+    opened = []
+    try:
+        for path, chunks in pieces.items():
+            with open(path, "w") as handle:
+                opened.append(path)
+                handle.writelines(chunks)
+    except BaseException:
+        for path in opened:
+            path.unlink(missing_ok=True)
+        raise
+
+
 def export_mesh(cfg: RunConfig) -> tuple[int, list[str]]:
     """Build, audit and write the subdivided colored octahedron.
 
-    Returns (exit_code, written_paths); nothing is written if an audit fails.
+    Returns (exit_code, written_paths); nothing is written if an audit fails,
+    and no file is left behind if one of the paths cannot be written.
     """
+    out = Path(cfg.output) if cfg.output else Path(f"octahedron_s{cfg.subdivisions}.off")
+    if cfg.fmt != "json" and out.suffix == ".json":
+        raise ValueError("OFF output path must not end in .json (the sidecar uses it)")
     tri = spheremesh_mod.octahedron()
     for _ in range(cfg.subdivisions):
         tri = spheremesh_mod.subdivide(tri)
@@ -404,20 +422,15 @@ def export_mesh(cfg: RunConfig) -> tuple[int, list[str]]:
     glue = spheremesh_mod.gluing_pattern(tri, coloring)
     if not spheremesh_mod.audit_passes(spheremesh_mod.audit_mesh(tri, coloring, geometry, glue)):
         return EXIT_SUITE_FAILURE, []
-    out = Path(cfg.output) if cfg.output else Path(f"octahedron_s{cfg.subdivisions}.off")
+    doc = spheremesh_mod.sidecar_document(tri, coloring, geometry, glue)
     if cfg.fmt == "json":
-        doc = spheremesh_mod.sidecar_document(tri, coloring, geometry, glue)
-        doc["vertices"] = [[float(x) for x in v] for v in tri.vertices]
-        doc["faces"] = [list(f) for f in tri.faces]
-        target = out if out.suffix == ".json" else out.with_suffix(".json")
-        target.write_text(wire.dumps_indented(doc))
-        return EXIT_OK, [str(target)]
-    if out.suffix == ".json":
-        raise ValueError("OFF output path must not end in .json (the sidecar uses it)")
-    sidecar = out.with_suffix(".json")
-    out.write_text(spheremesh_mod.to_off(tri))
-    sidecar.write_text(spheremesh_mod.sidecar_dumps(tri, coloring, geometry, glue))
-    return EXIT_OK, [str(out), str(sidecar)]
+        doc["vertices"] = wire.Table([None] * 3, tuple(tri.vertices.T))
+        doc["faces"] = wire.Table([None] * 3, tuple(tri.face_array.T))
+        pieces = {out.with_suffix(".json"): wire.indented_chunks(doc)}
+    else:
+        pieces = {out: spheremesh_mod.off_chunks(tri), out.with_suffix(".json"): wire.indented_chunks(doc)}
+    _write_files(pieces)
+    return EXIT_OK, [str(path) for path in pieces]
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,16 @@ per face with edges identified by color pair.
 
 Vertices are float64 unit vectors; geodesic midpoints are normalized chord
 midpoints, valid because the meshes here never contain near-antipodal edges.
-Angular comparisons use a 1e-10 tolerance.
+Angular comparisons use a 1e-10 tolerance.  The topology is held in numpy
+arrays; an edge {u, v} of a mesh with V vertices is keyed by the integer
+min(u, v) * V + max(u, v), and the directed edge u -> v by u * V + v.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import starmap
 from typing import Iterable, Optional
 
 import numpy as np
@@ -41,13 +44,54 @@ class SphericalTriangulation:
 
     Construction validates that every directed edge occurs exactly once, every
     undirected edge borders two faces, vertex links are single cycles, and the
-    Euler characteristic is 2.
+    Euler characteristic is 2.  Arrays: `face_array` (F, 3); `edges` (E, 2),
+    sorted; `face_edges` (F, 3), the edge from corner j to j + 1 of a face;
+    `edge_faces` (E, 2), the two faces on an edge in increasing order.
     """
 
     def __init__(self, vertices: np.ndarray, faces: Iterable[tuple[int, int, int]]):
-        self.vertices = np.asarray(vertices, dtype=float)
-        self.faces = tuple(tuple(int(v) for v in f) for f in faces)
-        self._validate()
+        vertices = np.asarray(vertices)
+        if vertices.dtype.kind not in "biuf":
+            raise MeshInvariantError("vertices must be an array of real numbers")
+        self.vertices = vertices.astype(float, copy=False)
+        # the first failure raises: face by face, a bad face or a repeated
+        # directed edge; then the edges, the Euler characteristic, the links
+        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
+            raise MeshInvariantError("vertices must be an (V, 3) array")
+        v = self.num_vertices
+        norms = np.linalg.norm(self.vertices, axis=1)
+        if not np.all(np.abs(norms - 1.0) <= 1e-12):  # written so that NaN fails too
+            raise MeshInvariantError("vertices must lie on the unit sphere")
+        f, not_integers = _face_array(faces, v)
+        tail = f[:, (1, 2, 0)]  # corner 3i + j is the directed edge f[i, j] -> tail[i, j]
+        bad = np.any((f < 0) | (f >= v) | (f == tail), axis=1)
+        first_bad = int(np.argmax(bad)) if bad.any() else len(f)
+        directed = (f * v + tail).ravel()[: 3 * first_bad]
+        order = np.argsort(directed, kind="stable")
+        repeats = order[1:][directed[order[1:]] == directed[order[:-1]]]
+        if repeats.size:
+            edge = (int(f.flat[repeats.min()]), int(tail.flat[repeats.min()]))
+            raise MeshInvariantError(f"directed edge {edge} repeated: orientation broken")
+        if first_bad < len(f):
+            raise MeshInvariantError(f"bad face {tuple(f[first_bad].tolist())}")
+        if not_integers is not None:
+            raise MeshInvariantError(f"bad face {not_integers}")
+        keys, first, inverse, counts = np.unique(
+            (np.minimum(f, tail) * v + np.maximum(f, tail)).ravel(),
+            return_index=True, return_inverse=True, return_counts=True,
+        )
+        if np.any(counts != 2):
+            # the edge met first in face order, named by its first directed occurrence
+            e = int(np.argmin(np.where(counts != 2, first, first.max() + 1)))
+            ends = tuple(frozenset((int(f.flat[first[e]]), int(tail.flat[first[e]]))))
+            raise MeshInvariantError(f"edge {ends} borders {int(counts[e])} faces")
+        self.face_array = f
+        self.edges = np.stack([keys // v, keys % v], axis=1)
+        self.face_edges = inverse.reshape(-1, 3)
+        self.edge_faces = (np.argsort(inverse, kind="stable") // 3).reshape(-1, 2)
+        if self.euler_characteristic() != 2:
+            raise MeshInvariantError(f"Euler characteristic {self.euler_characteristic()} != 2")
+        _check_links(v, f)
 
     # -- basic counts ------------------------------------------------------
 
@@ -57,81 +101,72 @@ class SphericalTriangulation:
 
     @property
     def num_faces(self) -> int:
-        return len(self.faces)
+        return len(self.face_array)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edge_faces)
+        return len(self.edges)
+
+    @cached_property
+    def faces(self) -> tuple:
+        """The faces as a tuple of vertex triples."""
+        return tuple(map(tuple, self.face_array.tolist()))
 
     def euler_characteristic(self) -> int:
         return self.num_vertices - self.num_edges + self.num_faces
 
     def vertex_degrees(self) -> list[int]:
-        deg = [0] * self.num_vertices
-        for e in self.edge_faces:
-            a, b = tuple(e)
-            deg[a] += 1
-            deg[b] += 1
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.num_vertices).tolist()
 
     def is_even(self) -> bool:
         return all(d % 2 == 0 for d in self.vertex_degrees())
 
-    # -- validation --------------------------------------------------------
 
-    def _validate(self):
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
-            raise MeshInvariantError("vertices must be an (V, 3) array")
-        v = self.num_vertices
-        norms = np.linalg.norm(self.vertices, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= 1e-12):  # written so that NaN fails too
-            raise MeshInvariantError("vertices must lie on the unit sphere")
-        directed = set()
-        edge_faces: dict[frozenset, list[int]] = {}
-        for idx, face in enumerate(self.faces):
-            if len(set(face)) != 3 or any(not 0 <= x < v for x in face):
-                raise MeshInvariantError(f"bad face {face}")
-            for j in range(3):
-                a, b = face[j], face[(j + 1) % 3]
-                if (a, b) in directed:
-                    raise MeshInvariantError(f"directed edge {(a, b)} repeated: orientation broken")
-                directed.add((a, b))
-                edge_faces.setdefault(frozenset((a, b)), []).append(idx)
-        for e, fs in edge_faces.items():
-            if len(fs) != 2:
-                raise MeshInvariantError(f"edge {tuple(e)} borders {len(fs)} faces")
-        self.edge_faces = edge_faces
-        if self.euler_characteristic() != 2:
-            raise MeshInvariantError(
-                f"Euler characteristic {self.euler_characteristic()} != 2"
-            )
-        _check_links(v, self.faces)
+def _face_array(faces, num_vertices: int) -> tuple[np.ndarray, Optional[tuple]]:
+    """The faces as an (F, 3) int64 array up to the first that is not three
+    ints in range(num_vertices), and that face (None if there is none)."""
+    if isinstance(faces, np.ndarray) and faces.dtype.kind in "iu" and faces.shape[1:] == (3,):
+        return faces.astype(np.int64, copy=False), None
+    rows = []
+    for face in faces:
+        items = face if isinstance(face, Iterable) else (face,)
+        face = tuple(x.item() if isinstance(x, np.generic) else x for x in items)
+        if len(face) != 3 or not all(type(x) is int and 0 <= x < num_vertices for x in face):
+            return np.array(rows, dtype=np.int64).reshape(-1, 3), face
+        rows.append(face)
+    return np.array(rows, dtype=np.int64).reshape(-1, 3), None
+
+
+_LINK_FAULTS = ("has a pinched link", "is isolated", "link does not close up", "link splits into several cycles")
 
 
 def _check_links(num_vertices: int, faces) -> None:
     """Raise MeshInvariantError unless every vertex link is a single cycle.
-    The links (a -> b for each face (v, a, b) up to rotation) are built in one
-    pass over the faces, then checked vertex by vertex in index order."""
-    links: list[dict[int, int]] = [{} for _ in range(num_vertices)]
-    pinched = set()
-    for a, b, c in faces:
-        for vertex, x, y in ((a, b, c), (b, c, a), (c, a, b)):
-            if x in links[vertex]:
-                pinched.add(vertex)
-            links[vertex][x] = y
-    for vertex, nxt in enumerate(links):
-        if vertex in pinched:
-            raise MeshInvariantError(f"vertex {vertex} has a pinched link")
-        if not nxt:
-            raise MeshInvariantError(f"vertex {vertex} is isolated")
-        start = next(iter(nxt))
-        cur, seen = nxt[start], 1
-        while cur != start:
-            if seen > len(nxt) or cur not in nxt:
-                raise MeshInvariantError(f"vertex {vertex} link does not close up")
-            cur, seen = nxt[cur], seen + 1
-        if seen != len(nxt):
-            raise MeshInvariantError(f"vertex {vertex} link splits into several cycles")
+    The link of v maps a to b for each face (v, a, b) up to rotation; all
+    links are walked in step from the a of each vertex's first face."""
+    f = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    vertex = f.ravel()  # corner 3i + j of vertex f[i, j] steps its link from key to target
+    key = vertex * num_vertices + f[:, (1, 2, 0)].ravel()
+    target = vertex * num_vertices + f[:, (2, 0, 1)].ravel()
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    found = np.minimum(np.searchsorted(ranked, target), len(ranked) - 1)
+    succ = np.where(ranked[found] == target, order[found], -1)  # the corner the link steps to
+    fault = np.full(num_vertices, 2, dtype=np.int8)  # 1 + index into _LINK_FAULTS; 0 is a good link
+    at, start, degree = np.unique(vertex, return_index=True, return_counts=True)
+    live, corner, steps = np.arange(len(at)), succ[start], 1
+    while live.size:
+        closed = corner == start[live]
+        stuck = ~closed & ((corner < 0) | (steps > degree[live]))
+        fault[at[live[closed]]] = np.where(degree[live[closed]] == steps, 0, 4)
+        fault[at[live[stuck]]] = 3
+        keep = ~(closed | stuck)
+        live, corner, steps = live[keep], succ[corner[keep]], steps + 1
+    fault[vertex[order[1:][ranked[1:] == ranked[:-1]]]] = 1
+    faulty = np.flatnonzero(fault)
+    if faulty.size:
+        v = int(faulty[0])
+        raise MeshInvariantError(f"vertex {v} {_LINK_FAULTS[fault[v] - 1]}")
 
 
 def octahedron() -> SphericalTriangulation:
@@ -163,21 +198,16 @@ def subdivide(tri: SphericalTriangulation) -> SphericalTriangulation:
     """Midpoint (1-to-4) subdivision with geodesic midpoints.
 
     Old vertex degrees are unchanged; each new midpoint vertex has degree 6,
-    so evenness is preserved.
+    so evenness is preserved.  The midpoint of edge k is vertex V + k.
     """
-    edges = sorted(tuple(sorted(e)) for e in tri.edge_faces)
-    mids = tri.vertices[np.array(edges, dtype=np.intp).reshape(-1, 2)].sum(axis=1)
+    mids = tri.vertices[tri.edges].sum(axis=1)
     nrm = np.sqrt(_dot(mids, mids))
     if np.any(nrm < 1e-9):
-        e = edges[int(np.argmax(nrm < 1e-9))]
+        e = tuple(tri.edges[int(np.argmax(nrm < 1e-9))].tolist())
         raise DegenerateFaceError(f"edge {e} is antipodal: geodesic midpoint undefined")
-    edge_index = {e: tri.num_vertices + k for k, e in enumerate(edges)}
-    faces = []
-    for a, b, c in tri.faces:
-        mab = edge_index[tuple(sorted((a, b)))]
-        mbc = edge_index[tuple(sorted((b, c)))]
-        mca = edge_index[tuple(sorted((c, a)))]
-        faces.extend([(a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca)])
+    a, b, c = tri.face_array.T
+    mab, mbc, mca = (tri.num_vertices + tri.face_edges).T
+    faces = np.stack([a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca], axis=1).reshape(-1, 3)
     return SphericalTriangulation(np.vstack([tri.vertices, mids / nrm[:, None]]), faces)
 
 
@@ -189,60 +219,67 @@ def subdivide(tri: SphericalTriangulation) -> SphericalTriangulation:
 @dataclass(frozen=True)
 class ThreeColoring:
     colors: tuple  # vertex -> 0 | 1 | 2
+    # the mesh three_color verified this coloring on; later checks on it are skipped
+    verified_for: Optional[SphericalTriangulation] = field(default=None, compare=False, repr=False)
 
 
 def three_color(tri: SphericalTriangulation) -> ThreeColoring:
     """Proper 3-coloring of an even triangulation by dual-tree propagation.
 
-    Colors the first face arbitrarily and propagates across shared edges (the
-    third vertex of a neighboring face is forced).  The final global
-    verification is the source of truth; its failure raises
-    NotThreeColorableError, which on even sphere triangulations never happens.
+    Colors the first face (0, 1, 2) and propagates over a frontier of faces
+    across shared edges (the third vertex of a neighboring face is forced), so
+    each face is reached once.  The final global verification is the source
+    of truth; its failure raises NotThreeColorableError, which on even sphere
+    triangulations never happens.
     """
-    colors: list[Optional[int]] = [None] * tri.num_vertices
-    face_adj: dict[int, list[int]] = {i: [] for i in range(tri.num_faces)}
-    for fs in tri.edge_faces.values():
-        f, g = fs
-        face_adj[f].append(g)
-        face_adj[g].append(f)
-
-    first = tri.faces[0]
-    for c, vtx in enumerate(first):
-        colors[vtx] = c
-    queue = deque([0])
-    visited = {0}
-    while queue:
-        f = queue.popleft()
-        for g in sorted(face_adj[f]):
-            shared = set(tri.faces[f]) & set(tri.faces[g])
-            third = next(x for x in tri.faces[g] if x not in shared)
-            got = sorted(colors[x] for x in shared if colors[x] is not None)
-            if colors[third] is None and len(got) == 2 and got[0] != got[1]:
-                colors[third] = 3 - got[0] - got[1]
-            if g not in visited:
-                visited.add(g)
-                queue.append(g)
-
-    if any(c is None for c in colors):
+    f = tri.face_array
+    sides = tri.edge_faces[tri.face_edges]  # (F, 3, 2)
+    across = np.where(sides[..., 0] == np.arange(len(f))[:, None], sides[..., 1], sides[..., 0])
+    third = f[across].sum(axis=2) - f - f[:, (1, 2, 0)]  # the neighbor's vertex off the shared edge
+    colors = np.full(tri.num_vertices, -1)
+    colors[f[0]] = (0, 1, 2)
+    reached = np.zeros(len(f), dtype=bool)
+    reached[0] = True
+    frontier = np.array([0])
+    while frontier.size:
+        g = across[frontier].ravel()
+        fresh = ~reached[g]
+        t, ends = third[frontier].ravel()[fresh], colors[f[frontier]]
+        ca, cb = ends.ravel()[fresh], ends[:, (1, 2, 0)].ravel()[fresh]
+        paint = colors[t] < 0  # a non-even mesh may get junk here; the verification rejects it
+        colors[t[paint]] = 3 - ca[paint] - cb[paint]
+        frontier = np.sort(g[fresh])  # deduplicated without np.unique, which imports numpy.ma
+        frontier = frontier[np.diff(frontier, prepend=-1) != 0]
+        reached[frontier] = True
+    if np.any(colors < 0):
         raise NotThreeColorableError("propagation left vertices uncolored")
-    coloring = ThreeColoring(tuple(colors))
+    coloring = ThreeColoring(tuple(colors.tolist()))
     verify_coloring(tri, coloring)
-    return coloring
+    return ThreeColoring(coloring.colors, verified_for=tri)
 
 
 def verify_coloring(tri: SphericalTriangulation, coloring: ThreeColoring) -> None:
     """Raise NotThreeColorableError unless the coloring is proper and every
     face carries all three colors."""
-    colors = coloring.colors
-    if len(colors) != tri.num_vertices or any(c not in (0, 1, 2) for c in colors):
+    if len(coloring.colors) != tri.num_vertices or any(c not in (0, 1, 2) for c in coloring.colors):
         raise NotThreeColorableError("coloring does not assign 3 colors to all vertices")
-    for e in tri.edge_faces:
-        a, b = tuple(e)
-        if colors[a] == colors[b]:
-            raise NotThreeColorableError(f"edge {(a, b)} is monochromatic")
-    for face in tri.faces:
-        if sorted(colors[x] for x in face) != [0, 1, 2]:
-            raise NotThreeColorableError(f"face {face} is not trichromatic")
+    f = tri.face_array
+    corner_colors = np.array(coloring.colors, dtype=np.int64)[f]
+    # the first monochromatic corner in face order is its edge's first occurrence
+    mono = (corner_colors == corner_colors[:, (1, 2, 0)]).ravel()
+    if mono.any():
+        p = int(np.argmax(mono))
+        a, b = tuple(frozenset((int(f.flat[p]), int(f[p // 3, (p + 1) % 3]))))
+        raise NotThreeColorableError(f"edge {(a, b)} is monochromatic")
+    mixed = np.any(np.sort(corner_colors, axis=1) != (0, 1, 2), axis=1)
+    if mixed.any():
+        raise NotThreeColorableError(f"face {tuple(f[int(np.argmax(mixed))].tolist())} is not trichromatic")
+
+
+def _check_coloring(tri: SphericalTriangulation, coloring: ThreeColoring) -> None:
+    """verify_coloring, unless three_color already verified this coloring on tri."""
+    if coloring.verified_for is not tri:
+        verify_coloring(tri, coloring)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +321,8 @@ def mesh_geometry(tri: SphericalTriangulation, face_indices: Optional[list[int]]
     Raises DegenerateFaceError naming the first face, in the given order,
     that has collinear vertices or an antipodal edge.
     """
-    faces = tri.faces if face_indices is None else [tri.faces[i] for i in face_indices]
-    corners = tri.vertices[np.array(faces, dtype=np.intp).reshape(-1, 3)]  # (F, 3, 3)
+    faces = tri.face_array if face_indices is None else tri.face_array[np.asarray(face_indices, dtype=np.intp)]
+    corners = tri.vertices[faces]  # (F, 3, 3)
     v0, v1, v2 = corners[:, 0], corners[:, 1], corners[:, 2]
     following = corners[:, (1, 2, 0)]  # the second end of each edge, in face order
     normal = np.cross(v1 - v0, v2 - v0)
@@ -296,7 +333,7 @@ def mesh_geometry(tri: SphericalTriangulation, face_indices: Optional[list[int]]
     if bad.any():
         i = int(np.argmax(bad))
         why = "is degenerate (collinear vertices)" if nrm[i] < 1e-13 else "has an antipodal edge"
-        raise DegenerateFaceError(f"face {faces[i]} {why}")
+        raise DegenerateFaceError(f"face {tuple(faces[i].tolist())} {why}")
     center = normal / nrm[:, None]
     center[_dot(center, v0 + v1 + v2) < 0] *= -1.0
     angles = np.arccos(np.clip(_dot(center[:, None, :], corners), -1.0, 1.0))  # (F, 3)
@@ -328,10 +365,11 @@ def face_geometry(tri: SphericalTriangulation, face_index: int) -> FaceGeometry:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GluingPolyhedron:
     num_copies: int
-    identifications: tuple  # (face_a, face_b, (color_a, color_b)) per mesh edge
+    face_pairs: np.ndarray  # (E, 2): the two faces identified along each mesh edge, in mesh edge order
+    color_pairs: np.ndarray  # (E, 2): the sorted colors of that edge's ends
     euler_characteristic: int
     vertex_class_count: int
     color_matched: bool
@@ -339,58 +377,48 @@ class GluingPolyhedron:
     links_single_cycles: bool
 
 
+def _component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The smallest node of each node's connected component in the graph on
+    range(n) with edges (a[i], b[i]): hook the larger root of every edge that
+    joins two trees onto the smaller, jump pointers to a fixed point, and
+    repeat until no edge joins two trees."""
+    parent = np.arange(n)
+    while True:
+        while not np.array_equal(grand := parent[parent], parent):
+            parent = grand
+        ra, rb = parent[a], parent[b]
+        join = ra != rb
+        if not join.any():
+            return parent
+        np.minimum.at(parent, np.maximum(ra, rb)[join], np.minimum(ra, rb)[join])
+
+
 def gluing_pattern(tri: SphericalTriangulation, coloring: ThreeColoring) -> GluingPolyhedron:
     """Assemble the edge identifications of the glued polyhedron and audit
     that it is a closed surface of Euler characteristic 2."""
-    verify_coloring(tri, coloring)
-    colors = coloring.colors
-
-    identifications = []
-    for e, fs in sorted(tri.edge_faces.items(), key=lambda kv: tuple(sorted(kv[0]))):
-        a, b = tuple(sorted(e))
-        f, g = sorted(fs)
-        pair = tuple(sorted((colors[a], colors[b])))
-        identifications.append((f, g, pair))
+    _check_coloring(tri, coloring)
+    color_pairs = np.sort(np.array(coloring.colors, dtype=np.int64)[tri.edges], axis=1)
 
     # Corner classes: gluing along an edge with colors {c1, c2} matches the
-    # c1 corners of the two copies and likewise the c2 corners.
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    corner_edges: dict[tuple[int, int], int] = {}
-    for f, g, pair in identifications:
-        for c in pair:
-            rf, rg = find((f, c)), find((g, c))
-            if rf != rg:
-                parent[rf] = rg
-            corner_edges[(f, c)] = corner_edges.get((f, c), 0) + 1
-            corner_edges[(g, c)] = corner_edges.get((g, c), 0) + 1
-
-    # A class is a connected component of the graph whose edges are the
-    # identifications, so when every corner lies on exactly two of them each
-    # class is a single cycle.
-    corners = [(f, c) for f in range(tri.num_faces) for c in range(3)]
-    links_ok = all(corner_edges.get(k, 0) == 2 for k in corners)
-    v_w = len({find(k) for k in corners})
-    e_w = len(identifications)
+    # c1 corners (corner id 3f + c1) of the two copies and likewise the c2
+    # corners.  A class is a connected component of the graph whose edges
+    # are these matchings, so when every corner lies on exactly two of them
+    # each class is a single cycle.
+    ends = (3 * tri.edge_faces[:, None, :] + color_pairs[:, :, None]).reshape(-1, 2)
+    corners = 3 * tri.num_faces
+    roots = _component_roots(corners, ends[:, 0], ends[:, 1])
+    v_w = int(np.count_nonzero(roots == np.arange(corners)))
+    e_w = len(color_pairs)
     f_w = tri.num_faces
-    euler = v_w - e_w + f_w
-    closed = e_w * 2 == 3 * f_w
-    color_matched = all(len(set(pair)) == 2 for _, _, pair in identifications)
-
     return GluingPolyhedron(
-        num_copies=tri.num_faces,
-        identifications=tuple(identifications),
-        euler_characteristic=euler,
+        num_copies=f_w,
+        face_pairs=tri.edge_faces,
+        color_pairs=color_pairs,
+        euler_characteristic=v_w - e_w + f_w,
         vertex_class_count=v_w,
-        color_matched=color_matched,
-        closed=closed,
-        links_single_cycles=links_ok,
+        color_matched=bool(np.all(color_pairs[:, 0] != color_pairs[:, 1])),
+        closed=e_w * 2 == 3 * f_w,
+        links_single_cycles=bool(np.all(np.bincount(ends.ravel(), minlength=corners) == 2)),
     )
 
 
@@ -407,7 +435,7 @@ def audit_mesh(
     that already holds the mesh_geometry and gluing_pattern passes them in.
     An improper coloring has no glued polyhedron: its gluing fields fail."""
     try:
-        verify_coloring(tri, coloring)
+        _check_coloring(tri, coloring)
         proper = True
     except NotThreeColorableError:
         proper = False
@@ -443,29 +471,35 @@ def audit_passes(audit: dict) -> bool:
     )
 
 
+def off_chunks(tri: SphericalTriangulation):
+    """The OFF text of the mesh in pieces of wire.CHUNK_ROWS rows; coordinates
+    are written by float.__repr__."""
+    yield f"OFF\n{tri.num_vertices} {tri.num_faces} {tri.num_edges}\n"
+    for rows, line in ((tri.vertices, "{!r} {!r} {!r}\n"), (tri.face_array, "3 {} {} {}\n")):
+        for start in range(0, len(rows), wire.CHUNK_ROWS):
+            yield "".join(starmap(line.format, rows[start:start + wire.CHUNK_ROWS].tolist()))
+
+
 def to_off(tri: SphericalTriangulation) -> str:
-    lines = ["OFF", f"{tri.num_vertices} {tri.num_faces} {tri.num_edges}"]
-    for v in tri.vertices:
-        lines.append(f"{float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
-    for f in tri.faces:
-        lines.append(f"3 {f[0]} {f[1]} {f[2]}")
-    return "\n".join(lines) + "\n"
+    return "".join(off_chunks(tri))
 
 
 def sidecar_document(
     tri: SphericalTriangulation, coloring: ThreeColoring,
     geometry: Optional[MeshGeometry] = None, glue: Optional[GluingPolyhedron] = None,
 ) -> dict:
+    """The sidecar (colors, circumcenters, gluing) as a document whose arrays
+    are wire.Tables."""
     geometry = mesh_geometry(tri) if geometry is None else geometry
     glue = gluing_pattern(tri, coloring) if glue is None else glue
+    names = np.array(COLOR_NAMES)
     return {
         "schema": wire.SCHEMA,
-        "colors": [COLOR_NAMES[c] for c in coloring.colors],
-        "circumcenters": geometry.circumcenters.tolist(),
-        "gluing": [
-            [f, g, [COLOR_NAMES[pair[0]], COLOR_NAMES[pair[1]]]]
-            for f, g, pair in glue.identifications
-        ],
+        "colors": wire.Table(None, (names[np.array(coloring.colors, dtype=np.int64)],)),
+        "circumcenters": wire.Table([None] * 3, tuple(geometry.circumcenters.T)),
+        "gluing": wire.Table(
+            [None, None, [None, None]], (*glue.face_pairs.T, *names[glue.color_pairs].T)
+        ),
     }
 
 

@@ -1,5 +1,6 @@
 """The JSON wire format.  A document is a JSON object tagged with SCHEMA,
-written with sorted keys; an exact scalar a + b*i is written
+written with sorted keys (a large array may be a Table, written in chunks
+with the bytes json would write); an exact scalar a + b*i is written
 [[re_num, re_den], [im_num, im_den]].  Reading raises ValueError, and nothing
 else, on bad JSON, a wrong or missing schema or key, a leaf that is not an
 int, or a zero denominator; the constructors fed the decoded values check
@@ -15,6 +16,7 @@ from .exactla import GaussianRational
 from .hodge import HodgeNumbers
 
 SCHEMA = "hodge-domains/1"
+CHUNK_ROWS = 1 << 14  # rows of a Table (and of an OFF file) per piece of text
 
 
 def dumps(doc) -> str:
@@ -22,9 +24,42 @@ def dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def dumps_indented(doc) -> str:
-    """Canonical text of a JSON value, indented by one space."""
-    return json.dumps(doc, sort_keys=True, indent=1)
+class Table:
+    """A JSON array of same-shaped rows held as 1-D numpy columns, written
+    without building its lists.  `shape` nests a row with None for each leaf
+    (None alone: a row is one leaf); one column per leaf, in text order.
+    A plain class: a dataclass would add a millisecond to every CLI start."""
+    __slots__ = ("shape", "columns")
+
+    def __init__(self, shape, columns: tuple):
+        self.shape, self.columns = shape, columns
+
+
+def _leaf_texts(column) -> list[str]:
+    """What json writes for each value (a raw newline never occurs inside one)."""
+    return json.dumps(column.tolist(), separators=("\n", ":"))[1:-1].split("\n")
+
+
+def indented_chunks(doc: dict):
+    """dumps_indented(doc) in pieces; a value that is a Table comes CHUNK_ROWS rows a piece."""
+    yield "{"
+    for n, key in enumerate(sorted(doc)):
+        yield ("\n " if n == 0 else ",\n ") + json.dumps(key) + ": "
+        value = doc[key]
+        if not isinstance(value, Table):
+            yield json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n ")
+            continue
+        row = json.dumps(value.shape, indent=1).replace("null", "%s").replace("\n", "\n  ")
+        for start in range(0, len(value.columns[0]), CHUNK_ROWS):
+            leaves = zip(*(_leaf_texts(c[start:start + CHUNK_ROWS]) for c in value.columns))
+            yield ("[\n  " if start == 0 else ",\n  ") + ",\n  ".join(map(row.__mod__, leaves))
+        yield "\n ]" if len(value.columns[0]) else "[]"
+    yield "\n}" if doc else "}"
+
+
+def dumps_indented(doc: dict) -> str:
+    """Canonical text of a JSON object whose values may be Tables, indented by one space."""
+    return "".join(indented_chunks(doc))
 
 
 def encode_array(values) -> list:

@@ -298,6 +298,93 @@ def test_mesh_export_s6_within_readme_bound(tmp_path):
     assert elapsed < 20.0, f"mesh export at 6 subdivisions took {elapsed:.1f} s"
 
 
+MESH_SHA256 = {
+    # subdivisions: (OFF, sidecar), taken before the mesh topology moved to numpy arrays
+    0: ("f34f2206e82402b3f83c8b06405ed1232597abfcec4419c29fe214a214064878",
+        "4d02d161f7d80dd7457eaf8ee25d04020d45b2311af0fecc0e40ff2e2ff3b487"),
+    1: ("c5d8ee3ca2985af6e9bf6c0f372f3d17e2fe3033a6e81dab7e449719491f2e6c",
+        "992b6564577523f0521561af65bf91b8d1dc580c96582956dd3f74d0a7a27a9d"),
+    2: ("61828df235286057a032e3310f18049cf092689606d6b073983a09dcad6582f4",
+        "47322bc54d8f5779295523ab9e90ef1d1adc46cc7a83a5b1e08abaf47691ab7d"),
+    3: ("7d776810fe9a0ea749be55c81ffa1635208abbd8d354c432d15b2df7f46ec6c3",
+        "0a1340268850e0213d895fe40bd9c8ccf4d92ffd3d094910a67c1d18e83f8b64"),
+    4: ("c59ae90803406045eff5b98abf9c468495e9e0e15deed2d6af3278bd745b073f",
+        "8c20014ef3253b1c29fcdf0a5ae905d34841139716d7c4b2b8b2b69ce0ebfe75"),
+    5: ("dd89392a325c87e17094c9d3642afc7d3a73218db0de426072f6a4dd29946dc2",
+        "4601b7c77e3f90a0965b2cfeb3b09ebb3e5ec573a2ca8c1f688342331e0edd4a"),
+    6: ("329d561a52d90a65e7926bb456dbe796b0c7f6c4c52df00ef2b8b8f82ceb067b",
+        "2c7bd1d759357dbb3fed0199f93acfc04e55ae4559cd243bcee63e160e0ba1fc"),
+    7: ("d4dc0d96803312d032a85329b5852b3f9b579ba6614600bb8e5002fa1396f7e0",
+        "e6b85044c0bdfc773d9289e4e820526c99c6898778121b42f3ca4ffe68493d5f"),
+}
+
+MESH_JSON_SHA256 = {
+    # subdivisions: the --format json document, taken at the same revision
+    0: "a21160210c7b1e2de7257922b89265c86735603999bb29b0683444a051ca37b4",
+    1: "72feae68fdb9e754596bf658463f93998833fcacd640c5b17aee29494628bea8",
+    2: "a48f2282b537f81aac75f7100530bbec0fa8d828a6261bda69bf0b98e3fc53b3",
+    3: "0464a167ec5929759d411655f2915a5f1e34a4736f38781c0cf381dd2296aa52",
+    4: "151e8841c01425563ee83f6adc79959be41eccb914fdd343009613dda2c66be3",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("s", range(7))
+def test_mesh_export_bytes_pinned(tmp_path, s):
+    assert main(["mesh", "--subdivisions", str(s), "--out", str(tmp_path / "m.off")]) == EXIT_OK
+    assert (_sha256(tmp_path / "m.off"), _sha256(tmp_path / "m.json")) == MESH_SHA256[s]
+
+
+@pytest.mark.parametrize("s", range(5))
+def test_mesh_json_format_bytes_pinned(tmp_path, s):
+    argv = ["mesh", "--subdivisions", str(s), "--out", str(tmp_path / "m.json"), "--format", "json"]
+    assert main(argv) == EXIT_OK
+    assert _sha256(tmp_path / "m.json") == MESH_JSON_SHA256[s]
+
+
+def test_mesh_export_s7_within_readme_bound(tmp_path):
+    # README states this bound beside the s = 6/7/8 table
+    start = time.perf_counter()
+    code, written = export_mesh(RunConfig(subdivisions=7, output=str(tmp_path / "m.off"), fmt="off"))
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_OK
+    assert elapsed < 10.0, f"mesh export at 7 subdivisions took {elapsed:.1f} s"
+    assert (_sha256(tmp_path / "m.off"), _sha256(tmp_path / "m.json")) == MESH_SHA256[7]
+
+
+@pytest.mark.parametrize(
+    "blocked, argv",
+    [
+        ("x.off", ["--out", "x.off"]),
+        ("x.json", ["--out", "x.off"]),
+        ("x.json", ["--out", "x.json", "--format", "json"]),
+    ],
+    ids=["off", "sidecar", "json"],
+)
+def test_unwritable_mesh_path_leaves_no_file(tmp_path, capsys, monkeypatch, blocked, argv):
+    # a directory where one output file should go
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / blocked).mkdir()
+    assert main(["mesh", "--subdivisions", "1", *argv]) == EXIT_INVALID_INPUT
+    assert [p.name for p in tmp_path.iterdir()] == [blocked]
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+
+
+def test_mesh_export_verifies_the_coloring_once(tmp_path, monkeypatch):
+    import hodge_domains.spheremesh as spheremesh
+
+    calls = []
+    verify = spheremesh.verify_coloring
+    monkeypatch.setattr(spheremesh, "verify_coloring", lambda *args: calls.append(args) or verify(*args))
+    code, _ = export_mesh(RunConfig(subdivisions=2, output=str(tmp_path / "m.off"), fmt="off"))
+    assert code == EXIT_OK and len(calls) == 1
+
+
 # -- subprocess smoke ---------------------------------------------------------------
 
 

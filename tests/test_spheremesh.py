@@ -1,13 +1,15 @@
 import json
 import math
+import warnings
+from collections import deque
 
 import numpy as np
 import pytest
 
+from hodge_domains import wire
 from hodge_domains.spheremesh import (
     DegenerateFaceError,
     FaceGeometry,
-    GluingPolyhedron,
     MeshInvariantError,
     NotThreeColorableError,
     SphericalTriangulation,
@@ -129,6 +131,8 @@ def test_non_even_mesh_not_colorable():
     assert not flipped.is_even()
     with pytest.raises(NotThreeColorableError):
         three_color(flipped)
+    with pytest.raises(NotThreeColorableError):
+        reference_three_color(ReferenceTriangulation(t.vertices, faces))
 
 
 def test_verify_coloring_rejects_monochromatic_edge():
@@ -183,7 +187,7 @@ def test_gluing_octahedron_counts():
     t = octahedron()
     glue = gluing_pattern(t, three_color(t))
     assert glue.num_copies == 8
-    assert len(glue.identifications) == 12
+    assert len(glue.face_pairs) == len(glue.color_pairs) == 12
     assert glue.euler_characteristic == 2
     assert glue.vertex_class_count == 6
     assert glue.color_matched and glue.closed and glue.links_single_cycles
@@ -193,7 +197,7 @@ def test_gluing_color_pairs_match_by_construction():
     for s, tri in meshes_up_to(3):
         coloring = three_color(tri)
         glue = gluing_pattern(tri, coloring)
-        for f, g, pair in glue.identifications:
+        for f, g, pair in identifications(glue):
             shared = set(tri.faces[f]) & set(tri.faces[g])
             assert {coloring.colors[v] for v in shared} == set(pair)
 
@@ -311,10 +315,123 @@ def reference_face_geometry(tri, face_index):
     )
 
 
+class ReferenceTriangulation:
+    """The dict-based SphericalTriangulation that the array topology replaced:
+    edge_faces keyed by frozensets, faces checked one by one in a Python
+    loop.  Its link check is reference_check_links."""
+
+    def __init__(self, vertices: np.ndarray, faces):
+        self.vertices = np.asarray(vertices, dtype=float)
+        self.faces = tuple(tuple(int(v) for v in f) for f in faces)
+        self._validate()
+
+    @property
+    def num_vertices(self) -> int:
+        return len(self.vertices)
+
+    @property
+    def num_faces(self) -> int:
+        return len(self.faces)
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.edge_faces)
+
+    def euler_characteristic(self) -> int:
+        return self.num_vertices - self.num_edges + self.num_faces
+
+    def _validate(self):
+        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
+            raise MeshInvariantError("vertices must be an (V, 3) array")
+        v = self.num_vertices
+        norms = np.linalg.norm(self.vertices, axis=1)
+        if not np.all(np.abs(norms - 1.0) <= 1e-12):  # written so that NaN fails too
+            raise MeshInvariantError("vertices must lie on the unit sphere")
+        directed = set()
+        edge_faces: dict[frozenset, list[int]] = {}
+        for idx, face in enumerate(self.faces):
+            if len(set(face)) != 3 or any(not 0 <= x < v for x in face):
+                raise MeshInvariantError(f"bad face {face}")
+            for j in range(3):
+                a, b = face[j], face[(j + 1) % 3]
+                if (a, b) in directed:
+                    raise MeshInvariantError(f"directed edge {(a, b)} repeated: orientation broken")
+                directed.add((a, b))
+                edge_faces.setdefault(frozenset((a, b)), []).append(idx)
+        for e, fs in edge_faces.items():
+            if len(fs) != 2:
+                raise MeshInvariantError(f"edge {tuple(e)} borders {len(fs)} faces")
+        self.edge_faces = edge_faces
+        if self.euler_characteristic() != 2:
+            raise MeshInvariantError(
+                f"Euler characteristic {self.euler_characteristic()} != 2"
+            )
+        reference_check_links(v, self.faces)
+
+
+def reference_three_color(tri):
+    """Proper 3-coloring of an even ReferenceTriangulation by breadth-first
+    dual-tree propagation."""
+    colors = [None] * tri.num_vertices
+    face_adj = {i: [] for i in range(tri.num_faces)}
+    for fs in tri.edge_faces.values():
+        f, g = fs
+        face_adj[f].append(g)
+        face_adj[g].append(f)
+
+    first = tri.faces[0]
+    for c, vtx in enumerate(first):
+        colors[vtx] = c
+    queue = deque([0])
+    visited = {0}
+    while queue:
+        f = queue.popleft()
+        for g in sorted(face_adj[f]):
+            shared = set(tri.faces[f]) & set(tri.faces[g])
+            third = next(x for x in tri.faces[g] if x not in shared)
+            got = sorted(colors[x] for x in shared if colors[x] is not None)
+            if colors[third] is None and len(got) == 2 and got[0] != got[1]:
+                colors[third] = 3 - got[0] - got[1]
+            if g not in visited:
+                visited.add(g)
+                queue.append(g)
+
+    if any(c is None for c in colors):
+        raise NotThreeColorableError("propagation left vertices uncolored")
+    coloring = ThreeColoring(tuple(colors))
+    reference_verify_coloring(tri, coloring)
+    return coloring
+
+
+def reference_verify_coloring(tri, coloring):
+    colors = coloring.colors
+    if len(colors) != tri.num_vertices or any(c not in (0, 1, 2) for c in colors):
+        raise NotThreeColorableError("coloring does not assign 3 colors to all vertices")
+    for e in tri.edge_faces:
+        a, b = tuple(e)
+        if colors[a] == colors[b]:
+            raise NotThreeColorableError(f"edge {(a, b)} is monochromatic")
+    for face in tri.faces:
+        if sorted(colors[x] for x in face) != [0, 1, 2]:
+            raise NotThreeColorableError(f"face {face} is not trichromatic")
+
+
+def identifications(glue):
+    """(face_a, face_b, (color_a, color_b)) per mesh edge, as the reference lists them."""
+    return tuple((f, g, (a, b)) for (f, g), (a, b) in zip(glue.face_pairs.tolist(), glue.color_pairs.tolist()))
+
+
+def glue_fields(glue):
+    """A GluingPolyhedron's fields in the form reference_gluing_pattern returns."""
+    names = ("num_copies", "euler_characteristic", "vertex_class_count", "color_matched", "closed", "links_single_cycles")
+    return {"identifications": identifications(glue), **{name: getattr(glue, name) for name in names}}
+
+
 def reference_gluing_pattern(tri, coloring):
     """Assemble the edge identifications of the glued polyhedron and audit
-    that it is a closed surface of Euler characteristic 2."""
-    verify_coloring(tri, coloring)
+    that it is a closed surface of Euler characteristic 2.  tri is a
+    ReferenceTriangulation; the fields come back as a dict."""
+    reference_verify_coloring(tri, coloring)
     colors = coloring.colors
 
     identifications = []
@@ -388,7 +505,7 @@ def reference_gluing_pattern(tri, coloring):
     closed = e_w * 2 == 3 * f_w
     color_matched = all(len(set(pair)) == 2 for _, _, pair in identifications)
 
-    return GluingPolyhedron(
+    return dict(
         num_copies=tri.num_faces,
         identifications=tuple(identifications),
         euler_characteristic=euler,
@@ -428,7 +545,8 @@ def test_face_geometry_equals_reference_up_to_two():
 def test_gluing_pattern_equals_reference_up_to_three():
     for s, tri in meshes_up_to(3):
         coloring = three_color(tri)
-        assert gluing_pattern(tri, coloring) == reference_gluing_pattern(tri, coloring)
+        reference = ReferenceTriangulation(tri.vertices, tri.faces)
+        assert glue_fields(gluing_pattern(tri, coloring)) == reference_gluing_pattern(reference, coloring)
 
 
 def _torus_faces():
@@ -486,6 +604,96 @@ def test_open_link_is_an_invariant_error():
     )
 
 
+def _octahedron_faces_with(index, face):
+    faces = list(octahedron().faces)
+    faces[index:index] = [face]
+    return faces
+
+
+CORRUPTED = {
+    # name: (number of vertices, faces); every one fails validation
+    "repeated directed edge": (6, list(octahedron().faces) + [(2, 0, 1)]),
+    "repeated directed edge before a bad face": (6, list(octahedron().faces) + [(1, 2, 0), (0, 0, 0)]),
+    "bad face before a repeated directed edge": (6, _octahedron_faces_with(2, (0, 1, 1)) + [(1, 2, 0)]),
+    "edge on one face": (6, [f for f in octahedron().faces if f != (3, 4, 2)]),
+    # a third face on an edge repeats one of its two directions
+    "edge on three faces": (7, list(octahedron().faces) + [(0, 1, 6)]),
+    "single triangle": (3, [(0, 1, 2)]),
+    "euler characteristic 4": (12, list(octahedron().faces) + [tuple(x + 6 for x in f) for f in octahedron().faces]),
+    "repeated vertex": (6, _octahedron_faces_with(3, (4, 4, 2))),
+    "vertex out of range": (6, _octahedron_faces_with(5, (3, 1, 6))),
+    "negative vertex": (6, _octahedron_faces_with(1, (-1, 1, 5))),
+    "torus": (7, _torus_faces()),
+    "torus with isolated vertices": BAD_LINKS["is isolated"],
+    "two octahedra": BAD_LINKS["splits into several cycles"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CORRUPTED))
+def test_constructor_matches_reference_on_corrupted_meshes(kind):
+    num_vertices, faces = CORRUPTED[kind]
+    verts = np.tile([1.0, 0.0, 0.0], (num_vertices, 1))
+    expected = outcome(ReferenceTriangulation, verts, faces)
+    assert expected is not None and expected[0] is MeshInvariantError
+    assert outcome(SphericalTriangulation, verts, faces) == expected
+    assert outcome(SphericalTriangulation, verts, np.array(faces)) == expected
+
+
+def test_colors_and_gluing_equal_reference_up_to_five():
+    for s, tri in meshes_up_to(5):
+        reference = ReferenceTriangulation(tri.vertices, tri.faces)
+        assert tri.num_edges == reference.num_edges
+        assert tri.edges.tolist() == sorted(sorted(e) for e in reference.edge_faces)
+        coloring = three_color(tri)
+        assert coloring.colors == reference_three_color(reference).colors
+        assert glue_fields(gluing_pattern(tri, coloring)) == reference_gluing_pattern(reference, coloring)
+
+
+@pytest.mark.parametrize(
+    "colors",
+    [(0, 0, 1, 2, 1, 2), (0,) * 6, (0, 1, 2, 0, 1), (0, 1, 2, 0, 1, 3), (2, 1, 0, 1, 0, 2), (1, 2, 0, 1, 2, 0)],
+)
+def test_verify_coloring_matches_reference(colors):
+    t = octahedron()
+    reference = ReferenceTriangulation(t.vertices, t.faces)
+    expected = outcome(reference_verify_coloring, reference, ThreeColoring(colors))
+    assert outcome(verify_coloring, t, ThreeColoring(colors)) == expected
+
+
+@pytest.mark.parametrize("entry", [0.7, 0.0, np.float64(0.0), "0", True, np.bool_(False), None, 2**70])
+def test_non_integer_face_entry_rejected(entry):
+    t = octahedron()
+    faces = _octahedron_faces_with(0, (entry, 1, 2))
+    with pytest.raises(MeshInvariantError, match=r"^bad face \("):
+        SphericalTriangulation(t.vertices, faces)
+    with pytest.raises(MeshInvariantError, match=r"^bad face \("):
+        SphericalTriangulation(t.vertices, np.array(faces, dtype=object))
+
+
+def test_numpy_integer_faces_accepted():
+    t = octahedron()
+    for faces in (np.array(t.faces, dtype=np.int32), [tuple(np.int64(x) for x in f) for f in t.faces]):
+        tri = SphericalTriangulation(t.vertices, faces)
+        assert tri.faces == t.faces and all(type(x) is int for f in tri.faces for x in f)
+
+
+@pytest.mark.parametrize(
+    "verts",
+    [
+        octahedron().vertices + 0j,
+        octahedron().vertices + 1e-3j,
+        octahedron().vertices.astype(object) + 1e-3j,
+        octahedron().vertices.astype(str),
+    ],
+    ids=["complex", "imaginary", "object complex", "str"],
+)
+def test_non_real_vertices_rejected(verts):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshInvariantError, match="real numbers"):
+            SphericalTriangulation(verts, octahedron().faces)
+
+
 @pytest.mark.parametrize(
     "moved, onto, message",
     [
@@ -530,7 +738,7 @@ def test_sidecar_roundtrip_bit_exact():
 
 def test_sidecar_fields():
     t = octahedron()
-    doc = sidecar_document(t, three_color(t))
+    doc = json.loads(wire.dumps_indented(sidecar_document(t, three_color(t))))
     assert doc["schema"] == "hodge-domains/1"
     assert len(doc["colors"]) == 6
     assert set(doc["colors"]) == {"red", "green", "blue"}

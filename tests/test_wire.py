@@ -4,7 +4,9 @@ return the document's object, or raise ValueError and nothing else."""
 import copy
 import json
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -146,3 +148,31 @@ def test_deeply_nested_text_raises_value_error(loads):
 def test_negative_denominator_reads_as_the_same_scalar():
     doc = replaced(replaced(FLAG, ("basis", 0, 0, 0), [-1, -1]), ("basis", 0, 0, 1), [0, -7])
     assert flag_loads(json.dumps(doc)).basis == flag_loads(json.dumps(FLAG)).basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12), st.data())
+def test_table_text_equals_json_text(rows, data):
+    # the chunked Table writer against json on the nested lists; 5 rows a chunk
+    floats = data.draw(st.lists(st.floats(), min_size=rows, max_size=rows))
+    ints = data.draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=rows, max_size=rows))
+    # numpy drops trailing NUL characters from its strings
+    texts = data.draw(st.lists(st.text(st.characters(blacklist_characters="\x00"), max_size=4), min_size=rows, max_size=rows))
+    doc = {
+        "rows": wire.Table([None, [None, None]], (np.array(floats, dtype=float), np.array(ints, dtype=np.int64), np.array(texts, dtype=str))),
+        "ints": wire.Table(None, (np.array(ints, dtype=np.int64),)),
+        "schema": wire.SCHEMA,
+        "nested": {"b": [1.5, [True, None]], "a": "x"},
+    }
+    plain = {
+        "rows": [[f, [i, t]] for f, i, t in zip(floats, ints, texts)],
+        "ints": ints,
+        "schema": wire.SCHEMA,
+        "nested": {"b": [1.5, [True, None]], "a": "x"},
+    }
+    with mock.patch.object(wire, "CHUNK_ROWS", 5):
+        assert wire.dumps_indented(doc) == json.dumps(plain, sort_keys=True, indent=1)
+
+
+def test_empty_document_text():
+    assert wire.dumps_indented({}) == json.dumps({}, sort_keys=True, indent=1)
