@@ -114,7 +114,7 @@ def form_definiteness(vectors: Iterable[Vector], signs: Optional[tuple[int, ...]
 def _leading_minors(g) -> list[int]:
     """[1, d_1, ..., d_t]: the leading minors of g over Z[i] before the first zero
     one (d_{t+1} = 0 if t < n), the pivots of one elimination before a row swap."""
-    pivot_cols, _, pivots, swap = _eliminate(g)
+    pivot_cols, _, pivots, swap = _eliminate(g, forward=True)
     return [1] + [re for k, (c, (re, _)) in enumerate(zip(pivot_cols[:swap], pivots)) if c == k]
 
 

@@ -227,7 +227,7 @@ def _cleared(v) -> tuple[int, list[int], list[int]]:
     return l, [z.a * (l // z.d) for z in v], [z.b * (l // z.d) for z in v]
 
 
-def _eliminate(a: Sequence[Sequence]):
+def _eliminate(a: Sequence[Sequence], forward: bool = False):
     """Fraction-free Gauss-Jordan elimination over Z[i] (Bareiss 1968).
 
     Each row is first scaled by the lcm of its denominators, which keeps the
@@ -237,6 +237,11 @@ def _eliminate(a: Sequence[Sequence]):
     previous pivot; the division is exact, so entries stay minors and their
     size grows polynomially.  After the last step every pivot entry equals the
     last pivot d, and the reduced row echelon form is the rows divided by d.
+
+    With forward=True a step updates only the rows below the pivot row, and
+    only right of the pivot column (left of it those rows are zero); the rows
+    are then left partly stale, but the pivot row is never touched by the
+    updates above it, so pivot_cols, pivots and swap are the same.
 
     A real matrix stays real, so then only the real parts are updated.
 
@@ -257,30 +262,32 @@ def _eliminate(a: Sequence[Sequence]):
         r = len(pivot_cols)
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if rows[i][0][c] or rows[i][1][c]), None)
-        if piv is None:
+        for piv in range(r, nrows):
+            if rows[piv][0][c] or rows[piv][1][c]:
+                break
+        else:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
             swap = r if swap is None else swap
+        lo = c + 1 if forward else 0
         yr, yi = rows[r]
         pa, pb = yr[c], yi[c]
+        yr, yi = yr[lo:], yi[lo:]
         qn = qa * qa + qb * qb
-        for i in range(nrows):
+        for i in range(r + 1 if forward else 0, nrows):
             if i == r:
                 continue
             xr, xi = rows[i]
             fa, fb = xr[c], xi[c]
             if real:
-                rows[i] = ([(pa * x - fa * y) // qa for x, y in zip(xr, yr)], xi)
+                xr[lo:] = [(pa * x - fa * y) // qa for x, y in zip(xr[lo:], yr)]
                 continue
-            tr = [pa * x - pb * u - fa * y + fb * v for x, u, y, v in zip(xr, xi, yr, yi)]
-            ti = [pa * u + pb * x - fa * v - fb * y for x, u, y, v in zip(xr, xi, yr, yi)]
+            tr = [pa * x - pb * u - fa * y + fb * v for x, u, y, v in zip(xr[lo:], xi[lo:], yr, yi)]
+            ti = [pa * u + pb * x - fa * v - fb * y for x, u, y, v in zip(xr[lo:], xi[lo:], yr, yi)]
             # exact division by the previous pivot: t / q = t * conj(q) / |q|^2
-            rows[i] = (
-                [(s * qa + t * qb) // qn for s, t in zip(tr, ti)],
-                [(t * qa - s * qb) // qn for s, t in zip(tr, ti)],
-            )
+            xr[lo:] = [(s * qa + t * qb) // qn for s, t in zip(tr, ti)]
+            xi[lo:] = [(t * qa - s * qb) // qn for s, t in zip(tr, ti)]
         pivot_cols.append(c)
         pivots.append((pa, pb))
         qa, qb = pa, pb
@@ -295,7 +302,7 @@ def _divide(xa: int, xb: int, d: tuple[int, int]) -> GaussianRational:
 
 def rank(a: Sequence[Sequence]) -> int:
     """Exact rank over Q(i) of a matrix of Gaussian rationals, Fractions or ints."""
-    return len(_eliminate(a)[0])
+    return len(_eliminate(a, forward=True)[0])
 
 
 def nullspace(a: Sequence[Sequence]) -> list[list[GaussianRational]]:
@@ -341,7 +348,7 @@ def hermitian_definiteness(g: Sequence[Sequence]) -> str:
                 raise ValueError("matrix is not Hermitian")
     if n == 0:
         return "positive"  # empty form, vacuously definite either way
-    pivot_cols, _, pivots, swap = _eliminate(g)
+    pivot_cols, _, pivots, swap = _eliminate(g, forward=True)
     if len(pivot_cols) < n:
         return "degenerate"
     if swap is not None:

@@ -20,11 +20,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
 from .exactla import (
     GaussianRational,
-    QI_ZERO,
     _cleared,
     as_matrix,
     is_zero_matrix,
@@ -93,15 +93,6 @@ def horizontal_positions(ranks: HodgeNumbers) -> tuple[tuple[int, int, int], ...
     )
 
 
-def model_vector(n: int, v1: Iterable, v2: Iterable) -> HorizontalVector:
-    """The rank-(1,n,1) model: v1, v2 in C^n give components (column v1, row t(v2))."""
-    ranks = HodgeNumbers((1, n, 1))
-    v1, v2 = as_matrix((v1, v2), 2, n)
-    a0 = tuple((x,) for x in v1)
-    a1 = (v2,)
-    return HorizontalVector(ranks, (a0, a1))
-
-
 @dataclass(frozen=True)
 class TwoPlane:
     """An oriented real 2-plane spanned by R-independent horizontal vectors."""
@@ -139,10 +130,53 @@ def dtheta_bracket(u: HorizontalVector, w: HorizontalVector) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _bracket_table(ranks: HodgeNumbers) -> tuple[tuple[int, ...], ...]:
+    """table[k][p]: which entry of a fixed horizontal vector s lands at entry
+    k of the flattened level-two bracket of the basis vector at
+    horizontal_positions(ranks)[p] against s.  With N the length of s's
+    flattening, j < N means s_j, N <= j < 2N means -s_(j-N), and 2N means 0.
+
+    Only components i-1 and i of the bracket of the basis vector at
+    (component i, entry (row, col)) are nonzero: component i is the matrix
+    s_{i+1} E_{row,col} (a column slice of s_{i+1}) and component i-1 is
+    -E_{row,col} s_{i-1} (a row slice of s_{i-1}); each entry is hit once."""
+    r, k = ranks.ranks, ranks.k
+    positions = horizontal_positions(ranks)
+    n = len(positions)
+    # where each component of the flattened bracket, and of s, starts
+    out = list(accumulate((r[j] * r[j + 2] for j in range(k - 1)), initial=0))
+    at = list(accumulate((r[j] * r[j + 1] for j in range(k)), initial=0))
+    table = [[2 * n] * n for _ in range(out[-1])]
+    for p, (i, row, col) in enumerate(positions):
+        if i < k - 1:
+            for x in range(r[i + 2]):
+                table[out[i] + x * r[i] + col][p] = at[i + 1] + x * r[i + 1] + row
+        if i >= 1:
+            for y in range(r[i - 1]):
+                table[out[i - 1] + row * r[i - 1] + y][p] = n + at[i - 1] + col * r[i - 1] + y
+    return tuple(map(tuple, table))
+
+
+def _signed(s: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """s, then -s, then 0: the entries _bracket_table indexes."""
+    return (*s, *((-a, -b) for a, b in s), (0, 0))
+
+
 def is_isotropic(plane: TwoPlane) -> bool:
     """Whether the bracket 2-form vanishes on the plane (bilinearity and
-    antisymmetry make the single spanning pair sufficient)."""
-    return all(is_zero_matrix(list(map(list, mx))) for mx in dtheta_bracket(plane.u, plane.w))
+    antisymmetry make the single spanning pair sufficient).  The bracket is
+    complex-linear in u, so entry k of bracket(u, w) is sum_p u_p times entry
+    k of bracket(e_p, w), e_p the basis vector at position p; on u and w
+    cleared of denominators this is a positive multiple of dtheta_bracket."""
+    u, w = plane.u.gaussian_integers, _signed(plane.w.gaussian_integers)
+    return all(_zdot(u, [w[j] for j in image]) == (0, 0) for image in _bracket_table(plane.ranks))
+
+
+def _zdot(xs: Sequence[tuple[int, int]], ys: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """sum(x * y) over Z[i], for (re, im) int pairs."""
+    return (sum(a * c - b * e for (a, b), (c, e) in zip(xs, ys)),
+            sum(a * e + b * c for (a, b), (c, e) in zip(xs, ys)))
 
 
 def complex_independent(u: HorizontalVector, w: HorizontalVector) -> bool:
@@ -151,37 +185,6 @@ def complex_independent(u: HorizontalVector, w: HorizontalVector) -> bool:
 
 def is_complex_line(plane: TwoPlane) -> bool:
     return not complex_independent(plane.u, plane.w)
-
-
-def _components(ranks: HodgeNumbers, flat: list) -> list[list[list]]:
-    """The flattened entries of a horizontal vector, regrouped as its components."""
-    r = ranks.ranks
-    entries = iter(flat)
-    return [[[next(entries) for _ in range(r[i])] for _ in range(r[i + 1])] for i in range(ranks.k)]
-
-
-def _bracket_images(r: tuple[int, ...], offsets: list[int], positions, s_components) -> list[list]:
-    """images[k][p]: entry k of the flattened level-two bracket of the basis
-    vector at positions[p] against a fixed horizontal vector s, whose
-    components hold (re, im) pairs; offsets[j] is where component j of the
-    flattened level-two piece starts, and offsets[-1] its length.
-
-    Only components i-1 and i of the bracket of the basis vector at
-    (component i, entry (row, col)) are nonzero: component i is the matrix
-    s_{i+1} E_{row,col} (a column slice of s_{i+1}) and component i-1 is
-    -E_{row,col} s_{i-1} (a row slice of s_{i-1}); each entry is hit once."""
-    images = [[(0, 0)] * len(positions) for _ in range(offsets[-1])]
-    for p, (i, row, col) in enumerate(positions):
-        if i < len(offsets) - 1:
-            sp = s_components[i + 1]  # r_{i+2} x r_{i+1}
-            for x in range(r[i + 2]):
-                images[offsets[i] + x * r[i] + col][p] = sp[x][row]
-        if i >= 1:
-            sm = s_components[i - 1]  # r_i x r_{i-1}
-            for y in range(r[i - 1]):
-                re, im = sm[col][y]
-                images[offsets[i - 1] + row * r[i - 1] + y][p] = (-re, -im)
-    return images
 
 
 def is_regular(plane: TwoPlane) -> bool:
@@ -194,21 +197,18 @@ def is_regular(plane: TwoPlane) -> bool:
     bracket being complex-linear in v) and the rank is computed exactly over Q,
     with u and w cleared of denominators so that its entries are ints.
     """
-    ranks = plane.ranks
-    r = ranks.ranks
-    offsets = [0]
-    for j in range(ranks.k - 1):
-        offsets.append(offsets[-1] + r[j] * r[j + 2])
-    if offsets[-1] == 0:
+    table = _bracket_table(plane.ranks)
+    if not table:
         return True
-    positions = horizontal_positions(ranks)
     rows: list[list[int]] = []
     for v in (plane.u, plane.w):
-        for image in _bracket_images(r, offsets, positions, _components(ranks, v.gaussian_integers)):
-            # real and imaginary part of each entry; columns for e, then for i*e
-            rows.append([x for re, im in image for x in (re, -im)])
-            rows.append([x for re, im in image for x in (im, re)])
-    return rank(rows) == 4 * offsets[-1]
+        s = _signed(v.gaussian_integers)
+        # real and imaginary part of each entry; columns for e, then for i*e
+        re_parts, im_parts = [(a, -b) for a, b in s], [(b, a) for a, b in s]
+        for image in table:
+            rows.append([x for j in image for x in re_parts[j]])
+            rows.append([x for j in image for x in im_parts[j]])
+    return rank(rows) == 4 * len(table)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +230,9 @@ class Pu2nReport:
 def _sample_model_plane(n: int, rng: random.Random, half_zero: bool = False) -> TwoPlane:
     """A random plane spanned by Gaussian-integer vectors; with half_zero the
     second components are zero, a stratum on which the symplectic scalar
-    vanishes identically."""
+    vanishes identically.  Each vector has components (column v1, row t(v2))
+    for v1, v2 in Z[i]^n."""
+    ranks = HodgeNumbers((1, n, 1))
     while True:
         # An unused draw: it keeps each seed's RNG sequence, and so the
         # --classify-out stream, fixed.  (Scaling both vectors by a common
@@ -238,12 +240,12 @@ def _sample_model_plane(n: int, rng: random.Random, half_zero: bool = False) -> 
         rng.choice((1, 1, 2, 3))
         vecs = []
         for _ in range(2):
-            v1 = [GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
-            if half_zero:
-                v2 = [QI_ZERO] * n
-            else:
-                v2 = [GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
-            vecs.append(model_vector(n, v1, v2))
+            pairs = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
+            pairs += [(0, 0)] * n if half_zero else [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
+            z = [GaussianRational(a, b) for a, b in pairs]
+            v = HorizontalVector(ranks, (tuple((x,) for x in z[:n]), (tuple(z[n:]),)))
+            vars(v)["gaussian_integers"] = tuple(pairs)  # the cached property, read off the draws
+            vecs.append(v)
         try:
             return TwoPlane(vecs[0], vecs[1])
         except ValueError:

@@ -301,7 +301,6 @@ class MeshGeometry:
     """FaceGeometry of every face at once: row i belongs to face i."""
     circumcenters: np.ndarray  # (F, 3)
     circumradii: np.ndarray  # (F,)
-    midpoints: np.ndarray  # (F, 3, 3)
     circumcenter_inside: np.ndarray  # (F,) bool
     equidistance_residuals: np.ndarray  # (F,)
 
@@ -314,8 +313,8 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def mesh_geometry(tri: SphericalTriangulation, face_indices: Optional[list[int]] = None) -> MeshGeometry:
-    """Circumcenter, angular circumradius, edge midpoints, and containment of
-    the circumcenter in the closed spherical triangle, for the given faces (by
+    """Circumcenter, angular circumradius, and containment of the
+    circumcenter in the closed spherical triangle, for the given faces (by
     default all of them) in one vectorized pass.
 
     Raises DegenerateFaceError naming the first face, in the given order,
@@ -341,19 +340,21 @@ def mesh_geometry(tri: SphericalTriangulation, face_indices: Optional[list[int]]
     return MeshGeometry(
         circumcenters=center,
         circumradii=angles[:, 0],
-        midpoints=mids / mid_norms[..., None],
         circumcenter_inside=np.all(sides >= -1e-12, axis=1),
         equidistance_residuals=np.max(np.abs(angles - angles[:, :1]), axis=1),
     )
 
 
 def face_geometry(tri: SphericalTriangulation, face_index: int) -> FaceGeometry:
-    """mesh_geometry of one face."""
+    """mesh_geometry of one face, with its edge midpoints."""
     g = mesh_geometry(tri, [face_index])
+    corners = tri.vertices[tri.face_array[[face_index]]]  # (1, 3, 3), the shape mesh_geometry sees
+    mids = corners + corners[:, (1, 2, 0)]
+    mids = mids / np.sqrt(_dot(mids, mids))[..., None]
     return FaceGeometry(
         circumcenter=tuple(g.circumcenters[0].tolist()),
         circumradius=float(g.circumradii[0]),
-        midpoints=tuple(tuple(m) for m in g.midpoints[0].tolist()),
+        midpoints=tuple(tuple(m) for m in mids[0].tolist()),
         circumcenter_inside=bool(g.circumcenter_inside[0]),
         equidistance_residual=float(g.equidistance_residuals[0]),
     )

@@ -159,6 +159,15 @@ def test_verify_planes_bytes_pinned(tmp_path, capsys, monkeypatch, ranks, sample
     assert hashlib.sha256((tmp_path / "planes.jsonl").read_bytes()).hexdigest() == planes_sha256
 
 
+def test_verify_total_rank_20_within_readme_bound(capsys):
+    # the bound README states: 4x the 1.5 s measured in-process on 2 CPUs
+    start = time.perf_counter()
+    code = main(["verify", "--ranks", "1,18,1", "--samples", "10"])
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_OK and json.loads(capsys.readouterr().out)["all_passed"]
+    assert elapsed < 6.0, f"verify at (1,18,1) with 10 samples took {elapsed:.1f} s"
+
+
 def test_verify_out_file_and_text(tmp_path, capsys):
     target = tmp_path / "verify.txt"
     code = main(

@@ -1,8 +1,8 @@
 """Horizontal vectors, the bracket 2-form, isotropy and regularity.
 
-The helpers below build horizontal vectors for the tests (basis vectors,
-scaling, sums, GL(2, R) changes of the spanning pair, the (1,n,1) symplectic
-scalar).  The reference_* functions are the plane sampler and the rank-based
+The helpers below build horizontal vectors for the tests (the (1,n,1) model
+vector, basis vectors, scaling, sums, GL(2, R) changes of the spanning pair,
+the (1,n,1) symplectic scalar).  The reference_* functions are the plane sampler and the rank-based
 independence tests as they were before the plane path moved to Gaussian
 integers, kept verbatim as the oracle for it.
 """
@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hodge_domains.exactla import GaussianRational, Qi, QI_ZERO, rank
+from hodge_domains.exactla import GaussianRational, Qi, QI_ZERO, as_matrix, rank
 from hodge_domains.hodge import HodgeNumbers
 from hodge_domains.horizontal import (
     HorizontalVector,
@@ -28,13 +28,21 @@ from hodge_domains.horizontal import (
     is_isotropic,
     is_regular,
     isotropic_tuple_orbit_dimension,
-    model_vector,
     stabilizer_dimension,
     su22_embedding,
     verify_pu2n_criterion,
 )
 from hodge_domains.pi2 import class_of_root
 from hodge_domains.rootcalc import bridge_root, parabolic_from_ranks
+
+
+def model_vector(n: int, v1, v2) -> HorizontalVector:
+    """The rank-(1,n,1) model: v1, v2 in C^n give components (column v1, row t(v2))."""
+    ranks = HodgeNumbers((1, n, 1))
+    v1, v2 = as_matrix((v1, v2), 2, n)
+    a0 = tuple((x,) for x in v1)
+    a1 = (v2,)
+    return HorizontalVector(ranks, (a0, a1))
 
 
 def scale(v: HorizontalVector, c) -> HorizontalVector:
@@ -426,7 +434,10 @@ def test_minor_scans_match_rank(pair):
     u, w = pair
     assert complex_independent(u, w) == reference_complex_independent(u, w)
     if reference_real_independent(u, w):
-        TwoPlane(u, w)
+        plane = TwoPlane(u, w)
+        # the integer verdicts against the GaussianRational bracket and the reference regularity matrix
+        assert is_isotropic(plane) == all(x == 0 for mx in dtheta_bracket(u, w) for row in mx for x in row)
+        assert is_regular(plane) == reference_is_regular(plane)
     else:
         with pytest.raises(ValueError, match="linearly dependent over R"):
             TwoPlane(u, w)
