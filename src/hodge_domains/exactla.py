@@ -191,10 +191,6 @@ def _dot_plain(xs, ys) -> GaussianRational:
     return _gaussian(a, b, d)
 
 
-def mat_sub(a, b):
-    return [[_coerce(x) - _coerce(y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_neg(a):
     return [[-_coerce(x) for x in row] for row in a]
 

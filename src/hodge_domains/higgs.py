@@ -12,21 +12,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate, combinations
 from typing import Iterable, Optional
 
 from . import wire
-from .exactla import (
-    GaussianRational,
-    Qi,
-    QI_ZERO,
-    as_matrix,
-    is_zero_matrix,
-    mat_mul,
-    mat_sub,
-    nullspace,
-    rank,
-)
+from .exactla import GaussianRational, Qi, QI_ZERO, _cleared, as_matrix, is_zero_matrix, nullspace, rank
 from .hodge import HodgeNumbers
+from .horizontal import _bracket_entries, _bracket_table
 
 Matrix = tuple  # tuple of row tuples of GaussianRational
 
@@ -79,15 +71,21 @@ class CommutationResult:
 
 def check_commutation(h: HiggsField) -> CommutationResult:
     """Whether theta_{i+1}^(a) theta_i^(b) = theta_{i+1}^(b) theta_i^(a) for all
-    layers and direction pairs a < b."""
-    for i in range(h.ranks.k - 1):
-        for a in range(1, h.tangent_dim + 1):
-            for b in range(a + 1, h.tangent_dim + 1):
-                lhs = mat_mul(list(map(list, h.component(i + 1, a))), list(map(list, h.component(i, b))))
-                rhs = mat_mul(list(map(list, h.component(i + 1, b))), list(map(list, h.component(i, a))))
-                if not is_zero_matrix(mat_sub(lhs, rhs)):
-                    return CommutationResult(False, (i, a, b))
-    return CommutationResult(True, None)
+    layers and direction pairs a < b: whether component i of the level-two
+    bracket of directions a and b vanishes (on the directions cleared of
+    denominators, which scales it by a positive integer)."""
+    r = h.ranks.ranks
+    starts = list(accumulate((r[i] * r[i + 2] for i in range(h.ranks.k - 1)), initial=0))
+    directions = []
+    for a in range(h.tangent_dim):
+        _, re, im = _cleared([x for layer in h.theta for row in layer[a] for x in row])
+        directions.append(list(zip(re, im)))
+    violations = []
+    for a, b in combinations(range(h.tangent_dim), 2):
+        entries = _bracket_entries(h.ranks, directions[a], directions[b])
+        violations += [(i, a + 1, b + 1) for i in range(h.ranks.k - 1)
+                       if any(map(any, entries[starts[i]:starts[i + 1]]))]
+    return CommutationResult(not violations, min(violations, default=None))
 
 
 def stacked_matrix(h: HiggsField, i: int) -> list[list[GaussianRational]]:
@@ -259,48 +257,25 @@ def _sample_nullspace(ranks: HodgeNumbers, m_t: int, rng: random.Random) -> Higg
 def _solve_direction(ranks: HodgeNumbers, fixed: list, rng: random.Random):
     """Sample an unknown direction phi with phi_{i+1} f_i = f_{i+1} phi_i
     against every fixed direction f, from the exact nullspace of that linear
-    system."""
+    system: entry k of the bracket of phi against f vanishes, whose
+    coefficients in flatten order are row k of _bracket_table filled from f."""
     r = ranks.ranks
-    k = ranks.k
-    offsets = []
-    total = 0
-    for i in range(k):
-        offsets.append(total)
-        total += r[i + 1] * r[i]
-
-    def var(i, row, col):
-        return offsets[i] + row * r[i] + col
-
-    rows: list[list[GaussianRational]] = []
+    total = sum(r[i + 1] * r[i] for i in range(ranks.k))
+    # a zero row changes no solution; with no level-two bracket (k = 1) it is the system
+    rows: list[list[GaussianRational]] = [[QI_ZERO] * total]
     for f in fixed:
-        for i in range(k - 1):
-            for u in range(r[i + 2]):
-                for v in range(r[i]):
-                    row = [QI_ZERO] * total
-                    # phi_{i+1}[u][w] * f_i[w][v]  -  f_{i+1}[u][w] * phi_i[w][v]
-                    for w in range(r[i + 1]):
-                        row[var(i + 1, u, w)] = row[var(i + 1, u, w)] + f[i][w][v]
-                        row[var(i, w, v)] = row[var(i, w, v)] - f[i + 1][u][w]
-                    rows.append(row)
-    if rows:
-        basis = nullspace(rows)
-    else:
-        basis = [[Qi(1) if j == i else QI_ZERO for j in range(total)] for i in range(total)]
+        flat = [x for mx in f for row in mx for x in row]
+        signed = (*flat, *(-x for x in flat), QI_ZERO)
+        rows.extend([signed[j] for j in image] for image in _bracket_table(ranks))
+    basis = nullspace(rows)
     # an empty basis means the system forces this direction to vanish
     vec = [QI_ZERO] * total
     for b in basis:
         c = Qi(rng.randint(-2, 2))
         if not c.is_zero():
             vec = [x + c * y for x, y in zip(vec, b)]
-    out = []
-    for i in range(k):
-        out.append(
-            tuple(
-                tuple(vec[var(i, row, col)] for col in range(r[i]))
-                for row in range(r[i + 1])
-            )
-        )
-    return out
+    entries = iter(vec)
+    return [tuple(tuple(next(entries) for _ in range(r[i])) for _ in range(r[i + 1])) for i in range(ranks.k)]
 
 
 # ---------------------------------------------------------------------------

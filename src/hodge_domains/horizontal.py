@@ -23,15 +23,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
-from .exactla import (
-    GaussianRational,
-    _cleared,
-    as_matrix,
-    is_zero_matrix,
-    mat_mul,
-    mat_sub,
-    rank,
-)
+from .exactla import GaussianRational, _cleared, _gaussian, as_matrix, is_zero_matrix, rank
 from .hodge import HodgeNumbers
 from .pi2 import Pi2Class, class_of_root
 from .rootcalc import bridge_root, entry_level, parabolic_from_ranks, sparse_bracket
@@ -118,16 +110,17 @@ class TwoPlane:
 
 def dtheta_bracket(u: HorizontalVector, w: HorizontalVector) -> tuple:
     """The level-two component of the commutator: entry i is
-    w_{i+1} u_i - u_{i+1} w_i, an r_{i+2} x r_i matrix."""
+    w_{i+1} u_i - u_{i+1} w_i, an r_{i+2} x r_i matrix, computed over Z[i]
+    on u and w cleared of denominators."""
     if u.ranks != w.ranks:
         raise ValueError("rank mismatch")
-    a, b = u.components, w.components
-    out = []
-    for i in range(u.ranks.k - 1):
-        lhs = mat_mul(list(map(list, b[i + 1])), list(map(list, a[i])))
-        rhs = mat_mul(list(map(list, a[i + 1])), list(map(list, b[i])))
-        out.append(tuple(tuple(row) for row in mat_sub(lhs, rhs)))
-    return tuple(out)
+    (l, ure, uim), (m, wre, wim) = _cleared(u.flatten()), _cleared(w.flatten())
+    entries = iter(_bracket_entries(u.ranks, list(zip(ure, uim)), list(zip(wre, wim))))
+    r = u.ranks.ranks
+    return tuple(
+        tuple(tuple(_gaussian(*next(entries), l * m) for _ in range(r[i])) for _ in range(r[i + 2]))
+        for i in range(u.ranks.k - 1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -158,25 +151,32 @@ def _bracket_table(ranks: HodgeNumbers) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, table))
 
 
-def _signed(s: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """s, then -s, then 0: the entries _bracket_table indexes."""
-    return (*s, *((-a, -b) for a, b in s), (0, 0))
+def _bracket_entries(ranks: HodgeNumbers, u: Sequence[tuple[int, int]],
+                     w: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The flattened level-two bracket of u against w, for u and w over Z[i]
+    given as (re, im) int pairs in flatten order.  The bracket is
+    complex-linear in u, so entry k is sum_p u_p times entry k of the bracket
+    of the basis vector e_p against w, which _bracket_table reads off w."""
+    s = (*w, *((-a, -b) for a, b in w))  # w, then -w; _bracket_table's index len(s) means 0
+    zero = len(s)
+    out = []
+    for image in _bracket_table(ranks):
+        re = im = 0
+        for (a, b), j in zip(u, image):
+            if j != zero:  # all but 2 r_{i+1} cells of a row in component i are 0
+                c, e = s[j]
+                re += a * c - b * e
+                im += a * e + b * c
+        out.append((re, im))
+    return out
 
 
 def is_isotropic(plane: TwoPlane) -> bool:
     """Whether the bracket 2-form vanishes on the plane (bilinearity and
-    antisymmetry make the single spanning pair sufficient).  The bracket is
-    complex-linear in u, so entry k of bracket(u, w) is sum_p u_p times entry
-    k of bracket(e_p, w), e_p the basis vector at position p; on u and w
-    cleared of denominators this is a positive multiple of dtheta_bracket."""
-    u, w = plane.u.gaussian_integers, _signed(plane.w.gaussian_integers)
-    return all(_zdot(u, [w[j] for j in image]) == (0, 0) for image in _bracket_table(plane.ranks))
-
-
-def _zdot(xs: Sequence[tuple[int, int]], ys: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """sum(x * y) over Z[i], for (re, im) int pairs."""
-    return (sum(a * c - b * e for (a, b), (c, e) in zip(xs, ys)),
-            sum(a * e + b * c for (a, b), (c, e) in zip(xs, ys)))
+    antisymmetry make the single spanning pair sufficient); on u and w
+    cleared of denominators the bracket is a positive multiple of
+    dtheta_bracket."""
+    return not any(map(any, _bracket_entries(plane.ranks, plane.u.gaussian_integers, plane.w.gaussian_integers)))
 
 
 def complex_independent(u: HorizontalVector, w: HorizontalVector) -> bool:
@@ -202,9 +202,11 @@ def is_regular(plane: TwoPlane) -> bool:
         return True
     rows: list[list[int]] = []
     for v in (plane.u, plane.w):
-        s = _signed(v.gaussian_integers)
-        # real and imaginary part of each entry; columns for e, then for i*e
-        re_parts, im_parts = [(a, -b) for a, b in s], [(b, a) for a, b in s]
+        s = v.gaussian_integers
+        # real and imaginary part of each entry of v, then of -v, then of 0
+        # (the entries _bracket_table indexes); columns for e, then for i*e
+        re_parts = [*((a, -b) for a, b in s), *((-a, b) for a, b in s), (0, 0)]
+        im_parts = [*((b, a) for a, b in s), *((-b, -a) for a, b in s), (0, 0)]
         for image in table:
             rows.append([x for j in image for x in re_parts[j]])
             rows.append([x for j in image for x in im_parts[j]])

@@ -10,9 +10,9 @@ shapes and ranks.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+from math import gcd
 
-from .exactla import GaussianRational
+from .exactla import GaussianRational, _gaussian
 from .hodge import HodgeNumbers
 
 SCHEMA = "hodge-domains/1"
@@ -65,7 +65,8 @@ def dumps_indented(doc: dict) -> str:
 def encode_array(values) -> list:
     """Nested tuples of GaussianRational as nested lists of exact scalars."""
     if isinstance(values, GaussianRational):
-        return [[values.re.numerator, values.re.denominator], [values.im.numerator, values.im.denominator]]
+        g, h = gcd(values.a, values.d), gcd(values.b, values.d)  # the parts in lowest terms
+        return [[values.a // g, values.d // g], [values.b // h, values.d // h]]
     return [encode_array(v) for v in values]
 
 
@@ -75,7 +76,8 @@ def decode_scalar(obj) -> GaussianRational:
     (rn, rd), (im_n, im_d) = obj
     if any(type(x) is not int for x in (rn, rd, im_n, im_d)) or not rd or not im_d:
         raise ValueError("a scalar needs int parts and nonzero denominators")
-    return GaussianRational(Fraction(rn, rd), Fraction(im_n, im_d))
+    sign = 1 if rd * im_d > 0 else -1  # the denominator of _gaussian is positive
+    return _gaussian(sign * rn * im_d, sign * im_n * rd, abs(rd * im_d))
 
 
 def decode_array(obj, depth: int) -> tuple:

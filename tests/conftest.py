@@ -1,4 +1,4 @@
-"""Shared enumeration helpers for the suites."""
+"""Shared enumeration and matrix helpers for the suites."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import os
 from pathlib import Path
 
 import hodge_domains
+from hodge_domains.exactla import _coerce
 from hodge_domains.hodge import HodgeNumbers
 
 
@@ -16,6 +17,11 @@ def cli_env() -> dict:
     src = str(Path(hodge_domains.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+
+
+def mat_sub(a, b):
+    """The entrywise difference a - b of two matrices of exact scalars."""
+    return [[_coerce(x) - _coerce(y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def compositions(m: int):

@@ -20,6 +20,7 @@ from hodge_domains.cli import (
     run_report,
     run_verify,
 )
+from hodge_domains.higgs import higgs_dumps, random_commuting_higgs
 from hodge_domains.hodge import HodgeNumbers
 from hodge_domains.pi2 import Pi2Class
 
@@ -157,6 +158,27 @@ def test_verify_planes_bytes_pinned(tmp_path, capsys, monkeypatch, ranks, sample
     assert main(argv) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha256
     assert hashlib.sha256((tmp_path / "planes.jsonl").read_bytes()).hexdigest() == planes_sha256
+
+
+def test_verify_flags_bytes_pinned(capsys):
+    # the verify-flags document, whose Higgs suite samples 400 fields; the
+    # digest the benchmark's reference.json holds for it
+    assert main(["verify", "--ranks", "4,1,4,1,4", "--seed", "0", "--samples", "200"]) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "98a1cab61a087f6cc5b68ae7a48e7c52a04a1d903842adb09a2e04fe5c9c0d2a"
+
+
+def test_higgs_sampler_bytes_pinned():
+    # the wire text of sampled fields over a grid, taken before commutation
+    # and the nullspace sampler read the bracket table
+    h = hashlib.sha256()
+    for ranks in [(1, 1), (2, 1, 2), (4, 1, 4), (1, 1, 1, 1), (1, 2, 1), (2, 1, 3)]:
+        for strategy in ("pullback", "nullspace"):
+            for m_t in (1, 2, 3):
+                for seed in range(4):
+                    field = random_commuting_higgs(ranks, m_t, seed=seed, strategy=strategy)
+                    h.update(higgs_dumps(field).encode() + b"\n")
+    assert h.hexdigest() == "faac29170d5e174d67bd721ac061531fb8f59d76370e381ac3cc5297f6d95afd"
 
 
 def test_verify_total_rank_20_within_readme_bound(capsys):

@@ -1,15 +1,27 @@
+"""Higgs fields: commutation, pointwise ranks, the rank-one lemma, the
+splitting detector and the samplers.
+
+The reference_* functions are the dense commutation check and the
+hand-indexed nullspace sampler as they were before both read the bracket
+table of horizontal, kept verbatim as the oracles for them.
+"""
+
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodge_domains.exactla import Qi, QI_ZERO, nullspace, rank
+from conftest import mat_sub
+from hodge_domains.exactla import GaussianRational, Qi, QI_ZERO, is_zero_matrix, mat_mul, nullspace, rank
 from hodge_domains.hodge import HodgeNumbers
 from hodge_domains.higgs import (
+    CommutationResult,
     HiggsField,
     PreconditionError,
     SamplingExhaustedError,
+    _sample_nullspace,
     check_commutation,
     higgs_dumps,
     higgs_loads,
@@ -27,6 +39,88 @@ def directional_image_rank(h: HiggsField, i: int) -> int:
         raise PreconditionError(f"block {i} must have rank 1")
     cols = [[h.component(i, a)[r][0] for a in range(1, h.tangent_dim + 1)] for r in range(h.ranks.ranks[i + 1])]
     return rank(cols)
+
+
+def reference_check_commutation(h: HiggsField) -> CommutationResult:
+    """Whether theta_{i+1}^(a) theta_i^(b) = theta_{i+1}^(b) theta_i^(a) for all
+    layers and direction pairs a < b."""
+    for i in range(h.ranks.k - 1):
+        for a in range(1, h.tangent_dim + 1):
+            for b in range(a + 1, h.tangent_dim + 1):
+                lhs = mat_mul(list(map(list, h.component(i + 1, a))), list(map(list, h.component(i, b))))
+                rhs = mat_mul(list(map(list, h.component(i + 1, b))), list(map(list, h.component(i, a))))
+                if not is_zero_matrix(mat_sub(lhs, rhs)):
+                    return CommutationResult(False, (i, a, b))
+    return CommutationResult(True, None)
+
+
+def reference_solve_direction(ranks: HodgeNumbers, fixed: list, rng: random.Random):
+    """Sample an unknown direction phi with phi_{i+1} f_i = f_{i+1} phi_i
+    against every fixed direction f, from the exact nullspace of that linear
+    system."""
+    r = ranks.ranks
+    k = ranks.k
+    offsets = []
+    total = 0
+    for i in range(k):
+        offsets.append(total)
+        total += r[i + 1] * r[i]
+
+    def var(i, row, col):
+        return offsets[i] + row * r[i] + col
+
+    rows: list[list[GaussianRational]] = []
+    for f in fixed:
+        for i in range(k - 1):
+            for u in range(r[i + 2]):
+                for v in range(r[i]):
+                    row = [QI_ZERO] * total
+                    # phi_{i+1}[u][w] * f_i[w][v]  -  f_{i+1}[u][w] * phi_i[w][v]
+                    for w in range(r[i + 1]):
+                        row[var(i + 1, u, w)] = row[var(i + 1, u, w)] + f[i][w][v]
+                        row[var(i, w, v)] = row[var(i, w, v)] - f[i + 1][u][w]
+                    rows.append(row)
+    if rows:
+        basis = nullspace(rows)
+    else:
+        basis = [[Qi(1) if j == i else QI_ZERO for j in range(total)] for i in range(total)]
+    # an empty basis means the system forces this direction to vanish
+    vec = [QI_ZERO] * total
+    for b in basis:
+        c = Qi(rng.randint(-2, 2))
+        if not c.is_zero():
+            vec = [x + c * y for x, y in zip(vec, b)]
+    out = []
+    for i in range(k):
+        out.append(
+            tuple(
+                tuple(vec[var(i, row, col)] for col in range(r[i]))
+                for row in range(r[i + 1])
+            )
+        )
+    return out
+
+
+def reference_random_matrix(rng: random.Random, nr: int, nc: int, lo: int = -2, hi: int = 2):
+    return tuple(tuple(Qi(rng.randint(lo, hi)) for _ in range(nc)) for _ in range(nr))
+
+
+def reference_sample_nullspace(ranks: HodgeNumbers, m_t: int, rng: random.Random) -> HiggsField:
+    r = ranks.ranks
+    k = ranks.k
+    first = []
+    for i in range(k):
+        if rng.random() < 1 / 3:
+            first.append(tuple(tuple(QI_ZERO for _ in range(r[i])) for _ in range(r[i + 1])))
+        else:
+            first.append(reference_random_matrix(rng, r[i + 1], r[i]))
+    directions = [first]
+    for _ in range(2, m_t + 1):
+        directions.append(reference_solve_direction(ranks, directions, rng))
+    theta = tuple(
+        tuple(directions[a][i] for a in range(m_t)) for i in range(k)
+    )
+    return HiggsField(ranks, m_t, theta)
 
 
 def field_111(theta0_dirs, theta1_dirs):
@@ -259,6 +353,54 @@ def test_sampler_rejects_bad_strategy():
 def test_sampler_always_commutes_property(ranks, m_t, seed, strategy):
     h = random_commuting_higgs(tuple(ranks), m_t, seed=seed, strategy=strategy)
     assert check_commutation(h).commutes
+
+
+# -- the bracket-table paths against the dense references ---------------------------
+
+
+ORACLE_RANKS = [(2, 2), (1, 2, 1), (1, 1, 1, 1), (2, 1, 3, 1), (2, 1, 2), (1, 3, 2)]
+small = st.integers(-2, 2)
+scalars = st.one_of(
+    st.builds(Fraction, small, st.integers(1, 3)),
+    st.builds(GaussianRational, st.builds(Fraction, small, st.integers(1, 3)),
+              st.builds(Fraction, small, st.integers(1, 3))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ORACLE_RANKS), st.integers(1, 3), st.data())
+def test_commutation_matches_dense_reference(ranks, m_t, data):
+    ranks = HodgeNumbers(ranks)
+    r = ranks.ranks
+    kind = data.draw(st.sampled_from(["random", "sparse", "nullspace", "pullback"]))
+    if kind in ("nullspace", "pullback"):
+        h = random_commuting_higgs(ranks, m_t, seed=data.draw(st.integers(0, 10**6)), strategy=kind)
+        if data.draw(st.booleans()):
+            # perturb one entry, which usually breaks the relation
+            i, a = data.draw(st.integers(0, ranks.k - 1)), data.draw(st.integers(0, m_t - 1))
+            row, col = data.draw(st.integers(0, r[i + 1] - 1)), data.draw(st.integers(0, r[i] - 1))
+            theta = [list(layer) for layer in h.theta]
+            mx = [list(x) for x in theta[i][a]]
+            mx[row][col] = mx[row][col] + data.draw(scalars)
+            theta[i][a] = mx
+            h = HiggsField(ranks, m_t, theta)
+    else:
+        entry = scalars if kind == "random" else st.one_of(st.just(0), st.just(0), scalars)
+        h = HiggsField(ranks, m_t, tuple(
+            tuple(tuple(tuple(data.draw(entry) for _ in range(r[i])) for _ in range(r[i + 1]))
+                  for _ in range(m_t))
+            for i in range(ranks.k)))
+    assert check_commutation(h) == reference_check_commutation(h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ORACLE_RANKS + [(1, 1), (4, 1, 4)]), st.integers(1, 3), st.integers(0, 10**6))
+def test_nullspace_sampler_matches_reference(ranks, m_t, seed):
+    ranks = HodgeNumbers(ranks)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    h = _sample_nullspace(ranks, m_t, rng)
+    assert h == reference_sample_nullspace(ranks, m_t, ref_rng)
+    assert rng.getstate() == ref_rng.getstate()
 
 
 # -- wire format --------------------------------------------------------------------

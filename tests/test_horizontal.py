@@ -4,7 +4,8 @@ The helpers below build horizontal vectors for the tests (the (1,n,1) model
 vector, basis vectors, scaling, sums, GL(2, R) changes of the spanning pair,
 the (1,n,1) symplectic scalar).  The reference_* functions are the plane sampler and the rank-based
 independence tests as they were before the plane path moved to Gaussian
-integers, kept verbatim as the oracle for it.
+integers, and the dense bracket as it was before it read _bracket_table,
+kept verbatim as the oracles for them.
 """
 
 import random
@@ -14,7 +15,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hodge_domains.exactla import GaussianRational, Qi, QI_ZERO, as_matrix, rank
+from conftest import mat_sub
+from hodge_domains.exactla import GaussianRational, Qi, QI_ZERO, as_matrix, mat_mul, rank
 from hodge_domains.hodge import HodgeNumbers
 from hodge_domains.horizontal import (
     HorizontalVector,
@@ -118,6 +120,20 @@ def gl2_transform(plane: TwoPlane, a: Fraction, b: Fraction, c: Fraction, d: Fra
     return TwoPlane(u2, w2, orientation)
 
 
+def reference_dtheta_bracket(u: HorizontalVector, w: HorizontalVector) -> tuple:
+    """The level-two component of the commutator: entry i is
+    w_{i+1} u_i - u_{i+1} w_i, an r_{i+2} x r_i matrix."""
+    if u.ranks != w.ranks:
+        raise ValueError("rank mismatch")
+    a, b = u.components, w.components
+    out = []
+    for i in range(u.ranks.k - 1):
+        lhs = mat_mul(list(map(list, b[i + 1])), list(map(list, a[i])))
+        rhs = mat_mul(list(map(list, a[i + 1])), list(map(list, b[i])))
+        out.append(tuple(tuple(row) for row in mat_sub(lhs, rhs)))
+    return tuple(out)
+
+
 def reference_is_regular(plane):
     """Independent route: assemble the regularity matrix from generic bracket
     evaluations on basis vectors."""
@@ -131,7 +147,7 @@ def reference_is_regular(plane):
         e = horizontal_basis_vector(ranks, pos)
         flat = []
         for target in (plane.u, plane.w):
-            for mx in dtheta_bracket(e, target):
+            for mx in reference_dtheta_bracket(e, target):
                 for row in mx:
                     flat.extend(row)
         for k, z in enumerate(flat):
@@ -333,6 +349,30 @@ def test_two_plane_rejects_dependent_pair():
         TwoPlane(u, scale(u, Qi(Fraction(-3, 2))))
 
 
+scalars = st.one_of(
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)),
+    st.builds(GaussianRational, st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)),
+              st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))),
+)
+BRACKET_RANKS = [(2, 2), (1, 2, 1), (1, 1, 1, 1), (2, 1, 3, 1), (1, 3, 2), (2, 1, 2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BRACKET_RANKS), st.data())
+def test_bracket_matches_dense_reference(ranks, data):
+    ranks = HodgeNumbers(ranks)
+    r = ranks.ranks
+
+    def vector():
+        if data.draw(st.integers(0, 5)) == 0:
+            return horizontal_zero(ranks)
+        return HorizontalVector(ranks, tuple(
+            tuple(tuple(data.draw(scalars) for _ in range(r[i])) for _ in range(r[i + 1])) for i in range(ranks.k)))
+
+    u, w = vector(), vector()
+    assert dtheta_bracket(u, w) == reference_dtheta_bracket(u, w)
+
+
 def test_bracket_rejects_rank_mismatch():
     u = model_vector(2, [1, 0], [0, 1])
     w = model_vector(3, [1, 0, 0], [0, 1, 0])
@@ -435,8 +475,8 @@ def test_minor_scans_match_rank(pair):
     assert complex_independent(u, w) == reference_complex_independent(u, w)
     if reference_real_independent(u, w):
         plane = TwoPlane(u, w)
-        # the integer verdicts against the GaussianRational bracket and the reference regularity matrix
-        assert is_isotropic(plane) == all(x == 0 for mx in dtheta_bracket(u, w) for row in mx for x in row)
+        # the integer verdicts against the dense bracket and the reference regularity matrix
+        assert is_isotropic(plane) == all(x == 0 for mx in reference_dtheta_bracket(u, w) for row in mx for x in row)
         assert is_regular(plane) == reference_is_regular(plane)
     else:
         with pytest.raises(ValueError, match="linearly dependent over R"):

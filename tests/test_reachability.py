@@ -8,6 +8,9 @@ reaches every name it mentions; a reached class reaches its bases, decorators,
 class-level statements and dunder methods.  Matching is by bare name, so a
 definition counts as used when any reached code mentions its name, and an
 import alias (``bracket as mat_bracket``) counts as its original name.
+
+A second guard reports every name a module other than ``__init__`` imports
+and never mentions (``__init__`` imports to re-export).
 """
 
 from __future__ import annotations
@@ -95,3 +98,36 @@ def test_guard_sees_a_dead_definition(tmp_path):
     # a module with one called and one uncalled helper
     (tmp_path / "extra.py").write_text("def used():\n    return 1\n\nX = used()\n\ndef unused_helper():\n    return 2\n")
     assert unreachable_definitions(tmp_path) == ["extra.unused_helper"]
+
+
+def unused_imports(package_dir: Path = PACKAGE_DIR) -> list[str]:
+    """module.name for each name a module (not __init__) binds by an import
+    and never reads."""
+    out = []
+    for path in sorted(package_dir.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        out.append(f"{path.stem}.{bound}")
+    return sorted(out)
+
+
+def test_every_import_is_used():
+    unused = unused_imports()
+    assert not unused, "imported in src/ but never used: " + ", ".join(unused)
+
+
+def test_guard_sees_an_unused_import(tmp_path):
+    # one used and two unused imports; __init__ re-exports and is not scanned
+    (tmp_path / "extra.py").write_text(
+        "from __future__ import annotations\nimport os.path\nfrom math import gcd, lcm as least\n\nX = gcd(4, 6)\n")
+    (tmp_path / "__init__.py").write_text("from .extra import X\n")
+    assert unused_imports(tmp_path) == ["extra.least", "extra.os"]

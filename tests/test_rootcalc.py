@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_rank_tuples
+from conftest import all_rank_tuples, mat_sub
 from hodge_domains.exactla import (
     GaussianRational,
     QI_ZERO,
@@ -14,7 +14,6 @@ from hodge_domains.exactla import (
     _coerce,
     hermitian_definiteness,
     mat_mul,
-    mat_sub,
     trace,
 )
 from hodge_domains.hodge import HodgeNumbers

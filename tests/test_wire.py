@@ -4,6 +4,7 @@ return the document's object, or raise ValueError and nothing else."""
 import copy
 import json
 import random
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from hodge_domains import wire
 from hodge_domains.domain import flag_dumps, flag_loads, hodge_flag, perturbed_flag
+from hodge_domains.exactla import GaussianRational
 from hodge_domains.higgs import higgs_dumps, higgs_loads, random_commuting_higgs
 from hodge_domains.hodge import HodgeNumbers
 
@@ -148,6 +150,19 @@ def test_deeply_nested_text_raises_value_error(loads):
 def test_negative_denominator_reads_as_the_same_scalar():
     doc = replaced(replaced(FLAG, ("basis", 0, 0, 0), [-1, -1]), ("basis", 0, 0, 1), [0, -7])
     assert flag_loads(json.dumps(doc)).basis == flag_loads(json.dumps(FLAG)).basis
+
+
+nonzero = st.integers(-10**6, 10**6).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**6, 10**6), nonzero, st.integers(-10**6, 10**6), nonzero)
+def test_scalar_codec_matches_fraction_parts(rn, rd, im_n, im_d):
+    # a scalar is read as the two Fractions it names, whatever the signs of
+    # its denominators, and written as their lowest terms
+    z = wire.decode_scalar([[rn, rd], [im_n, im_d]])
+    assert z == GaussianRational(Fraction(rn, rd), Fraction(im_n, im_d))
+    assert wire.encode_array(z) == [[z.re.numerator, z.re.denominator], [z.im.numerator, z.im.denominator]]
 
 
 @settings(max_examples=200, deadline=None)
