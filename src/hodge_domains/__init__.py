@@ -47,6 +47,7 @@ from .horizontal import (
     HorizontalVector,
     TwoPlane,
     dtheta_bracket,
+    is_complex_line,
     is_isotropic,
     is_regular,
     stabilizer_dimension,
@@ -101,6 +102,7 @@ __all__ = [
     "HorizontalVector",
     "TwoPlane",
     "dtheta_bracket",
+    "is_complex_line",
     "is_isotropic",
     "is_regular",
     "stabilizer_dimension",

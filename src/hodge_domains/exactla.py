@@ -246,10 +246,18 @@ def _eliminate(a: Sequence[Sequence], forward: bool = False):
     first row exchange, or None.  Before it, a step k (from 0) with pivot
     column k has the (k+1)-th leading minor of the scaled matrix as its pivot.
     """
-    rows = [_cleared(row)[1:] for row in a]
-    real = not any(any(xi) for _, xi in rows)
-    nrows = len(rows)
-    ncols = len(rows[0][0]) if rows else 0
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    # Rows of ints (whose sums are ints; a Fraction or GaussianRational entry
+    # makes the sum one) are copied as they are, with one shared zero
+    # imaginary part, which the real updates never write.
+    if all(type(sum(row)) is int for row in a):
+        zero = [0] * ncols
+        rows = [(list(row), zero) for row in a]
+        real = True
+    else:
+        rows = [_cleared(row)[1:] for row in a]
+        real = not any(any(xi) for _, xi in rows)
     pivot_cols: list[int] = []
     pivots: list[tuple[int, int]] = []
     swap = None

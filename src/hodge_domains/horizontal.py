@@ -20,7 +20,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
+from operator import itemgetter, neg
 from typing import Callable, Iterable, Optional, Sequence
 
 from .exactla import GaussianRational, _cleared, _gaussian, as_matrix, is_zero_matrix, rank
@@ -61,14 +62,18 @@ class HorizontalVector:
         return tuple(zip(re, im))
 
 
-def _independent(x: Sequence[tuple[int, int]], y: Sequence[tuple[int, int]]) -> bool:
+def _independent(x: Sequence[tuple[int, int]], y: Sequence[tuple[int, int]], real: bool = False) -> bool:
     """Whether vectors x, y over Z[i] ((re, im) int pairs) are linearly
-    independent: x has a first nonzero entry x_k and some 2x2 minor
+    independent over C, or with real=True over R (as their real coordinate
+    vectors): x has a first nonzero entry x_k and some 2x2 minor
     x_k y_j - x_j y_k is nonzero (else y = (y_k / x_k) x)."""
     k = next((k for k, (a, b) in enumerate(x) if a or b), None)
     if k is None:
         return False
     (p, q), (r, s) = x[k], y[k]
+    if real:  # the first nonzero real coordinate of x is p, or q when p = 0
+        p, r = (p, r) if p else (q, s)
+        return any(p * c != a * r or p * e != b * r for (a, b), (c, e) in zip(x, y))
     return any(p * c - q * e != a * r - b * s or p * e + q * c != a * s + b * r
                for (a, b), (c, e) in zip(x, y))
 
@@ -98,9 +103,7 @@ class TwoPlane:
             raise ValueError("rank mismatch between spanning vectors")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
-        # real independence is independence of the real coordinate vectors, as vectors over Z
-        u, w = ([(x, 0) for pair in v.gaussian_integers for x in pair] for v in (self.u, self.w))
-        if not _independent(u, w):
+        if not _independent(self.u.gaussian_integers, self.w.gaussian_integers, real=True):
             raise ValueError("spanning vectors are linearly dependent over R")
 
     @property
@@ -179,38 +182,48 @@ def is_isotropic(plane: TwoPlane) -> bool:
     return not any(map(any, _bracket_entries(plane.ranks, plane.u.gaussian_integers, plane.w.gaussian_integers)))
 
 
-def complex_independent(u: HorizontalVector, w: HorizontalVector) -> bool:
-    return _independent(u.gaussian_integers, w.gaussian_integers)
-
-
 def is_complex_line(plane: TwoPlane) -> bool:
-    return not complex_independent(plane.u, plane.w)
+    return not _independent(plane.u.gaussian_integers, plane.w.gaussian_integers)
 
 
 def is_regular(plane: TwoPlane) -> bool:
     """Exact real surjectivity test for v -> (s -> bracket(v, s)) restricted
-    to the plane.
+    to the plane."""
+    return _regular(plane.ranks, plane.u.gaussian_integers, plane.w.gaussian_integers)
+
+
+def _regular(ranks: HodgeNumbers, u: Sequence[tuple[int, int]], w: Sequence[tuple[int, int]]) -> bool:
+    """is_regular on the plane spanned by u and w over Z[i] ((re, im) int
+    pairs in flatten order).
 
     The target is the space of real-linear maps S -> (level-two piece); its
     real dimension is 4 * sum_i r_i r_{i+2}.  The matrix is assembled over the
     complex basis of the horizontal fiber together with its i-multiples (the
-    bracket being complex-linear in v) and the rank is computed exactly over Q,
-    with u and w cleared of denominators so that its entries are ints.
+    bracket being complex-linear in v) and the rank is computed exactly over Q;
+    its entries are ints.
     """
-    table = _bracket_table(plane.ranks)
-    if not table:
+    getters = _regularity_rows(ranks)
+    if not getters:
         return True
-    rows: list[list[int]] = []
-    for v in (plane.u, plane.w):
-        s = v.gaussian_integers
-        # real and imaginary part of each entry of v, then of -v, then of 0
-        # (the entries _bracket_table indexes); columns for e, then for i*e
-        re_parts = [*((a, -b) for a, b in s), *((-a, b) for a, b in s), (0, 0)]
-        im_parts = [*((b, a) for a, b in s), *((-b, -a) for a, b in s), (0, 0)]
-        for image in table:
-            rows.append([x for j in image for x in re_parts[j]])
-            rows.append([x for j in image for x in im_parts[j]])
-    return rank(rows) == 4 * len(table)
+    rows = []
+    for s in (u, w):
+        flat = [*chain.from_iterable(s)]
+        flat += [*map(neg, flat), 0, 0]
+        rows.extend(get(flat) for get in getters)
+    return rank(rows) == 2 * len(getters)
+
+
+@lru_cache(maxsize=None)
+def _regularity_rows(ranks: HodgeNumbers) -> tuple[itemgetter, ...]:
+    """For each row of _bracket_table, getters for the real and the imaginary
+    row of the regularity matrix (columns for e, then for i*e: (re, -im) and
+    (im, re) of each entry) off [re s_0, im s_0, ..., re s_(N-1), im s_(N-1)],
+    the same for -s, then 0, 0: table index j reads positions 2j and 2j + 1."""
+    n = len(horizontal_positions(ranks))
+    negated = [*range(n, 2 * n), *range(n), 2 * n]  # the table index of -(entry j)
+    return tuple(itemgetter(*cols) for image in _bracket_table(ranks) for cols in (
+        [c for j in image for c in (2 * j, 2 * negated[j] + 1)],
+        [c for j in image for c in (2 * j + 1, 2 * j)]))
 
 
 # ---------------------------------------------------------------------------
@@ -229,29 +242,22 @@ class Pu2nReport:
     isotropic_noncomplex_count: int  # isotropic planes that are not complex lines
 
 
-def _sample_model_plane(n: int, rng: random.Random, half_zero: bool = False) -> TwoPlane:
-    """A random plane spanned by Gaussian-integer vectors; with half_zero the
-    second components are zero, a stratum on which the symplectic scalar
-    vanishes identically.  Each vector has components (column v1, row t(v2))
-    for v1, v2 in Z[i]^n."""
-    ranks = HodgeNumbers((1, n, 1))
+def _draw_model_pair(n: int, rng: random.Random, half_zero: bool = False):
+    """Two R-independent vectors of the rank-(1,n,1) model over Z[i], as
+    (re, im) int pairs in flatten order: components (column v1, row t(v2))
+    for v1, v2 with entries in [-3, 3] + [-3, 3] i; with half_zero v2 = 0, a
+    stratum on which the symplectic scalar vanishes identically."""
+    randint = rng.randint
     while True:
         # An unused draw: it keeps each seed's RNG sequence, and so the
         # --classify-out stream, fixed.  (Scaling both vectors by a common
         # positive denominator would change none of the verdicts.)
         rng.choice((1, 1, 2, 3))
-        vecs = []
-        for _ in range(2):
-            pairs = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
-            pairs += [(0, 0)] * n if half_zero else [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
-            z = [GaussianRational(a, b) for a, b in pairs]
-            v = HorizontalVector(ranks, (tuple((x,) for x in z[:n]), (tuple(z[n:]),)))
-            vars(v)["gaussian_integers"] = tuple(pairs)  # the cached property, read off the draws
-            vecs.append(v)
-        try:
-            return TwoPlane(vecs[0], vecs[1])
-        except ValueError:
-            continue  # dependent pair, resample
+        m = n if half_zero else 2 * n  # drawn entries per vector, then zeros
+        u, w = ([(randint(-3, 3), randint(-3, 3)) for _ in range(m)] + [(0, 0)] * (2 * n - m) for _ in range(2))
+        if _independent(u, w, real=True):
+            return u, w
+        # dependent pair, resample
 
 
 def verify_pu2n_criterion(
@@ -271,45 +277,24 @@ def verify_pu2n_criterion(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    mismatches = 0
-    regular_count = 0
-    isotropic_count = 0
-    noncomplex_iso = 0
+    mismatches = regular_count = isotropic_count = noncomplex_iso = 0
     found_reg_iso = False
+    ranks = HodgeNumbers((1, n, 1))
+    rng = random.Random()
     for idx in range(samples):
-        rng = random.Random(seed * 1_000_003 + idx)
-        plane = _sample_model_plane(n, rng, half_zero=(idx % 8 == 7))
-        reg = is_regular(plane)
-        iso = is_isotropic(plane)
-        line = is_complex_line(plane)
-        if reg != (not line):
-            mismatches += 1
-        if reg:
-            regular_count += 1
-        if iso:
-            isotropic_count += 1
-            if not line:
-                noncomplex_iso += 1
-        if reg and iso:
-            found_reg_iso = True
+        rng.seed(seed * 1_000_003 + idx)  # the state of random.Random(seed * 1_000_003 + idx)
+        u, w = _draw_model_pair(n, rng, half_zero=(idx % 8 == 7))
+        reg = _regular(ranks, u, w)
+        iso = not any(map(any, _bracket_entries(ranks, u, w)))
+        line = not _independent(u, w)
+        mismatches += reg == line  # regular planes should be exactly the complex-independent ones
+        regular_count += reg
+        isotropic_count += iso
+        noncomplex_iso += iso and not line
+        found_reg_iso = found_reg_iso or (reg and iso)
         if record is not None:
-            record(
-                {
-                    "seed": seed * 1_000_003 + idx,
-                    "isotropic": iso,
-                    "regular": reg,
-                    "complex_line": line,
-                }
-            )
-    return Pu2nReport(
-        n=n,
-        samples=samples,
-        mismatches=mismatches,
-        found_regular_isotropic=found_reg_iso,
-        regular_count=regular_count,
-        isotropic_count=isotropic_count,
-        isotropic_noncomplex_count=noncomplex_iso,
-    )
+            record({"seed": seed * 1_000_003 + idx, "isotropic": iso, "regular": reg, "complex_line": line})
+    return Pu2nReport(n, samples, mismatches, found_reg_iso, regular_count, isotropic_count, noncomplex_iso)
 
 
 # ---------------------------------------------------------------------------

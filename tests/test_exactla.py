@@ -340,6 +340,20 @@ def test_rank_of_int_and_fraction_matrices(a):
     assert rank(a) == len(rref(a)[1])
 
 
+@settings(max_examples=300, deadline=None)
+@given(matrices(st.integers(0, 6), st.integers(0, 9), entries=st.integers(-50, 50)), st.booleans(), st.booleans())
+def test_int_rows_eliminate_as_fraction_and_gaussian_rows(a, as_tuples, forward):
+    # int rows take the kernel's copy-only entry; the same rows with Fraction
+    # or GaussianRational entries are cleared of denominators (all 1) instead
+    given_rows = [tuple(row) for row in a] if as_tuples else [list(row) for row in a]
+    as_fractions = [[Fraction(x) for x in row] for row in a]
+    as_gaussians = [[GaussianRational(x) for x in row] for row in a]
+    expected = _eliminate(as_fractions, forward)
+    assert _eliminate(given_rows, forward) == expected == _eliminate(as_gaussians, forward)
+    assert rank(given_rows) == rank(as_fractions) == rank(as_gaussians) == len(rref(as_fractions)[1])
+    assert [list(row) for row in given_rows] == a  # the input is not written
+
+
 # ---------------------------------------------------------------------------
 # Fixed cases
 # ---------------------------------------------------------------------------

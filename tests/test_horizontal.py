@@ -5,9 +5,12 @@ vector, basis vectors, scaling, sums, GL(2, R) changes of the spanning pair,
 the (1,n,1) symplectic scalar).  The reference_* functions are the plane sampler and the rank-based
 independence tests as they were before the plane path moved to Gaussian
 integers, and the dense bracket as it was before it read _bracket_table,
-kept verbatim as the oracles for them.
+kept verbatim as the oracles for them.  sample_model_plane builds the
+suite's drawn pairs into the public TwoPlane, so the public predicates on
+it are the oracle for the verdicts the suite reaches on the bare pairs.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -16,14 +19,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import mat_sub
+import hodge_domains.horizontal as horizontal_mod
+from hodge_domains.cli import EXIT_SUITE_FAILURE, main
 from hodge_domains.exactla import GaussianRational, Qi, QI_ZERO, as_matrix, mat_mul, rank
 from hodge_domains.hodge import HodgeNumbers
 from hodge_domains.horizontal import (
     HorizontalVector,
     NotApplicableError,
     TwoPlane,
-    _sample_model_plane,
-    complex_independent,
+    _draw_model_pair,
+    _independent,
     dtheta_bracket,
     horizontal_positions,
     is_complex_line,
@@ -120,6 +125,11 @@ def gl2_transform(plane: TwoPlane, a: Fraction, b: Fraction, c: Fraction, d: Fra
     return TwoPlane(u2, w2, orientation)
 
 
+def complex_independent(u: HorizontalVector, w: HorizontalVector) -> bool:
+    """The minor scan is_complex_line runs, on any pair."""
+    return _independent(u.gaussian_integers, w.gaussian_integers)
+
+
 def reference_dtheta_bracket(u: HorizontalVector, w: HorizontalVector) -> tuple:
     """The level-two component of the commutator: entry i is
     w_{i+1} u_i - u_{i+1} w_i, an r_{i+2} x r_i matrix."""
@@ -186,6 +196,15 @@ def reference_sample_model_plane(n, rng, half_zero=False):
         if reference_real_independent(*vecs):
             return vecs[0], vecs[1], den, tries
         # dependent pair, resample
+
+
+def sample_model_plane(n, rng, half_zero=False):
+    """The TwoPlane spanned by the pair _draw_model_pair draws: components
+    (column v1, row t(v2)) of Gaussian-integer entries."""
+    ranks = HodgeNumbers((1, n, 1))
+    u, w = (HorizontalVector(ranks, (tuple((Qi(a, b),) for a, b in v[:n]), (tuple(Qi(a, b) for a, b in v[n:]),)))
+            for v in _draw_model_pair(n, rng, half_zero))
+    return TwoPlane(u, w)
 
 
 def random_vector(ranks, rng):
@@ -418,13 +437,29 @@ def test_pu2n_rejects_nonpositive_n():
 # -- the Gaussian-integer plane path against the reference -----------------------
 
 
+def assert_records_match_public_predicates(n, samples, seed, half_zero):
+    """The suite's record of each sample in the stratum equals the public
+    predicates on the TwoPlane of the same draws."""
+    records = []
+    verify_pu2n_criterion(n, samples, seed, record=records.append)
+    checked = 0
+    for idx, entry in enumerate(records):
+        if (idx % 8 == 7) != half_zero:
+            continue
+        plane = sample_model_plane(n, random.Random(seed * 1_000_003 + idx), half_zero)
+        assert entry == {"seed": seed * 1_000_003 + idx, "isotropic": is_isotropic(plane),
+                         "regular": is_regular(plane), "complex_line": is_complex_line(plane)}
+        checked += 1
+    assert checked == (samples // 8 if half_zero else samples - samples // 8)
+
+
 @pytest.mark.parametrize("half_zero", [False, True], ids=["full", "half_zero"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_sampler_and_verdicts_match_reference(n, half_zero):
     resampled = 0
     for seed in range(500):
         rng, ref_rng = random.Random(seed), random.Random(seed)
-        plane = _sample_model_plane(n, rng, half_zero)
+        plane = sample_model_plane(n, rng, half_zero)
         u, w, den, tries = reference_sample_model_plane(n, ref_rng, half_zero)
         resampled += tries > 1
         assert rng.getstate() == ref_rng.getstate()
@@ -434,6 +469,31 @@ def test_sampler_and_verdicts_match_reference(n, half_zero):
         assert is_complex_line(plane) == (not reference_complex_independent(u, w))
     if n == 1:
         assert resampled > 0  # the retry loop ran, and kept the RNG in step
+    assert_records_match_public_predicates(n, 400, 7, half_zero)
+
+
+@pytest.mark.parametrize("half_zero", [False, True], ids=["full", "half_zero"])
+@pytest.mark.parametrize("seed", [0, 1, 18])
+def test_suite_records_match_public_predicates_n18(seed, half_zero):
+    assert_records_match_public_predicates(18, 24, seed, half_zero)
+
+
+def test_flipped_regularity_verdict_is_one_mismatch(monkeypatch, capsys):
+    # the suite compares two independent computations: a regularity helper
+    # that is wrong on one sample shows up as exactly one mismatch
+    original, calls = horizontal_mod._regular, []
+
+    def flip_fifth(ranks, u, w):
+        calls.append(None)
+        return original(ranks, u, w) != (len(calls) == 5)
+
+    monkeypatch.setattr(horizontal_mod, "_regular", flip_fifth)
+    rep = verify_pu2n_criterion(2, 40, seed=0)
+    assert (rep.mismatches, len(calls)) == (1, 40)
+    calls.clear()
+    assert main(["verify", "--ranks", "1,2,1", "--seed", "0", "--samples", "40"]) == EXIT_SUITE_FAILURE
+    suite = next(s for s in json.loads(capsys.readouterr().out)["suites"] if s["name"] == "pu2n_criterion")
+    assert (suite["passed"], suite["details"]["mismatches"]) == (False, 1)
 
 
 entries = st.builds(
