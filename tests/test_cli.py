@@ -7,7 +7,8 @@ import time
 import pytest
 
 import hodge_domains.pi2
-from conftest import cli_env
+from conftest import all_rank_tuples, cli_env
+from hodge_domains import wire
 from hodge_domains.cli import (
     EXIT_INVALID_INPUT,
     EXIT_OK,
@@ -23,6 +24,7 @@ from hodge_domains.cli import (
 from hodge_domains.higgs import higgs_dumps, random_commuting_higgs
 from hodge_domains.hodge import HodgeNumbers
 from hodge_domains.pi2 import Pi2Class
+from hodge_domains.rootcalc import bracket_generating_check, parabolic_from_ranks
 
 
 def cfg_verify(ranks, seed=0, samples=50, **kw):
@@ -208,6 +210,16 @@ def test_report_deterministic_bytes(capsys):
     main(args)
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_report_and_bracket_certificates_pinned():
+    # every report document and bracket-generation certificate (its witness
+    # trees included) of total rank <= 8, 247 rank tuples
+    h = hashlib.sha256()
+    for hn in all_rank_tuples(8):
+        h.update(wire.dumps_indented(run_report(RunConfig(ranks=hn))).encode())
+        h.update(repr(bracket_generating_check(parabolic_from_ranks(hn))).encode())
+    assert h.hexdigest() == "6a104c80342cb856171afaa7ff6a8b89aa7edfd15d839eeff3e28142010bf553"
 
 
 # -- resource guards and invalid input ------------------------------------------
