@@ -9,16 +9,10 @@ second-homotopy sphere classes, pointwise Higgs-field lemmas, horizontal
 from .hodge import HodgeNumbers
 from .exactla import GaussianRational, Qi
 from .rootcalc import (
-    BlockMatrix,
     ParabolicData,
     RootVector,
     bracket_generating_check,
-    grading,
-    grading_element,
-    killing_form,
     parabolic_from_ranks,
-    simple_roots,
-    tau_conjugate,
 )
 from .domain import (
     DomainDescriptor,
@@ -41,12 +35,10 @@ from .higgs import (
     pointwise_rank,
     random_commuting_higgs,
     rank_one_lemma_check,
-    splitting_detector,
 )
 from .horizontal import (
     HorizontalVector,
     TwoPlane,
-    dtheta_bracket,
     is_complex_line,
     is_isotropic,
     is_regular,
@@ -57,13 +49,10 @@ from .horizontal import (
 from .spheremesh import (
     SphericalTriangulation,
     ThreeColoring,
-    face_geometry,
     gluing_pattern,
     octahedron,
-    sidecar_dumps,
     subdivide,
     three_color,
-    to_off,
 )
 
 __version__ = "0.1.0"
@@ -72,16 +61,10 @@ __all__ = [
     "HodgeNumbers",
     "GaussianRational",
     "Qi",
-    "BlockMatrix",
     "ParabolicData",
     "RootVector",
     "bracket_generating_check",
-    "grading",
-    "grading_element",
-    "killing_form",
     "parabolic_from_ranks",
-    "simple_roots",
-    "tau_conjugate",
     "DomainDescriptor",
     "Flag",
     "describe_domain",
@@ -98,10 +81,8 @@ __all__ = [
     "pointwise_rank",
     "random_commuting_higgs",
     "rank_one_lemma_check",
-    "splitting_detector",
     "HorizontalVector",
     "TwoPlane",
-    "dtheta_bracket",
     "is_complex_line",
     "is_isotropic",
     "is_regular",
@@ -110,12 +91,9 @@ __all__ = [
     "verify_pu2n_criterion",
     "SphericalTriangulation",
     "ThreeColoring",
-    "face_geometry",
     "gluing_pattern",
     "octahedron",
-    "sidecar_dumps",
     "subdivide",
     "three_color",
-    "to_off",
     "__version__",
 ]

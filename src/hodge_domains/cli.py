@@ -342,8 +342,9 @@ _SUITES = (
 
 
 def run_verify(cfg: RunConfig) -> dict:
-    if cfg.classify_out:
-        open(cfg.classify_out, "w").close()  # an unwritable path fails before any suite runs
+    for path in (cfg.classify_out, cfg.output):
+        if path:
+            open(path, "w").close()  # an unwritable path fails before any suite runs
     suites = []
     all_passed = True
     for name, fn in _SUITES:
@@ -422,7 +423,7 @@ def export_mesh(cfg: RunConfig) -> tuple[int, list[str]]:
     glue = spheremesh_mod.gluing_pattern(tri, coloring)
     if not spheremesh_mod.audit_passes(spheremesh_mod.audit_mesh(tri, coloring, geometry, glue)):
         return EXIT_SUITE_FAILURE, []
-    doc = spheremesh_mod.sidecar_document(tri, coloring, geometry, glue)
+    doc = spheremesh_mod.sidecar_document(coloring, geometry, glue)
     if cfg.fmt == "json":
         doc["vertices"] = wire.Table([None] * 3, tuple(tri.vertices.T))
         doc["faces"] = wire.Table([None] * 3, tuple(tri.face_array.T))

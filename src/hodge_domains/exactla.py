@@ -191,20 +191,8 @@ def _dot_plain(xs, ys) -> GaussianRational:
     return _gaussian(a, b, d)
 
 
-def mat_neg(a):
-    return [[-_coerce(x) for x in row] for row in a]
-
-
-def conj_transpose(a):
-    return [[_coerce(a[i][j]).conjugate() for i in range(len(a))] for j in range(len(a[0]))] if a else []
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
-
-
-def trace(a) -> GaussianRational:
-    return sum((_coerce(a[i][i]) for i in range(len(a))), QI_ZERO)
 
 
 def is_zero_matrix(a) -> bool:

@@ -1,6 +1,6 @@
 """Pointwise Higgs-field algebra: transversality shape, the commutation
-relation, generic ranks, the rank-one vanishing lemma, and the splitting
-detector.
+relation, generic ranks, the rank-one vanishing lemma, and seeded samplers of
+commuting fields.
 
 A field is a single fiber's worth of data: for each layer i and tangent
 direction a, a matrix theta_i^(a) from block i to block i+1.  The commutation
@@ -55,9 +55,6 @@ class HiggsField:
     def component(self, i: int, a: int) -> Matrix:
         """theta_i in direction a (a is 1-based)."""
         return self.theta[i][a - 1]
-
-    def layer_is_zero(self, i: int) -> bool:
-        return all(is_zero_matrix(self.theta[i][a]) for a in range(self.tangent_dim))
 
 
 @dataclass(frozen=True)
@@ -136,41 +133,6 @@ def rank_one_lemma_check(h: HiggsField, i: int) -> LemmaVerdict:
         if not is_zero_matrix(mx):
             return LemmaVerdict("violated", triggered=True, witness=(a, mx))
     return LemmaVerdict("holds", triggered=True, witness=None)
-
-
-def splitting_detector(h: HiggsField) -> Optional[int]:
-    """Least layer i with theta_i identically zero, if any.
-
-    When found, checks explicitly that blocks 0..i and blocks i+1..k are each
-    invariant under every direction of the field.
-    """
-    for i in range(h.ranks.k):
-        if h.layer_is_zero(i):
-            _verify_split_invariance(h, i)
-            return i
-    return None
-
-
-def _verify_split_invariance(h: HiggsField, i: int) -> None:
-    m = h.ranks.m
-    r = h.ranks.ranks
-    starts = [sum(r[:j]) for j in range(len(r) + 1)]
-    cut = starts[i + 1]  # first coordinate of the upper half, block order
-    for a in range(1, h.tangent_dim + 1):
-        endo = [[QI_ZERO] * m for _ in range(m)]
-        for j in range(h.ranks.k):
-            mx = h.component(j, a)
-            for rr in range(r[j + 1]):
-                for cc in range(r[j]):
-                    endo[starts[j + 1] + rr][starts[j] + cc] = mx[rr][cc]
-        lower_leak = any(
-            not endo[row][col].is_zero() for row in range(cut, m) for col in range(cut)
-        )
-        upper_leak = any(
-            not endo[row][col].is_zero() for row in range(cut) for col in range(cut, m)
-        )
-        if lower_leak or upper_leak:
-            raise AssertionError("split halves are not invariant under the field")
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from itertools import accumulate, chain
 from operator import itemgetter, neg
 from typing import Callable, Iterable, Optional, Sequence
 
-from .exactla import GaussianRational, _cleared, _gaussian, as_matrix, is_zero_matrix, rank
+from .exactla import GaussianRational, _cleared, as_matrix, rank
 from .hodge import HodgeNumbers
 from .pi2 import Pi2Class, class_of_root
 from .rootcalc import bridge_root, entry_level, parabolic_from_ranks, sparse_bracket
@@ -47,9 +47,6 @@ class HorizontalVector:
             raise ValueError(f"expected {self.ranks.k} components")
         comps = tuple(as_matrix(mx, r[i + 1], r[i]) for i, mx in enumerate(self.components))
         object.__setattr__(self, "components", comps)
-
-    def is_zero(self) -> bool:
-        return all(is_zero_matrix(mx) for mx in self.components)
 
     def flatten(self) -> list[GaussianRational]:
         return [x for mx in self.components for row in mx for x in row]
@@ -111,21 +108,6 @@ class TwoPlane:
         return self.u.ranks
 
 
-def dtheta_bracket(u: HorizontalVector, w: HorizontalVector) -> tuple:
-    """The level-two component of the commutator: entry i is
-    w_{i+1} u_i - u_{i+1} w_i, an r_{i+2} x r_i matrix, computed over Z[i]
-    on u and w cleared of denominators."""
-    if u.ranks != w.ranks:
-        raise ValueError("rank mismatch")
-    (l, ure, uim), (m, wre, wim) = _cleared(u.flatten()), _cleared(w.flatten())
-    entries = iter(_bracket_entries(u.ranks, list(zip(ure, uim)), list(zip(wre, wim))))
-    r = u.ranks.ranks
-    return tuple(
-        tuple(tuple(_gaussian(*next(entries), l * m) for _ in range(r[i])) for _ in range(r[i + 2]))
-        for i in range(u.ranks.k - 1)
-    )
-
-
 @lru_cache(maxsize=None)
 def _bracket_table(ranks: HodgeNumbers) -> tuple[tuple[int, ...], ...]:
     """table[k][p]: which entry of a fixed horizontal vector s lands at entry
@@ -176,9 +158,9 @@ def _bracket_entries(ranks: HodgeNumbers, u: Sequence[tuple[int, int]],
 
 def is_isotropic(plane: TwoPlane) -> bool:
     """Whether the bracket 2-form vanishes on the plane (bilinearity and
-    antisymmetry make the single spanning pair sufficient); on u and w
-    cleared of denominators the bracket is a positive multiple of
-    dtheta_bracket."""
+    antisymmetry make the single spanning pair sufficient), decided on u and
+    w cleared of denominators, whose bracket is a positive multiple of the
+    bracket of u and w."""
     return not any(map(any, _bracket_entries(plane.ranks, plane.u.gaussian_integers, plane.w.gaussian_integers)))
 
 

@@ -1,5 +1,6 @@
-"""Type-A root combinatorics for the block parabolic, its grading, and exact
-Lie-algebra kernels (sparse brackets, Killing form, conjugation).
+"""Type-A root combinatorics for the block parabolic: roots, grading levels,
+sparse brackets of matrix units, and bracket generation of the nilradical by
+its first level.
 
 Conventions.  Roots of sl(m) are integer vectors e_a - e_b (one +1, one -1,
 rest 0).  The simple system is alpha_j = e_{j+1} - e_j, j = 1..m-1, evaluated
@@ -23,11 +24,8 @@ and this module fixes the one above throughout.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 from typing import Iterable, Optional
 
-from .exactla import GaussianRational, Qi, QI_ZERO, as_matrix, conj_transpose, mat_mul, mat_neg, trace
 from .hodge import HodgeNumbers
 
 
@@ -42,10 +40,6 @@ class RootVector:
         object.__setattr__(self, "coords", coords)
         if sorted(coords) != [-1] + [0] * (len(coords) - 2) + [1]:
             raise ValueError(f"not an sl(m) root: {coords!r}")
-
-    @property
-    def m(self) -> int:
-        return len(self.coords)
 
     @property
     def plus_index(self) -> int:
@@ -81,13 +75,6 @@ def root_sum(a: RootVector, b: RootVector) -> Optional[RootVector]:
     return None
 
 
-def simple_roots(m: int) -> list[RootVector]:
-    """The simple system alpha_1, ..., alpha_{m-1} with alpha_j = e_{j+1} - e_j."""
-    if m < 2:
-        raise ValueError(f"invalid dimension m={m}: sl(m) needs m >= 2")
-    return [root_between(m, j + 1, j) for j in range(m - 1)]
-
-
 def all_roots(m: int) -> list[RootVector]:
     """All m(m-1) roots of sl(m), in a fixed deterministic order."""
     if m < 2:
@@ -119,10 +106,6 @@ class ParabolicData:
     def level(self, root: RootVector) -> int:
         """Grading level: block(+1 position) - block(-1 position)."""
         return self.block_of[root.plus_index] - self.block_of[root.minus_index]
-
-    def block_pair(self, root: RootVector) -> tuple[int, int]:
-        """(source block, target block) of the root's matrix realization."""
-        return (self.block_of[root.plus_index], self.block_of[root.minus_index])
 
     def sorted_n_roots(self) -> list[RootVector]:
         return sorted(self.n_roots)
@@ -181,11 +164,6 @@ def bridge_root(pd: ParabolicData, i: int, j: int) -> RootVector:
 Sparse = dict  # {(row, col): int}
 
 
-def root_space_sparse(root: RootVector) -> Sparse:
-    """Matrix unit of the root's root space: the map e_plus -> e_minus."""
-    return {(root.minus_index, root.plus_index): 1}
-
-
 def sparse_bracket(a: Sparse, b: Sparse) -> Sparse:
     out: Sparse = {}
     for (ra, ca), va in a.items():
@@ -202,87 +180,6 @@ def sparse_bracket(a: Sparse, b: Sparse) -> Sparse:
 def entry_level(block_of: tuple[int, ...], row: int, col: int) -> int:
     """Grading level of the (row, col) matrix position: block(col) - block(row)."""
     return block_of[col] - block_of[row]
-
-
-# ---------------------------------------------------------------------------
-# Grading.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GradingReport:
-    """Levels of all roots, graded dimensions, and the bracket compatibility audit."""
-
-    ranks: HodgeNumbers
-    levels: dict  # level -> tuple of RootVector
-    block_pairs: dict  # RootVector -> (source block, target block)
-    dim_g: dict  # level -> dimension of the graded piece (level 0 includes the Cartan)
-    bracket_additive: bool
-    descending_series_ok: bool
-
-
-def grading(pd: ParabolicData) -> GradingReport:
-    """Assign each root its level and audit the grading relations.
-
-    Checks, on matrix-unit representatives, that [g_a, g_b] lands in g_{a+b}
-    and that the descending series n^(r) = sum of levels >= r satisfies
-    [n, n^(r)] contained in n^(r+1).
-    """
-    roots = all_roots(pd.m)
-    levels: dict[int, list[RootVector]] = {}
-    block_pairs = {}
-    for r in roots:
-        lv = pd.level(r)
-        levels.setdefault(lv, []).append(r)
-        block_pairs[r] = pd.block_pair(r)
-
-    dim_g = {lv: len(rs) for lv, rs in levels.items()}
-    dim_g[0] = dim_g.get(0, 0) + (pd.m - 1)  # Cartan sits at level 0
-
-    q_levels = {lv for lv in levels if lv >= 0}
-    n_levels = sorted(lv for lv in levels if lv >= 1)
-
-    # Bracket additivity on representatives.
-    bracket_additive = True
-    for a in roots:
-        sa = root_space_sparse(a)
-        la = pd.level(a)
-        for b in roots:
-            br = sparse_bracket(sa, root_space_sparse(b))
-            lb = pd.level(b)
-            for (row, col) in br:
-                if row != col and entry_level(pd.block_of, row, col) != la + lb:
-                    bracket_additive = False
-                if row == col and la + lb != 0:
-                    bracket_additive = False
-
-    # [n, n^(r)] inside n^(r+1), i.e. every bracket entry at level >= r+1.
-    descending_ok = True
-    n_roots_sorted = pd.sorted_n_roots()
-    max_level = max(n_levels) if n_levels else 0
-    for r in range(1, max_level + 1):
-        step = [x for x in n_roots_sorted if pd.level(x) >= r]
-        for a in n_roots_sorted:
-            sa = root_space_sparse(a)
-            for b in step:
-                br = sparse_bracket(sa, root_space_sparse(b))
-                for (row, col) in br:
-                    if entry_level(pd.block_of, row, col) < r + 1:
-                        descending_ok = False
-
-    # Sanity: q-roots are exactly the roots of nonnegative level.
-    nonneg = {r for lv in q_levels for r in levels[lv]}
-    if nonneg != set(pd.phi):
-        raise AssertionError("q-roots are not the nonnegative levels")
-
-    return GradingReport(
-        ranks=pd.ranks,
-        levels={lv: tuple(sorted(rs)) for lv, rs in levels.items()},
-        block_pairs=block_pairs,
-        dim_g=dim_g,
-        bracket_additive=bracket_additive,
-        descending_series_ok=descending_ok,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -305,137 +202,38 @@ class BracketGenerationCertificate:
     levels: tuple[LevelCertificate, ...]
 
 
-def _sparse_reduce(vec: Sparse, echelon: dict) -> Sparse:
-    """Reduce an integer sparse vector against pivot rows (fraction-free)."""
-    vec = dict(vec)
-    while vec:
-        pivot = min(vec)
-        if pivot not in echelon:
-            g = 0
-            for x in vec.values():
-                g = gcd(g, x)
-            if g > 1:
-                vec = {k: v // g for k, v in vec.items()}
-            return vec
-        pvec = echelon[pivot][0]
-        a, b = pvec[pivot], vec[pivot]
-        new = {k: a * v for k, v in vec.items()}
-        for k, v in pvec.items():
-            new[k] = new.get(k, 0) - b * v
-        vec = {k: v for k, v in new.items() if v != 0}
-    return {}
-
-
 def bracket_generating_check(pd: ParabolicData) -> BracketGenerationCertificate:
     """Whether iterated brackets of the level-1 root spaces span every g_l, l >= 1.
 
-    Exact integer rank computation per level; the certificate carries, for each
+    The root space of a nilradical root is one matrix unit E_{row,col}, and
+    [E_{r1,c1}, E_{r2,c2}] is E_{r1,c2} if c1 = r2, -E_{r2,c1} if c2 = r1,
+    and 0 otherwise (both at once would need a root and its negative in the
+    nilradical).  So the span reached at a level is a set of positions, and
+    a new position is one more dimension.  The certificate carries, for each
     level, a spanning set of bracket trees built from level-1 roots.
     """
-    n_roots = pd.sorted_n_roots()
     by_level: dict[int, list[RootVector]] = {}
-    for r in n_roots:
+    for r in pd.sorted_n_roots():
         by_level.setdefault(pd.level(r), []).append(r)
-    max_level = max(by_level) if by_level else 0
-
-    certs = []
-    level1 = [(r, root_space_sparse(r)) for r in by_level.get(1, [])]
-    prev_basis = [(r, m) for r, m in level1]
-    certs.append(
-        LevelCertificate(
-            level=1,
-            dim=len(by_level.get(1, [])),
-            achieved=len(level1),
-            witnesses=tuple(r for r, _ in level1),
-        )
-    )
+    level1 = by_level.get(1, [])
+    certs = [LevelCertificate(level=1, dim=len(level1), achieved=len(level1), witnesses=tuple(level1))]
+    prev = [(r, (r.minus_index, r.plus_index)) for r in level1]  # (witness, position)
 
     ok = True
-    for lv in range(2, max_level + 1):
+    for lv in range(2, max(by_level, default=0) + 1):
         target = len(by_level.get(lv, []))
-        echelon: dict = {}  # pivot position -> (sparse vec, witness)
-        basis = []
-        done = False
-        for root1, m1 in level1:
-            for wit_prev, m_prev in prev_basis:
-                red = _sparse_reduce(sparse_bracket(m1, m_prev), echelon)
-                if red:
-                    witness = (root1, wit_prev)
-                    echelon[min(red)] = (red, witness)
-                    basis.append((witness, red))
-                    if len(echelon) == target:
-                        done = True
-                        break
-            if done:
-                break
-        achieved = len(echelon)
-        ok = ok and achieved == target
-        certs.append(
-            LevelCertificate(
-                level=lv,
-                dim=target,
-                achieved=achieved,
-                witnesses=tuple(w for w, _ in basis),
-            )
-        )
-        prev_basis = basis
+        found: dict = {}  # position -> witness, in the order found
+        for root1 in level1:
+            r1, c1 = root1.minus_index, root1.plus_index
+            for witness, (r2, c2) in prev:
+                if len(found) == target:
+                    break
+                if c1 == r2:
+                    found.setdefault((r1, c2), (root1, witness))
+                elif c2 == r1:
+                    found.setdefault((r2, c1), (root1, witness))
+        ok = ok and len(found) == target
+        certs.append(LevelCertificate(level=lv, dim=target, achieved=len(found), witnesses=tuple(found.values())))
+        prev = [(witness, pos) for pos, witness in found.items()]
 
     return BracketGenerationCertificate(ranks=pd.ranks, ok=ok, levels=tuple(certs))
-
-
-# ---------------------------------------------------------------------------
-# Block matrices over the Gaussian rationals, Killing form, conjugation.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BlockMatrix:
-    """An m x m matrix over Q(i), graded by the block structure of `ranks`."""
-
-    ranks: HodgeNumbers
-    entries: tuple  # tuple of row tuples of GaussianRational
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", as_matrix(self.entries, self.m, self.m))
-
-    @property
-    def m(self) -> int:
-        return self.ranks.m
-
-    def rows(self) -> list[list[GaussianRational]]:
-        return [list(r) for r in self.entries]
-
-
-def block_matrix(ranks: HodgeNumbers, rows: Iterable[Iterable]) -> BlockMatrix:
-    return BlockMatrix(ranks, tuple(tuple(row) for row in rows))
-
-
-def grading_element(ranks: HodgeNumbers) -> BlockMatrix:
-    """The block-scalar diagonal xi with ad(xi) = i*l on the level-l piece.
-
-    Per-block scalars step down by one per block index, shifted to make the
-    trace vanish; the whole matrix is a purely imaginary diagonal.
-    """
-    m = ranks.m
-    shift = Fraction(sum(i * r for i, r in enumerate(ranks.ranks)), m)
-    rows = [
-        [
-            Qi(0, shift - ranks.block_of[c]) if r == c else QI_ZERO
-            for c in range(m)
-        ]
-        for r in range(m)
-    ]
-    return block_matrix(ranks, rows)
-
-
-def killing_form(x: BlockMatrix, y: BlockMatrix) -> GaussianRational:
-    """Killing form of sl(m): B(X, Y) = 2m * tr(XY)."""
-    if x.m != y.m:
-        raise ValueError(f"dimension mismatch: {x.m} vs {y.m}")
-    return Qi(2 * x.m) * trace(mat_mul(x.rows(), y.rows()))
-
-
-def tau_conjugate(x: BlockMatrix) -> BlockMatrix:
-    """Conjugation with respect to the compact real form: tau(X) = -X*."""
-    return block_matrix(x.ranks, mat_neg(conj_transpose(x.rows())))
-

@@ -288,39 +288,30 @@ def _check_coloring(tri: SphericalTriangulation, coloring: ThreeColoring) -> Non
 
 
 @dataclass(frozen=True)
-class FaceGeometry:
-    circumcenter: tuple  # unit vector on the face's side
-    circumradius: float  # angular radius
-    midpoints: tuple  # geodesic midpoints of the three edges, in face order
-    circumcenter_inside: bool
-    equidistance_residual: float
-
-
-@dataclass(frozen=True)
 class MeshGeometry:
-    """FaceGeometry of every face at once: row i belongs to face i."""
-    circumcenters: np.ndarray  # (F, 3)
-    circumradii: np.ndarray  # (F,)
+    """Circumcircle geometry of every face: row i belongs to face i."""
+    circumcenters: np.ndarray  # (F, 3), unit vectors on the faces' side
+    circumradii: np.ndarray  # (F,), angular radii
     circumcenter_inside: np.ndarray  # (F,) bool
     equidistance_residuals: np.ndarray  # (F,)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products along the last axis, each through the same kernel as np.dot
-    and np.linalg.norm of one 3-vector, so rows match the one-face results bit
-    for bit (einsum and a sum of squares round differently)."""
+    and np.linalg.norm of one 3-vector, so rows match a face-by-face
+    computation bit for bit (einsum and a sum of squares round differently)."""
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def mesh_geometry(tri: SphericalTriangulation, face_indices: Optional[list[int]] = None) -> MeshGeometry:
+def mesh_geometry(tri: SphericalTriangulation) -> MeshGeometry:
     """Circumcenter, angular circumradius, and containment of the
-    circumcenter in the closed spherical triangle, for the given faces (by
-    default all of them) in one vectorized pass.
+    circumcenter in the closed spherical triangle, for every face in one
+    vectorized pass.
 
-    Raises DegenerateFaceError naming the first face, in the given order,
-    that has collinear vertices or an antipodal edge.
+    Raises DegenerateFaceError naming the first face that has collinear
+    vertices or an antipodal edge.
     """
-    faces = tri.face_array if face_indices is None else tri.face_array[np.asarray(face_indices, dtype=np.intp)]
+    faces = tri.face_array
     corners = tri.vertices[faces]  # (F, 3, 3)
     v0, v1, v2 = corners[:, 0], corners[:, 1], corners[:, 2]
     following = corners[:, (1, 2, 0)]  # the second end of each edge, in face order
@@ -342,21 +333,6 @@ def mesh_geometry(tri: SphericalTriangulation, face_indices: Optional[list[int]]
         circumradii=angles[:, 0],
         circumcenter_inside=np.all(sides >= -1e-12, axis=1),
         equidistance_residuals=np.max(np.abs(angles - angles[:, :1]), axis=1),
-    )
-
-
-def face_geometry(tri: SphericalTriangulation, face_index: int) -> FaceGeometry:
-    """mesh_geometry of one face, with its edge midpoints."""
-    g = mesh_geometry(tri, [face_index])
-    corners = tri.vertices[tri.face_array[[face_index]]]  # (1, 3, 3), the shape mesh_geometry sees
-    mids = corners + corners[:, (1, 2, 0)]
-    mids = mids / np.sqrt(_dot(mids, mids))[..., None]
-    return FaceGeometry(
-        circumcenter=tuple(g.circumcenters[0].tolist()),
-        circumradius=float(g.circumradii[0]),
-        midpoints=tuple(tuple(m) for m in mids[0].tolist()),
-        circumcenter_inside=bool(g.circumcenter_inside[0]),
-        equidistance_residual=float(g.equidistance_residuals[0]),
     )
 
 
@@ -481,18 +457,10 @@ def off_chunks(tri: SphericalTriangulation):
             yield "".join(starmap(line.format, rows[start:start + wire.CHUNK_ROWS].tolist()))
 
 
-def to_off(tri: SphericalTriangulation) -> str:
-    return "".join(off_chunks(tri))
-
-
-def sidecar_document(
-    tri: SphericalTriangulation, coloring: ThreeColoring,
-    geometry: Optional[MeshGeometry] = None, glue: Optional[GluingPolyhedron] = None,
-) -> dict:
-    """The sidecar (colors, circumcenters, gluing) as a document whose arrays
-    are wire.Tables."""
-    geometry = mesh_geometry(tri) if geometry is None else geometry
-    glue = gluing_pattern(tri, coloring) if glue is None else glue
+def sidecar_document(coloring: ThreeColoring, geometry: MeshGeometry, glue: GluingPolyhedron) -> dict:
+    """The sidecar (colors, circumcenters, gluing) of a mesh's coloring,
+    mesh_geometry and gluing_pattern, as a document whose arrays are
+    wire.Tables."""
     names = np.array(COLOR_NAMES)
     return {
         "schema": wire.SCHEMA,
@@ -502,10 +470,3 @@ def sidecar_document(
             [None, None, [None, None]], (*glue.face_pairs.T, *names[glue.color_pairs].T)
         ),
     }
-
-
-def sidecar_dumps(
-    tri: SphericalTriangulation, coloring: ThreeColoring,
-    geometry: Optional[MeshGeometry] = None, glue: Optional[GluingPolyhedron] = None,
-) -> str:
-    return wire.dumps_indented(sidecar_document(tri, coloring, geometry, glue))

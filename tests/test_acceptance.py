@@ -175,7 +175,7 @@ def test_criterion_07_rank_one_lemma():
             grid_checked += 1
             if pointwise_rank(field, 0) >= 2:
                 grid_triggered += 1
-                ok = ok and field.layer_is_zero(1)
+                ok = ok and pointwise_rank(field, 1) == 0
     ok = ok and grid_checked > 0 and grid_triggered > 0
     _finish(
         7,

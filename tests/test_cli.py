@@ -276,6 +276,24 @@ def test_unwritable_classify_out_fails_before_any_suite(tmp_path, capsys, monkey
     assert err.startswith("invalid input: ") and err.count("\n") == 1
 
 
+def test_unwritable_verify_out_fails_before_any_suite(tmp_path, capsys, monkeypatch):
+    import hodge_domains.cli as cli
+
+    ran = []
+
+    def never(cfg):  # run_verify reports a raising suite as failed, so calls are recorded too
+        ran.append(cfg)
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "_SUITES", tuple((name, never) for name, _ in cli._SUITES))
+    argv = ["verify", "--ranks", "1,6,1", "--out", str(tmp_path / "missing" / "x.json")]
+    assert main(argv) == EXIT_INVALID_INPUT
+    assert ran == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+
+
 def test_classify_out_rejected_for_other_ranks(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["verify", "--ranks", "1,1", "--samples", "2", "--classify-out", "x.jsonl"]) == EXIT_INVALID_INPUT

@@ -1,5 +1,5 @@
-"""Higgs fields: commutation, pointwise ranks, the rank-one lemma, the
-splitting detector and the samplers.
+"""Higgs fields: commutation, pointwise ranks, the rank-one lemma and the
+samplers.
 
 The reference_* functions are the dense commutation check and the
 hand-indexed nullspace sampler as they were before both read the bracket
@@ -28,7 +28,6 @@ from hodge_domains.higgs import (
     pointwise_rank,
     random_commuting_higgs,
     rank_one_lemma_check,
-    splitting_detector,
 )
 
 
@@ -236,7 +235,7 @@ def test_lemma_on_sampled_fields():
         assert verdict.holds
         if verdict.triggered:
             triggered += 1
-            assert h.layer_is_zero(1)
+            assert pointwise_rank(h, 1) == 0
     assert triggered > 0
 
 
@@ -247,7 +246,7 @@ def test_lemma_mirror_statement_sampled():
     for seed in range(200):
         h = random_commuting_higgs((3, 1, 3), 2, seed=seed, strategy="nullspace")
         if directional_image_rank(h, 1) >= 2:
-            assert h.layer_is_zero(0)
+            assert pointwise_rank(h, 0) == 0
             checked += 1
     assert checked > 0
 
@@ -267,7 +266,7 @@ def test_lemma_mirror_statement_exhaustive_grid():
                 continue
             if directional_image_rank(h, 1) >= 2:
                 triggered += 1
-                assert h.layer_is_zero(0)
+                assert pointwise_rank(h, 0) == 0
     assert triggered > 0
 
 
@@ -281,34 +280,6 @@ def test_lemma_preconditions_reported_distinctly():
     bad = field_111([1, 0], [0, 1])
     with pytest.raises(PreconditionError):
         rank_one_lemma_check(bad, 1)  # does not commute
-
-
-# -- splitting --------------------------------------------------------------------
-
-
-def test_splitting_generic_nonzero_none():
-    h = field_111([1, 2], [3, 6])
-    assert splitting_detector(h) is None
-
-
-def test_splitting_zero_layer_1221():
-    hn = HodgeNumbers((1, 2, 2, 1))
-    h = random_commuting_higgs(hn, 2, seed=18, strategy="pullback")
-    zero1 = tuple(
-        tuple(
-            tuple(tuple(QI_ZERO for _ in row) for row in mx) for mx in layer
-        )
-        if i == 1
-        else layer
-        for i, layer in enumerate(h.theta)
-    )
-    cut = HiggsField(hn, 2, zero1)
-    assert splitting_detector(cut) == 1
-
-
-def test_splitting_all_zero_field():
-    h = field_111([0, 0], [0, 0])
-    assert splitting_detector(h) == 0
 
 
 # -- samplers ---------------------------------------------------------------------
@@ -330,7 +301,7 @@ def test_sampler_nullspace_commutes():
 def test_sampler_rank_target_212():
     h = random_commuting_higgs((2, 1, 2), 2, seed=5, strategy="nullspace", target_ranks={0: 2})
     assert pointwise_rank(h, 0) == 2
-    assert h.layer_is_zero(1)  # forced by the vanishing lemma
+    assert pointwise_rank(h, 1) == 0  # forced by the vanishing lemma
 
 
 def test_sampler_exhaustion():

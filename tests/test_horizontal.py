@@ -2,12 +2,15 @@
 
 The helpers below build horizontal vectors for the tests (the (1,n,1) model
 vector, basis vectors, scaling, sums, GL(2, R) changes of the spanning pair,
-the (1,n,1) symplectic scalar).  The reference_* functions are the plane sampler and the rank-based
-independence tests as they were before the plane path moved to Gaussian
-integers, and the dense bracket as it was before it read _bracket_table,
-kept verbatim as the oracles for them.  sample_model_plane builds the
-suite's drawn pairs into the public TwoPlane, so the public predicates on
-it are the oracle for the verdicts the suite reaches on the bare pairs.
+the (1,n,1) symplectic scalar) and evaluate the bracket through
+_bracket_entries, the kernel behind isotropy, regularity and Higgs
+commutation.  The reference_* functions are the plane sampler and the
+rank-based independence tests as they were before the plane path moved to
+Gaussian integers, and the dense bracket as it was before it read
+_bracket_table, kept verbatim as the oracles for them.  sample_model_plane
+builds the suite's drawn pairs into the public TwoPlane, so the public
+predicates on it are the oracle for the verdicts the suite reaches on the
+bare pairs.
 """
 
 import json
@@ -21,15 +24,15 @@ from hypothesis import given, settings, strategies as st
 from conftest import mat_sub
 import hodge_domains.horizontal as horizontal_mod
 from hodge_domains.cli import EXIT_SUITE_FAILURE, main
-from hodge_domains.exactla import GaussianRational, Qi, QI_ZERO, as_matrix, mat_mul, rank
+from hodge_domains.exactla import GaussianRational, Qi, QI_ZERO, _cleared, as_matrix, mat_mul, rank
 from hodge_domains.hodge import HodgeNumbers
 from hodge_domains.horizontal import (
     HorizontalVector,
     NotApplicableError,
     TwoPlane,
+    _bracket_entries,
     _draw_model_pair,
     _independent,
-    dtheta_bracket,
     horizontal_positions,
     is_complex_line,
     is_isotropic,
@@ -128,6 +131,14 @@ def gl2_transform(plane: TwoPlane, a: Fraction, b: Fraction, c: Fraction, d: Fra
 def complex_independent(u: HorizontalVector, w: HorizontalVector) -> bool:
     """The minor scan is_complex_line runs, on any pair."""
     return _independent(u.gaussian_integers, w.gaussian_integers)
+
+
+def bracket(u: HorizontalVector, w: HorizontalVector) -> list[GaussianRational]:
+    """The flattened level-two bracket of u against w: _bracket_entries on u
+    and w cleared of denominators l and m, divided by l * m."""
+    (l, ure, uim), (m, wre, wim) = _cleared(u.flatten()), _cleared(w.flatten())
+    entries = _bracket_entries(u.ranks, [*zip(ure, uim)], [*zip(wre, wim)])
+    return [Qi(Fraction(a, l * m), Fraction(b, l * m)) for a, b in entries]
 
 
 def reference_dtheta_bracket(u: HorizontalVector, w: HorizontalVector) -> tuple:
@@ -234,16 +245,13 @@ def random_plane(ranks, rng):
 def test_bracket_111_unit_pair():
     u = model_vector(1, [1], [0])
     w = model_vector(1, [0], [1])
-    out = dtheta_bracket(u, w)
-    assert len(out) == 1
-    assert out[0][0][0] == Qi(1)
+    assert bracket(u, w) == [Qi(1)]
 
 
 def test_bracket_of_real_multiples_vanishes():
     u = model_vector(3, [1, 2, 0], [0, 1, 1])
     w = scale(u, Qi(Fraction(7, 2)))
-    out = dtheta_bracket(u, w)
-    assert all(x.is_zero() for mx in out for row in mx for x in row)
+    assert all(x.is_zero() for x in bracket(u, w))
 
 
 def test_bracket_121_direct_evaluation():
@@ -252,10 +260,9 @@ def test_bracket_121_direct_evaluation():
     u = HorizontalVector(ranks, (((Qi(1),), (Qi(0),)), ((Qi(1), Qi(0)),)))
     w = HorizontalVector(ranks, (((Qi(0),), (Qi(1),)), ((Qi(0), Qi(1)),)))
     # component = w_1 u_0 - u_1 w_0 = e2t . e1 - e1t . e2 = 0 - 0 = 0
-    out = dtheta_bracket(u, w)
-    assert out[0][0][0] == Qi(0)
-    swapped = dtheta_bracket(w, u)
-    assert swapped[0][0][0] == -out[0][0][0]
+    out = bracket(u, w)
+    assert out == [Qi(0)]
+    assert bracket(w, u) == [-out[0]]
 
 
 def test_bracket_antisymmetry_and_bilinearity_randomized():
@@ -263,20 +270,10 @@ def test_bracket_antisymmetry_and_bilinearity_randomized():
     for _ in range(1000):
         ranks = HodgeNumbers(tuple(rng.randint(1, 2) for _ in range(rng.randint(3, 4))))
         u, w, v = (random_vector(ranks, rng) for _ in range(3))
-        ab = dtheta_bracket(u, w)
-        ba = dtheta_bracket(w, u)
-        for ma, mb in zip(ab, ba):
-            for ra, rb in zip(ma, mb):
-                for xa, xb in zip(ra, rb):
-                    assert xa == -xb
+        assert bracket(u, w) == [-x for x in bracket(w, u)]
         lam = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
-        lhs = dtheta_bracket(add(u, scale(v, Qi(lam))), w)
-        rhs_a = dtheta_bracket(u, w)
-        rhs_b = dtheta_bracket(v, w)
-        for ml, ma, mb in zip(lhs, rhs_a, rhs_b):
-            for rl, ra, rb in zip(ml, ma, mb):
-                for xl, xa, xb in zip(rl, ra, rb):
-                    assert xl == xa + Qi(lam) * xb
+        lhs = bracket(add(u, scale(v, Qi(lam))), w)
+        assert lhs == [xa + Qi(lam) * xb for xa, xb in zip(bracket(u, w), bracket(v, w))]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -285,8 +282,7 @@ def test_bracket_matches_symplectic_scalar_on_basis_pairs(n):
     basis = [horizontal_basis_vector(ranks, p) for p in horizontal_positions(ranks)]
     for u in basis:
         for w in basis:
-            got = dtheta_bracket(u, w)[0][0][0]
-            assert got == model_symplectic_form(u, w)
+            assert bracket(u, w) == [model_symplectic_form(u, w)]
 
 
 def test_bracket_matches_symplectic_scalar_random():
@@ -295,7 +291,7 @@ def test_bracket_matches_symplectic_scalar_random():
         n = rng.randint(1, 4)
         ranks = HodgeNumbers((1, n, 1))
         u, w = random_vector(ranks, rng), random_vector(ranks, rng)
-        assert dtheta_bracket(u, w)[0][0][0] == model_symplectic_form(u, w)
+        assert bracket(u, w) == [model_symplectic_form(u, w)]
 
 
 # -- isotropy and regularity ----------------------------------------------------
@@ -389,14 +385,15 @@ def test_bracket_matches_dense_reference(ranks, data):
             tuple(tuple(data.draw(scalars) for _ in range(r[i])) for _ in range(r[i + 1])) for i in range(ranks.k)))
 
     u, w = vector(), vector()
-    assert dtheta_bracket(u, w) == reference_dtheta_bracket(u, w)
+    assert bracket(u, w) == [x for mx in reference_dtheta_bracket(u, w) for row in mx for x in row]
 
 
 def test_bracket_rejects_rank_mismatch():
+    # the bracket form is evaluated on a TwoPlane, which refuses mixed ranks
     u = model_vector(2, [1, 0], [0, 1])
     w = model_vector(3, [1, 0, 0], [0, 1, 0])
-    with pytest.raises(ValueError):
-        dtheta_bracket(u, w)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        TwoPlane(u, w)
 
 
 # -- the seeded criterion suite ---------------------------------------------------

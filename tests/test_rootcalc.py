@@ -1,58 +1,25 @@
-import random
-from fractions import Fraction
-from typing import Iterable
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_rank_tuples, mat_sub
-from hodge_domains.exactla import (
-    GaussianRational,
-    QI_ZERO,
-    Qi,
-    _coerce,
-    hermitian_definiteness,
-    mat_mul,
-    trace,
-)
+from hodge_domains.exactla import Qi, mat_mul
 from hodge_domains.hodge import HodgeNumbers
 from hodge_domains.rootcalc import (
-    BlockMatrix,
     RootVector,
     all_roots,
-    block_matrix,
     bracket_generating_check,
     bridge_root,
     entry_level,
-    grading,
-    grading_element,
-    killing_form,
     parabolic_from_ranks,
     root_between,
-    root_space_sparse,
     root_sum,
-    simple_roots,
     sparse_bracket,
-    tau_conjugate,
     wall_roots,
 )
 
 
-def is_real(x) -> bool:
-    return x.im == 0
-
-
 # -- matrix and root helpers: only the tests below call them -------------------
-
-
-def mat(rows: Iterable[Iterable]) -> list[list[GaussianRational]]:
-    return [[_coerce(x) for x in row] for row in rows]
-
-
-def bracket(a, b):
-    """Matrix commutator [a, b] = ab - ba."""
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
 def dot(a: RootVector, b: RootVector) -> int:
@@ -60,53 +27,21 @@ def dot(a: RootVector, b: RootVector) -> int:
 
 
 def root_space_matrix(root: RootVector) -> list[list[int]]:
-    m = root.m
+    m = len(root.coords)
     out = [[0] * m for _ in range(m)]
     out[root.minus_index][root.plus_index] = 1
     return out
 
 
-def root_space_block_matrix(root: RootVector, ranks: HodgeNumbers) -> BlockMatrix:
-    return block_matrix(ranks, mat(root_space_matrix(root)))
+def unit(root: RootVector) -> dict:
+    """The root's matrix unit as a sparse matrix: the map e_plus -> e_minus."""
+    return {(root.minus_index, root.plus_index): 1}
 
 
-def is_traceless(x: BlockMatrix) -> bool:
-    return trace([list(r) for r in x.entries]).is_zero()
-
-
-def level_component(x: BlockMatrix, level: int) -> BlockMatrix:
-    """The projection onto grading level `level` (other entries zeroed)."""
-    block_of = x.ranks.block_of
-    rows = [
-        [
-            v if entry_level(block_of, i, j) == level else QI_ZERO
-            for j, v in enumerate(row)
-        ]
-        for i, row in enumerate(x.entries)
-    ]
-    return BlockMatrix(x.ranks, tuple(tuple(r) for r in rows))
-
-
-def entry_levels(x: BlockMatrix) -> dict:
-    """Nonzero entries grouped by grading level."""
-    block_of = x.ranks.block_of
-    out: dict[int, list[tuple[int, int]]] = {}
-    for i, row in enumerate(x.entries):
-        for j, v in enumerate(row):
-            if not v.is_zero():
-                out.setdefault(entry_level(block_of, i, j), []).append((i, j))
-    return out
-
-
-def ad(x: BlockMatrix, y: BlockMatrix) -> BlockMatrix:
-    if x.m != y.m:
-        raise ValueError("dimension mismatch in bracket")
-    return block_matrix(x.ranks, bracket(x.rows(), y.rows()))
-
-
-def invariant_inner_product(x: BlockMatrix, y: BlockMatrix) -> GaussianRational:
-    """The Ad-invariant inner product (X, Y) -> -B(X, tau(Y)); Hermitian positive."""
-    return -killing_form(x, tau_conjugate(y))
+def simple_roots(m: int) -> list[RootVector]:
+    """The simple system alpha_j = e_{j+1} - e_j: every position is a wall of
+    the Borel (1, ..., 1), so these are its wall roots."""
+    return wall_roots(parabolic_from_ranks(HodgeNumbers((1,) * m)))
 
 
 # -- simple roots -----------------------------------------------------------
@@ -131,7 +66,7 @@ def test_simple_roots_sl4_cartan_pattern():
 
 def test_simple_roots_invalid_dimension():
     with pytest.raises(ValueError):
-        simple_roots(1)
+        all_roots(1)
 
 
 def test_positive_roots_are_nonnegative_combinations():
@@ -198,19 +133,26 @@ def test_parabolic_counting_invariants_m_le_9():
 # -- grading ----------------------------------------------------------------
 
 
+def level_dims(pd) -> dict:
+    """level -> number of roots of sl(m) at that level."""
+    dims: dict[int, int] = {}
+    for r in all_roots(pd.m):
+        dims[pd.level(r)] = dims.get(pd.level(r), 0) + 1
+    return dims
+
+
 def test_grading_111_levels():
     pd = parabolic_from_ranks(HodgeNumbers((1, 1, 1)))
-    g = grading(pd)
     n_levels = sorted(pd.level(r) for r in pd.n_roots)
     assert n_levels == [1, 1, 2]
-    assert g.dim_g[-1] == 2 and g.dim_g[-2] == 1
+    dims = level_dims(pd)
+    assert dims[-1] == 2 and dims[-2] == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_grading_1n1_first_level(n):
     pd = parabolic_from_ranks(HodgeNumbers((1, n, 1)))
-    g = grading(pd)
-    assert g.dim_g[-1] == 2 * n
+    assert level_dims(pd)[-1] == 2 * n
 
 
 def test_grading_level_partition_counts():
@@ -237,10 +179,21 @@ def test_grading_additivity_exhaustive_m_le_7():
 
 
 def test_grading_bracket_audits_hold():
+    # On matrix units: [g_a, g_b] lies in g_{a+b} (a diagonal entry only when
+    # a + b = 0), and [n, n^(r)] lies in n^(r+1), n^(r) the levels >= r.
     for ranks in [(1, 1), (1, 1, 1), (2, 1), (1, 2, 1), (2, 1, 2), (1, 1, 1, 1)]:
-        g = grading(parabolic_from_ranks(HodgeNumbers(ranks)))
-        assert g.bracket_additive
-        assert g.descending_series_ok
+        pd = parabolic_from_ranks(HodgeNumbers(ranks))
+        for a in all_roots(pd.m):
+            for b in all_roots(pd.m):
+                for row, col in sparse_bracket(unit(a), unit(b)):
+                    if row == col:
+                        assert pd.level(a) + pd.level(b) == 0
+                    else:
+                        assert entry_level(pd.block_of, row, col) == pd.level(a) + pd.level(b)
+        for a in pd.n_roots:
+            for b in pd.n_roots:
+                for row, col in sparse_bracket(unit(a), unit(b)):
+                    assert entry_level(pd.block_of, row, col) >= pd.level(b) + 1
 
 
 def test_q_is_a_subalgebra_m_le_6():
@@ -248,7 +201,7 @@ def test_q_is_a_subalgebra_m_le_6():
     # and the Cartan normalizes every root space.
     for hn in all_rank_tuples(6):
         pd = parabolic_from_ranks(hn)
-        reps = [(r, root_space_sparse(r)) for r in sorted(pd.phi)]
+        reps = [(r, unit(r)) for r in sorted(pd.phi)]
         for _, x in reps:
             for _, y in reps:
                 br = sparse_bracket(x, y)
@@ -286,94 +239,57 @@ def test_bracket_generation_witness_counts():
         assert lc.achieved == lc.dim == len(lc.witnesses)
 
 
-# -- Killing form, conjugation, grading element -----------------------------
+def evaluate(tree) -> dict:
+    """The sparse matrix of a witness tree: a root's matrix unit, or the
+    bracket of a level-1 root's unit with its subtree's matrix."""
+    if isinstance(tree, RootVector):
+        return unit(tree)
+    root, sub = tree
+    return sparse_bracket(unit(root), evaluate(sub))
 
 
-def _sl2_matrix(rows):
-    return block_matrix(HodgeNumbers((1, 1)), [[Qi(x) for x in row] for row in rows])
-
-
-def test_killing_form_sl2_nilpotent():
-    x = _sl2_matrix([[0, 0], [1, 0]])
-    assert invariant_inner_product(x, x) == Qi(4)
-
-
-def test_killing_form_matches_trace_normalization():
-    x = _sl2_matrix([[1, 0], [0, -1]])
-    y = _sl2_matrix([[0, 1], [0, 0]])
-    assert killing_form(x, x) == Qi(8)  # 2m tr(x^2) = 4 * 2
-    assert killing_form(x, y) == Qi(0)
-
-
-def test_tau_of_diagonal_is_minus_conjugate():
-    x = block_matrix(
-        HodgeNumbers((1, 1, 1)),
-        [[Qi(1, 2), Qi(0), Qi(0)], [Qi(0), Qi(-2, 1), Qi(0)], [Qi(0), Qi(0), Qi(1, -3)]],
-    )
-    t = tau_conjugate(x)
-    for i in range(3):
-        assert t.entries[i][i] == -x.entries[i][i].conjugate()
-    assert is_real(invariant_inner_product(x, x))
-
-
-def test_killing_dimension_mismatch():
-    x = _sl2_matrix([[0, 0], [1, 0]])
-    y = block_matrix(HodgeNumbers((1, 1, 1)), [[Qi(0)] * 3 for _ in range(3)])
-    with pytest.raises(ValueError):
-        killing_form(x, y)
-
-
-def test_inner_product_positive_on_random_nilradical_elements():
-    rng = random.Random(20240)
-    for _ in range(100):
-        hn = HodgeNumbers(tuple(rng.randint(1, 2) for _ in range(rng.randint(2, 4))))
+def test_bracket_generation_witnesses_are_distinct_units_m_le_7():
+    # the premise of the position echelon: a bracket of nilradical matrix
+    # units is one signed matrix unit or 0, so each witness is one position
+    for hn in all_rank_tuples(7):
         pd = parabolic_from_ranks(hn)
-        rows = [[Qi(0)] * hn.m for _ in range(hn.m)]
-        nonzero = False
-        for r in pd.sorted_n_roots():
-            c = Qi(Fraction(rng.randint(-2, 2), rng.choice((1, 2))), Fraction(rng.randint(-2, 2), 2))
-            if not c.is_zero():
-                nonzero = True
-            rows[r.minus_index][r.plus_index] = c
-        if not nonzero:
-            rows[pd.sorted_n_roots()[0].minus_index][pd.sorted_n_roots()[0].plus_index] = Qi(1)
-        x = block_matrix(hn, rows)
-        val = invariant_inner_product(x, x)
-        assert is_real(val) and val.re > 0
+        for a in pd.n_roots:
+            for b in pd.n_roots:
+                assert list(sparse_bracket(unit(a), unit(b)).values()) in ([], [1], [-1])
+        cert = bracket_generating_check(pd)
+        assert cert.ok
+        for lc in cert.levels:
+            units = [evaluate(w) for w in lc.witnesses]
+            assert all(len(u) == 1 and abs(*u.values()) == 1 for u in units)
+            positions = {pos for u in units for pos in u}
+            assert len(positions) == lc.achieved == lc.dim
+            assert all(entry_level(pd.block_of, row, col) == lc.level for row, col in positions)
 
 
-def test_inner_product_gram_positive_definite_m_le_6():
-    for hn in all_rank_tuples(6):
-        pd = parabolic_from_ranks(hn)
-        reps = [root_space_block_matrix(r, hn) for r in pd.sorted_n_roots()]
-        gram = [[invariant_inner_product(x, y) for y in reps] for x in reps]
-        assert hermitian_definiteness(gram) == "positive"
+# -- grading element ----------------------------------------------------------
 
 
 def test_grading_element_eigenvalues():
+    # xi = diag(-i * block(c)) (up to a scalar, which ad ignores) has
+    # ad(xi) = i * level on each root space: the levels are its eigenvalues.
     for ranks in [(1, 1), (1, 2, 1), (2, 1, 2), (1, 1, 2, 1)]:
         hn = HodgeNumbers(ranks)
-        xi = grading_element(hn)
-        assert is_traceless(xi)
+        xi = [[Qi(0, -hn.block_of[c]) if r == c else Qi(0) for c in range(hn.m)] for r in range(hn.m)]
         pd = parabolic_from_ranks(hn)
         for r in all_roots(hn.m):
-            x = root_space_block_matrix(r, hn)
-            lhs = ad(xi, x)
-            scaled = block_matrix(
-                hn,
-                [[Qi(0, pd.level(r)) * v for v in row] for row in x.entries],
-            )
-            assert lhs.entries == scaled.entries
+            x = [[Qi(v) for v in row] for row in root_space_matrix(r)]
+            ad = mat_sub(mat_mul(xi, x), mat_mul(x, xi))
+            assert ad == [[Qi(0, pd.level(r)) * v for v in row] for row in x]
 
 
 def test_block_matrix_level_component():
     hn = HodgeNumbers((1, 1, 1))
-    x = block_matrix(hn, [[Qi(1), Qi(2), Qi(3)], [Qi(4), Qi(5), Qi(6)], [Qi(7), Qi(8), Qi(9)]])
-    lv1 = level_component(x, 1)
+    x = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+    levels = {(i, j): entry_level(hn.block_of, i, j) for i in range(3) for j in range(3)}
     # level 1 entries: block(col) - block(row) = 1, i.e. (row, col) in {(0,1),(1,2)}
-    assert lv1.entries[0][1] == Qi(2) and lv1.entries[1][2] == Qi(6)
-    assert lv1.entries[0][0].is_zero() and lv1.entries[2][0].is_zero()
-    assert set(entry_levels(x)) == {-2, -1, 0, 1, 2}
+    assert [x[i][j] for (i, j), lv in levels.items() if lv == 1] == [2, 6]
+    assert levels[0, 0] == 0 and levels[2, 0] == -2
+    assert set(levels.values()) == {-2, -1, 0, 1, 2}
 
 
 def test_wall_and_bridge_roots():

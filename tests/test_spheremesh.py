@@ -1,7 +1,7 @@
 import json
 import math
 import warnings
-from collections import deque
+from collections import deque, namedtuple
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ import pytest
 from hodge_domains import wire
 from hodge_domains.spheremesh import (
     DegenerateFaceError,
-    FaceGeometry,
     MeshInvariantError,
     NotThreeColorableError,
     SphericalTriangulation,
@@ -17,15 +16,13 @@ from hodge_domains.spheremesh import (
     _check_links,
     audit_mesh,
     audit_passes,
-    face_geometry,
     gluing_pattern,
     mesh_geometry,
     octahedron,
+    off_chunks,
     sidecar_document,
-    sidecar_dumps,
     subdivide,
     three_color,
-    to_off,
     verify_coloring,
 )
 
@@ -64,7 +61,7 @@ def test_octahedron_even_degree_four():
 
 def test_octahedron_equal_circumradii():
     t = octahedron()
-    radii = [face_geometry(t, i).circumradius for i in range(8)]
+    radii = mesh_geometry(t).circumradii.tolist()
     assert max(radii) - min(radii) < 1e-12
     assert abs(radii[0] - math.acos(1 / math.sqrt(3))) < 1e-12
 
@@ -149,25 +146,22 @@ def test_verify_coloring_rejects_monochromatic_edge():
 def test_face_geometry_octant_face():
     t = octahedron()
     face0 = t.faces[0]  # (0, 1, 2) = (e1, e2, e3)
-    geo = face_geometry(t, 0)
+    geo = mesh_geometry(t)
     expected = np.ones(3) / math.sqrt(3)
-    assert np.allclose(geo.circumcenter, expected, atol=1e-14)
-    assert geo.circumcenter_inside
-    assert geo.equidistance_residual < 1e-12
-    mid01 = np.array(geo.midpoints[0])
-    assert np.allclose(mid01, np.array([1, 1, 0]) / math.sqrt(2), atol=1e-14)
+    assert np.allclose(geo.circumcenters[0], expected, atol=1e-14)
+    assert geo.circumcenter_inside[0]
+    assert geo.equidistance_residuals[0] < 1e-12
     assert face0 == (0, 1, 2)
 
 
 def test_face_geometry_equidistance_up_to_five_subdivisions():
     for s, tri in meshes_up_to(5):
-        worst = max(face_geometry(tri, i).equidistance_residual for i in range(tri.num_faces))
-        assert worst < 1e-10
+        assert mesh_geometry(tri).equidistance_residuals.max() < 1e-10
 
 
 def test_face_geometry_circumcenters_inside_up_to_five():
     for s, tri in meshes_up_to(5):
-        assert all(face_geometry(tri, i).circumcenter_inside for i in range(tri.num_faces))
+        assert mesh_geometry(tri).circumcenter_inside.all()
 
 
 def test_antipodal_edge_has_no_geodesic_midpoint():
@@ -277,6 +271,10 @@ def reference_check_link(faces, vertex):
 def reference_check_links(num_vertices, faces):
     for vertex in range(num_vertices):
         reference_check_link(faces, vertex)
+
+
+FaceGeometry = namedtuple(
+    "FaceGeometry", "circumcenter circumradius midpoints circumcenter_inside equidistance_residual")
 
 
 def reference_face_geometry(tri, face_index):
@@ -530,16 +528,9 @@ def test_mesh_geometry_matches_per_face_reference_up_to_five():
         geo = mesh_geometry(tri)
         ref = [reference_face_geometry(tri, i) for i in range(tri.num_faces)]
         assert geo.circumcenters.tobytes() == np.array([r.circumcenter for r in ref]).tobytes()
+        assert geo.circumradii.tobytes() == np.array([r.circumradius for r in ref]).tobytes()
+        assert geo.equidistance_residuals.tobytes() == np.array([r.equidistance_residual for r in ref]).tobytes()
         assert geo.circumcenter_inside.tolist() == [r.circumcenter_inside for r in ref]
-        assert (geo.equidistance_residuals < 1e-10).tolist() == [
-            r.equidistance_residual < 1e-10 for r in ref
-        ]
-
-
-def test_face_geometry_equals_reference_up_to_two():
-    for s, tri in meshes_up_to(2):
-        for i in range(tri.num_faces):
-            assert face_geometry(tri, i) == reference_face_geometry(tri, i)
 
 
 def test_gluing_pattern_equals_reference_up_to_three():
@@ -719,7 +710,7 @@ def test_degenerate_faces_name_first_failing_face(moved, onto, message):
 
 def test_off_export_structure():
     t = octahedron()
-    text = to_off(t)
+    text = "".join(off_chunks(t))
     lines = text.strip().split("\n")
     assert lines[0] == "OFF"
     assert lines[1] == "6 8 12"
@@ -731,14 +722,15 @@ def test_off_export_structure():
 def test_sidecar_roundtrip_bit_exact():
     for s, tri in meshes_up_to(2):
         coloring = three_color(tri)
-        text = sidecar_dumps(tri, coloring)
+        text = wire.dumps_indented(sidecar_document(coloring, mesh_geometry(tri), gluing_pattern(tri, coloring)))
         reparsed = json.dumps(json.loads(text), sort_keys=True, indent=1)
         assert reparsed == text
 
 
 def test_sidecar_fields():
     t = octahedron()
-    doc = json.loads(wire.dumps_indented(sidecar_document(t, three_color(t))))
+    coloring = three_color(t)
+    doc = json.loads(wire.dumps_indented(sidecar_document(coloring, mesh_geometry(t), gluing_pattern(t, coloring))))
     assert doc["schema"] == "hodge-domains/1"
     assert len(doc["colors"]) == 6
     assert set(doc["colors"]) == {"red", "green", "blue"}
