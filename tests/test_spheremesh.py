@@ -533,6 +533,23 @@ def test_mesh_geometry_matches_per_face_reference_up_to_five():
         assert geo.circumcenter_inside.tolist() == [r.circumcenter_inside for r in ref]
 
 
+def test_face_geometry_equals_reference_up_to_two():
+    # Face by face, as plain Python values: row i of mesh_geometry is the
+    # reference geometry of face i, with the midpoints left out.
+    for s, tri in meshes_up_to(2):
+        geo = mesh_geometry(tri)
+        for i in range(tri.num_faces):
+            ref = reference_face_geometry(tri, i)
+            row = FaceGeometry(
+                circumcenter=tuple(float(x) for x in geo.circumcenters[i]),
+                circumradius=float(geo.circumradii[i]),
+                midpoints=ref.midpoints,
+                circumcenter_inside=bool(geo.circumcenter_inside[i]),
+                equidistance_residual=float(geo.equidistance_residuals[i]),
+            )
+            assert row == ref
+
+
 def test_gluing_pattern_equals_reference_up_to_three():
     for s, tri in meshes_up_to(3):
         coloring = three_color(tri)
