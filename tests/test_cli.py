@@ -222,6 +222,15 @@ def test_report_and_bracket_certificates_pinned():
     assert h.hexdigest() == "6a104c80342cb856171afaa7ff6a8b89aa7edfd15d839eeff3e28142010bf553"
 
 
+def test_verify_documents_pinned():
+    # every verify document at seed 0 with 8 samples for total rank <= 6:
+    # 57 rank tuples covering all 6 patterns of applicable suites
+    h = hashlib.sha256()
+    for hn in all_rank_tuples(6):
+        h.update(wire.dumps_indented(run_verify(RunConfig(ranks=hn, seed=0, samples=8))).encode())
+    assert h.hexdigest() == "b1c54e733a99825b4c961f27512b426c21a8211ca286124d70d4c7235e37faa4"
+
+
 # -- resource guards and invalid input ------------------------------------------
 
 
