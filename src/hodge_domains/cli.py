@@ -154,57 +154,54 @@ def _report_text(doc: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _suite_dimensions(cfg: RunConfig) -> dict:
+def _interior_rank_one(ranks: HodgeNumbers) -> list[int]:
+    return [i for i in range(1, ranks.k) if ranks.ranks[i] == 1]
+
+
+def _wide_middles(ranks: HodgeNumbers) -> list[int]:
+    """The walls i whose middle block i + 1 has rank >= 2."""
+    return [i for i in range(ranks.k - 1) if ranks.ranks[i + 1] >= 2]
+
+
+def _always(ranks: HodgeNumbers) -> bool:
+    return True
+
+
+def _suite_dimensions(cfg: RunConfig) -> tuple[bool, dict]:
     ranks = cfg.ranks
     r = ranks.ranks
     desc = domain_mod.describe_domain(ranks)
-    checks = 0
-    direct = sum(r[i] * r[j] for i in range(len(r)) for j in range(i + 1, len(r)))
-    ok = desc.dim == direct
-    checks += 1
-    ok = ok and desc.horizontal_rank + desc.vertical_rank <= desc.dim
-    ok = ok and ((desc.horizontal_rank + desc.vertical_rank == desc.dim) == (ranks.k <= 2))
-    checks += 2
-    base = domain_mod.hodge_flag(ranks)
-    ok = ok and domain_mod.flag_in_period_domain(base).in_domain
-    checks += 1
+    split = desc.horizontal_rank + desc.vertical_rank
+    ok = (
+        desc.dim == sum(r[i] * r[j] for i in range(len(r)) for j in range(i + 1, len(r)))
+        and split <= desc.dim
+        and (split == desc.dim) == (ranks.k <= 2)
+        and domain_mod.flag_in_period_domain(domain_mod.hodge_flag(ranks)).in_domain
+    )
+    checks = 4
     if _is_1n1(ranks):
-        n = r[1]
-        ok = ok and desc.dim == 2 * n + 1 and desc.horizontal_rank == 2 * n
-        checks += 2
-    return {"passed": bool(ok), "details": {"checks": checks, "dim": desc.dim}}
+        ok = ok and desc.dim == 2 * r[1] + 1 and desc.horizontal_rank == 2 * r[1]
+        checks = 6
+    return ok, {"checks": checks, "dim": desc.dim}
 
 
-def _suite_pi2(cfg: RunConfig) -> dict:
+def _suite_pi2(cfg: RunConfig) -> tuple[bool, dict]:
     ranks = cfg.ranks
     pd = rootcalc_mod.parabolic_from_ranks(ranks)
     oracle = pi2_mod.class_closure_oracle(pd)
-    mismatches = sum(
-        1 for root in pd.sorted_n_roots() if pi2_mod.class_of_root(root, pd) != oracle[root]
-    )
+    mismatches = sum(pi2_mod.class_of_root(root, pd) != oracle[root] for root in pd.sorted_n_roots())
     rep = pi2_mod.pi2_report(ranks)
-    kernel_ok = rep.kernel_verified and all(
-        pi2_mod.pi_u_star(c) == 0 for c in rep.kernel_basis
-    )
-    passed = mismatches == 0 and kernel_ok
-    return {
-        "passed": bool(passed),
-        "details": {"n_roots": len(pd.n_roots), "mismatches": mismatches, "kernel_verified": kernel_ok},
-    }
+    kernel_ok = rep.kernel_verified and all(pi2_mod.pi_u_star(c) == 0 for c in rep.kernel_basis)
+    details = {"n_roots": len(pd.n_roots), "mismatches": mismatches, "kernel_verified": kernel_ok}
+    return mismatches == 0 and kernel_ok, details
 
 
-def _suite_bracket_generation(cfg: RunConfig) -> dict:
-    pd = rootcalc_mod.parabolic_from_ranks(cfg.ranks)
-    cert = rootcalc_mod.bracket_generating_check(pd)
-    return {
-        "passed": bool(cert.ok),
-        "details": {
-            "levels": [[lc.level, lc.achieved, lc.dim] for lc in cert.levels],
-        },
-    }
+def _suite_bracket_generation(cfg: RunConfig) -> tuple[bool, dict]:
+    cert = rootcalc_mod.bracket_generating_check(rootcalc_mod.parabolic_from_ranks(cfg.ranks))
+    return cert.ok, {"levels": [[lc.level, lc.achieved, lc.dim] for lc in cert.levels]}
 
 
-def _suite_flags(cfg: RunConfig) -> dict:
+def _suite_flags(cfg: RunConfig) -> tuple[bool, dict]:
     ranks = cfg.ranks
     # exact membership tests cost O(m^3) rational arithmetic per flag
     count = min(cfg.samples, 50 if ranks.m <= 10 else 10)
@@ -220,39 +217,33 @@ def _suite_flags(cfg: RunConfig) -> dict:
         ok = ok and domain_mod.flag_in_period_domain(moved).in_domain
         round_trip = domain_mod.flag_loads(domain_mod.flag_dumps(flag))
         ok = ok and round_trip.basis == flag.basis
-    return {"passed": bool(ok), "details": {"flags": count}}
+    return ok, {"flags": count}
 
 
-def _suite_pu2n(cfg: RunConfig) -> dict:
-    if not _is_1n1(cfg.ranks):
-        return {"applicable": False, "passed": True, "details": {"reason": "ranks are not (1, n, 1)"}}
+def _suite_pu2n(cfg: RunConfig) -> tuple[bool, dict]:
     n = cfg.ranks.ranks[1]
     with open(cfg.classify_out, "w") if cfg.classify_out else nullcontext() as sink:
         record = (lambda entry: sink.write(wire.dumps(entry) + "\n")) if sink else None
         rep = horizontal_mod.verify_pu2n_criterion(n, cfg.samples, cfg.seed, record=record)
     if n == 1:
-        passed = (
-            rep.mismatches == 0
-            and not rep.found_regular_isotropic
-            and rep.isotropic_noncomplex_count == 0
-        )
+        passed = rep.mismatches == 0 and not rep.found_regular_isotropic and rep.isotropic_noncomplex_count == 0
     else:
-        passed = rep.mismatches == 0 and rep.found_regular_isotropic
-    return {
-        "passed": bool(passed),
-        "details": {
-            "n": n,
-            "samples": rep.samples,
-            "mismatches": rep.mismatches,
-            "regular": rep.regular_count,
-            "isotropic": rep.isotropic_count,
-            "found_regular_isotropic": rep.found_regular_isotropic,
-            "isotropic_noncomplex": rep.isotropic_noncomplex_count,
-        },
+        # regular isotropic planes are looked for on the half-zero stratum only,
+        # so their existence is claimed only once a run has drawn from it
+        drew_half_zero = cfg.samples >= horizontal_mod.HALF_ZERO_PERIOD
+        passed = rep.mismatches == 0 and (rep.found_regular_isotropic or not drew_half_zero)
+    return passed, {
+        "n": n,
+        "samples": rep.samples,
+        "mismatches": rep.mismatches,
+        "regular": rep.regular_count,
+        "isotropic": rep.isotropic_count,
+        "found_regular_isotropic": rep.found_regular_isotropic,
+        "isotropic_noncomplex": rep.isotropic_noncomplex_count,
     }
 
 
-def _suite_stabilizers(cfg: RunConfig) -> dict:
+def _suite_stabilizers(cfg: RunConfig) -> tuple[bool, dict]:
     ok = True
     cases = 0
     for n in range(1, 11):
@@ -262,18 +253,12 @@ def _suite_stabilizers(cfg: RunConfig) -> dict:
             ok = ok and dims.stab_dim + dims.orbit_dim == n * (2 * n + 1)
             ok = ok and dims.orbit_dim == oracle == 2 * n * k - k * (k - 1) // 2
             cases += 1
-    return {"passed": bool(ok), "details": {"cases": cases}}
+    return ok, {"cases": cases}
 
 
-def _suite_higgs(cfg: RunConfig) -> dict:
+def _suite_higgs(cfg: RunConfig) -> tuple[bool, dict]:
     ranks = cfg.ranks
-    interior = [i for i in range(1, ranks.k) if ranks.ranks[i] == 1]
-    if not interior:
-        return {
-            "applicable": False,
-            "passed": True,
-            "details": {"reason": "no interior rank-one block"},
-        }
+    interior = _interior_rank_one(ranks)
     count = min(cfg.samples, 200)
     ok = True
     triggered = 0
@@ -290,29 +275,19 @@ def _suite_higgs(cfg: RunConfig) -> dict:
                 triggered += 1
             round_trip = higgs_mod.higgs_loads(higgs_mod.higgs_dumps(field))
             ok = ok and round_trip.theta == field.theta
-    return {
-        "passed": bool(ok),
-        "details": {"fields": count * len(interior), "triggered": triggered},
-    }
+    return ok, {"fields": count * len(interior), "triggered": triggered}
 
 
-def _suite_su22(cfg: RunConfig) -> dict:
-    ranks = cfg.ranks
-    admissible = [i for i in range(ranks.k - 1) if ranks.ranks[i + 1] >= 2]
-    if not admissible:
-        return {
-            "applicable": False,
-            "passed": True,
-            "details": {"reason": "no middle block of rank >= 2"},
-        }
+def _suite_su22(cfg: RunConfig) -> tuple[bool, dict]:
+    walls = _wide_middles(cfg.ranks)
     ok = True
-    for i in admissible:
-        emb = horizontal_mod.su22_embedding(ranks, i)
+    for i in walls:
+        emb = horizontal_mod.su22_embedding(cfg.ranks, i)
         ok = ok and emb.checks.all_pass() and emb.sub_ranks == (1, 2, 1)
-    return {"passed": bool(ok), "details": {"walls": admissible}}
+    return ok, {"walls": walls}
 
 
-def _suite_mesh(cfg: RunConfig) -> dict:
+def _suite_mesh(cfg: RunConfig) -> tuple[bool, dict]:
     tri = spheremesh_mod.octahedron()
     ok = True
     fineness_prev = None
@@ -325,19 +300,23 @@ def _suite_mesh(cfg: RunConfig) -> dict:
         if fineness_prev is not None:
             ok = ok and audit["fineness"] < fineness_prev
         fineness_prev = audit["fineness"]
-    return {"passed": bool(ok), "details": {"levels": 4}}
+    return ok, {"levels": 4}
 
 
+# (name, applies(ranks), reason when it does not apply, run(cfg) -> (passed, details)).
+# The case split follows the C-VHS: the (1,n,1) plane criterion, the rank-one
+# Higgs lemma at an interior rank-one block, and the embedded rank-(1,2,1)
+# structure at a middle block of rank >= 2.
 _SUITES = (
-    ("dimensions", _suite_dimensions),
-    ("pi2_calculus", _suite_pi2),
-    ("bracket_generation", _suite_bracket_generation),
-    ("flags", _suite_flags),
-    ("pu2n_criterion", _suite_pu2n),
-    ("stabilizer_dimensions", _suite_stabilizers),
-    ("higgs_rank_one", _suite_higgs),
-    ("su22_embedding", _suite_su22),
-    ("mesh", _suite_mesh),
+    ("dimensions", _always, None, _suite_dimensions),
+    ("pi2_calculus", _always, None, _suite_pi2),
+    ("bracket_generation", _always, None, _suite_bracket_generation),
+    ("flags", _always, None, _suite_flags),
+    ("pu2n_criterion", _is_1n1, "ranks are not (1, n, 1)", _suite_pu2n),
+    ("stabilizer_dimensions", _always, None, _suite_stabilizers),
+    ("higgs_rank_one", _interior_rank_one, "no interior rank-one block", _suite_higgs),
+    ("su22_embedding", _wide_middles, "no middle block of rank >= 2", _suite_su22),
+    ("mesh", _always, None, _suite_mesh),
 )
 
 
@@ -346,23 +325,17 @@ def run_verify(cfg: RunConfig) -> dict:
         if path:
             open(path, "w").close()  # an unwritable path fails before any suite runs
     suites = []
-    all_passed = True
-    for name, fn in _SUITES:
+    for name, applies, reason, run in _SUITES:
+        if not applies(cfg.ranks):
+            suites.append({"name": name, "applicable": False, "passed": True, "details": {"reason": reason}})
+            continue
         try:
-            result = fn(cfg)
+            passed, details = run(cfg)
         except OSError:  # an unwritable output path is invalid input, not a failed suite
             raise
         except Exception as exc:  # a crashing suite is a failing suite
-            result = {"passed": False, "details": {"error": f"{type(exc).__name__}: {exc}"}}
-        entry = {
-            "name": name,
-            "applicable": result.get("applicable", True),
-            "passed": bool(result["passed"]),
-            "details": result.get("details", {}),
-        }
-        if entry["applicable"] and not entry["passed"]:
-            all_passed = False
-        suites.append(entry)
+            passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}
+        suites.append({"name": name, "applicable": True, "passed": bool(passed), "details": details})
     return {
         "schema": wire.SCHEMA,
         "command": "verify",
@@ -370,17 +343,14 @@ def run_verify(cfg: RunConfig) -> dict:
         "seed": cfg.seed,
         "samples": cfg.samples,
         "suites": suites,
-        "all_passed": all_passed,
+        "all_passed": all(s["passed"] for s in suites),
     }
 
 
 def _verify_text(doc: dict) -> str:
     lines = [f"verify ranks {tuple(doc['ranks'])} seed {doc['seed']} samples {doc['samples']}"]
     for s in doc["suites"]:
-        if not s["applicable"]:
-            status = "SKIP"
-        else:
-            status = "PASS" if s["passed"] else "FAIL"
+        status = ("PASS" if s["passed"] else "FAIL") if s["applicable"] else "SKIP"
         lines.append(f"  [{status}] {s['name']}")
     lines.append("all passed" if doc["all_passed"] else "FAILURES PRESENT")
     return "\n".join(lines) + "\n"
@@ -483,31 +453,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "report":
-            cfg = RunConfig(
-                ranks=HodgeNumbers.parse(args.ranks),
-                fmt=args.format,
-                output=args.out,
-            )
+            cfg = RunConfig(ranks=HodgeNumbers.parse(args.ranks), fmt=args.format, output=args.out)
             _emit(run_report(cfg), cfg.fmt, cfg.output, _report_text)
             return EXIT_OK
         if args.command == "verify":
-            cfg = RunConfig(
-                ranks=HodgeNumbers.parse(args.ranks),
-                seed=args.seed,
-                samples=args.samples,
-                fmt=args.format,
-                output=args.out,
-                classify_out=args.classify_out,
-            )
+            cfg = RunConfig(ranks=HodgeNumbers.parse(args.ranks), seed=args.seed, samples=args.samples,
+                            fmt=args.format, output=args.out, classify_out=args.classify_out)
             doc = run_verify(cfg)
             _emit(doc, cfg.fmt, cfg.output, _verify_text)
             return EXIT_OK if doc["all_passed"] else EXIT_SUITE_FAILURE
         if args.command == "mesh":
-            cfg = RunConfig(
-                subdivisions=args.subdivisions,
-                output=args.out,
-                fmt=args.format,
-            )
+            cfg = RunConfig(subdivisions=args.subdivisions, output=args.out, fmt=args.format)
             code, written = export_mesh(cfg)
             for path in written:
                 sys.stdout.write(path + "\n")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import accumulate, combinations
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import wire
 from .exactla import GaussianRational, Qi, QI_ZERO, _cleared, as_matrix, is_zero_matrix, nullspace, rank
@@ -25,10 +25,6 @@ Matrix = tuple  # tuple of row tuples of GaussianRational
 
 class PreconditionError(ValueError):
     """A lemma was invoked outside its hypotheses (reported distinctly)."""
-
-
-class SamplingExhaustedError(RuntimeError):
-    """Rejection sampling failed to hit the requested rank profile."""
 
 
 @dataclass(frozen=True)
@@ -140,48 +136,28 @@ def rank_one_lemma_check(h: HiggsField, i: int) -> LemmaVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _random_matrix(rng: random.Random, nr: int, nc: int, lo: int = -2, hi: int = 2) -> Matrix:
-    return tuple(tuple(Qi(rng.randint(lo, hi)) for _ in range(nc)) for _ in range(nr))
+def _random_matrix(rng: random.Random, nr: int, nc: int) -> Matrix:
+    return tuple(tuple(Qi(rng.randint(-2, 2)) for _ in range(nc)) for _ in range(nr))
 
 
-def random_commuting_higgs(
-    ranks: HodgeNumbers | Iterable[int],
-    m_t: int,
-    seed: int,
-    strategy: str = "pullback",
-    target_ranks: Optional[dict] = None,
-    max_attempts: int = 500,
-) -> HiggsField:
+def random_commuting_higgs(ranks: HodgeNumbers, m_t: int, seed: int, strategy: str = "pullback") -> HiggsField:
     """A commuting field, deterministic per seed.
 
     'pullback': theta_i^(a) = c_a * N_i for fixed matrices N_i and scalars c_a,
     which commutes identically.  'nullspace': direction 1 is sampled freely
-    (with zero layers drawn at elevated probability so rank targets stay
-    reachable), then each further direction is drawn from the exact nullspace
-    of the linear commutation system against all earlier directions, so the
-    relation holds by construction.  Optional target_ranks {layer: rank} are
-    enforced by rejection; exhaustion raises SamplingExhaustedError.
+    (with zero layers drawn at elevated probability, so low-rank layers
+    appear often), then each further direction is drawn from the exact
+    nullspace of the linear commutation system against all earlier
+    directions, so the relation holds by construction.
     """
-    if not isinstance(ranks, HodgeNumbers):
-        ranks = HodgeNumbers(tuple(ranks))
     if m_t < 1:
         raise ValueError("tangent dimension must be at least 1")
     if strategy not in ("pullback", "nullspace"):
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = random.Random(seed)
-    for _ in range(max_attempts):
-        if strategy == "pullback":
-            field = _sample_pullback(ranks, m_t, rng)
-        else:
-            field = _sample_nullspace(ranks, m_t, rng)
-        if target_ranks and any(
-            pointwise_rank(field, i) != want for i, want in target_ranks.items()
-        ):
-            continue
-        return field
-    raise SamplingExhaustedError(
-        f"no commuting field with ranks {target_ranks} found in {max_attempts} attempts"
-    )
+    if strategy == "pullback":
+        return _sample_pullback(ranks, m_t, rng)
+    return _sample_nullspace(ranks, m_t, rng)
 
 
 def _sample_pullback(ranks: HodgeNumbers, m_t: int, rng: random.Random) -> HiggsField:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 from operator import itemgetter, neg
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .exactla import GaussianRational, _cleared, as_matrix, rank
 from .hodge import HodgeNumbers
@@ -213,6 +213,9 @@ def _regularity_rows(ranks: HodgeNumbers) -> tuple[itemgetter, ...]:
 # ---------------------------------------------------------------------------
 
 
+HALF_ZERO_PERIOD = 8  # sample idx is drawn from the half-zero stratum when idx % 8 == 7
+
+
 @dataclass(frozen=True)
 class Pu2nReport:
     n: int
@@ -251,11 +254,11 @@ def verify_pu2n_criterion(
     """Seeded check of the regularity criterion in the rank-(1,n,1) model.
 
     Asserts is_regular == complex-linear independence sample by sample and
-    counts regular isotropic planes.  Every eighth sample is drawn from the
-    second-half-zero stratum, on which the symplectic scalar vanishes, so
-    isotropic planes appear at a stable rate.  For n = 1 the report
-    additionally counts isotropic samples that fail to be complex lines
-    (there must be none).
+    counts regular isotropic planes.  Every HALF_ZERO_PERIOD-th sample, from
+    idx 7 on, is drawn from the second-half-zero stratum, on which the
+    symplectic scalar vanishes, so isotropic planes appear at a stable rate.
+    For n = 1 the report additionally counts isotropic samples that fail to
+    be complex lines (there must be none).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -265,7 +268,7 @@ def verify_pu2n_criterion(
     rng = random.Random()
     for idx in range(samples):
         rng.seed(seed * 1_000_003 + idx)  # the state of random.Random(seed * 1_000_003 + idx)
-        u, w = _draw_model_pair(n, rng, half_zero=(idx % 8 == 7))
+        u, w = _draw_model_pair(n, rng, half_zero=(idx % HALF_ZERO_PERIOD == HALF_ZERO_PERIOD - 1))
         reg = _regular(ranks, u, w)
         iso = not any(map(any, _bracket_entries(ranks, u, w)))
         line = not _independent(u, w)
@@ -346,7 +349,7 @@ class Su22Embedding:
     checks: Su22Checks
 
 
-def su22_embedding(ranks: HodgeNumbers | Iterable[int], i: int) -> Su22Embedding:
+def su22_embedding(ranks: HodgeNumbers, i: int) -> Su22Embedding:
     """The 4-coordinate subspace (last of block i, first and last of block
     i+1, first of block i+2) carrying an embedded rank-(1,2,1) structure.
 
@@ -357,8 +360,6 @@ def su22_embedding(ranks: HodgeNumbers | Iterable[int], i: int) -> Su22Embedding
     class.  Requires r_{i+1} >= 2; the rank-one case is the open one and is
     reported as not applicable.
     """
-    if not isinstance(ranks, HodgeNumbers):
-        ranks = HodgeNumbers(tuple(ranks))
     if not 0 <= i <= ranks.k - 2:
         raise ValueError(f"wall index {i} out of range 0..{ranks.k - 2}")
     if ranks.ranks[i + 1] < 2:

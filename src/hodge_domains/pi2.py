@@ -13,7 +13,6 @@ kept alongside it as an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .exactla import (
     integer_kernel,
@@ -156,14 +155,12 @@ class Pi2Report:
     kernel_verified: bool
 
 
-def pi2_report(ranks: HodgeNumbers | Iterable[int]) -> Pi2Report:
+def pi2_report(ranks: HodgeNumbers) -> Pi2Report:
     """Ranks and kernel data of the projection on second homotopy.
 
     The integer span of the reported kernel basis is checked against the exact
     integer kernel of the alternating-sum matrix, from Smith normal forms.
     """
-    if not isinstance(ranks, HodgeNumbers):
-        ranks = HodgeNumbers(tuple(ranks))
     pd = parabolic_from_ranks(ranks)
     k = ranks.k
     betas = tuple(wall_roots(pd))
@@ -211,7 +208,7 @@ class GenerationReport:
     interior_rank_one: bool
 
 
-def superhorizontal_generation_report(ranks: HodgeNumbers | Iterable[int]) -> GenerationReport:
+def superhorizontal_generation_report(ranks: HodgeNumbers) -> GenerationReport:
     """Which kernel generators admit horizontal sphere representatives.
 
     Generator i (i = 0..k-2) is representable when the middle block has rank
@@ -219,8 +216,6 @@ def superhorizontal_generation_report(ranks: HodgeNumbers | Iterable[int]) -> Ge
     'unknown' rather than 'false'.  Full generation is equivalent to no
     interior block having rank 1.
     """
-    if not isinstance(ranks, HodgeNumbers):
-        ranks = HodgeNumbers(tuple(ranks))
     gens = []
     for i in range(ranks.k - 1):
         middle = ranks.ranks[i + 1]

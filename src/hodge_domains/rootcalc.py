@@ -24,7 +24,7 @@ and this module fixes the one above throughout.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .hodge import HodgeNumbers
 
@@ -111,10 +111,8 @@ class ParabolicData:
         return sorted(self.n_roots)
 
 
-def parabolic_from_ranks(ranks: HodgeNumbers | Iterable[int]) -> ParabolicData:
+def parabolic_from_ranks(ranks: HodgeNumbers) -> ParabolicData:
     """Build the parabolic data of the block flag type (r_0, ..., r_k)."""
-    if not isinstance(ranks, HodgeNumbers):
-        ranks = HodgeNumbers(tuple(ranks))
     m = ranks.m
     block_of = ranks.block_of
     pi_q = frozenset(ranks.walls)
@@ -207,10 +205,15 @@ def bracket_generating_check(pd: ParabolicData) -> BracketGenerationCertificate:
 
     The root space of a nilradical root is one matrix unit E_{row,col}, and
     [E_{r1,c1}, E_{r2,c2}] is E_{r1,c2} if c1 = r2, -E_{r2,c1} if c2 = r1,
-    and 0 otherwise (both at once would need a root and its negative in the
-    nilradical).  So the span reached at a level is a set of positions, and
-    a new position is one more dimension.  The certificate carries, for each
-    level, a spanning set of bracket trees built from level-1 roots.
+    and 0 otherwise.  So the span reached at a level is a set of positions,
+    and a new position is one more dimension.  Only the first case is
+    tried, with a level-1 root on the left: level1 is sorted by row, so in
+    the second case r2 < c2 = r1, and the level-1 root (r2, x), for any x in
+    block(r2) + 1, is visited earlier; (x, c1) lies in the previous level,
+    which is complete by induction (a position (r, c) of level l >= 2 is the
+    first case of (r, x) and (x, c)), so the first case has already found
+    (r2, c1).  The certificate carries, for each level, a spanning set of
+    bracket trees built from level-1 roots.
     """
     by_level: dict[int, list[RootVector]] = {}
     for r in pd.sorted_n_roots():
@@ -230,8 +233,6 @@ def bracket_generating_check(pd: ParabolicData) -> BracketGenerationCertificate:
                     break
                 if c1 == r2:
                     found.setdefault((r1, c2), (root1, witness))
-                elif c2 == r1:
-                    found.setdefault((r2, c1), (root1, witness))
         ok = ok and len(found) == target
         certs.append(LevelCertificate(level=lv, dim=target, achieved=len(found), witnesses=tuple(found.values())))
         prev = [(witness, pos) for pos, witness in found.items()]

@@ -15,7 +15,6 @@ min(u, v) * V + max(u, v), and the directed edge u -> v by u * V + v.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import starmap
 from typing import Iterable, Optional
 
@@ -106,11 +105,6 @@ class SphericalTriangulation:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def faces(self) -> tuple:
-        """The faces as a tuple of vertex triples."""
-        return tuple(map(tuple, self.face_array.tolist()))
 
     def euler_characteristic(self) -> int:
         return self.num_vertices - self.num_edges + self.num_faces

@@ -37,9 +37,9 @@ def compositions(m: int):
     yield from rec(m, [])
 
 
-def all_rank_tuples(max_m: int, min_m: int = 2):
-    """Every valid rank tuple with total rank between min_m and max_m."""
-    for m in range(min_m, max_m + 1):
+def all_rank_tuples(max_m: int):
+    """Every valid rank tuple with total rank between 2 and max_m."""
+    for m in range(2, max_m + 1):
         for tup in compositions(m):
             yield HodgeNumbers(tup)
 
@@ -47,16 +47,12 @@ def all_rank_tuples(max_m: int, min_m: int = 2):
 def bounded_rank_tuples(max_blocks: int, max_rank: int):
     """Every rank tuple with 2..max_blocks blocks and entries 1..max_rank."""
     def rec(blocks_left, prefix):
-        if prefix and len(prefix) >= 2:
+        if len(prefix) >= 2:
             yield HodgeNumbers(tuple(prefix))
         if blocks_left == 0:
             return
         for r in range(1, max_rank + 1):
             yield from rec(blocks_left - 1, prefix + [r])
 
-    # depth-first over prefixes, yielding every completed tuple once
-    seen = set()
-    for hn in rec(max_blocks, []):
-        if hn.ranks not in seen:
-            seen.add(hn.ranks)
-            yield hn
+    # depth-first over prefixes; each prefix is visited once, so no tuple repeats
+    yield from rec(max_blocks, [])

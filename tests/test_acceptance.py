@@ -150,7 +150,7 @@ def test_criterion_07_rank_one_lemma():
     seed = 0
     while count < 1000:
         shape, m_t, strategy = combos[count % len(combos)]
-        field = random_commuting_higgs(shape, m_t, seed=910_000 + seed, strategy=strategy)
+        field = random_commuting_higgs(HodgeNumbers(shape), m_t, seed=910_000 + seed, strategy=strategy)
         seed += 1
         count += 1
         verdict = rank_one_lemma_check(field, 1)

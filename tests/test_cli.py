@@ -23,6 +23,7 @@ from hodge_domains.cli import (
 )
 from hodge_domains.higgs import higgs_dumps, random_commuting_higgs
 from hodge_domains.hodge import HodgeNumbers
+from hodge_domains.horizontal import HALF_ZERO_PERIOD
 from hodge_domains.pi2 import Pi2Class
 from hodge_domains.rootcalc import bracket_generating_check, parabolic_from_ranks
 
@@ -102,6 +103,17 @@ def test_verify_111_n1_expectations():
     assert not by_name["su22_embedding"]["applicable"]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_verify_passes_before_the_first_half_zero_draw(capsys, n):
+    # samples 0..6 draw no plane from the half-zero stratum, where the
+    # regular isotropic planes of n >= 2 are looked for
+    for samples in range(1, HALF_ZERO_PERIOD):
+        assert main(["verify", "--ranks", f"1,{n},1", "--samples", str(samples)]) == EXIT_OK
+        pu = json.loads(capsys.readouterr().out)["suites"][4]
+        assert pu["name"] == "pu2n_criterion" and pu["passed"]
+        assert pu["details"]["found_regular_isotropic"] is False
+
+
 def test_verify_exit_codes_and_determinism(capsys):
     args = ["verify", "--ranks", "1,2,1", "--seed", "5", "--samples", "40"]
     code1 = main(args)
@@ -178,7 +190,7 @@ def test_higgs_sampler_bytes_pinned():
         for strategy in ("pullback", "nullspace"):
             for m_t in (1, 2, 3):
                 for seed in range(4):
-                    field = random_commuting_higgs(ranks, m_t, seed=seed, strategy=strategy)
+                    field = random_commuting_higgs(HodgeNumbers(ranks), m_t, seed=seed, strategy=strategy)
                     h.update(higgs_dumps(field).encode() + b"\n")
     assert h.hexdigest() == "faac29170d5e174d67bd721ac061531fb8f59d76370e381ac3cc5297f6d95afd"
 
@@ -277,7 +289,8 @@ def test_unwritable_classify_out_fails_before_any_suite(tmp_path, capsys, monkey
     import hodge_domains.cli as cli
 
     ran = []
-    monkeypatch.setattr(cli, "_SUITES", tuple((name, lambda cfg, name=name: ran.append(name)) for name, _ in cli._SUITES))
+    suites = tuple((*entry[:3], lambda cfg, name=entry[0]: ran.append(name)) for entry in cli._SUITES)
+    monkeypatch.setattr(cli, "_SUITES", suites)
     argv = ["verify", "--ranks", "1,6,1", "--classify-out", str(tmp_path / "missing" / "x.jsonl")]
     assert main(argv) == EXIT_INVALID_INPUT
     assert ran == []
@@ -294,7 +307,7 @@ def test_unwritable_verify_out_fails_before_any_suite(tmp_path, capsys, monkeypa
         ran.append(cfg)
         raise AssertionError("a suite ran")
 
-    monkeypatch.setattr(cli, "_SUITES", tuple((name, never) for name, _ in cli._SUITES))
+    monkeypatch.setattr(cli, "_SUITES", tuple((*entry[:3], never) for entry in cli._SUITES))
     argv = ["verify", "--ranks", "1,6,1", "--out", str(tmp_path / "missing" / "x.json")]
     assert main(argv) == EXIT_INVALID_INPUT
     assert ran == []

@@ -20,7 +20,6 @@ from hodge_domains.higgs import (
     CommutationResult,
     HiggsField,
     PreconditionError,
-    SamplingExhaustedError,
     _sample_nullspace,
     check_commutation,
     higgs_dumps,
@@ -100,8 +99,8 @@ def reference_solve_direction(ranks: HodgeNumbers, fixed: list, rng: random.Rand
     return out
 
 
-def reference_random_matrix(rng: random.Random, nr: int, nc: int, lo: int = -2, hi: int = 2):
-    return tuple(tuple(Qi(rng.randint(lo, hi)) for _ in range(nc)) for _ in range(nr))
+def reference_random_matrix(rng: random.Random, nr: int, nc: int):
+    return tuple(tuple(Qi(rng.randint(-2, 2)) for _ in range(nc)) for _ in range(nr))
 
 
 def reference_sample_nullspace(ranks: HodgeNumbers, m_t: int, rng: random.Random) -> HiggsField:
@@ -144,7 +143,7 @@ def test_commutation_single_direction_trivial():
 def test_commutation_pullback_scalars():
     rng = random.Random(1)
     for _ in range(20):
-        h = random_commuting_higgs((1, 2, 2), 3, seed=rng.randint(0, 10**6), strategy="pullback")
+        h = random_commuting_higgs(HodgeNumbers((1, 2, 2)), 3, seed=rng.randint(0, 10**6), strategy="pullback")
         assert check_commutation(h).commutes
 
 
@@ -177,7 +176,7 @@ def test_pointwise_rank_bound():
     for _ in range(20):
         shape = (rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3))
         m_t = rng.randint(1, 3)
-        h = random_commuting_higgs(shape, m_t, seed=rng.randint(0, 10**6), strategy="pullback")
+        h = random_commuting_higgs(HodgeNumbers(shape), m_t, seed=rng.randint(0, 10**6), strategy="pullback")
         for i in range(2):
             r = shape
             assert pointwise_rank(h, i) <= min(r[i], m_t * r[i + 1])
@@ -230,7 +229,7 @@ def test_lemma_triggered_forces_zero_212():
 def test_lemma_on_sampled_fields():
     triggered = 0
     for seed in range(120):
-        h = random_commuting_higgs((2, 1, 2), 2, seed=seed, strategy="nullspace")
+        h = random_commuting_higgs(HodgeNumbers((2, 1, 2)), 2, seed=seed, strategy="nullspace")
         verdict = rank_one_lemma_check(h, 1)
         assert verdict.holds
         if verdict.triggered:
@@ -244,7 +243,7 @@ def test_lemma_mirror_statement_sampled():
     # block span dimension >= 2, then theta_0 vanishes.
     checked = 0
     for seed in range(200):
-        h = random_commuting_higgs((3, 1, 3), 2, seed=seed, strategy="nullspace")
+        h = random_commuting_higgs(HodgeNumbers((3, 1, 3)), 2, seed=seed, strategy="nullspace")
         if directional_image_rank(h, 1) >= 2:
             assert pointwise_rank(h, 0) == 0
             checked += 1
@@ -274,7 +273,7 @@ def test_lemma_preconditions_reported_distinctly():
     good = field_111([1, 2], [3, 6])
     with pytest.raises(PreconditionError):
         rank_one_lemma_check(good, 0)  # not interior
-    wide = random_commuting_higgs((1, 2, 1), 2, seed=0, strategy="pullback")
+    wide = random_commuting_higgs(HodgeNumbers((1, 2, 1)), 2, seed=0, strategy="pullback")
     with pytest.raises(PreconditionError):
         rank_one_lemma_check(wide, 1)  # middle rank 2, not 1
     bad = field_111([1, 0], [0, 1])
@@ -287,31 +286,26 @@ def test_lemma_preconditions_reported_distinctly():
 
 def test_sampler_deterministic_per_seed():
     for strategy in ("pullback", "nullspace"):
-        a = random_commuting_higgs((2, 1, 2), 2, seed=99, strategy=strategy)
-        b = random_commuting_higgs((2, 1, 2), 2, seed=99, strategy=strategy)
+        a = random_commuting_higgs(HodgeNumbers((2, 1, 2)), 2, seed=99, strategy=strategy)
+        b = random_commuting_higgs(HodgeNumbers((2, 1, 2)), 2, seed=99, strategy=strategy)
         assert a.theta == b.theta
 
 
 def test_sampler_nullspace_commutes():
     for seed in range(40):
-        h = random_commuting_higgs((2, 2, 1), 3, seed=seed, strategy="nullspace")
+        h = random_commuting_higgs(HodgeNumbers((2, 2, 1)), 3, seed=seed, strategy="nullspace")
         assert check_commutation(h).commutes
 
 
 def test_sampler_rank_target_212():
-    h = random_commuting_higgs((2, 1, 2), 2, seed=5, strategy="nullspace", target_ranks={0: 2})
-    assert pointwise_rank(h, 0) == 2
+    fields = (random_commuting_higgs(HodgeNumbers((2, 1, 2)), 2, seed=s, strategy="nullspace") for s in range(500))
+    h = next(h for h in fields if pointwise_rank(h, 0) == 2)  # the first field with rank theta_0 = 2
     assert pointwise_rank(h, 1) == 0  # forced by the vanishing lemma
-
-
-def test_sampler_exhaustion():
-    with pytest.raises(SamplingExhaustedError):
-        random_commuting_higgs((1, 1), 1, seed=0, target_ranks={0: 5}, max_attempts=10)
 
 
 def test_sampler_rejects_bad_strategy():
     with pytest.raises(ValueError):
-        random_commuting_higgs((1, 1), 1, seed=0, strategy="other")
+        random_commuting_higgs(HodgeNumbers((1, 1)), 1, seed=0, strategy="other")
 
 
 @settings(max_examples=30, deadline=None)
@@ -322,7 +316,7 @@ def test_sampler_rejects_bad_strategy():
     st.sampled_from(("pullback", "nullspace")),
 )
 def test_sampler_always_commutes_property(ranks, m_t, seed, strategy):
-    h = random_commuting_higgs(tuple(ranks), m_t, seed=seed, strategy=strategy)
+    h = random_commuting_higgs(HodgeNumbers(tuple(ranks)), m_t, seed=seed, strategy=strategy)
     assert check_commutation(h).commutes
 
 
@@ -378,7 +372,7 @@ def test_nullspace_sampler_matches_reference(ranks, m_t, seed):
 
 
 def test_higgs_json_roundtrip():
-    h = random_commuting_higgs((2, 1, 3), 2, seed=12, strategy="nullspace")
+    h = random_commuting_higgs(HodgeNumbers((2, 1, 3)), 2, seed=12, strategy="nullspace")
     again = higgs_loads(higgs_dumps(h))
     assert again.ranks == h.ranks
     assert again.tangent_dim == h.tangent_dim

@@ -1,18 +1,20 @@
 """Dead-code guard: src/ keeps only what the package runs.
 
-Parses every module of ``hodge_domains`` and collects, by name, what is
-reachable from the command line entry point ``cli.main``, from module-level
-statements (tables such as ``cli._SUITES``, aliases such as ``Qi = ...``)
-and from the few names in KEPT_API below.  A reached function reaches every
-name it mentions; a reached class reaches its bases, decorators, class-level
-statements and dunder methods.  Matching is by bare name, so a definition
-counts as used when any reached code mentions its name, and an import alias
-(``bracket as mat_bracket``) counts as its original name.  Every name in
-``hodge_domains.__all__`` must be reached, so the public API hides no dead
-code either.
+Parses every module of ``hodge_domains`` and collects what is reachable from
+the command line entry point ``cli.main``, from module-level statements
+(tables such as ``cli._SUITES``, aliases such as ``Qi = ...``) and from the
+few names in KEPT_API below.  A reached function reaches every name it
+mentions; a reached class reaches its bases, decorators, class-level
+statements and dunder methods.  A module-level definition is reached by its
+bare name or by an attribute access ``x.name``, a class member only by an
+attribute access, and an import alias (``bracket as mat_bracket``) counts as
+its original name.
+Every name in ``hodge_domains.__all__`` must be reached, so the public API
+hides no dead code either.
 
 A second guard reports every name a module other than ``__init__`` imports
-and never mentions (``__init__`` imports to re-export).
+and never mentions (``__init__`` imports to re-export), and a third every
+parameter default that no call in the package overrides.
 """
 
 from __future__ import annotations
@@ -32,6 +34,15 @@ KEPT_API = (
     "is_regular",  # oracle of the pu2n_criterion suite's regularity verdicts
     "is_complex_line",  # oracle of the pu2n_criterion suite's complex-line verdicts
 )
+# Parameter defaults no call in the package overrides: main(argv=None) makes
+# argparse read sys.argv, and the console script and `python -m` call main() bare.
+KEPT_DEFAULTS = ("cli.main.argv",)
+
+
+def _modules(package_dir: Path):
+    """(module name, syntax tree) for every module of the package."""
+    for path in sorted(package_dir.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(), filename=str(path))
 
 
 def _is_dunder(name: str) -> bool:
@@ -39,26 +50,26 @@ def _is_dunder(name: str) -> bool:
 
 
 def _mentioned(nodes, aliases: dict) -> set:
-    """Every bare name and attribute name under the nodes, aliases resolved."""
+    """Every bare name under the nodes, aliases resolved, and every attribute
+    access x.name as ".name"."""
     out = set()
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
                 out.add(aliases.get(sub.id, sub.id))
             elif isinstance(sub, ast.Attribute):
-                out.add(sub.attr)
+                out.add("." + sub.attr)
     return out
 
 
 def _scan_package(package_dir: Path):
-    """(definitions, roots, aliases): definitions maps a bare name to the
-    (qualified name, nodes to scan once reached) pairs defining it."""
+    """(definitions, roots, aliases): definitions maps each name that reaches
+    a definition (a bare name or ".name") to the (qualified name, nodes to
+    scan once reached) pairs it reaches."""
     definitions: dict[str, list] = {}
     roots: list = []
     aliases: dict[str, str] = {}
-    for path in sorted(package_dir.glob("*.py")):
-        module = path.stem
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for module, tree in _modules(package_dir):
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 for alias in node.names:
@@ -66,24 +77,26 @@ def _scan_package(package_dir: Path):
                         aliases[alias.asname] = alias.name.rsplit(".", 1)[-1]
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                definitions.setdefault(stmt.name, []).append((f"{module}.{stmt.name}", [stmt]))
+                for key in (stmt.name, "." + stmt.name):
+                    definitions.setdefault(key, []).append((f"{module}.{stmt.name}", [stmt]))
             elif isinstance(stmt, ast.ClassDef):
                 methods = [s for s in stmt.body if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))]
                 named = [s for s in methods if not _is_dunder(s.name)]
                 body = [s for s in stmt.body if s not in named]
                 nodes = [*stmt.decorator_list, *stmt.bases, *stmt.keywords, *body]
-                definitions.setdefault(stmt.name, []).append((f"{module}.{stmt.name}", nodes))
+                for key in (stmt.name, "." + stmt.name):
+                    definitions.setdefault(key, []).append((f"{module}.{stmt.name}", nodes))
                 for meth in named:
                     qualname = f"{module}.{stmt.name}.{meth.name}"
-                    definitions.setdefault(meth.name, []).append((qualname, [meth]))
+                    definitions.setdefault("." + meth.name, []).append((qualname, [meth]))
             elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 roots.append(stmt)
     return definitions, roots, aliases
 
 
 def reached_names(package_dir: Path = PACKAGE_DIR) -> tuple[set, dict]:
-    """(every name reached from main, module-level code and KEPT_API, the
-    definitions of _scan_package)."""
+    """(every name and ".name" reached from main, module-level code and
+    KEPT_API, the definitions of _scan_package)."""
     definitions, roots, aliases = _scan_package(package_dir)
     reached: set[str] = set()
     todo = ["main", *KEPT_API, *_mentioned(roots, aliases)]
@@ -99,12 +112,8 @@ def reached_names(package_dir: Path = PACKAGE_DIR) -> tuple[set, dict]:
 
 def unreachable_definitions(package_dir: Path = PACKAGE_DIR) -> list[str]:
     reached, definitions = reached_names(package_dir)
-    return sorted(
-        qualname
-        for name, defs in definitions.items()
-        if name not in reached
-        for qualname, _ in defs
-    )
+    alive = {qualname for name in reached for qualname, _ in definitions.get(name, ())}
+    return sorted({qualname for defs in definitions.values() for qualname, _ in defs} - alive)
 
 
 def test_every_definition_is_reachable():
@@ -114,7 +123,7 @@ def test_every_definition_is_reachable():
 
 def test_every_public_name_is_reachable():
     reached, _ = reached_names()
-    hidden = [name for name in hodge_domains.__all__ if name not in reached]
+    hidden = [name for name in hodge_domains.__all__ if not {name, "." + name} & reached]
     assert not hidden, "in __all__ but reachable from neither cli.main nor KEPT_API: " + ", ".join(hidden)
 
 
@@ -124,14 +133,20 @@ def test_guard_sees_a_dead_definition(tmp_path):
     assert unreachable_definitions(tmp_path) == ["extra.unused_helper"]
 
 
+def test_guard_reaches_a_member_only_by_attribute(tmp_path):
+    # the bare name size() calls the function, not the method of the same name
+    (tmp_path / "extra.py").write_text(
+        "class A:\n    def used(self): pass\n    def size(self): pass\ndef size(): pass\nX = size(), A().used()\n")
+    assert unreachable_definitions(tmp_path) == ["extra.A.size"]
+
+
 def unused_imports(package_dir: Path = PACKAGE_DIR) -> list[str]:
     """module.name for each name a module (not __init__) binds by an import
     and never reads."""
     out = []
-    for path in sorted(package_dir.glob("*.py")):
-        if path.name == "__init__.py":
+    for module, tree in _modules(package_dir):
+        if module == "__init__":
             continue
-        tree = ast.parse(path.read_text(), filename=str(path))
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -140,7 +155,7 @@ def unused_imports(package_dir: Path = PACKAGE_DIR) -> list[str]:
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
                     if bound not in read:
-                        out.append(f"{path.stem}.{bound}")
+                        out.append(f"{module}.{bound}")
     return sorted(out)
 
 
@@ -155,3 +170,48 @@ def test_guard_sees_an_unused_import(tmp_path):
         "from __future__ import annotations\nimport os.path\nfrom math import gcd, lcm as least\n\nX = gcd(4, 6)\n")
     (tmp_path / "__init__.py").write_text("from .extra import X\n")
     assert unused_imports(tmp_path) == ["extra.least", "extra.os"]
+
+
+
+def unused_defaults(package_dir: Path = PACKAGE_DIR) -> list[str]:
+    """module.function.parameter for each parameter default of a module-level
+    function or a method that no call in the package passes, by keyword or by
+    position.  A method's position counts after self, and a constructor is
+    called by its class name."""
+    functions = []  # (qualname, called name, parameters before the first a call passes, node)
+    calls: dict[str, list] = {}  # called name -> [(positional count, keywords)]
+    for module, tree in _modules(package_dir):
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef):
+                functions.append((f"{module}.{stmt.name}", stmt.name, 0, stmt))
+            for meth in stmt.body if isinstance(stmt, ast.ClassDef) else ():
+                if isinstance(meth, ast.FunctionDef):
+                    called = stmt.name if meth.name == "__init__" else meth.name
+                    functions.append((f"{module}.{stmt.name}.{meth.name}", called, 1, meth))
+        for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            calls.setdefault(name, []).append((len(call.args), {k.arg for k in call.keywords}))
+    out = []
+    for qualname, called, skip, node in functions:
+        args = node.args
+        positional = [*args.posonlyargs, *args.args]
+        first = len(positional) - len(args.defaults)
+        defaulted = [(i - skip, p.arg) for i, p in enumerate(positional) if i >= first]
+        defaulted += [(None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        out += [f"{qualname}.{param}" for index, param in defaulted if not any(
+            param in keywords or (index is not None and index < count) for count, keywords in calls.get(called, ()))]
+    return sorted(name for name in out if name not in KEPT_DEFAULTS)
+
+
+def test_every_default_is_passed():
+    unused = unused_defaults()
+    assert not unused, "parameter defaults no call in src/ overrides: " + ", ".join(unused)
+
+
+def test_guard_sees_an_unused_default(tmp_path):
+    # b is passed by position, e by keyword and y by position after self; c, d, x and z never
+    (tmp_path / "extra.py").write_text(
+        "def f(a, b=1, c=2): pass\ndef g(a, *, d=1, e=2): pass\n"
+        "class C:\n    def __init__(self, x=0): pass\n    def m(self, y=0, z=0): pass\n"
+        "X = f(0, 5), g(0, e=3), C().m(1)\n")
+    assert unused_defaults(tmp_path) == ["extra.C.__init__.x", "extra.C.m.z", "extra.f.c", "extra.g.d"]

@@ -110,9 +110,9 @@ def test_parabolic_21_roots():
 
 def test_parabolic_invalid_ranks():
     with pytest.raises(ValueError):
-        parabolic_from_ranks((1, 0, 1))
+        parabolic_from_ranks(HodgeNumbers((1, 0, 1)))
     with pytest.raises(ValueError):
-        parabolic_from_ranks((3,))
+        parabolic_from_ranks(HodgeNumbers((3,)))
 
 
 def test_parabolic_counting_invariants_m_le_9():

@@ -120,9 +120,9 @@ def test_non_even_mesh_not_colorable():
     # Flip one edge of the octahedron: still a valid closed surface, but four
     # vertices acquire odd degree.
     t = octahedron()
-    faces = list(t.faces)
-    faces.remove((0, 1, 2))
-    faces.remove((1, 3, 2))
+    faces = t.face_array.tolist()
+    faces.remove([0, 1, 2])
+    faces.remove([1, 3, 2])
     faces.extend([(0, 1, 3), (0, 3, 2)])
     flipped = SphericalTriangulation(t.vertices, faces)
     assert not flipped.is_even()
@@ -145,13 +145,13 @@ def test_verify_coloring_rejects_monochromatic_edge():
 
 def test_face_geometry_octant_face():
     t = octahedron()
-    face0 = t.faces[0]  # (0, 1, 2) = (e1, e2, e3)
+    face0 = t.face_array[0].tolist()  # [0, 1, 2] = (e1, e2, e3)
     geo = mesh_geometry(t)
     expected = np.ones(3) / math.sqrt(3)
     assert np.allclose(geo.circumcenters[0], expected, atol=1e-14)
     assert geo.circumcenter_inside[0]
     assert geo.equidistance_residuals[0] < 1e-12
-    assert face0 == (0, 1, 2)
+    assert face0 == [0, 1, 2]
 
 
 def test_face_geometry_equidistance_up_to_five_subdivisions():
@@ -192,7 +192,7 @@ def test_gluing_color_pairs_match_by_construction():
         coloring = three_color(tri)
         glue = gluing_pattern(tri, coloring)
         for f, g, pair in identifications(glue):
-            shared = set(tri.faces[f]) & set(tri.faces[g])
+            shared = set(tri.face_array[f].tolist()) & set(tri.face_array[g].tolist())
             assert {coloring.colors[v] for v in shared} == set(pair)
 
 
@@ -232,7 +232,7 @@ def test_mesh_rejects_off_sphere_vertices():
     ids=["nan", "empty"],
 )
 def test_mesh_rejects_nan_or_empty_vertices(verts):
-    for faces in (octahedron().faces, []):
+    for faces in (octahedron().face_array.tolist(), []):
         with pytest.raises(MeshInvariantError):
             SphericalTriangulation(verts, faces)
 
@@ -278,7 +278,7 @@ FaceGeometry = namedtuple(
 
 
 def reference_face_geometry(tri, face_index):
-    face = tri.faces[face_index]
+    face = tuple(tri.face_array[face_index].tolist())
     v0, v1, v2 = (tri.vertices[x] for x in face)
     normal = np.cross(v1 - v0, v2 - v0)
     nrm = np.linalg.norm(normal)
@@ -553,7 +553,7 @@ def test_face_geometry_equals_reference_up_to_two():
 def test_gluing_pattern_equals_reference_up_to_three():
     for s, tri in meshes_up_to(3):
         coloring = three_color(tri)
-        reference = ReferenceTriangulation(tri.vertices, tri.faces)
+        reference = ReferenceTriangulation(tri.vertices, tri.face_array.tolist())
         assert glue_fields(gluing_pattern(tri, coloring)) == reference_gluing_pattern(reference, coloring)
 
 
@@ -565,13 +565,13 @@ def _torus_faces():
 def _two_octahedra_faces():
     """Two octahedra sharing their antipodal vertices 0 and 3 (Euler characteristic 2)."""
     relabel = {0: 0, 1: 6, 2: 7, 3: 3, 4: 8, 5: 9}
-    faces = list(octahedron().faces)
+    faces = octahedron().face_array.tolist()
     return faces + [tuple(relabel[x] for x in f) for f in faces]
 
 
 BAD_LINKS = {
     # vertex 0 gets a second face leaving along the edge (0, 1)
-    "pinched link": (6, list(octahedron().faces) + [(0, 1, 5)]),
+    "pinched link": (6, octahedron().face_array.tolist() + [(0, 1, 5)]),
     "splits into several cycles": (10, _two_octahedra_faces()),
     "is isolated": (9, _torus_faces()),
     # the link of vertex 0 is 1 -> 2 -> 3 -> 2
@@ -598,8 +598,8 @@ def test_constructor_reports_reference_link_failure(kind):
 
 def test_link_check_accepts_what_reference_accepts():
     for s, tri in meshes_up_to(3):
-        assert outcome(reference_check_links, tri.num_vertices, tri.faces) is None
-        assert outcome(_check_links, tri.num_vertices, tri.faces) is None
+        assert outcome(reference_check_links, tri.num_vertices, tri.face_array.tolist()) is None
+        assert outcome(_check_links, tri.num_vertices, tri.face_array) is None
 
 
 def test_open_link_is_an_invariant_error():
@@ -613,21 +613,21 @@ def test_open_link_is_an_invariant_error():
 
 
 def _octahedron_faces_with(index, face):
-    faces = list(octahedron().faces)
+    faces = octahedron().face_array.tolist()
     faces[index:index] = [face]
     return faces
 
 
 CORRUPTED = {
     # name: (number of vertices, faces); every one fails validation
-    "repeated directed edge": (6, list(octahedron().faces) + [(2, 0, 1)]),
-    "repeated directed edge before a bad face": (6, list(octahedron().faces) + [(1, 2, 0), (0, 0, 0)]),
+    "repeated directed edge": (6, octahedron().face_array.tolist() + [(2, 0, 1)]),
+    "repeated directed edge before a bad face": (6, octahedron().face_array.tolist() + [(1, 2, 0), (0, 0, 0)]),
     "bad face before a repeated directed edge": (6, _octahedron_faces_with(2, (0, 1, 1)) + [(1, 2, 0)]),
-    "edge on one face": (6, [f for f in octahedron().faces if f != (3, 4, 2)]),
+    "edge on one face": (6, [f for f in octahedron().face_array.tolist() if f != [3, 4, 2]]),
     # a third face on an edge repeats one of its two directions
-    "edge on three faces": (7, list(octahedron().faces) + [(0, 1, 6)]),
+    "edge on three faces": (7, octahedron().face_array.tolist() + [(0, 1, 6)]),
     "single triangle": (3, [(0, 1, 2)]),
-    "euler characteristic 4": (12, list(octahedron().faces) + [tuple(x + 6 for x in f) for f in octahedron().faces]),
+    "euler characteristic 4": (12, octahedron().face_array.tolist() + (octahedron().face_array + 6).tolist()),
     "repeated vertex": (6, _octahedron_faces_with(3, (4, 4, 2))),
     "vertex out of range": (6, _octahedron_faces_with(5, (3, 1, 6))),
     "negative vertex": (6, _octahedron_faces_with(1, (-1, 1, 5))),
@@ -649,7 +649,7 @@ def test_constructor_matches_reference_on_corrupted_meshes(kind):
 
 def test_colors_and_gluing_equal_reference_up_to_five():
     for s, tri in meshes_up_to(5):
-        reference = ReferenceTriangulation(tri.vertices, tri.faces)
+        reference = ReferenceTriangulation(tri.vertices, tri.face_array.tolist())
         assert tri.num_edges == reference.num_edges
         assert tri.edges.tolist() == sorted(sorted(e) for e in reference.edge_faces)
         coloring = three_color(tri)
@@ -663,7 +663,7 @@ def test_colors_and_gluing_equal_reference_up_to_five():
 )
 def test_verify_coloring_matches_reference(colors):
     t = octahedron()
-    reference = ReferenceTriangulation(t.vertices, t.faces)
+    reference = ReferenceTriangulation(t.vertices, t.face_array.tolist())
     expected = outcome(reference_verify_coloring, reference, ThreeColoring(colors))
     assert outcome(verify_coloring, t, ThreeColoring(colors)) == expected
 
@@ -680,9 +680,9 @@ def test_non_integer_face_entry_rejected(entry):
 
 def test_numpy_integer_faces_accepted():
     t = octahedron()
-    for faces in (np.array(t.faces, dtype=np.int32), [tuple(np.int64(x) for x in f) for f in t.faces]):
+    for faces in (t.face_array.astype(np.int32), [tuple(np.int64(x) for x in f) for f in t.face_array.tolist()]):
         tri = SphericalTriangulation(t.vertices, faces)
-        assert tri.faces == t.faces and all(type(x) is int for f in tri.faces for x in f)
+        assert tri.face_array.dtype == np.int64 and tri.face_array.tolist() == t.face_array.tolist()
 
 
 @pytest.mark.parametrize(
@@ -699,7 +699,7 @@ def test_non_real_vertices_rejected(verts):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(MeshInvariantError, match="real numbers"):
-            SphericalTriangulation(verts, octahedron().faces)
+            SphericalTriangulation(verts, octahedron().face_array.tolist())
 
 
 @pytest.mark.parametrize(
@@ -715,7 +715,7 @@ def test_degenerate_faces_name_first_failing_face(moved, onto, message):
     t = octahedron()
     verts = t.vertices.copy()
     verts[moved] = verts[onto]
-    tri = SphericalTriangulation(verts, t.faces)
+    tri = SphericalTriangulation(verts, t.face_array.tolist())
     first = next(o for o in (outcome(reference_face_geometry, tri, i) for i in range(8)) if o)
     assert first == (DegenerateFaceError, message)
     assert outcome(mesh_geometry, tri) == first

@@ -28,7 +28,7 @@ def flag_text(ranks, seed):
 
 
 def higgs_text(ranks, seed):
-    return higgs_dumps(random_commuting_higgs(ranks, 1 + seed % 3, seed, "nullspace" if seed % 2 else "pullback"))
+    return higgs_dumps(random_commuting_higgs(HodgeNumbers(ranks), 1 + seed % 3, seed, "nullspace" if seed % 2 else "pullback"))
 
 
 def leaves(obj, path=()):
