@@ -8,9 +8,8 @@ mentions; a reached class reaches its bases, decorators, class-level
 statements and dunder methods.  A module-level definition is reached by its
 bare name or by an attribute access ``x.name``, a class member only by an
 attribute access, and an import alias (``bracket as mat_bracket``) counts as
-its original name.
-Every name in ``hodge_domains.__all__`` must be reached, so the public API
-hides no dead code either.
+its original name.  Every name in ``hodge_domains.__all__`` must be
+reached, so the public API hides no dead code either.
 
 A second guard reports every name a module other than ``__init__`` imports
 and never mentions (``__init__`` imports to re-export), and a third every
