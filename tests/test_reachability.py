@@ -177,7 +177,7 @@ def unused_defaults(package_dir: Path = PACKAGE_DIR) -> list[str]:
     function or a method that no call in the package passes, by keyword or by
     position.  A method's position counts after self, and a constructor is
     called by its class name."""
-    functions = []  # (qualname, called name, parameters before the first a call passes, node)
+    functions = []  # (qualname, called name, leading parameters a call does not pass, node)
     calls: dict[str, list] = {}  # called name -> [(positional count, keywords)]
     for module, tree in _modules(package_dir):
         for stmt in tree.body:
