@@ -32,7 +32,6 @@ from .pi2 import (
 from .higgs import (
     HiggsField,
     check_commutation,
-    pointwise_rank,
     random_commuting_higgs,
     rank_one_lemma_check,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "superhorizontal_generation_report",
     "HiggsField",
     "check_commutation",
-    "pointwise_rank",
     "random_commuting_higgs",
     "rank_one_lemma_check",
     "HorizontalVector",

@@ -176,7 +176,7 @@ def _suite_dimensions(cfg: RunConfig) -> tuple[bool, dict]:
         desc.dim == sum(r[i] * r[j] for i in range(len(r)) for j in range(i + 1, len(r)))
         and split <= desc.dim
         and (split == desc.dim) == (ranks.k <= 2)
-        and domain_mod.flag_in_period_domain(domain_mod.hodge_flag(ranks)).in_domain
+        and domain_mod.flag_in_period_domain(domain_mod.hodge_flag(ranks))
     )
     checks = 4
     if _is_1n1(ranks):
@@ -209,12 +209,12 @@ def _suite_flags(cfg: RunConfig) -> tuple[bool, dict]:
     ok = True
     for _ in range(count):
         flag = domain_mod.perturbed_flag(ranks, rng)
-        ok = ok and domain_mod.flag_in_period_domain(flag).in_domain
-        plane = domain_mod.project_to_symmetric_space(flag, "indefinite")
+        ok = ok and domain_mod.flag_in_period_domain(flag)
+        plane = domain_mod.project_to_symmetric_space(flag)
         ok = ok and domain_mod.form_definiteness(plane, ranks.signature_signs()) == "positive"
         u = domain_mod.random_block_unitary(ranks, rng)
         moved = domain_mod.apply_matrix(u, flag)
-        ok = ok and domain_mod.flag_in_period_domain(moved).in_domain
+        ok = ok and domain_mod.flag_in_period_domain(moved)
         round_trip = domain_mod.flag_loads(domain_mod.flag_dumps(flag))
         ok = ok and round_trip.basis == flag.basis
     return ok, {"flags": count}
@@ -229,9 +229,9 @@ def _suite_pu2n(cfg: RunConfig) -> tuple[bool, dict]:
         passed = rep.mismatches == 0 and not rep.found_regular_isotropic and rep.isotropic_noncomplex_count == 0
     else:
         # regular isotropic planes are looked for on the half-zero stratum only,
-        # so their existence is claimed only once a run has drawn from it
-        drew_half_zero = cfg.samples >= horizontal_mod.HALF_ZERO_PERIOD
-        passed = rep.mismatches == 0 and (rep.found_regular_isotropic or not drew_half_zero)
+        # so their existence is claimed only once a run has drawn a
+        # complex-independent plane from it
+        passed = rep.mismatches == 0 and (rep.found_regular_isotropic or not rep.half_zero_independent)
     return passed, {
         "n": n,
         "samples": rep.samples,
@@ -269,7 +269,7 @@ def _suite_higgs(cfg: RunConfig) -> tuple[bool, dict]:
             field = higgs_mod.random_commuting_higgs(
                 shape, m_t=2 + j % 2, seed=cfg.seed * 104729 + pos * 1000 + j, strategy=strategy
             )
-            verdict = higgs_mod.rank_one_lemma_check(field, 1)
+            verdict = higgs_mod.rank_one_lemma_check(field)
             ok = ok and verdict.holds
             if verdict.triggered:
                 triggered += 1
@@ -280,11 +280,7 @@ def _suite_higgs(cfg: RunConfig) -> tuple[bool, dict]:
 
 def _suite_su22(cfg: RunConfig) -> tuple[bool, dict]:
     walls = _wide_middles(cfg.ranks)
-    ok = True
-    for i in walls:
-        emb = horizontal_mod.su22_embedding(cfg.ranks, i)
-        ok = ok and emb.checks.all_pass() and emb.sub_ranks == (1, 2, 1)
-    return ok, {"walls": walls}
+    return all([horizontal_mod.su22_embedding(cfg.ranks, i).all_pass() for i in walls]), {"walls": walls}
 
 
 def _suite_mesh(cfg: RunConfig) -> tuple[bool, dict]:

@@ -12,8 +12,7 @@ complement of F^i inside F^{i+1} (with F^{-1} = 0, so the i = -1 condition is
 h > 0 on F^0).  One fraction-free elimination of the Gram matrix G = B* h B
 of the adapted basis over Z[i] gives its leading minors d_n, and by Sylvester's
 criterion step i passes iff d_n * d_{n-1} has sign (-1)^(i+1) for every n in
-block i+1.  A first failing block whose last minor vanishes is reported as a
-degeneracy, distinct from a plain sign rejection.
+block i+1.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import wire
 from .exactla import (
@@ -81,11 +80,11 @@ def hodge_flag(ranks: HodgeNumbers) -> Flag:
     return Flag(ranks, tuple(cols))
 
 
-def _integer_gram(vectors: Iterable[Vector], signs: Optional[tuple[int, ...]]):
-    """(G, columns, scales): G = B* diag(signs) B over Z[i] (signs=None means the
-    identity) after scaling each column of B by the lcm of its denominators, the
-    scaled columns as (re, im) int lists, and the scales.  A congruence by a
-    positive diagonal, so no leading minor changes sign."""
+def _integer_gram(vectors: Iterable[Vector], signs: tuple[int, ...]):
+    """(G, columns, scales): G = B* diag(signs) B over Z[i] after scaling each
+    column of B by the lcm of its denominators, the scaled columns as (re, im)
+    int lists, and the scales.  A congruence by a positive diagonal, so no
+    leading minor changes sign."""
     scales, cols = [], []
     for l, re, im in map(_cleared, vectors):
         scales.append(l)
@@ -93,8 +92,7 @@ def _integer_gram(vectors: Iterable[Vector], signs: Optional[tuple[int, ...]]):
     n = len(cols)
     g = [[QI_ZERO] * n for _ in range(n)]
     for a, (ar, ai) in enumerate(cols):
-        if signs is not None:
-            ar, ai = list(map(mul, signs, ar)), list(map(mul, signs, ai))
+        ar, ai = list(map(mul, signs, ar)), list(map(mul, signs, ai))
         for b in range(a, n):
             br, bi = cols[b]
             re = sum(map(mul, ar, br)) + sum(map(mul, ai, bi))
@@ -103,9 +101,9 @@ def _integer_gram(vectors: Iterable[Vector], signs: Optional[tuple[int, ...]]):
     return g, cols, scales
 
 
-def form_definiteness(vectors: Iterable[Vector], signs: Optional[tuple[int, ...]]) -> str:
+def form_definiteness(vectors: Iterable[Vector], signs: tuple[int, ...]) -> str:
     """hermitian_definiteness of the form sum_c s_c x_c conj(y_c) on the span
-    of the vectors (signs=None means the definite form), from their Gram matrix."""
+    of the vectors, from their Gram matrix."""
     g, _, scales = _integer_gram(vectors, signs)
     return hermitian_definiteness([[_gaussian(x.a, x.b, la * lb) for x, lb in zip(row, scales)]
                                    for row, la in zip(g, scales)])
@@ -138,54 +136,34 @@ def _complement(g, cols, scales, small: int, big: int) -> list[Vector]:
     return out
 
 
-@dataclass(frozen=True)
-class MembershipResult:
-    in_domain: bool
-    degenerate: bool
-    failing_step: Optional[int]  # the i of the first failing F^i complement
-
-    def __bool__(self):
-        return self.in_domain
-
-
-def flag_in_period_domain(flag: Flag) -> MembershipResult:
+def flag_in_period_domain(flag: Flag) -> bool:
     """Exact membership test for the open orbit.
 
     For each -1 <= i <= k-1 the complement of F^i in F^{i+1} with respect to
     h must carry (-1)^i h negative definite.  Its Gram matrix is the Schur
     complement of the F^i block of G in the F^{i+1} block, so this holds iff
-    d_n * d_{n-1} has sign (-1)^(i+1) for dim F^i < n <= dim F^{i+1}.  The first
-    failing step is degenerate iff d_n vanishes at n = dim F^{i+1}.
+    d_n * d_{n-1} has sign (-1)^(i+1) for dim F^i < n <= dim F^{i+1}.
     """
-    g, _, _ = _integer_gram(flag.basis, flag.ranks.signature_signs())
-    d = _leading_minors(g)
+    d = _leading_minors(_integer_gram(flag.basis, flag.ranks.signature_signs())[0])
     bounds = (0, *flag.ranks.walls, flag.m)
-    for b in range(flag.ranks.k + 1):
-        sign = -1 if b % 2 else 1
-        if any(n >= len(d) or sign * d[n] * d[n - 1] <= 0 for n in range(bounds[b] + 1, bounds[b + 1] + 1)):
-            return MembershipResult(False, _minor_vanishes(g, d, bounds[b + 1]), b - 1)
-    return MembershipResult(True, False, None)
+    return all(n < len(d) and (-1) ** b * d[n] * d[n - 1] > 0
+               for b in range(flag.ranks.k + 1) for n in range(bounds[b] + 1, bounds[b + 1] + 1))
 
 
-def project_to_symmetric_space(flag: Flag, mode: str) -> tuple[Vector, ...]:
-    """The p-plane built from the odd-step complements of the flag.
+def project_to_symmetric_space(flag: Flag) -> tuple[Vector, ...]:
+    """The p-plane built from the odd-step complements of the flag with
+    respect to h (the fibration over the noncompact symmetric space).
 
-    mode='indefinite' uses h (fibration over the noncompact symmetric space);
-    mode='definite' uses the standard form (fibration of the compact dual).
-    The i = -1 step contributes F^0 itself.  With h, the form must be
-    nondegenerate on F^i and F^{i+1} for every odd i >= 1.
+    The i = -1 step contributes F^0 itself.  The form must be nondegenerate
+    on F^i and F^{i+1} for every odd i >= 1.
     """
-    if mode not in ("definite", "indefinite"):
-        raise ValueError(f"mode must be 'definite' or 'indefinite', got {mode!r}")
-    signs = flag.ranks.signature_signs() if mode == "indefinite" else None
-    g, cols, scales = _integer_gram(flag.basis, signs)
+    g, cols, scales = _integer_gram(flag.basis, flag.ranks.signature_signs())
     bounds = (0, *flag.ranks.walls, flag.m)
     odd_steps = range(1, flag.ranks.k, 2)
-    if signs is not None:
-        d = _leading_minors(g)
-        for i in odd_steps:
-            if _minor_vanishes(g, d, bounds[i + 1]) or _minor_vanishes(g, d, bounds[i + 2]):
-                raise DegenerateComplementError(f"indefinite form degenerates on flag step {i}")
+    d = _leading_minors(g)
+    for i in odd_steps:
+        if _minor_vanishes(g, d, bounds[i + 1]) or _minor_vanishes(g, d, bounds[i + 2]):
+            raise DegenerateComplementError(f"indefinite form degenerates on flag step {i}")
     plane = list(flag.basis[: bounds[1]])
     for i in odd_steps:
         plane.extend(_complement(g, cols, scales, bounds[i + 1], bounds[i + 2]))
@@ -201,7 +179,6 @@ def project_to_symmetric_space(flag: Flag, mode: str) -> tuple[Vector, ...]:
 
 @dataclass(frozen=True)
 class DomainDescriptor:
-    ranks: HodgeNumbers
     dim: int  # complex dimension of the flag manifold and of the open orbit
     horizontal_rank: int  # complex rank of the first-level tangent subbundle
     vertical_rank: int  # fiber directions of the symmetric-space fibration
@@ -220,7 +197,6 @@ def describe_domain(ranks: HodgeNumbers) -> DomainDescriptor:
     evens = tuple(r[i] for i in range(0, n, 2))
     odds = tuple(r[i] for i in range(1, n, 2))
     return DomainDescriptor(
-        ranks=ranks,
         dim=dim,
         horizontal_rank=horizontal,
         vertical_rank=vertical,
@@ -262,7 +238,7 @@ def perturbed_flag(ranks: HodgeNumbers, rng) -> Flag:
         except ValueError:
             scale = scale / 4
             continue
-        if flag_in_period_domain(flag).in_domain:
+        if flag_in_period_domain(flag):
             return flag
         scale = scale / 4
     raise RuntimeError("could not build an in-domain perturbed flag")

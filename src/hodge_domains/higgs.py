@@ -1,6 +1,6 @@
 """Pointwise Higgs-field algebra: transversality shape, the commutation
-relation, generic ranks, the rank-one vanishing lemma, and seeded samplers of
-commuting fields.
+relation, the rank-one vanishing lemma, and seeded samplers of commuting
+fields.
 
 A field is a single fiber's worth of data: for each layer i and tangent
 direction a, a matrix theta_i^(a) from block i to block i+1.  The commutation
@@ -48,10 +48,6 @@ class HiggsField:
             layers.append(tuple(as_matrix(mx, r[i + 1], r[i]) for mx in layer))
         object.__setattr__(self, "theta", tuple(layers))
 
-    def component(self, i: int, a: int) -> Matrix:
-        """theta_i in direction a (a is 1-based)."""
-        return self.theta[i][a - 1]
-
 
 @dataclass(frozen=True)
 class CommutationResult:
@@ -81,54 +77,29 @@ def check_commutation(h: HiggsField) -> CommutationResult:
     return CommutationResult(not violations, min(violations, default=None))
 
 
-def stacked_matrix(h: HiggsField, i: int) -> list[list[GaussianRational]]:
-    """theta_i as one linear map: the directions stacked vertically,
-    shape (tangent_dim * r_{i+1}) x r_i."""
-    out: list[list[GaussianRational]] = []
-    for a in range(1, h.tangent_dim + 1):
-        out.extend(list(map(list, h.component(i, a))))
-    return out
-
-
-def pointwise_rank(h: HiggsField, i: int) -> int:
-    """Rank of theta_i as a map into (block i+1) tensor (tangent dual)."""
-    if not 0 <= i <= h.ranks.k - 1:
-        raise IndexError(f"layer index {i} out of range 0..{h.ranks.k - 1}")
-    return rank(stacked_matrix(h, i))
-
-
 @dataclass(frozen=True)
 class LemmaVerdict:
-    verdict: str  # 'holds' or 'violated'
+    holds: bool
     triggered: bool  # whether the rank hypothesis was met
-    witness: Optional[tuple]  # (direction a, offending matrix) when violated
-
-    @property
-    def holds(self) -> bool:
-        return self.verdict == "holds"
 
 
-def rank_one_lemma_check(h: HiggsField, i: int) -> LemmaVerdict:
-    """Verify, for an interior rank-one block i of a commuting field, that
-    rank(theta_{i-1}) >= 2 forces theta_i = 0.
+def rank_one_lemma_check(h: HiggsField) -> LemmaVerdict:
+    """Verify, for a commuting field of ranks (a, 1, b), that
+    rank(theta_0) >= 2 forces theta_1 = 0, with theta_0 the directions
+    stacked into one (tangent_dim x a) map.
 
-    A 'violated' verdict cannot occur for genuinely commuting data; it would
+    A failing verdict cannot occur for genuinely commuting data; it would
     signal an implementation bug, and the suites treat it as a failure.
     """
-    if not 0 < i < h.ranks.k:
-        raise PreconditionError(f"index {i} is not interior (need 0 < i < {h.ranks.k})")
-    if h.ranks.ranks[i] != 1:
-        raise PreconditionError(f"block {i} has rank {h.ranks.ranks[i]}, lemma needs rank 1")
+    if len(h.ranks.ranks) != 3 or h.ranks.ranks[1] != 1:
+        raise PreconditionError(f"ranks {h.ranks.ranks} are not (a, 1, b)")
     comm = check_commutation(h)
     if not comm.commutes:
         raise PreconditionError(f"field does not commute (violation at {comm.first_violation})")
-    if pointwise_rank(h, i - 1) < 2:
-        return LemmaVerdict("holds", triggered=False, witness=None)
-    for a in range(1, h.tangent_dim + 1):
-        mx = h.component(i, a)
-        if not is_zero_matrix(mx):
-            return LemmaVerdict("violated", triggered=True, witness=(a, mx))
-    return LemmaVerdict("holds", triggered=True, witness=None)
+    theta_0, theta_1 = h.theta
+    if rank([row for mx in theta_0 for row in mx]) < 2:
+        return LemmaVerdict(True, triggered=False)
+    return LemmaVerdict(all(map(is_zero_matrix, theta_1)), triggered=True)
 
 
 # ---------------------------------------------------------------------------

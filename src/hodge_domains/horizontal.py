@@ -218,16 +218,17 @@ HALF_ZERO_PERIOD = 8  # sample idx is drawn from the half-zero stratum when idx 
 
 @dataclass(frozen=True)
 class Pu2nReport:
-    n: int
     samples: int
     mismatches: int  # regular vs complex-independence disagreements
     found_regular_isotropic: bool
+    # some half-zero sample is complex-independent: isotropic, so regular isotropic if it is regular
+    half_zero_independent: bool
     regular_count: int
     isotropic_count: int
     isotropic_noncomplex_count: int  # isotropic planes that are not complex lines
 
 
-def _draw_model_pair(n: int, rng: random.Random, half_zero: bool = False):
+def _draw_model_pair(n: int, rng: random.Random, half_zero: bool):
     """Two R-independent vectors of the rank-(1,n,1) model over Z[i], as
     (re, im) int pairs in flatten order: components (column v1, row t(v2))
     for v1, v2 with entries in [-3, 3] + [-3, 3] i; with half_zero v2 = 0, a
@@ -256,19 +257,21 @@ def verify_pu2n_criterion(
     Asserts is_regular == complex-linear independence sample by sample and
     counts regular isotropic planes.  Every HALF_ZERO_PERIOD-th sample, from
     idx 7 on, is drawn from the second-half-zero stratum, on which the
-    symplectic scalar vanishes, so isotropic planes appear at a stable rate.
+    symplectic scalar vanishes, so isotropic planes appear at a stable rate;
+    a complex-independent one among them should be a regular isotropic plane.
     For n = 1 the report additionally counts isotropic samples that fail to
     be complex lines (there must be none).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     mismatches = regular_count = isotropic_count = noncomplex_iso = 0
-    found_reg_iso = False
+    found_reg_iso = half_zero_independent = False
     ranks = HodgeNumbers((1, n, 1))
     rng = random.Random()
     for idx in range(samples):
         rng.seed(seed * 1_000_003 + idx)  # the state of random.Random(seed * 1_000_003 + idx)
-        u, w = _draw_model_pair(n, rng, half_zero=(idx % HALF_ZERO_PERIOD == HALF_ZERO_PERIOD - 1))
+        half_zero = idx % HALF_ZERO_PERIOD == HALF_ZERO_PERIOD - 1
+        u, w = _draw_model_pair(n, rng, half_zero)
         reg = _regular(ranks, u, w)
         iso = not any(map(any, _bracket_entries(ranks, u, w)))
         line = not _independent(u, w)
@@ -277,9 +280,11 @@ def verify_pu2n_criterion(
         isotropic_count += iso
         noncomplex_iso += iso and not line
         found_reg_iso = found_reg_iso or (reg and iso)
+        half_zero_independent = half_zero_independent or (half_zero and not line)
         if record is not None:
             record({"seed": seed * 1_000_003 + idx, "isotropic": iso, "regular": reg, "complex_line": line})
-    return Pu2nReport(n, samples, mismatches, found_reg_iso, regular_count, isotropic_count, noncomplex_iso)
+    return Pu2nReport(samples, mismatches, found_reg_iso, half_zero_independent, regular_count, isotropic_count,
+                      noncomplex_iso)
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +294,6 @@ def verify_pu2n_criterion(
 
 @dataclass(frozen=True)
 class StabilizerDimensions:
-    n: int
-    k: int
     stab_dim: int
     orbit_dim: int
 
@@ -305,7 +308,7 @@ def stabilizer_dimension(n: int, k: int) -> StabilizerDimensions:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     stab = (n - k) * (2 * (n - k) + 1) + 2 * k * (n - k) + k * (k + 1) // 2
     orbit = n * (2 * n + 1) - stab
-    return StabilizerDimensions(n=n, k=k, stab_dim=stab, orbit_dim=orbit)
+    return StabilizerDimensions(stab_dim=stab, orbit_dim=orbit)
 
 
 def isotropic_tuple_orbit_dimension(n: int, k: int) -> int:
@@ -340,18 +343,10 @@ class Su22Checks:
         )
 
 
-@dataclass(frozen=True)
-class Su22Embedding:
-    ranks: HodgeNumbers
-    wall_index: int  # the i of the bridged walls i, i+1
-    w_indices: tuple  # 1-based ambient coordinates spanning the 4-dim subspace
-    sub_ranks: tuple
-    checks: Su22Checks
-
-
-def su22_embedding(ranks: HodgeNumbers, i: int) -> Su22Embedding:
-    """The 4-coordinate subspace (last of block i, first and last of block
-    i+1, first of block i+2) carrying an embedded rank-(1,2,1) structure.
+def su22_embedding(ranks: HodgeNumbers, i: int) -> Su22Checks:
+    """Checks of the 4-coordinate subspace (last of block i, first and last
+    of block i+1, first of block i+2) carrying an embedded rank-(1,2,1)
+    structure.
 
     Verifies by exact bracket computations that the traceless algebra
     supported there closes under bracket, that the induced sub-blocks have
@@ -376,7 +371,6 @@ def su22_embedding(ranks: HodgeNumbers, i: int) -> Su22Embedding:
 
     sub_blocks = tuple(block_of[x] for x in c)
     sub_hodge = sub_blocks == (block_of[c[0]],) + (block_of[c[0]] + 1,) * 2 + (block_of[c[0]] + 2,)
-    sub_ranks = (1, 2, 1)
 
     # Bracket closure of the traceless algebra supported on the 4 coordinates.
     wset = set(c)
@@ -407,15 +401,4 @@ def su22_embedding(ranks: HodgeNumbers, i: int) -> Su22Embedding:
     )
     class_ok = class_of_root(top_root, pd) == expected
 
-    return Su22Embedding(
-        ranks=ranks,
-        wall_index=i,
-        w_indices=tuple(x + 1 for x in c),
-        sub_ranks=sub_ranks,
-        checks=Su22Checks(
-            bracket_closed=closed,
-            sub_hodge_type=sub_hodge,
-            level_minus1_included=level_ok,
-            class_matches=class_ok,
-        ),
-    )
+    return Su22Checks(closed, sub_hodge, level_ok, class_ok)

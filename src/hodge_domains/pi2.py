@@ -24,7 +24,6 @@ from .hodge import HodgeNumbers
 from .rootcalc import (
     ParabolicData,
     RootVector,
-    bridge_root,
     parabolic_from_ranks,
     root_sum,
     wall_roots,
@@ -146,12 +145,10 @@ def pi_u_star(c: Pi2Class) -> int:
 
 @dataclass(frozen=True)
 class Pi2Report:
-    ranks: HodgeNumbers
     rank_flag_manifold: int  # k
     rank_domain: int  # k - 1
     basis: tuple  # wall roots beta_0 .. beta_{k-1}
     kernel_basis: tuple  # Pi2Class coordinates e_i + e_{i+1}
-    kernel_basis_roots: tuple  # the bridge roots beta_{i,i+1}
     kernel_verified: bool
 
 
@@ -168,8 +165,6 @@ def pi2_report(ranks: HodgeNumbers) -> Pi2Report:
         Pi2Class(tuple(1 if w in (i, i + 1) else 0 for w in range(k)))
         for i in range(k - 1)
     )
-    bridge = tuple(bridge_root(pd, i, i + 1) for i in range(k - 1))
-
     proj = [[(-1) ** i for i in range(k)]]
     exact_kernel = integer_kernel(proj)
     claimed = [list(c.coords) for c in kernel_classes]
@@ -183,12 +178,10 @@ def pi2_report(ranks: HodgeNumbers) -> Pi2Report:
         raise AssertionError("kernel basis does not span the exact integer kernel")
 
     return Pi2Report(
-        ranks=ranks,
         rank_flag_manifold=k,
         rank_domain=k - 1,
         basis=betas,
         kernel_basis=kernel_classes,
-        kernel_basis_roots=bridge,
         kernel_verified=verified,
     )
 
@@ -202,7 +195,6 @@ class GeneratorStatus:
 
 @dataclass(frozen=True)
 class GenerationReport:
-    ranks: HodgeNumbers
     per_generator: tuple
     fully_generated: bool
     interior_rank_one: bool
@@ -226,7 +218,6 @@ def superhorizontal_generation_report(ranks: HodgeNumbers) -> GenerationReport:
     if fully == interior_one:
         raise AssertionError("generation report disagrees with the interior-rank-one flag")
     return GenerationReport(
-        ranks=ranks,
         per_generator=tuple(gens),
         fully_generated=fully,
         interior_rank_one=interior_one,

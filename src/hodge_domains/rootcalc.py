@@ -86,19 +86,15 @@ def all_roots(m: int) -> list[RootVector]:
 
 @dataclass(frozen=True)
 class ParabolicData:
-    """Root-level description of the block parabolic q inside sl(m).
+    """Root-level description of the block parabolic q inside sl(m), whose
+    roots phi are the roots of levels >= 0.
 
-    phi     : roots of q (levels >= 0)
     v_roots : phi intersect -phi (the level-0, block-diagonal roots)
     n_roots : phi minus -phi (the nilradical, levels >= 1)
-    pi_q    : 1-based indices of the simple roots deleted to form the parabolic
-              (the walls r_0, r_0+r_1, ...)
     """
 
     ranks: HodgeNumbers
     m: int
-    pi_q: frozenset[int]
-    phi: frozenset[RootVector]
     v_roots: frozenset[RootVector]
     n_roots: frozenset[RootVector]
     block_of: tuple[int, ...]
@@ -115,7 +111,6 @@ def parabolic_from_ranks(ranks: HodgeNumbers) -> ParabolicData:
     """Build the parabolic data of the block flag type (r_0, ..., r_k)."""
     m = ranks.m
     block_of = ranks.block_of
-    pi_q = frozenset(ranks.walls)
 
     roots = all_roots(m)
     positive = [r for r in roots if r.plus_index > r.minus_index]
@@ -135,8 +130,6 @@ def parabolic_from_ranks(ranks: HodgeNumbers) -> ParabolicData:
     return ParabolicData(
         ranks=ranks,
         m=m,
-        pi_q=pi_q,
-        phi=phi,
         v_roots=v_roots,
         n_roots=n_roots,
         block_of=block_of,
@@ -145,13 +138,13 @@ def parabolic_from_ranks(ranks: HodgeNumbers) -> ParabolicData:
 
 def wall_roots(pd: ParabolicData) -> list[RootVector]:
     """The simple roots beta_i = alpha_{R_i} at the walls, i = 0..k-1."""
-    return [root_between(pd.m, w, w - 1) for w in sorted(pd.pi_q)]
+    return [root_between(pd.m, w, w - 1) for w in pd.ranks.walls]
 
 
 def bridge_root(pd: ParabolicData, i: int, j: int) -> RootVector:
     """The root alpha_{R_i} + ... + alpha_{R_j} running from the last coordinate
     of block i to the first coordinate of block j+1 (i <= j <= k-1)."""
-    walls = sorted(pd.pi_q)
+    walls = pd.ranks.walls
     return root_between(pd.m, walls[j], walls[i] - 1)
 
 

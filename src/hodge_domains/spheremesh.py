@@ -338,11 +338,9 @@ def mesh_geometry(tri: SphericalTriangulation) -> MeshGeometry:
 
 @dataclass(frozen=True, eq=False)
 class GluingPolyhedron:
-    num_copies: int
     face_pairs: np.ndarray  # (E, 2): the two faces identified along each mesh edge, in mesh edge order
     color_pairs: np.ndarray  # (E, 2): the sorted colors of that edge's ends
     euler_characteristic: int
-    vertex_class_count: int
     color_matched: bool
     closed: bool
     links_single_cycles: bool
@@ -382,11 +380,9 @@ def gluing_pattern(tri: SphericalTriangulation, coloring: ThreeColoring) -> Glui
     e_w = len(color_pairs)
     f_w = tri.num_faces
     return GluingPolyhedron(
-        num_copies=f_w,
         face_pairs=tri.edge_faces,
         color_pairs=color_pairs,
         euler_characteristic=v_w - e_w + f_w,
-        vertex_class_count=v_w,
         color_matched=bool(np.all(color_pairs[:, 0] != color_pairs[:, 1])),
         closed=e_w * 2 == 3 * f_w,
         links_single_cycles=bool(np.all(np.bincount(ends.ravel(), minlength=corners) == 2)),

@@ -6,7 +6,7 @@ import os
 from pathlib import Path
 
 import hodge_domains
-from hodge_domains.exactla import _coerce
+from hodge_domains.exactla import _coerce, rank
 from hodge_domains.hodge import HodgeNumbers
 
 
@@ -22,6 +22,12 @@ def cli_env() -> dict:
 def mat_sub(a, b):
     """The entrywise difference a - b of two matrices of exact scalars."""
     return [[_coerce(x) - _coerce(y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def pointwise_rank(h, i: int) -> int:
+    """Rank of theta_i of a Higgs field h with its directions stacked into one
+    (tangent_dim * r_{i+1}) x r_i map: the rank the rank-one lemma reads."""
+    return rank([row for mx in h.theta[i] for row in mx])
 
 
 def compositions(m: int):

@@ -11,14 +11,13 @@ import subprocess
 import sys
 import time
 
-from conftest import all_rank_tuples, bounded_rank_tuples, cli_env
+from conftest import all_rank_tuples, bounded_rank_tuples, cli_env, pointwise_rank
 from hodge_domains.cli import RunConfig, run_verify
 from hodge_domains.domain import describe_domain
 from hodge_domains.exactla import Qi, integer_kernel, lattices_equal, smith_invariant_factors
 from hodge_domains.higgs import (
     HiggsField,
     check_commutation,
-    pointwise_rank,
     random_commuting_higgs,
     rank_one_lemma_check,
 )
@@ -153,7 +152,7 @@ def test_criterion_07_rank_one_lemma():
         field = random_commuting_higgs(HodgeNumbers(shape), m_t, seed=910_000 + seed, strategy=strategy)
         seed += 1
         count += 1
-        verdict = rank_one_lemma_check(field, 1)
+        verdict = rank_one_lemma_check(field)
         ok = ok and verdict.holds
         if verdict.triggered:
             triggered += 1
@@ -195,8 +194,7 @@ def test_criterion_08_su22_embedding():
         hn = HodgeNumbers(ranks)
         for i in range(hn.k - 1):
             if hn.ranks[i + 1] >= 2:
-                emb = su22_embedding(hn, i)
-                ok = ok and emb.checks.all_pass() and emb.sub_ranks == (1, 2, 1)
+                ok = ok and su22_embedding(hn, i).all_pass()
                 cases.append((ranks, i))
     ok = ok and len(cases) == 4  # i=0 twice, plus i=0,1 for (2,2,2,2)
     _finish(

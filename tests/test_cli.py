@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import hodge_domains.horizontal
 import hodge_domains.pi2
 from conftest import all_rank_tuples, cli_env
 from hodge_domains import wire
@@ -16,6 +17,7 @@ from hodge_domains.cli import (
     EXIT_SUITE_FAILURE,
     RunConfig,
     ResourceGuardError,
+    _suite_pu2n,
     export_mesh,
     main,
     run_report,
@@ -112,6 +114,28 @@ def test_verify_passes_before_the_first_half_zero_draw(capsys, n):
         pu = json.loads(capsys.readouterr().out)["suites"][4]
         assert pu["name"] == "pu2n_criterion" and pu["passed"]
         assert pu["details"]["found_regular_isotropic"] is False
+
+
+def test_pu2n_passes_when_the_half_zero_draw_is_a_complex_line():
+    # at 8 samples and n = 2 the one half-zero draw (sample 7) is a complex
+    # line, so not regular, for 15 of seeds 0..2999: they find no regular
+    # isotropic plane, and have nothing to find
+    unfound = []
+    for seed in range(3000):
+        passed, details = _suite_pu2n(cfg_verify((1, 2, 1), seed=seed, samples=8))
+        assert passed, seed
+        if not details["found_regular_isotropic"]:
+            unfound.append(seed)
+    assert unfound == [79, 369, 622, 937, 1179, 1277, 1512, 1847, 1888, 1893, 2244, 2285, 2423, 2513, 2974]
+    assert main(["verify", "--ranks", "1,2,1", "--seed", "79", "--samples", "8"]) == EXIT_OK
+
+
+def test_verify_fails_when_isotropy_is_never_reported(monkeypatch, capsys):
+    # a bracket that never vanishes reports no plane isotropic, so the
+    # complex-independent half-zero draw of seed 0 yields no regular isotropic plane
+    monkeypatch.setattr(hodge_domains.horizontal, "_bracket_entries", lambda ranks, u, w: [(1, 0)])
+    assert main(["verify", "--ranks", "1,2,1", "--seed", "0", "--samples", "8"]) == EXIT_SUITE_FAILURE
+    assert not json.loads(capsys.readouterr().out)["suites"][4]["passed"]
 
 
 def test_verify_exit_codes_and_determinism(capsys):

@@ -1,6 +1,7 @@
 import random
+from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,7 +20,6 @@ from hodge_domains.hodge import HodgeNumbers
 from hodge_domains.domain import (
     DegenerateComplementError,
     Flag,
-    MembershipResult,
     Vector,
     apply_matrix,
     describe_domain,
@@ -53,31 +53,29 @@ def same_span(a: Iterable[Vector], b: Iterable[Vector]) -> bool:
 
 
 # -- reference: the step-by-step complement path the Gram-minor test replaced ---
-# Kept verbatim (only the public names are prefixed with reference_) so the
-# new path is checked against an independent oracle.
+# Kept (its public names prefixed with reference_) so the new path is checked
+# against an independent oracle.  Besides the verdict it reports the first
+# failing step and whether it is degenerate, which shows the seeded flags
+# below reach every kind of failure.
+
+ReferenceVerdict = namedtuple("ReferenceVerdict", "in_domain degenerate failing_step")
 
 
-def hermitian_product(x: Vector, y: Vector, signs: Optional[tuple[int, ...]]) -> GaussianRational:
-    """The form sum_c s_c x_c conj(y_c); signs=None means the definite form."""
+def hermitian_product(x: Vector, y: Vector, signs: tuple[int, ...]) -> GaussianRational:
+    """The form sum_c s_c x_c conj(y_c)."""
     acc = QI_ZERO
-    if signs is None:
-        for a, b in zip(x, y):
-            acc = acc + a * b.conjugate()
-    else:
-        for s, a, b in zip(signs, x, y):
-            term = a * b.conjugate()
-            acc = acc + (term if s > 0 else -term)
+    for s, a, b in zip(signs, x, y):
+        term = a * b.conjugate()
+        acc = acc + (term if s > 0 else -term)
     return acc
 
 
-def reference_gram_matrix(vectors: Iterable[Vector], signs: Optional[tuple[int, ...]]) -> list[list[GaussianRational]]:
+def reference_gram_matrix(vectors: Iterable[Vector], signs: tuple[int, ...]) -> list[list[GaussianRational]]:
     vs = list(vectors)
     return [[hermitian_product(a, b, signs) for b in vs] for a in vs]
 
 
-def orthocomplement_step(
-    flag: Flag, i: int, signs: Optional[tuple[int, ...]]
-) -> list[Vector]:
+def orthocomplement_step(flag: Flag, i: int, signs: tuple[int, ...]) -> list[Vector]:
     """Basis of the orthogonal complement of F^i inside F^{i+1} for the given
     form.  Raises DegenerateComplementError when the form restricts
     degenerately (complement not transverse)."""
@@ -109,33 +107,31 @@ def orthocomplement_step(
     return out
 
 
-def reference_flag_in_period_domain(flag: Flag) -> MembershipResult:
+def reference_flag_in_period_domain(flag: Flag) -> ReferenceVerdict:
     signs = flag.ranks.signature_signs()
     for i in range(-1, flag.ranks.k):
         try:
             comp = orthocomplement_step(flag, i, signs)
         except DegenerateComplementError:
-            return MembershipResult(False, True, i)
+            return ReferenceVerdict(False, True, i)
         g = reference_gram_matrix(comp, signs)
         if i % 2 == 1:  # odd i, including i = -1: sign (-1)^i = -1
             g = [[-x for x in row] for row in g]
         verdict = hermitian_definiteness(g)
         if verdict == "degenerate":
-            return MembershipResult(False, True, i)
+            return ReferenceVerdict(False, True, i)
         if verdict != "negative":
-            return MembershipResult(False, False, i)
-    return MembershipResult(True, False, None)
+            return ReferenceVerdict(False, False, i)
+    return ReferenceVerdict(True, False, None)
 
 
-def reference_project_to_symmetric_space(flag: Flag, mode: str) -> tuple[Vector, ...]:
-    if mode not in ("definite", "indefinite"):
-        raise ValueError(f"mode must be 'definite' or 'indefinite', got {mode!r}")
-    signs = flag.ranks.signature_signs() if mode == "indefinite" else None
+def reference_project_to_symmetric_space(flag: Flag) -> tuple[Vector, ...]:
+    signs = flag.ranks.signature_signs()
     plane: list[Vector] = []
     for i in range(-1, flag.ranks.k):
         if i % 2 == 1:
             comp = orthocomplement_step(flag, i, signs)
-            if signs is not None and i >= 0:
+            if i >= 0:
                 if hermitian_definiteness(reference_gram_matrix(comp, signs)) == "degenerate":
                     raise DegenerateComplementError(
                         f"indefinite form degenerates on the step-{i} complement"
@@ -146,29 +142,24 @@ def reference_project_to_symmetric_space(flag: Flag, mode: str) -> tuple[Vector,
     return tuple(plane)
 
 
-def agrees_with_reference(flag: Flag) -> MembershipResult:
-    """Assert the new and reference paths agree on flag; return the verdict."""
-    new = flag_in_period_domain(flag)
+def agrees_with_reference(flag: Flag) -> ReferenceVerdict:
+    """Assert the new and reference paths agree on flag; return the
+    reference verdict."""
     old = reference_flag_in_period_domain(flag)
-    assert (new.in_domain, new.degenerate, new.failing_step) == (
-        old.in_domain,
-        old.degenerate,
-        old.failing_step,
-    )
-    for mode in ("definite", "indefinite"):
-        try:
-            expected = reference_project_to_symmetric_space(flag, mode)
-        except DegenerateComplementError:
-            with pytest.raises(DegenerateComplementError):
-                project_to_symmetric_space(flag, mode)
-        else:
-            plane = project_to_symmetric_space(flag, mode)
-            assert same_span(plane, expected)
-            assert plane == expected  # the same vectors, not only the same span
-    for signs in (flag.ranks.signature_signs(), None):
-        for n in range(flag.m + 1):
-            vectors = flag.basis[:n]
-            assert form_definiteness(vectors, signs) == hermitian_definiteness(reference_gram_matrix(vectors, signs))
+    assert flag_in_period_domain(flag) is old.in_domain
+    try:
+        expected = reference_project_to_symmetric_space(flag)
+    except DegenerateComplementError:
+        with pytest.raises(DegenerateComplementError):
+            project_to_symmetric_space(flag)
+    else:
+        plane = project_to_symmetric_space(flag)
+        assert same_span(plane, expected)
+        assert plane == expected  # the same vectors, not only the same span
+    signs = flag.ranks.signature_signs()
+    for n in range(flag.m + 1):
+        vectors = flag.basis[:n]
+        assert form_definiteness(vectors, signs) == hermitian_definiteness(reference_gram_matrix(vectors, signs))
     return old
 
 
@@ -242,7 +233,7 @@ def test_hodge_flag_121_signature_layout():
 
 def test_base_flag_membership_m_le_8():
     for hn in all_rank_tuples(8):
-        assert flag_in_period_domain(hodge_flag(hn)).in_domain
+        assert flag_in_period_domain(hodge_flag(hn))
 
 
 def test_membership_11_cases():
@@ -250,11 +241,9 @@ def test_membership_11_cases():
     in_flag = Flag(hn, ((Qi(1), Qi(0)), (Qi(0), Qi(1))))
     out_flag = Flag(hn, ((Qi(0), Qi(1)), (Qi(1), Qi(0))))
     null_flag = Flag(hn, ((Qi(1), Qi(1)), (Qi(1), Qi(0))))
-    assert flag_in_period_domain(in_flag).in_domain
-    res_out = flag_in_period_domain(out_flag)
-    assert not res_out.in_domain and not res_out.degenerate
-    res_null = flag_in_period_domain(null_flag)
-    assert not res_null.in_domain and res_null.degenerate
+    assert flag_in_period_domain(in_flag)
+    assert not flag_in_period_domain(out_flag)  # h < 0 on F^0
+    assert not flag_in_period_domain(null_flag)  # h = 0 on F^0
 
 
 def test_membership_perturbed_flags_stay_inside():
@@ -262,7 +251,7 @@ def test_membership_perturbed_flags_stay_inside():
     for ranks in [(1, 1), (1, 1, 1), (1, 2, 1), (2, 1, 2)]:
         hn = HodgeNumbers(ranks)
         for _ in range(10):
-            assert flag_in_period_domain(perturbed_flag(hn, rng)).in_domain
+            assert flag_in_period_domain(perturbed_flag(hn, rng))
 
 
 def test_membership_invariant_under_block_unitaries():
@@ -273,14 +262,14 @@ def test_membership_invariant_under_block_unitaries():
         for _ in range(20):
             flag = perturbed_flag(hn, rng)
             u = random_block_unitary(hn, rng)
-            assert flag_in_period_domain(apply_matrix(u, flag)).in_domain
+            assert flag_in_period_domain(apply_matrix(u, flag))
             cases += 1
     # and a flag outside the domain stays outside
     hn = HodgeNumbers((1, 1))
     out_flag = Flag(hn, ((Qi(0), Qi(1)), (Qi(1), Qi(0))))
     for _ in range(10):
         u = random_block_unitary(hn, rng)
-        assert not flag_in_period_domain(apply_matrix(u, out_flag)).in_domain
+        assert not flag_in_period_domain(apply_matrix(u, out_flag))
         cases += 1
     assert cases == 110
 
@@ -305,17 +294,16 @@ def test_flag_validation_rejects_dependent_basis():
 # -- projections ------------------------------------------------------------
 
 
-def test_projection_of_base_flag_both_modes():
+def test_projection_of_base_flag():
     for ranks in [(1, 1), (1, 2, 1), (2, 1, 2), (1, 1, 1, 1)]:
         hn = HodgeNumbers(ranks)
         base = hodge_flag(hn)
         std_plus = [
             tuple(Qi(1) if i == c else Qi(0) for i in range(hn.m)) for c in range(hn.p)
         ]
-        for mode in ("definite", "indefinite"):
-            plane = project_to_symmetric_space(base, mode)
-            assert len(plane) == hn.p
-            assert same_span(plane, std_plus)
+        plane = project_to_symmetric_space(base)
+        assert len(plane) == hn.p
+        assert same_span(plane, std_plus)
 
 
 def test_projection_positive_definite_on_seeded_flags():
@@ -325,16 +313,15 @@ def test_projection_positive_definite_on_seeded_flags():
         hn = HodgeNumbers(ranks)
         for _ in range(20):
             flag = perturbed_flag(hn, rng)
-            plane = project_to_symmetric_space(flag, "indefinite")
+            plane = project_to_symmetric_space(flag)
             assert form_definiteness(plane, hn.signature_signs()) == "positive"
             count += 1
     assert count == 100
 
 
-def test_projection_modes_differ_off_center():
-    # Explicit rational witness in the (1,1,1) domain where the two
-    # fibrations disagree; expected planes computed by hand from the
-    # orthogonality equations.
+def test_projection_off_center_by_hand():
+    # Explicit rational witness in the (1,1,1) domain; the expected plane is
+    # computed by hand from the orthogonality equations.
     hn = HodgeNumbers((1, 1, 1))
     flag = Flag(
         hn,
@@ -344,20 +331,12 @@ def test_projection_modes_differ_off_center():
             (Qi(0), Qi(1), Qi(0)),
         ),
     )
-    assert flag_in_period_domain(flag).in_domain
-    pi = project_to_symmetric_space(flag, "indefinite")
-    pi_u = project_to_symmetric_space(flag, "definite")
-    assert not same_span(pi, pi_u)
-    expected_pi = [
+    assert flag_in_period_domain(flag)
+    expected = [
         (Qi(1), Qi(0), Qi(Fraction(1, 2))),
         (Qi(Fraction(1, 8)), Qi(1), Qi(Fraction(1, 4))),
     ]
-    expected_pi_u = [
-        (Qi(1), Qi(0), Qi(Fraction(1, 2))),
-        (Qi(Fraction(1, 8)), Qi(1), Qi(Fraction(-1, 4))),
-    ]
-    assert same_span(pi, expected_pi)
-    assert same_span(pi_u, expected_pi_u)
+    assert same_span(project_to_symmetric_space(flag), expected)
 
 
 def test_projection_degenerate_complement_raises():
@@ -367,14 +346,7 @@ def test_projection_degenerate_complement_raises():
         ((Qi(1), Qi(0), Qi(1)), (Qi(0), Qi(1), Qi(0)), (Qi(0), Qi(0), Qi(1))),
     )
     with pytest.raises(DegenerateComplementError):
-        project_to_symmetric_space(flag, "indefinite")
-    # the definite form never degenerates
-    assert len(project_to_symmetric_space(flag, "definite")) == hn.p
-
-
-def test_projection_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        project_to_symmetric_space(hodge_flag(HodgeNumbers((1, 1))), "either")
+        project_to_symmetric_space(flag)
 
 
 # -- the Gram-minor path against the reference ---------------------------------
@@ -431,15 +403,13 @@ def test_zero_leading_minor_inside_a_block_is_a_sign_failure():
     v2 = tuple((x - y) / 2 for x, y in zip(e[0], e[2]))
     flag = Flag(hn, (v1, v2, tuple(e[1]), tuple(e[3])))
     assert reference_gram_matrix(flag.basis[:2], hn.signature_signs()) == [[Qi(0), Qi(1)], [Qi(1), Qi(0)]]
-    res = agrees_with_reference(flag)
-    assert (res.in_domain, res.degenerate, res.failing_step) == (False, False, -1)
+    assert agrees_with_reference(flag) == (False, False, -1)
 
 
 def test_zero_boundary_minor_is_degenerate():
     # (1, 1): F^0 spanned by an h-null vector, so d_1 = 0 is the boundary minor.
     hn = HodgeNumbers((1, 1))
-    res = agrees_with_reference(Flag(hn, ((Qi(1), Qi(1)), (Qi(1), Qi(0)))))
-    assert (res.in_domain, res.degenerate, res.failing_step) == (False, True, -1)
+    assert agrees_with_reference(Flag(hn, ((Qi(1), Qi(1)), (Qi(1), Qi(0))))) == (False, True, -1)
     # (3, 3): Gram of F^0 is [[0, 1, 0], [1, 0, 0], [0, 0, 0]], so d_1 = 0,
     # d_2 = -1 and the boundary minor d_3 = 0 lies past the first zero.
     hn = HodgeNumbers((3, 3))
@@ -448,8 +418,7 @@ def test_zero_boundary_minor_is_degenerate():
     v2 = tuple((x - y) / 2 for x, y in zip(e[0], e[3]))
     v3 = tuple(x + y for x, y in zip(e[1], e[4]))
     flag = Flag(hn, (v1, v2, v3, tuple(e[2]), tuple(e[5]), tuple(e[4])))
-    res = agrees_with_reference(flag)
-    assert (res.in_domain, res.degenerate, res.failing_step) == (False, True, -1)
+    assert agrees_with_reference(flag) == (False, True, -1)
 
 
 # -- wire format -------------------------------------------------------------

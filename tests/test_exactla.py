@@ -11,7 +11,7 @@ import copy
 import operator
 import pickle
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Sequence
 
 import pytest
@@ -23,6 +23,7 @@ from hodge_domains.exactla import (
     QI_ONE,
     QI_ZERO,
     Qi,
+    _cleared,
     _coerce,
     _eliminate,
     as_matrix,
@@ -352,6 +353,22 @@ def test_int_rows_eliminate_as_fraction_and_gaussian_rows(a, as_tuples, forward)
     assert _eliminate(given_rows, forward) == expected == _eliminate(as_gaussians, forward)
     assert rank(given_rows) == rank(as_fractions) == rank(as_gaussians) == len(rref(as_fractions)[1])
     assert [list(row) for row in given_rows] == a  # the input is not written
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    matrices(st.integers(0, 6), st.integers(0, 7))
+    | matrices(st.integers(0, 6), st.integers(0, 7), entries=st.integers(-50, 50))
+    | matrices(st.integers(0, 6), st.integers(0, 7), entries=fractions),
+    st.booleans(),
+)
+def test_eliminate_entries_obey_the_hadamard_bound(a, forward):
+    # every entry and pivot is a minor of the rows cleared of denominators
+    # (Bareiss), so its square modulus is at most the product of max(1, |row|^2)
+    bound = prod(max(1, sum(x * x + y * y for x, y in zip(*_cleared(row)[1:]))) for row in a)
+    _, rows, pivots, _ = _eliminate(a, forward)
+    assert all(x * x + y * y <= bound for re, im in rows for x, y in zip(re, im))
+    assert all(x * x + y * y <= bound for x, y in pivots)
 
 
 # ---------------------------------------------------------------------------

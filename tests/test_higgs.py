@@ -1,5 +1,5 @@
-"""Higgs fields: commutation, pointwise ranks, the rank-one lemma and the
-samplers.
+"""Higgs fields: commutation, the rank-one lemma and the samplers, with the
+stacked ranks of conftest.pointwise_rank as the lemma's oracle.
 
 The reference_* functions are the dense commutation check and the
 hand-indexed nullspace sampler as they were before both read the bracket
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mat_sub
+from conftest import mat_sub, pointwise_rank
 from hodge_domains.exactla import GaussianRational, Qi, QI_ZERO, is_zero_matrix, mat_mul, nullspace, rank
 from hodge_domains.hodge import HodgeNumbers
 from hodge_domains.higgs import (
@@ -24,7 +24,6 @@ from hodge_domains.higgs import (
     check_commutation,
     higgs_dumps,
     higgs_loads,
-    pointwise_rank,
     random_commuting_higgs,
     rank_one_lemma_check,
 )
@@ -35,7 +34,7 @@ def directional_image_rank(h: HiggsField, i: int) -> int:
     columns theta_i^(a) inside block i+1."""
     if h.ranks.ranks[i] != 1:
         raise PreconditionError(f"block {i} must have rank 1")
-    cols = [[h.component(i, a)[r][0] for a in range(1, h.tangent_dim + 1)] for r in range(h.ranks.ranks[i + 1])]
+    cols = [[h.theta[i][a][r][0] for a in range(h.tangent_dim)] for r in range(h.ranks.ranks[i + 1])]
     return rank(cols)
 
 
@@ -45,8 +44,8 @@ def reference_check_commutation(h: HiggsField) -> CommutationResult:
     for i in range(h.ranks.k - 1):
         for a in range(1, h.tangent_dim + 1):
             for b in range(a + 1, h.tangent_dim + 1):
-                lhs = mat_mul(list(map(list, h.component(i + 1, a))), list(map(list, h.component(i, b))))
-                rhs = mat_mul(list(map(list, h.component(i + 1, b))), list(map(list, h.component(i, a))))
+                lhs = mat_mul(list(map(list, h.theta[i + 1][a - 1])), list(map(list, h.theta[i][b - 1])))
+                rhs = mat_mul(list(map(list, h.theta[i + 1][b - 1])), list(map(list, h.theta[i][a - 1])))
                 if not is_zero_matrix(mat_sub(lhs, rhs)):
                     return CommutationResult(False, (i, a, b))
     return CommutationResult(True, None)
@@ -182,12 +181,6 @@ def test_pointwise_rank_bound():
             assert pointwise_rank(h, i) <= min(r[i], m_t * r[i + 1])
 
 
-def test_pointwise_rank_index_error():
-    h = field_111([1], [1])
-    with pytest.raises(IndexError):
-        pointwise_rank(h, 2)
-
-
 # -- the rank-one vanishing lemma ------------------------------------------------
 
 
@@ -195,7 +188,7 @@ def test_lemma_scalar_field_vacuous():
     # rank theta_0 = 1 < 2: the hypothesis is not triggered.
     h = field_111([1, 2], [3, 6])
     assert check_commutation(h).commutes
-    verdict = rank_one_lemma_check(h, 1)
+    verdict = rank_one_lemma_check(h)
     assert verdict.holds and not verdict.triggered
 
 
@@ -230,7 +223,7 @@ def test_lemma_on_sampled_fields():
     triggered = 0
     for seed in range(120):
         h = random_commuting_higgs(HodgeNumbers((2, 1, 2)), 2, seed=seed, strategy="nullspace")
-        verdict = rank_one_lemma_check(h, 1)
+        verdict = rank_one_lemma_check(h)
         assert verdict.holds
         if verdict.triggered:
             triggered += 1
@@ -270,15 +263,16 @@ def test_lemma_mirror_statement_exhaustive_grid():
 
 
 def test_lemma_preconditions_reported_distinctly():
-    good = field_111([1, 2], [3, 6])
-    with pytest.raises(PreconditionError):
-        rank_one_lemma_check(good, 0)  # not interior
+    for ranks in ((1, 1), (1, 1, 1, 1)):
+        short = random_commuting_higgs(HodgeNumbers(ranks), 2, seed=0, strategy="pullback")
+        with pytest.raises(PreconditionError):
+            rank_one_lemma_check(short)  # not three blocks
     wide = random_commuting_higgs(HodgeNumbers((1, 2, 1)), 2, seed=0, strategy="pullback")
     with pytest.raises(PreconditionError):
-        rank_one_lemma_check(wide, 1)  # middle rank 2, not 1
+        rank_one_lemma_check(wide)  # middle rank 2, not 1
     bad = field_111([1, 0], [0, 1])
     with pytest.raises(PreconditionError):
-        rank_one_lemma_check(bad, 1)  # does not commute
+        rank_one_lemma_check(bad)  # does not commute
 
 
 # -- samplers ---------------------------------------------------------------------

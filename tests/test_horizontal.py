@@ -585,22 +585,16 @@ def test_stabilizer_rejects_k_above_n():
 
 
 def test_su22_121_identity_embedding():
-    emb = su22_embedding(HodgeNumbers((1, 2, 1)), 0)
-    assert emb.w_indices == (1, 2, 3, 4)
-    assert emb.sub_ranks == (1, 2, 1)
-    assert emb.checks.all_pass()
+    assert su22_embedding(HodgeNumbers((1, 2, 1)), 0).all_pass()
 
 
 def test_su22_232():
-    emb = su22_embedding(HodgeNumbers((2, 3, 2)), 0)
-    assert emb.w_indices == (2, 3, 5, 6)
-    assert emb.checks.all_pass()
+    assert su22_embedding(HodgeNumbers((2, 3, 2)), 0).all_pass()
 
 
 def test_su22_2222_both_walls():
     for i in (0, 1):
-        emb = su22_embedding(HodgeNumbers((2, 2, 2, 2)), i)
-        assert emb.checks.all_pass()
+        assert su22_embedding(HodgeNumbers((2, 2, 2, 2)), i).all_pass()
         pd = parabolic_from_ranks(HodgeNumbers((2, 2, 2, 2)))
         cls = class_of_root(bridge_root(pd, i, i + 1), pd)
         expected = tuple(1 if w in (i, i + 1) else 0 for w in range(3))

@@ -12,8 +12,12 @@ its original name.  Every name in ``hodge_domains.__all__`` must be
 reached, so the public API hides no dead code either.
 
 A second guard reports every name a module other than ``__init__`` imports
-and never mentions (``__init__`` imports to re-export), and a third every
-parameter default that no call in the package overrides.
+and never mentions (``__init__`` imports to re-export), a third every
+parameter default that no call in the package overrides, a fourth every
+parameter that every call passes the same literal, and a fifth every
+annotated class field that reached code never reads.  Calls and fields are
+matched by bare name, so a field whose name another class's reached field
+shares, or a function whose name a called method shares, escapes them.
 """
 
 from __future__ import annotations
@@ -35,7 +39,13 @@ KEPT_API = (
 )
 # Parameter defaults no call in the package overrides: main(argv=None) makes
 # argparse read sys.argv, and the console script and `python -m` call main() bare.
+# It is also the one parameter every call passes the same value, None.
 KEPT_DEFAULTS = ("cli.main.argv",)
+# Fields nothing in the package reads, each kept for a stated reason.
+KEPT_FIELDS = (
+    # the certificate's evidence: its repr is pinned, and the tests check the bracket trees
+    "rootcalc.LevelCertificate.witnesses",
+)
 
 
 def _modules(package_dir: Path):
@@ -56,8 +66,10 @@ def _mentioned(nodes, aliases: dict) -> set:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
                 out.add(aliases.get(sub.id, sub.id))
-            elif isinstance(sub, ast.Attribute):
+            elif isinstance(sub, ast.Attribute) and not isinstance(sub.ctx, ast.Store):
                 out.add("." + sub.attr)
+            elif isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "getattr":
+                out.update("." + a.value for a in sub.args[1:2] if isinstance(a, ast.Constant))
     return out
 
 
@@ -171,14 +183,12 @@ def test_guard_sees_an_unused_import(tmp_path):
     assert unused_imports(tmp_path) == ["extra.least", "extra.os"]
 
 
-
-def unused_defaults(package_dir: Path = PACKAGE_DIR) -> list[str]:
-    """module.function.parameter for each parameter default of a module-level
-    function or a method that no call in the package passes, by keyword or by
-    position.  A method's position counts after self, and a constructor is
-    called by its class name."""
-    functions = []  # (qualname, called name, leading parameters a call does not pass, node)
-    calls: dict[str, list] = {}  # called name -> [(positional count, keywords)]
+def _functions_and_calls(package_dir: Path):
+    """(functions, calls): (qualname, called name, leading parameters a call
+    does not pass, node) for each module-level function and method, and the
+    call nodes in the package by called name.  A method's position counts
+    after self, and a constructor is called by its class name."""
+    functions, calls = [], {}
     for module, tree in _modules(package_dir):
         for stmt in tree.body:
             if isinstance(stmt, ast.FunctionDef):
@@ -188,8 +198,15 @@ def unused_defaults(package_dir: Path = PACKAGE_DIR) -> list[str]:
                     called = stmt.name if meth.name == "__init__" else meth.name
                     functions.append((f"{module}.{stmt.name}.{meth.name}", called, 1, meth))
         for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
-            name = getattr(call.func, "id", getattr(call.func, "attr", None))
-            calls.setdefault(name, []).append((len(call.args), {k.arg for k in call.keywords}))
+            calls.setdefault(getattr(call.func, "id", getattr(call.func, "attr", None)), []).append(call)
+    return functions, calls
+
+
+def unused_defaults(package_dir: Path = PACKAGE_DIR) -> list[str]:
+    """module.function.parameter for each parameter default of a module-level
+    function or a method that no call in the package passes, by keyword or by
+    position."""
+    functions, calls = _functions_and_calls(package_dir)
     out = []
     for qualname, called, skip, node in functions:
         args = node.args
@@ -198,7 +215,8 @@ def unused_defaults(package_dir: Path = PACKAGE_DIR) -> list[str]:
         defaulted = [(i - skip, p.arg) for i, p in enumerate(positional) if i >= first]
         defaulted += [(None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
         out += [f"{qualname}.{param}" for index, param in defaulted if not any(
-            param in keywords or (index is not None and index < count) for count, keywords in calls.get(called, ()))]
+            param in {k.arg for k in call.keywords} or (index is not None and index < len(call.args))
+            for call in calls.get(called, ()))]
     return sorted(name for name in out if name not in KEPT_DEFAULTS)
 
 
@@ -214,3 +232,75 @@ def test_guard_sees_an_unused_default(tmp_path):
         "class C:\n    def __init__(self, x=0): pass\n    def m(self, y=0, z=0): pass\n"
         "X = f(0, 5), g(0, e=3), C().m(1)\n")
     assert unused_defaults(tmp_path) == ["extra.C.__init__.x", "extra.C.m.z", "extra.f.c", "extra.g.d"]
+
+
+def _literal(node):
+    """ast.dump of node when it is a literal, else None (also for no node)."""
+    try:
+        ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return None
+    return ast.dump(node)
+
+
+def one_valued_parameters(package_dir: Path = PACKAGE_DIR) -> list[str]:
+    """module.function.parameter for each parameter to which every call in
+    the package passes the same literal, by position, by keyword or through
+    the default.  A call that unpacks arguments passes no literal."""
+    functions, calls = _functions_and_calls(package_dir)
+    out = []
+    for qualname, called, skip, node in functions:
+        args = node.args
+        positional = [*args.posonlyargs, *args.args]
+        names = [p.arg for p in positional[skip:]]
+        defaults = {p.arg: d for p, d in zip(reversed(positional), reversed(args.defaults))}
+        defaults.update((p.arg, d) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+        passed = [{**defaults, **dict(zip(names, call.args)), **{k.arg: k.value for k in call.keywords}}
+                  if all(k.arg for k in call.keywords) and not any(isinstance(a, ast.Starred) for a in call.args)
+                  else {} for call in calls.get(called, ())]
+        for param in names + [p.arg for p in args.kwonlyargs]:
+            values = {_literal(bound.get(param)) for bound in passed}
+            if len(values) == 1 and None not in values:
+                out.append(f"{qualname}.{param}")
+    return sorted(name for name in out if name not in KEPT_DEFAULTS)
+
+
+def unread_fields(package_dir: Path = PACKAGE_DIR) -> list[str]:
+    """module.Class.field for each annotated field of a class in the package
+    that reached code never reads, by x.field or getattr(x, "field", ...)."""
+    reached, _ = reached_names(package_dir)
+    out = [f"{module}.{stmt.name}.{field.target.id}" for module, tree in _modules(package_dir)
+           for stmt in tree.body if isinstance(stmt, ast.ClassDef)
+           for field in stmt.body if isinstance(field, ast.AnnAssign) and "." + field.target.id not in reached]
+    return sorted(name for name in out if name not in KEPT_FIELDS)
+
+
+def test_no_parameter_is_one_valued():
+    fixed = one_valued_parameters()
+    assert not fixed, "parameters every call in src/ passes the same literal: " + ", ".join(fixed)
+
+
+def test_guard_sees_a_one_valued_parameter(tmp_path):
+    # a gets 1 by position and by keyword, b 2 and then its default 2, c two values,
+    # d two equal non-literals; m's y gets "s" after self; g is never called, and
+    # h's unpacking call may pass anything
+    (tmp_path / "extra.py").write_text(
+        "def f(a, b=2, *, c=0, d=None): pass\ndef g(z=1): pass\ndef h(w): pass\n"
+        "class C:\n    def m(self, y): pass\n"
+        "X = f(1, 2, c=1, d=X), f(a=1, c=2, d=X), C().m('s'), h(1), h(*X)\n")
+    assert one_valued_parameters(tmp_path) == ["extra.C.m.y", "extra.f.a", "extra.f.b"]
+
+
+def test_every_field_is_read():
+    unread = unread_fields()
+    assert not unread, "fields no reached code in src/ reads: " + ", ".join(unread)
+
+
+def test_guard_sees_an_unread_field(tmp_path):
+    # a is read, b only through getattr, c only written; D is never reached
+    (tmp_path / "extra.py").write_text(
+        "class R:\n    a: int\n    b: int\n    c: int\n"
+        "class D:\n    e: int\n"
+        "def use(r):\n    r.c = r.a\n    return getattr(r, 'b', 0)\n"
+        "X = use(R())\n")
+    assert unread_fields(tmp_path) == ["extra.D.e", "extra.R.c"]

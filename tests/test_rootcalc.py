@@ -91,7 +91,7 @@ def test_root_vector_rejects_non_roots():
 
 def test_parabolic_sl2_borel():
     pd = parabolic_from_ranks(HodgeNumbers((1, 1)))
-    assert pd.pi_q == {1}
+    assert wall_roots(pd) == [root_between(2, 1, 0)]  # alpha_1 = e2 - e1 is deleted
     assert len(pd.n_roots) == 1
 
 
@@ -125,9 +125,10 @@ def test_parabolic_counting_invariants_m_le_9():
         r = hn.ranks
         expected_n = sum(r[i] * r[j] for i in range(len(r)) for j in range(i + 1, len(r)))
         assert len(pd.n_roots) == expected_n
-        assert pd.v_roots | pd.n_roots == pd.phi
+        phi = pd.v_roots | pd.n_roots  # the roots of q
+        assert phi == {x for x in all_roots(m) if pd.level(x) >= 0}
         assert not pd.v_roots & pd.n_roots
-        assert pd.v_roots == {x for x in pd.phi if -x in pd.phi}
+        assert pd.v_roots == {x for x in phi if -x in phi}
 
 
 # -- grading ----------------------------------------------------------------
@@ -201,7 +202,7 @@ def test_q_is_a_subalgebra_m_le_6():
     # and the Cartan normalizes every root space.
     for hn in all_rank_tuples(6):
         pd = parabolic_from_ranks(hn)
-        reps = [(r, unit(r)) for r in sorted(pd.phi)]
+        reps = [(r, unit(r)) for r in sorted(pd.v_roots | pd.n_roots)]
         for _, x in reps:
             for _, y in reps:
                 br = sparse_bracket(x, y)
@@ -305,9 +306,10 @@ def test_wall_and_bridge_roots():
 def test_parabolic_invariants_property(ranks):
     hn = HodgeNumbers(tuple(ranks))
     pd = parabolic_from_ranks(hn)
-    assert pd.phi == pd.v_roots | pd.n_roots
+    phi = pd.v_roots | pd.n_roots  # the roots of q
+    assert phi == {x for x in all_roots(hn.m) if pd.level(x) >= 0}
     for r in pd.n_roots:
         assert pd.level(r) >= 1
-        assert -r not in pd.phi
+        assert -r not in phi
     for r in pd.v_roots:
         assert pd.level(r) == 0

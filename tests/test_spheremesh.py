@@ -180,10 +180,8 @@ def test_antipodal_edge_has_no_geodesic_midpoint():
 def test_gluing_octahedron_counts():
     t = octahedron()
     glue = gluing_pattern(t, three_color(t))
-    assert glue.num_copies == 8
     assert len(glue.face_pairs) == len(glue.color_pairs) == 12
     assert glue.euler_characteristic == 2
-    assert glue.vertex_class_count == 6
     assert glue.color_matched and glue.closed and glue.links_single_cycles
 
 
@@ -421,7 +419,7 @@ def identifications(glue):
 
 def glue_fields(glue):
     """A GluingPolyhedron's fields in the form reference_gluing_pattern returns."""
-    names = ("num_copies", "euler_characteristic", "vertex_class_count", "color_matched", "closed", "links_single_cycles")
+    names = ("euler_characteristic", "color_matched", "closed", "links_single_cycles")
     return {"identifications": identifications(glue), **{name: getattr(glue, name) for name in names}}
 
 
@@ -504,10 +502,8 @@ def reference_gluing_pattern(tri, coloring):
     color_matched = all(len(set(pair)) == 2 for _, _, pair in identifications)
 
     return dict(
-        num_copies=tri.num_faces,
         identifications=tuple(identifications),
         euler_characteristic=euler,
-        vertex_class_count=v_w,
         color_matched=color_matched,
         closed=closed,
         links_single_cycles=links_ok,
