@@ -26,7 +26,6 @@ from . import higgs as higgs_mod
 from . import horizontal as horizontal_mod
 from . import pi2 as pi2_mod
 from . import rootcalc as rootcalc_mod
-from . import spheremesh as spheremesh_mod
 from . import wire
 from .hodge import HodgeNumbers
 
@@ -284,6 +283,7 @@ def _suite_su22(cfg: RunConfig) -> tuple[bool, dict]:
 
 
 def _suite_mesh(cfg: RunConfig) -> tuple[bool, dict]:
+    from . import spheremesh as spheremesh_mod  # numpy loads only where the mesh runs
     tri = spheremesh_mod.octahedron()
     ok = True
     fineness_prev = None
@@ -380,6 +380,7 @@ def export_mesh(cfg: RunConfig) -> tuple[int, list[str]]:
     out = Path(cfg.output) if cfg.output else Path(f"octahedron_s{cfg.subdivisions}.off")
     if cfg.fmt != "json" and out.suffix == ".json":
         raise ValueError("OFF output path must not end in .json (the sidecar uses it)")
+    from . import spheremesh as spheremesh_mod
     tri = spheremesh_mod.octahedron()
     for _ in range(cfg.subdivisions):
         tri = spheremesh_mod.subdivide(tri)

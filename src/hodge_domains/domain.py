@@ -103,10 +103,9 @@ def _integer_gram(vectors: Iterable[Vector], signs: tuple[int, ...]):
 
 def form_definiteness(vectors: Iterable[Vector], signs: tuple[int, ...]) -> str:
     """hermitian_definiteness of the form sum_c s_c x_c conj(y_c) on the span
-    of the vectors, from their Gram matrix."""
-    g, _, scales = _integer_gram(vectors, signs)
-    return hermitian_definiteness([[_gaussian(x.a, x.b, la * lb) for x, lb in zip(row, scales)]
-                                   for row, la in zip(g, scales)])
+    of the vectors, from their Gram matrix scaled into Z[i] (congruent to it by a
+    positive diagonal, so with the same inertia and the same leading-minor signs)."""
+    return hermitian_definiteness(_integer_gram(vectors, signs)[0])
 
 
 def _leading_minors(g) -> list[int]:
@@ -266,7 +265,7 @@ def random_block_unitary(ranks: HodgeNumbers, rng) -> list[list[GaussianRational
         ident = [[QI_ONE if i == j else QI_ZERO for j in range(s)] for i in range(s)]
         i_plus = [[ident[i][j] + a[i][j] for j in range(s)] for i in range(s)]
         i_minus = [[ident[i][j] - a[i][j] for j in range(s)] for i in range(s)]
-        cayley = mat_mul(i_minus, solve(i_plus, ident))
+        cayley = solve(i_plus, i_minus)  # I - A commutes with (I + A)^{-1}
         for bi, gi in enumerate(coords):
             for bj, gj in enumerate(coords):
                 u[gi][gj] = cayley[bi][bj]

@@ -501,3 +501,14 @@ def test_cli_subprocess_roundtrip(tmp_path):
     assert res.returncode == 0
     doc = json.loads(res.stdout)
     assert doc["domain"]["dim"] == 5
+
+
+def test_report_leaves_numpy_unloaded(tmp_path):
+    # only the mesh paths import spheremesh, and with it numpy
+    out = tmp_path / "report.json"
+    code = ("import sys\nimport hodge_domains.cli as cli\n"
+            f"code = cli.main(['report', '--ranks', '1,2,1', '--out', {str(out)!r}])\n"
+            "print(code, 'numpy' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env())
+    assert res.stdout.split() == ["0", "False"], res.stderr
+    assert json.loads(out.read_text())["domain"]["dim"] == 5
