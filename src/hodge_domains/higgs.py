@@ -54,9 +54,6 @@ class CommutationResult:
     commutes: bool
     first_violation: Optional[tuple]  # (layer i, direction a, direction b)
 
-    def __bool__(self):
-        return self.commutes
-
 
 def check_commutation(h: HiggsField) -> CommutationResult:
     """Whether theta_{i+1}^(a) theta_i^(b) = theta_{i+1}^(b) theta_i^(a) for all

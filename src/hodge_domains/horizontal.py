@@ -1,6 +1,7 @@
 """Classification of real 2-planes in the first-level horizontal fiber: the
 bracket 2-form, isotropy, regularity, the rank-(1,n,1) criterion, stabilizer
-dimension counts, and the embedded rank-(1,2,1) subdomain.
+dimension counts, and the check of the rank-(1,2,1) model embedded at a wide
+middle block.
 
 A horizontal vector is a tuple of matrices A_i from block i to block i+1.
 The bracket 2-form takes two horizontal vectors to the level-two piece,
@@ -13,6 +14,11 @@ regular when v -> (s -> bracket(v, s)) maps the horizontal fiber onto all
 real-linear maps S -> (level-two piece); regularity is decided by an exact
 real rank computation.  A positive multiple of u or w spans the same plane,
 so the tests below work on u and w cleared of denominators, over Z[i].
+
+When a middle block has rank r_{i+1} >= 2, the (1,2,1) model sits at four
+coordinates around walls i and i+1, which is why kernel generator i has a
+horizontal sphere representative.  su22_embedding carries drawn model pairs
+there and checks, exactly, that the ambient bracket is the model's scalar.
 """
 
 from __future__ import annotations
@@ -26,8 +32,6 @@ from typing import Callable, Optional, Sequence
 
 from .exactla import GaussianRational, _cleared, as_matrix, rank
 from .hodge import HodgeNumbers
-from .pi2 import Pi2Class, class_of_root
-from .rootcalc import bridge_root, entry_level, parabolic_from_ranks, sparse_bracket
 
 
 class NotApplicableError(ValueError):
@@ -327,33 +331,18 @@ def isotropic_tuple_orbit_dimension(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Su22Checks:
-    bracket_closed: bool
-    sub_hodge_type: bool
-    level_minus1_included: bool
-    class_matches: bool
-
-    def all_pass(self) -> bool:
-        return (
-            self.bracket_closed
-            and self.sub_hodge_type
-            and self.level_minus1_included
-            and self.class_matches
-        )
+SU22_PAIRS = 4  # model pairs carried into the ambient fiber per wide wall
 
 
-def su22_embedding(ranks: HodgeNumbers, i: int) -> Su22Checks:
-    """Checks of the 4-coordinate subspace (last of block i, first and last
-    of block i+1, first of block i+2) carrying an embedded rank-(1,2,1)
-    structure.
-
-    Verifies by exact bracket computations that the traceless algebra
-    supported there closes under bracket, that the induced sub-blocks have
-    type (1,2,1), that its first-level raising maps land in the ambient
-    first level, and that its top nilradical root has the bridging sphere
-    class.  Requires r_{i+1} >= 2; the rank-one case is the open one and is
-    reported as not applicable.
+def su22_embedding(ranks: HodgeNumbers, i: int, rng: random.Random) -> bool:
+    """Whether the rank-(1,2,1) model keeps its bracket when carried to the
+    coordinates c0 < c1 < c2 < c3: the last of block i, the first and last of
+    block i+1, the first of block i+2.  For SU22_PAIRS drawn model pairs, v1
+    becomes the column from c0 to c1 and c2 (component i) and t(v2) the row
+    from c1 and c2 to c3 (component i+1).  The exact ambient bracket must
+    vanish except at entry (c3, c0) of component i, where it must be the
+    symplectic scalar t(v1) w2 - t(v2) w1, computed here from the pairs.
+    Requires r_{i+1} >= 2 (the rank-one case is open: not applicable).
     """
     if not 0 <= i <= ranks.k - 2:
         raise ValueError(f"wall index {i} out of range 0..{ranks.k - 2}")
@@ -362,43 +351,27 @@ def su22_embedding(ranks: HodgeNumbers, i: int) -> Su22Checks:
             f"middle block rank r_{i + 1} = {ranks.ranks[i + 1]} < 2: no embedded "
             "rank-(1,2,1) structure on distinct coordinates (open case)"
         )
-    pd = parabolic_from_ranks(ranks)
-    walls = ranks.walls
-    # 0-based ambient coordinates: last of block i, first/last of block i+1,
-    # first of block i+2.
-    c = (walls[i] - 1, walls[i], walls[i + 1] - 1, walls[i + 1])
-    block_of = ranks.block_of
+    r, walls, block_of = ranks.ranks, ranks.walls, ranks.block_of
+    first = (0, *walls)  # first[b]: the first coordinate of block b
+    c0, c1, c2, c3 = walls[i] - 1, walls[i], walls[i + 1] - 1, walls[i + 1]
+    positions = horizontal_positions(ranks)
 
-    sub_blocks = tuple(block_of[x] for x in c)
-    sub_hodge = sub_blocks == (block_of[c[0]],) + (block_of[c[0]] + 1,) * 2 + (block_of[c[0]] + 2,)
+    def at(target: int, source: int) -> int:  # the flat position of the map source -> target
+        b = block_of[source]
+        return positions.index((b, target - first[b + 1], source - first[b]))
 
-    # Bracket closure of the traceless algebra supported on the 4 coordinates.
-    wset = set(c)
-    basis = []
-    for a in c:
-        for b in c:
-            if a != b:
-                basis.append({(a, b): 1})
-    for j in range(3):
-        basis.append({(c[j], c[j]): 1, (c[j + 1], c[j + 1]): -1})
-    closed = True
-    for x in basis:
-        for y in basis:
-            br = sparse_bracket(x, y)
-            tr = sum(v for (rr, cc), v in br.items() if rr == cc)
-            if tr != 0 or any(rr not in wset or cc not in wset for (rr, cc) in br):
-                closed = False
-
-    # The sub level-(-1) raising maps must sit in the ambient level -1.
-    raising = [(c[0], c[1]), (c[0], c[2]), (c[1], c[3]), (c[2], c[3])]
-    level_ok = all(
-        entry_level(block_of, target, source) == -1 for source, target in raising
-    )
-
-    top_root = bridge_root(pd, i, i + 1)
-    expected = Pi2Class(
-        tuple(1 if w in (i, i + 1) else 0 for w in range(ranks.k))
-    )
-    class_ok = class_of_root(top_root, pd) == expected
-
-    return Su22Checks(closed, sub_hodge, level_ok, class_ok)
+    slots = (at(c1, c0), at(c2, c0), at(c3, c1), at(c3, c2))  # the model's flatten order
+    top = sum(r[j] * r[j + 2] for j in range(i)) + (c3 - first[i + 2]) * r[i] + c0 - first[i]
+    for _ in range(SU22_PAIRS):
+        u, w = _draw_model_pair(2, rng, False)
+        big_u, big_w = [(0, 0)] * len(positions), [(0, 0)] * len(positions)
+        for slot, x, y in zip(slots, u, w):
+            big_u[slot], big_w[slot] = x, y
+        re = im = 0
+        for (a, b), (c, e), sign in ((u[0], w[2], 1), (u[1], w[3], 1), (u[2], w[0], -1), (u[3], w[1], -1)):
+            re += sign * (a * c - b * e)
+            im += sign * (a * e + b * c)
+        entries = _bracket_entries(ranks, big_u, big_w)
+        if entries.pop(top) != (re, im) or any(map(any, entries)):
+            return False
+    return True

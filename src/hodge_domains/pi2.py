@@ -56,9 +56,6 @@ class Pi2Class:
             raise ValueError("class dimension mismatch")
         return Pi2Class(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def __neg__(self) -> "Pi2Class":
-        return Pi2Class(tuple(-c for c in self.coords))
-
     def __repr__(self):
         return f"Pi2Class{self.coords}"
 

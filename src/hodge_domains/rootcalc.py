@@ -1,6 +1,5 @@
 """Type-A root combinatorics for the block parabolic: roots, grading levels,
-sparse brackets of matrix units, and bracket generation of the nilradical by
-its first level.
+and bracket generation of the nilradical by its first level.
 
 Conventions.  Roots of sl(m) are integer vectors e_a - e_b (one +1, one -1,
 rest 0).  The simple system is alpha_j = e_{j+1} - e_j, j = 1..m-1, evaluated
@@ -139,38 +138,6 @@ def parabolic_from_ranks(ranks: HodgeNumbers) -> ParabolicData:
 def wall_roots(pd: ParabolicData) -> list[RootVector]:
     """The simple roots beta_i = alpha_{R_i} at the walls, i = 0..k-1."""
     return [root_between(pd.m, w, w - 1) for w in pd.ranks.walls]
-
-
-def bridge_root(pd: ParabolicData, i: int, j: int) -> RootVector:
-    """The root alpha_{R_i} + ... + alpha_{R_j} running from the last coordinate
-    of block i to the first coordinate of block j+1 (i <= j <= k-1)."""
-    walls = pd.ranks.walls
-    return root_between(pd.m, walls[j], walls[i] - 1)
-
-
-# ---------------------------------------------------------------------------
-# Sparse integer matrices for root-space representatives.
-# ---------------------------------------------------------------------------
-
-Sparse = dict  # {(row, col): int}
-
-
-def sparse_bracket(a: Sparse, b: Sparse) -> Sparse:
-    out: Sparse = {}
-    for (ra, ca), va in a.items():
-        for (rb, cb), vb in b.items():
-            if ca == rb:
-                key = (ra, cb)
-                out[key] = out.get(key, 0) + va * vb
-            if cb == ra:
-                key = (rb, ca)
-                out[key] = out.get(key, 0) - vb * va
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def entry_level(block_of: tuple[int, ...], row: int, col: int) -> int:
-    """Grading level of the (row, col) matrix position: block(col) - block(row)."""
-    return block_of[col] - block_of[row]
 
 
 # ---------------------------------------------------------------------------

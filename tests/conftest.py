@@ -8,6 +8,7 @@ from pathlib import Path
 import hodge_domains
 from hodge_domains.exactla import _coerce, rank
 from hodge_domains.hodge import HodgeNumbers
+from hodge_domains.rootcalc import ParabolicData, RootVector, root_between
 
 
 def cli_env() -> dict:
@@ -22,6 +23,13 @@ def cli_env() -> dict:
 def mat_sub(a, b):
     """The entrywise difference a - b of two matrices of exact scalars."""
     return [[_coerce(x) - _coerce(y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def bridge_root(pd: ParabolicData, i: int, j: int) -> RootVector:
+    """The root alpha_{R_i} + ... + alpha_{R_j} running from the last coordinate
+    of block i to the first coordinate of block j+1 (i <= j <= k-1)."""
+    walls = pd.ranks.walls
+    return root_between(pd.m, walls[j], walls[i] - 1)
 
 
 def pointwise_rank(h, i: int) -> int:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import namedtuple
 from fractions import Fraction
@@ -19,6 +20,7 @@ from hodge_domains.exactla import (
 from hodge_domains.hodge import HodgeNumbers
 from hodge_domains.domain import (
     DegenerateComplementError,
+    PERTURBATION_TRIES,
     Flag,
     Vector,
     apply_matrix,
@@ -252,6 +254,44 @@ def test_membership_perturbed_flags_stay_inside():
         hn = HodgeNumbers(ranks)
         for _ in range(10):
             assert flag_in_period_domain(perturbed_flag(hn, rng))
+
+
+class ScriptedRng:
+    """An rng for perturbed_flag that answers randrange and randint from
+    scripted draws, whatever the bounds, and counts its randrange calls."""
+
+    def __init__(self, coords, deltas):
+        self.coords, self.deltas, self.calls = iter(coords), iter(deltas), 0
+
+    def randrange(self, m):
+        self.calls += 1
+        return next(self.coords)
+
+    def randint(self, lo, hi):
+        return next(self.deltas)
+
+
+@pytest.mark.parametrize("first_coords, first_deltas", [
+    ((0, 0, 1, 1), (-8, 0, -8, 0, 0, 0, 0, 0)),  # column 0 becomes 0: a singular basis
+    ((0, 1, 1, 1), (-8, 0, 16, 0, 0, 0, 0, 0)),  # column 0 becomes (1/2, 1): h < 0 on F^0
+], ids=["singular", "outside"])
+def test_perturbed_flag_retries_at_a_smaller_scale(first_coords, first_deltas):
+    # at (1, 1) a try draws (coordinate, re, im) twice per base column; the
+    # first try, at scale 1/16, fails, and the second runs at scale 1/64
+    rng = ScriptedRng(first_coords + (1, 0, 1, 1), first_deltas + (1, 0, 0, 0, 0, 0, 0, 0))
+    flag = perturbed_flag(HodgeNumbers((1, 1)), rng)
+    assert flag.basis == ((Qi(1), Qi(Fraction(1, 64))), (Qi(0), Qi(1)))
+    assert rng.calls == 8 and next(rng.coords, None) is None
+
+
+def test_perturbed_flag_gives_up_after_its_tries():
+    # every try puts column 0 outside the domain: its minus coordinate
+    # 2 * 10**6 * scale * (1 + i) still outweighs its plus coordinate 1 at the
+    # last scale, 1/16 / 4**7
+    rng = ScriptedRng(itertools.repeat(1), itertools.repeat(10**6))
+    with pytest.raises(RuntimeError, match="in-domain perturbed flag"):
+        perturbed_flag(HodgeNumbers((1, 1)), rng)
+    assert rng.calls == 4 * PERTURBATION_TRIES
 
 
 def test_membership_invariant_under_block_unitaries():

@@ -13,6 +13,7 @@ predicates on it are the oracle for the verdicts the suite reaches on the
 bare pairs.
 """
 
+import inspect
 import json
 import random
 import time
@@ -21,7 +22,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import mat_sub
+from conftest import all_rank_tuples, mat_sub
 import hodge_domains.horizontal as horizontal_mod
 from hodge_domains.cli import EXIT_SUITE_FAILURE, main
 from hodge_domains.exactla import GaussianRational, Qi, QI_ZERO, _cleared, as_matrix, mat_mul, rank
@@ -42,8 +43,6 @@ from hodge_domains.horizontal import (
     su22_embedding,
     verify_pu2n_criterion,
 )
-from hodge_domains.pi2 import class_of_root
-from hodge_domains.rootcalc import bridge_root, parabolic_from_ranks
 
 
 def model_vector(n: int, v1, v2) -> HorizontalVector:
@@ -585,27 +584,75 @@ def test_stabilizer_rejects_k_above_n():
 
 
 def test_su22_121_identity_embedding():
-    assert su22_embedding(HodgeNumbers((1, 2, 1)), 0).all_pass()
+    assert su22_embedding(HodgeNumbers((1, 2, 1)), 0, random.Random(0)) is True
 
 
 def test_su22_232():
-    assert su22_embedding(HodgeNumbers((2, 3, 2)), 0).all_pass()
+    assert su22_embedding(HodgeNumbers((2, 3, 2)), 0, random.Random(0)) is True
 
 
 def test_su22_2222_both_walls():
+    rng = random.Random(0)
     for i in (0, 1):
-        assert su22_embedding(HodgeNumbers((2, 2, 2, 2)), i).all_pass()
-        pd = parabolic_from_ranks(HodgeNumbers((2, 2, 2, 2)))
-        cls = class_of_root(bridge_root(pd, i, i + 1), pd)
-        expected = tuple(1 if w in (i, i + 1) else 0 for w in range(3))
-        assert cls.coords == expected
+        assert su22_embedding(HodgeNumbers((2, 2, 2, 2)), i, rng) is True
+
+
+def test_su22_every_wide_wall_m_le_10():
+    # every wall i whose middle block i + 1 has rank >= 2, up to total rank 10
+    walls = [(hn, i) for hn in all_rank_tuples(10) for i in range(hn.k - 1) if hn.ranks[i + 1] >= 2]
+    rng = random.Random(1)
+    assert all(su22_embedding(hn, i, rng) for hn, i in walls)
+    assert len(walls) == 1291  # the count guards against an empty grid
+
+
+def test_su22_draws_model_pairs_from_the_given_rng():
+    # SU22_PAIRS draws of _draw_model_pair per wall, and no other draw
+    rng, twin = random.Random(5), random.Random(5)
+    assert su22_embedding(HodgeNumbers((2, 3, 2)), 0, rng)
+    for _ in range(horizontal_mod.SU22_PAIRS):
+        _draw_model_pair(2, twin, False)
+    assert rng.getstate() == twin.getstate()
+
+
+def test_su22_fails_on_a_bracket_table_with_two_rows_swapped(monkeypatch, capsys):
+    # the ambient bracket lands on entry (c3, c0) = row 1 of the (2,3,2) table;
+    # swapping rows 0 and 1 moves it, and only the su22 suite reads the table here
+    original = horizontal_mod._bracket_table.__wrapped__
+
+    def swapped(ranks):
+        table = list(original(ranks))
+        table[0], table[1] = table[1], table[0]
+        return tuple(table)
+
+    monkeypatch.setattr(horizontal_mod, "_bracket_table", swapped)
+    assert main(["verify", "--ranks", "2,3,2", "--seed", "0", "--samples", "8"]) == EXIT_SUITE_FAILURE
+    failed = [s["name"] for s in json.loads(capsys.readouterr().out)["suites"] if not s["passed"]]
+    assert failed == ["su22_embedding"]
+
+
+@pytest.mark.parametrize("old, new", [
+    ("walls[i] - 1, walls[i], walls", "walls[i], walls[i], walls"),  # c0 into block i+1
+    ("walls[i + 1] - 1, walls[i + 1]\n", "walls[i + 1] - 1, walls[i + 1] - 1\n"),  # c3 into block i+1
+], ids=["c0", "c3"])
+@pytest.mark.parametrize("ranks", ["1,2,1", "2,3,2", "2,2,2,2"])
+def test_su22_fails_with_a_coordinate_in_the_wrong_block(monkeypatch, capsys, old, new, ranks):
+    # a mutant su22_embedding, built from its source with one coordinate
+    # moved; run_verify reports a crashing suite as a failing one
+    source = inspect.getsource(horizontal_mod.su22_embedding)
+    assert source.count(old) == 1
+    namespace = dict(vars(horizontal_mod))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(horizontal_mod, "su22_embedding", namespace["su22_embedding"])
+    assert main(["verify", "--ranks", ranks, "--seed", "0", "--samples", "8"]) == EXIT_SUITE_FAILURE
+    failed = [s["name"] for s in json.loads(capsys.readouterr().out)["suites"] if not s["passed"]]
+    assert failed == ["su22_embedding"]
 
 
 def test_su22_not_applicable_on_thin_middle():
     with pytest.raises(NotApplicableError):
-        su22_embedding(HodgeNumbers((1, 1, 1)), 0)
+        su22_embedding(HodgeNumbers((1, 1, 1)), 0, random.Random(0))
 
 
 def test_su22_wall_index_out_of_range():
     with pytest.raises(ValueError):
-        su22_embedding(HodgeNumbers((1, 2, 1)), 1)
+        su22_embedding(HodgeNumbers((1, 2, 1)), 1, random.Random(0))

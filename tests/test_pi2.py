@@ -4,7 +4,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import all_rank_tuples
+from conftest import all_rank_tuples, bridge_root
 from hodge_domains.exactla import (
     integer_kernel,
     lattices_equal,
@@ -20,7 +20,6 @@ from hodge_domains.pi2 import (
     superhorizontal_generation_report,
 )
 from hodge_domains.rootcalc import (
-    bridge_root,
     parabolic_from_ranks,
     root_between,
     root_sum,
@@ -95,6 +94,17 @@ def test_pi_u_star_kills_bridge_classes_m_le_8():
         for i in range(hn.k - 1):
             cls = class_of_root(bridge_root(pd, i, i + 1), pd)
             assert pi_u_star(cls) == 0
+
+
+def test_bridge_classes_match_the_closure_oracle_m_le_8():
+    # the bridge root of walls i and i+1, whose sphere represents kernel
+    # generator i, has class beta_i + beta_{i+1} in the relation closure
+    for hn in all_rank_tuples(8):
+        pd = parabolic_from_ranks(hn)
+        oracle = class_closure_oracle(pd)
+        for i in range(hn.k - 1):
+            expected = tuple(1 if w in (i, i + 1) else 0 for w in range(hn.k))
+            assert oracle[bridge_root(pd, i, i + 1)].coords == expected
 
 
 def test_pi2_report_1n1():

@@ -2,19 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_rank_tuples, mat_sub
+from conftest import all_rank_tuples, bridge_root, mat_sub
 from hodge_domains.exactla import Qi, mat_mul
 from hodge_domains.hodge import HodgeNumbers
 from hodge_domains.rootcalc import (
     RootVector,
     all_roots,
     bracket_generating_check,
-    bridge_root,
-    entry_level,
     parabolic_from_ranks,
     root_between,
     root_sum,
-    sparse_bracket,
     wall_roots,
 )
 
@@ -36,6 +33,26 @@ def root_space_matrix(root: RootVector) -> list[list[int]]:
 def unit(root: RootVector) -> dict:
     """The root's matrix unit as a sparse matrix: the map e_plus -> e_minus."""
     return {(root.minus_index, root.plus_index): 1}
+
+
+def sparse_bracket(a: dict, b: dict) -> dict:
+    """[a, b] = ab - ba of two sparse matrices {(row, col): int}: the
+    independent oracle for the bracket-generation witnesses."""
+    out: dict = {}
+    for (ra, ca), va in a.items():
+        for (rb, cb), vb in b.items():
+            if ca == rb:
+                key = (ra, cb)
+                out[key] = out.get(key, 0) + va * vb
+            if cb == ra:
+                key = (rb, ca)
+                out[key] = out.get(key, 0) - vb * va
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def entry_level(block_of: tuple[int, ...], row: int, col: int) -> int:
+    """Grading level of the (row, col) matrix position: block(col) - block(row)."""
+    return block_of[col] - block_of[row]
 
 
 def simple_roots(m: int) -> list[RootVector]:
