@@ -65,29 +65,39 @@ class SphericalTriangulation:
         tail = f[:, (1, 2, 0)]  # corner 3i + j is the directed edge f[i, j] -> tail[i, j]
         bad = np.any((f < 0) | (f >= v) | (f == tail), axis=1)
         first_bad = int(np.argmax(bad)) if bad.any() else len(f)
-        directed = (f * v + tail).ravel()[: 3 * first_bad]
-        order = np.argsort(directed, kind="stable")
-        repeats = order[1:][directed[order[1:]] == directed[order[:-1]]]
-        if repeats.size:
-            edge = (int(f.flat[repeats.min()]), int(tail.flat[repeats.min()]))
+        # One stable sort serves both edge checks: the key of a corner is its
+        # undirected edge min * v + max, doubled, plus 1 if it runs from max to min.
+        good, ahead = f[:first_bad], tail[:first_bad]
+        key = ((np.minimum(good, ahead) * v + np.maximum(good, ahead)) * 2 + (good > ahead)).ravel()
+        del tail, ahead
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        repeated = key[1:] == key[:-1]
+        if repeated.any():
+            edge = _corner_edge(f, int(order[1:][repeated].min()))
             raise MeshInvariantError(f"directed edge {edge} repeated: orientation broken")
         if first_bad < len(f):
             raise MeshInvariantError(f"bad face {tuple(f[first_bad].tolist())}")
         if not_integers is not None:
             raise MeshInvariantError(f"bad face {not_integers}")
-        keys, first, inverse, counts = np.unique(
-            (np.minimum(f, tail) * v + np.maximum(f, tail)).ravel(),
-            return_index=True, return_inverse=True, return_counts=True,
-        )
-        if np.any(counts != 2):
-            # the edge met first in face order, named by its first directed occurrence
-            e = int(np.argmin(np.where(counts != 2, first, first.max() + 1)))
-            ends = tuple(frozenset((int(f.flat[first[e]]), int(tail.flat[first[e]]))))
-            raise MeshInvariantError(f"edge {ends} borders {int(counts[e])} faces")
+        # the undirected edges, sorted; no directed edge repeats, so each borders one face or two
+        key >>= 1
+        if len(key) % 2 or np.any(key[0::2] != key[1::2]):
+            differs, alone = key[1:] != key[:-1], np.ones(len(key), dtype=bool)
+            alone[1:] &= differs
+            alone[:-1] &= differs
+            # the edge met first in face order, named by its one directed occurrence
+            ends = tuple(frozenset(_corner_edge(f, int(order[alone].min()))))
+            raise MeshInvariantError(f"edge {ends} borders 1 faces")
         self.face_array = f
-        self.edges = np.stack([keys // v, keys % v], axis=1)
-        self.face_edges = inverse.reshape(-1, 3)
-        self.edge_faces = (np.argsort(inverse, kind="stable") // 3).reshape(-1, 2)
+        self.edges = np.stack([key[0::2] // v, key[0::2] % v], axis=1)
+        del key
+        face_edges = np.empty(len(order), dtype=np.intp)
+        face_edges[order.reshape(-1, 2)] = np.arange(len(order) // 2)[:, None]
+        self.face_edges = face_edges.reshape(-1, 3)
+        order //= 3  # each edge's two faces, in the order of its key's direction bit
+        self.edge_faces = order.reshape(-1, 2)
+        self.edge_faces.sort(axis=1)
         if self.euler_characteristic() != 2:
             raise MeshInvariantError(f"Euler characteristic {self.euler_characteristic()} != 2")
         _check_links(v, f)
@@ -116,6 +126,11 @@ class SphericalTriangulation:
         return all(d % 2 == 0 for d in self.vertex_degrees())
 
 
+def _corner_edge(f: np.ndarray, p: int) -> tuple[int, int]:
+    """The directed edge at corner p (= 3i + j) of the face array f."""
+    return int(f.flat[p]), int(f[p // 3, (p + 1) % 3])
+
+
 def _face_array(faces, num_vertices: int) -> tuple[np.ndarray, Optional[tuple]]:
     """The faces as an (F, 3) int64 array up to the first that is not three
     ints in range(num_vertices), and that face (None if there is none)."""
@@ -141,13 +156,23 @@ def _check_links(num_vertices: int, faces) -> None:
     f = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     vertex = f.ravel()  # corner 3i + j of vertex f[i, j] steps its link from key to target
     key = vertex * num_vertices + f[:, (1, 2, 0)].ravel()
-    target = vertex * num_vertices + f[:, (2, 0, 1)].ravel()
     order = np.argsort(key, kind="stable")
     ranked = key[order]
+    del key
+    # a vertex's corners are a run of `order`; its walk starts at the first of them
+    degree = np.bincount(vertex, minlength=num_vertices)
+    at = np.flatnonzero(degree)
+    start = np.minimum.reduceat(order, (np.cumsum(degree) - degree)[at])
+    degree = degree[at]
+    pinched = vertex[order[1:][ranked[1:] == ranked[:-1]]]
+    target = vertex * num_vertices + f[:, (2, 0, 1)].ravel()
     found = np.minimum(np.searchsorted(ranked, target), len(ranked) - 1)
-    succ = np.where(ranked[found] == target, order[found], -1)  # the corner the link steps to
+    hit = ranked[found] == target
+    del ranked, target
+    succ = order[found]  # the corner the link steps to
+    del order, found
+    succ[~hit] = -1
     fault = np.full(num_vertices, 2, dtype=np.int8)  # 1 + index into _LINK_FAULTS; 0 is a good link
-    at, start, degree = np.unique(vertex, return_index=True, return_counts=True)
     live, corner, steps = np.arange(len(at)), succ[start], 1
     while live.size:
         closed = corner == start[live]
@@ -156,7 +181,7 @@ def _check_links(num_vertices: int, faces) -> None:
         fault[at[live[stuck]]] = 3
         keep = ~(closed | stuck)
         live, corner, steps = live[keep], succ[corner[keep]], steps + 1
-    fault[vertex[order[1:][ranked[1:] == ranked[:-1]]]] = 1
+    fault[pinched] = 1
     faulty = np.flatnonzero(fault)
     if faulty.size:
         v = int(faulty[0])
@@ -227,9 +252,9 @@ def three_color(tri: SphericalTriangulation) -> ThreeColoring:
     triangulations never happens.
     """
     f = tri.face_array
-    sides = tri.edge_faces[tri.face_edges]  # (F, 3, 2)
-    across = np.where(sides[..., 0] == np.arange(len(f))[:, None], sides[..., 1], sides[..., 0])
-    third = f[across].sum(axis=2) - f - f[:, (1, 2, 0)]  # the neighbor's vertex off the shared edge
+    across = tri.edge_faces[tri.face_edges, 0]
+    across += tri.edge_faces[tri.face_edges, 1]
+    across -= np.arange(len(f))[:, None]  # the other face on each edge
     colors = np.full(tri.num_vertices, -1)
     colors[f[0]] = (0, 1, 2)
     reached = np.zeros(len(f), dtype=bool)
@@ -238,7 +263,10 @@ def three_color(tri: SphericalTriangulation) -> ThreeColoring:
     while frontier.size:
         g = across[frontier].ravel()
         fresh = ~reached[g]
-        t, ends = third[frontier].ravel()[fresh], colors[f[frontier]]
+        rows = f[frontier]
+        # the neighbor's vertex off the shared edge
+        t = (f[g].sum(axis=1) - rows.ravel() - rows[:, (1, 2, 0)].ravel())[fresh]
+        ends = colors[rows]
         ca, cb = ends.ravel()[fresh], ends[:, (1, 2, 0)].ravel()[fresh]
         paint = colors[t] < 0  # a non-even mesh may get junk here; the verification rejects it
         colors[t[paint]] = 3 - ca[paint] - cb[paint]
@@ -263,7 +291,7 @@ def verify_coloring(tri: SphericalTriangulation, coloring: ThreeColoring) -> Non
     mono = (corner_colors == corner_colors[:, (1, 2, 0)]).ravel()
     if mono.any():
         p = int(np.argmax(mono))
-        a, b = tuple(frozenset((int(f.flat[p]), int(f[p // 3, (p + 1) % 3]))))
+        a, b = tuple(frozenset(_corner_edge(f, p)))
         raise NotThreeColorableError(f"edge {(a, b)} is monochromatic")
     mixed = np.any(np.sort(corner_colors, axis=1) != (0, 1, 2), axis=1)
     if mixed.any():
@@ -299,35 +327,46 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def mesh_geometry(tri: SphericalTriangulation) -> MeshGeometry:
     """Circumcenter, angular circumradius, and containment of the
-    circumcenter in the closed spherical triangle, for every face in one
-    vectorized pass.
+    circumcenter in the closed spherical triangle, for every face.
+
+    The faces are taken in blocks of wire.CHUNK_ROWS, each vectorized and
+    written into the preallocated rows of the result, so the temporaries
+    grow with the block and not with the mesh; a row does not depend on the
+    block size, bit for bit.
 
     Raises DegenerateFaceError naming the first face that has collinear
     vertices or an antipodal edge.
     """
     faces = tri.face_array
-    corners = tri.vertices[faces]  # (F, 3, 3)
-    v0, v1, v2 = corners[:, 0], corners[:, 1], corners[:, 2]
-    following = corners[:, (1, 2, 0)]  # the second end of each edge, in face order
-    normal = np.cross(v1 - v0, v2 - v0)
-    nrm = np.sqrt(_dot(normal, normal))
-    mids = corners + following
-    mid_norms = np.sqrt(_dot(mids, mids))
-    bad = (nrm < 1e-13) | np.any(mid_norms < 1e-9, axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        why = "is degenerate (collinear vertices)" if nrm[i] < 1e-13 else "has an antipodal edge"
-        raise DegenerateFaceError(f"face {tuple(faces[i].tolist())} {why}")
-    center = normal / nrm[:, None]
-    center[_dot(center, v0 + v1 + v2) < 0] *= -1.0
-    angles = np.arccos(np.clip(_dot(center[:, None, :], corners), -1.0, 1.0))  # (F, 3)
-    sides = _dot(np.cross(corners, following), center[:, None, :])
-    return MeshGeometry(
-        circumcenters=center,
-        circumradii=angles[:, 0],
-        circumcenter_inside=np.all(sides >= -1e-12, axis=1),
-        equidistance_residuals=np.max(np.abs(angles - angles[:, :1]), axis=1),
+    n = len(faces)
+    geometry = MeshGeometry(
+        circumcenters=np.empty((n, 3)),
+        circumradii=np.empty(n),
+        circumcenter_inside=np.empty(n, dtype=bool),
+        equidistance_residuals=np.empty(n),
     )
+    for start in range(0, n, wire.CHUNK_ROWS):
+        block = slice(start, start + wire.CHUNK_ROWS)
+        corners = tri.vertices[faces[block]]  # (B, 3, 3)
+        v0, v1, v2 = corners[:, 0], corners[:, 1], corners[:, 2]
+        following = corners[:, (1, 2, 0)]  # the second end of each edge, in face order
+        normal = np.cross(v1 - v0, v2 - v0)
+        nrm = np.sqrt(_dot(normal, normal))
+        mids = corners + following
+        bad = (nrm < 1e-13) | np.any(np.sqrt(_dot(mids, mids)) < 1e-9, axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            why = "is degenerate (collinear vertices)" if nrm[i] < 1e-13 else "has an antipodal edge"
+            raise DegenerateFaceError(f"face {tuple(faces[start + i].tolist())} {why}")
+        center = normal / nrm[:, None]
+        center[_dot(center, v0 + v1 + v2) < 0] *= -1.0
+        angles = np.arccos(np.clip(_dot(center[:, None, :], corners), -1.0, 1.0))  # (B, 3)
+        sides = _dot(np.cross(corners, following), center[:, None, :])
+        geometry.circumcenters[block] = center
+        geometry.circumradii[block] = angles[:, 0]
+        geometry.circumcenter_inside[block] = np.all(sides >= -1e-12, axis=1)
+        geometry.equidistance_residuals[block] = np.max(np.abs(angles - angles[:, :1]), axis=1)
+    return geometry
 
 
 # ---------------------------------------------------------------------------
@@ -366,26 +405,30 @@ def gluing_pattern(tri: SphericalTriangulation, coloring: ThreeColoring) -> Glui
     """Assemble the edge identifications of the glued polyhedron and audit
     that it is a closed surface of Euler characteristic 2."""
     _check_coloring(tri, coloring)
-    color_pairs = np.sort(np.array(coloring.colors, dtype=np.int64)[tri.edges], axis=1)
+    color_pairs = np.array(coloring.colors, dtype=np.int64)[tri.edges]
+    color_pairs.sort(axis=1)
 
     # Corner classes: gluing along an edge with colors {c1, c2} matches the
-    # c1 corners (corner id 3f + c1) of the two copies and likewise the c2
-    # corners.  A class is a connected component of the graph whose edges
-    # are these matchings, so when every corner lies on exactly two of them
-    # each class is a single cycle.
-    ends = (3 * tri.edge_faces[:, None, :] + color_pairs[:, :, None]).reshape(-1, 2)
-    corners = 3 * tri.num_faces
-    roots = _component_roots(corners, ends[:, 0], ends[:, 1])
-    v_w = int(np.count_nonzero(roots == np.arange(corners)))
-    e_w = len(color_pairs)
+    # c1 corners of the two copies and likewise the c2 corners.  A class is
+    # a connected component of the graph whose edges are these matchings, so
+    # when every corner lies on exactly two of them each class is a single
+    # cycle.  A matching joins two corners of one color, so the classes of
+    # each color are found apart, in a graph whose nodes are the faces.
     f_w = tri.num_faces
+    v_w, links_single_cycles = 0, True
+    for c in range(3):
+        ends = np.concatenate([tri.edge_faces[color_pairs[:, k] == c] for k in (0, 1)])
+        roots = _component_roots(f_w, ends[:, 0], ends[:, 1])
+        v_w += int(np.count_nonzero(roots == np.arange(f_w)))
+        links_single_cycles &= bool(np.all(np.bincount(ends.ravel(), minlength=f_w) == 2))
+    e_w = len(color_pairs)
     return GluingPolyhedron(
         face_pairs=tri.edge_faces,
         color_pairs=color_pairs,
         euler_characteristic=v_w - e_w + f_w,
         color_matched=bool(np.all(color_pairs[:, 0] != color_pairs[:, 1])),
         closed=e_w * 2 == 3 * f_w,
-        links_single_cycles=bool(np.all(np.bincount(ends.ravel(), minlength=corners) == 2)),
+        links_single_cycles=links_single_cycles,
     )
 
 
@@ -451,7 +494,7 @@ def sidecar_document(coloring: ThreeColoring, geometry: MeshGeometry, glue: Glui
     """The sidecar (colors, circumcenters, gluing) of a mesh's coloring,
     mesh_geometry and gluing_pattern, as a document whose arrays are
     wire.Tables."""
-    names = np.array(COLOR_NAMES)
+    names = np.array(COLOR_NAMES, dtype=object)  # a pointer per cell, not a 5-character string
     return {
         "schema": wire.SCHEMA,
         "colors": wire.Table(None, (names[np.array(coloring.colors, dtype=np.int64)],)),

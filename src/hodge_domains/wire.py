@@ -16,7 +16,7 @@ from .exactla import GaussianRational, _gaussian
 from .hodge import HodgeNumbers
 
 SCHEMA = "hodge-domains/1"
-CHUNK_ROWS = 1 << 14  # rows of a Table (and of an OFF file) per piece of text
+CHUNK_ROWS = 1 << 11  # rows of a Table (and of an OFF file) per piece of text; faces per mesh_geometry block
 
 
 def dumps(doc) -> str:

@@ -1,7 +1,9 @@
 import json
 import math
+import tracemalloc
 import warnings
 from collections import deque, namedtuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -716,6 +718,72 @@ def test_degenerate_faces_name_first_failing_face(moved, onto, message):
     assert first == (DegenerateFaceError, message)
     assert outcome(mesh_geometry, tri) == first
     assert outcome(fineness, tri) == first
+
+
+GEOMETRY_FIELDS = ("circumcenters", "circumradii", "circumcenter_inside", "equidistance_residuals")
+
+
+@pytest.mark.parametrize("block", [5, 7])
+def test_mesh_geometry_rows_do_not_depend_on_the_block_size(block):
+    for s, tri in meshes_up_to(4):
+        with mock.patch.object(wire, "CHUNK_ROWS", tri.num_faces):
+            whole = mesh_geometry(tri)
+        with mock.patch.object(wire, "CHUNK_ROWS", block):
+            blocked = mesh_geometry(tri)
+        for name in GEOMETRY_FIELDS:
+            assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes()
+
+
+@pytest.mark.parametrize("block", [5, 7])
+@pytest.mark.parametrize(
+    "moved, onto, message",
+    [
+        # on the once subdivided octahedron the first failing face is face 20, then face 24
+        (3, 16, "face (3, 11, 16) is degenerate (collinear vertices)"),
+        (3, 7, "face (3, 11, 16) has an antipodal edge"),
+        (4, 10, "face (4, 15, 17) has an antipodal edge"),
+    ],
+)
+def test_degenerate_face_after_the_first_block(block, moved, onto, message):
+    t = subdivide(octahedron())
+    verts = t.vertices.copy()
+    verts[moved] = verts[onto]
+    tri = SphericalTriangulation(verts, t.face_array.tolist())
+    index, first = next((i, o) for i, o in ((i, outcome(reference_face_geometry, tri, i)) for i in range(32)) if o)
+    assert index >= block and first == (DegenerateFaceError, message)
+    with mock.patch.object(wire, "CHUNK_ROWS", block):
+        assert outcome(mesh_geometry, tri) == first
+
+
+def traced_transient(fn, *args) -> int:
+    """Bytes of the tracemalloc peak of fn(*args) above what is still
+    allocated when it returns (its result included)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - kept
+
+
+def sidecar_text_transient(tri) -> int:
+    coloring = three_color(tri)
+    doc = sidecar_document(coloring, mesh_geometry(tri), gluing_pattern(tri, coloring))
+    return traced_transient(lambda: sum(map(len, wire.indented_chunks(doc))))
+
+
+def test_geometry_and_sidecar_text_memory_stays_per_block():
+    # The faces grow fourfold from one level to the next; a pass whose
+    # temporaries are bounded by wire.CHUNK_ROWS rows keeps the same peak.
+    # The text is measured a level lower, at s = 4 and 5: consuming the s = 6
+    # sidecar under tracemalloc takes about two seconds on its own.
+    chain = dict(meshes_up_to(6))
+    geometry = [traced_transient(mesh_geometry, chain[s]) for s in (5, 6)]
+    text = [sidecar_text_transient(chain[s]) for s in (4, 5)]
+    assert geometry[1] <= 1.5 * geometry[0], geometry
+    assert text[1] <= 1.5 * text[0], text
 
 
 # -- export -----------------------------------------------------------------------
