@@ -36,7 +36,6 @@ from .exactla import (
     mat_mul,
     nullspace,
     rank,
-    solve,
     transpose,
 )
 from .hodge import HodgeNumbers
@@ -206,7 +205,7 @@ def describe_domain(ranks: HodgeNumbers) -> DomainDescriptor:
 
 # ---------------------------------------------------------------------------
 # Seeded constructions: rational flags near the base point and block-diagonal
-# rational h-unitaries (Cayley transforms of skew-Hermitian matrices).
+# rational h-unitaries (a phase times two Householder reflections per block).
 # ---------------------------------------------------------------------------
 
 
@@ -243,32 +242,37 @@ def perturbed_flag(ranks: HodgeNumbers, rng) -> Flag:
     raise RuntimeError("could not build an in-domain perturbed flag")
 
 
+def _reflection(s: int, rng) -> list[list[GaussianRational]]:
+    """The Householder reflection I - 2 v v* / (v* v) of a nonzero v drawn in
+    Z[i]^s with real and imaginary parts in [-2, 2]."""
+    v = [QI_ZERO] * s
+    while not any(v):
+        v = [Qi(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(s)]
+    c = Qi(Fraction(-2, sum(x.a * x.a + x.b * x.b for x in v)))
+    return [[(QI_ONE if i == j else QI_ZERO) + c * x * y.conjugate() for j, y in enumerate(v)]
+            for i, x in enumerate(v)]
+
+
 def random_block_unitary(ranks: HodgeNumbers, rng) -> list[list[GaussianRational]]:
     """A rational h-unitary acting block-diagonally in signature coordinates.
 
-    Each block carries a Cayley transform (I - A)(I + A)^{-1} of a random
-    skew-Hermitian rational A, hence is exactly unitary for the definite form;
-    since h is a constant sign on each block, the assembled matrix is
-    h-unitary.
+    Each block is a phase (p + qi) / (p - qi), q != 0, times a product of two
+    Householder reflections (Householder 1958), hence exactly unitary for
+    the definite form, with denominators v* v and p^2 + q^2 only.  The phase
+    moves 1 x 1 blocks, where a reflection is -1.  Since h is a constant sign
+    on each block, the assembled matrix is h-unitary.
     """
     m = ranks.m
     u = [[QI_ONE if i == j else QI_ZERO for j in range(m)] for i in range(m)]
     perm = ranks.block_to_signature()
     for b in range(ranks.k + 1):
         coords = [perm[c] for c in ranks.block_range(b)]
-        s = len(coords)
-        bmat = [
-            [Qi(Fraction(rng.randint(-2, 2), 4), Fraction(rng.randint(-2, 2), 4)) for _ in range(s)]
-            for _ in range(s)
-        ]
-        a = [[bmat[i][j] - bmat[j][i].conjugate() for j in range(s)] for i in range(s)]
-        ident = [[QI_ONE if i == j else QI_ZERO for j in range(s)] for i in range(s)]
-        i_plus = [[ident[i][j] + a[i][j] for j in range(s)] for i in range(s)]
-        i_minus = [[ident[i][j] - a[i][j] for j in range(s)] for i in range(s)]
-        cayley = solve(i_plus, i_minus)  # I - A commutes with (I + A)^{-1}
+        p, q = rng.randint(-2, 2), rng.randint(1, 2)
+        phase = Qi(p, q) / Qi(p, -q)
+        block = mat_mul(_reflection(len(coords), rng), _reflection(len(coords), rng))
         for bi, gi in enumerate(coords):
             for bj, gj in enumerate(coords):
-                u[gi][gj] = cayley[bi][bj]
+                u[gi][gj] = phase * block[bi][bj]
     return u
 
 

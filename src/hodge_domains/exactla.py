@@ -315,15 +315,6 @@ def nullspace(a: Sequence[Sequence]) -> list[list[GaussianRational]]:
     return basis
 
 
-def solve(a: Sequence[Sequence], b: Sequence[Sequence]):
-    """Solve a X = b for square invertible a over Q(i); returns X or raises."""
-    n = len(a)
-    pivot_cols, rows, pivots, _ = _eliminate([list(ra) + list(rb) for ra, rb in zip(a, b)])
-    if pivot_cols[:n] != list(range(n)):
-        raise ValueError("singular matrix in solve")
-    return [[_divide(x, y, pivots[-1]) for x, y in zip(xr[n:], xi[n:])] for xr, xi in rows[:n]]
-
-
 def hermitian_definiteness(g: Sequence[Sequence]) -> str:
     """Classify a Hermitian form: 'positive', 'negative', 'degenerate' or 'indefinite'.
 

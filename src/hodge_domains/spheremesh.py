@@ -42,8 +42,8 @@ class SphericalTriangulation:
     """An oriented closed triangulation with unit vertices.
 
     Construction validates that every directed edge occurs exactly once, every
-    undirected edge borders two faces, vertex links are single cycles, and the
-    Euler characteristic is 2.  Arrays: `face_array` (F, 3); `edges` (E, 2),
+    undirected edge borders two faces, the Euler characteristic is 2, and
+    vertex links are single cycles.  Arrays: `face_array` (F, 3); `edges` (E, 2),
     sorted; `face_edges` (F, 3), the edge from corner j to j + 1 of a face;
     `edge_faces` (E, 2), the two faces on an edge in increasing order.
     """
@@ -92,15 +92,15 @@ class SphericalTriangulation:
         self.face_array = f
         self.edges = np.stack([key[0::2] // v, key[0::2] % v], axis=1)
         del key
+        if self.euler_characteristic() != 2:
+            raise MeshInvariantError(f"Euler characteristic {self.euler_characteristic()} != 2")
+        _walk_links(v, f, order)
         face_edges = np.empty(len(order), dtype=np.intp)
         face_edges[order.reshape(-1, 2)] = np.arange(len(order) // 2)[:, None]
         self.face_edges = face_edges.reshape(-1, 3)
         order //= 3  # each edge's two faces, in the order of its key's direction bit
         self.edge_faces = order.reshape(-1, 2)
         self.edge_faces.sort(axis=1)
-        if self.euler_characteristic() != 2:
-            raise MeshInvariantError(f"Euler characteristic {self.euler_characteristic()} != 2")
-        _check_links(v, f)
 
     # -- basic counts ------------------------------------------------------
 
@@ -146,46 +146,37 @@ def _face_array(faces, num_vertices: int) -> tuple[np.ndarray, Optional[tuple]]:
     return np.array(rows, dtype=np.int64).reshape(-1, 3), None
 
 
-_LINK_FAULTS = ("has a pinched link", "is isolated", "link does not close up", "link splits into several cycles")
-
-
-def _check_links(num_vertices: int, faces) -> None:
+def _walk_links(num_vertices: int, f: np.ndarray, order: np.ndarray) -> None:
     """Raise MeshInvariantError unless every vertex link is a single cycle.
-    The link of v maps a to b for each face (v, a, b) up to rotation; all
-    links are walked in step from the a of each vertex's first face."""
-    f = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
-    vertex = f.ravel()  # corner 3i + j of vertex f[i, j] steps its link from key to target
-    key = vertex * num_vertices + f[:, (1, 2, 0)].ravel()
-    order = np.argsort(key, kind="stable")
-    ranked = key[order]
-    del key
-    # a vertex's corners are a run of `order`; its walk starts at the first of them
+
+    `order` is the constructor's sort of the corners by edge: order[2k] and
+    order[2k + 1] are the two directed occurrences of edge k, each the other's
+    partner.  The link of f[i, j] steps from corner 3i + j to the partner of
+    corner 3i + (j + 2) % 3, the corner of f[i, j] that leaves along the edge
+    that corner 3i + (j + 2) % 3 enters by.  So each link is a permutation of
+    its vertex's corners, and a walk from any corner closes; all links are
+    walked in step.
+    """
+    partner = np.empty_like(order)
+    partner[order[0::2]], partner[order[1::2]] = order[1::2], order[0::2]
+    succ = partner.reshape(-1, 3)[:, (2, 0, 1)].ravel()
+    del partner
+    vertex = f.ravel()
     degree = np.bincount(vertex, minlength=num_vertices)
+    start = np.empty(num_vertices, dtype=np.intp)
+    start[vertex] = np.arange(len(vertex))  # some corner of each vertex that has one
     at = np.flatnonzero(degree)
-    start = np.minimum.reduceat(order, (np.cumsum(degree) - degree)[at])
-    degree = degree[at]
-    pinched = vertex[order[1:][ranked[1:] == ranked[:-1]]]
-    target = vertex * num_vertices + f[:, (2, 0, 1)].ravel()
-    found = np.minimum(np.searchsorted(ranked, target), len(ranked) - 1)
-    hit = ranked[found] == target
-    del ranked, target
-    succ = order[found]  # the corner the link steps to
-    del order, found
-    succ[~hit] = -1
-    fault = np.full(num_vertices, 2, dtype=np.int8)  # 1 + index into _LINK_FAULTS; 0 is a good link
+    start = start[at]
+    cycle = np.full(num_vertices, -1)  # the length of the walk from start; -1: isolated
     live, corner, steps = np.arange(len(at)), succ[start], 1
     while live.size:
         closed = corner == start[live]
-        stuck = ~closed & ((corner < 0) | (steps > degree[live]))
-        fault[at[live[closed]]] = np.where(degree[live[closed]] == steps, 0, 4)
-        fault[at[live[stuck]]] = 3
-        keep = ~(closed | stuck)
-        live, corner, steps = live[keep], succ[corner[keep]], steps + 1
-    fault[pinched] = 1
-    faulty = np.flatnonzero(fault)
+        cycle[at[live[closed]]] = steps
+        live, corner, steps = live[~closed], succ[corner[~closed]], steps + 1
+    faulty = np.flatnonzero(cycle != degree)
     if faulty.size:
         v = int(faulty[0])
-        raise MeshInvariantError(f"vertex {v} {_LINK_FAULTS[fault[v] - 1]}")
+        raise MeshInvariantError(f"vertex {v} " + ("link splits into several cycles" if degree[v] else "is isolated"))
 
 
 def octahedron() -> SphericalTriangulation:

@@ -19,9 +19,9 @@ SCHEMA = "hodge-domains/1"
 CHUNK_ROWS = 1 << 11  # rows of a Table (and of an OFF file) per piece of text; faces per mesh_geometry block
 
 
-def dumps(doc) -> str:
-    """Canonical one-line text of a JSON value."""
-    return json.dumps(doc, sort_keys=True)
+# Canonical one-line text of a JSON value: json.dumps(doc, sort_keys=True)
+# without building an encoder per call.
+dumps = json.JSONEncoder(sort_keys=True).encode
 
 
 class Table:

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import all_rank_tuples
 from hodge_domains.exactla import (
     GaussianRational,
+    QI_ONE,
     QI_ZERO,
     Qi,
     hermitian_definiteness,
@@ -315,14 +316,25 @@ def test_membership_invariant_under_block_unitaries():
 
 
 def test_block_unitary_is_exactly_unitary():
+    # blocks of sizes 1 to 4: U* U = I and U* h U = h hold exactly
     rng = random.Random(3)
-    hn = HodgeNumbers((2, 2, 1))
-    u = random_block_unitary(hn, rng)
-    u_star = [[x.conjugate() for x in col] for col in zip(*u)]
-    prod = mat_mul(u_star, u)
-    for i in range(hn.m):
-        for j in range(hn.m):
-            assert prod[i][j] == (Qi(1) if i == j else Qi(0))
+    hn = HodgeNumbers((1, 2, 3, 4))
+    identity = [[QI_ONE if i == j else QI_ZERO for j in range(hn.m)] for i in range(hn.m)]
+    h = [[Qi(s) if i == j else QI_ZERO for j in range(hn.m)] for i, s in enumerate(hn.signature_signs())]
+    for _ in range(5):
+        u = random_block_unitary(hn, rng)
+        u_star = [[x.conjugate() for x in col] for col in zip(*u)]
+        assert mat_mul(u_star, u) == identity
+        assert mat_mul(u_star, mat_mul(h, u)) == h
+
+
+def test_block_unitary_moves_one_by_one_blocks():
+    # a reflection of a line is -1, so two of them alone would fix a 1 x 1 block
+    rng = random.Random(4)
+    hn = HodgeNumbers((1, 2, 1))
+    ends = [hn.block_to_signature()[c] for c in (0, hn.m - 1)]
+    draws = [random_block_unitary(hn, rng) for _ in range(20)]
+    assert any(u[c][c] != QI_ONE for u in draws for c in ends)
 
 
 def test_flag_validation_rejects_dependent_basis():

@@ -15,7 +15,6 @@ from hodge_domains.spheremesh import (
     NotThreeColorableError,
     SphericalTriangulation,
     ThreeColoring,
-    _check_links,
     audit_mesh,
     audit_passes,
     gluing_pattern,
@@ -579,34 +578,35 @@ BAD_LINKS = {
 
 @pytest.mark.parametrize("kind", sorted(BAD_LINKS))
 def test_link_check_matches_reference_scan(kind):
+    # a pinched or unclosed link repeats a directed edge, so the edge checks
+    # reject it first, with their message; a split or isolated link passes
+    # them, and the link walk reports it as the reference scan does
     num_vertices, faces = BAD_LINKS[kind]
-    expected = outcome(reference_check_links, num_vertices, faces)
-    assert expected[0] is MeshInvariantError and kind in expected[1]
-    assert outcome(_check_links, num_vertices, faces) == expected
-
-
-@pytest.mark.parametrize("kind", ["splits into several cycles", "is isolated"])
-def test_constructor_reports_reference_link_failure(kind):
-    # these two pass every edge and Euler check, so the link check decides
-    num_vertices, faces = BAD_LINKS[kind]
+    link_fault = outcome(reference_check_links, num_vertices, faces)
+    assert link_fault[0] is MeshInvariantError and kind in link_fault[1]
     verts = np.tile([1.0, 0.0, 0.0], (num_vertices, 1))
-    expected = outcome(reference_check_links, num_vertices, faces)
+    expected = outcome(ReferenceTriangulation, verts, faces)
     assert outcome(SphericalTriangulation, verts, faces) == expected
+    if kind in ("splits into several cycles", "is isolated"):
+        assert expected == link_fault
+    else:
+        assert expected[1].startswith("directed edge")
 
 
 def test_link_check_accepts_what_reference_accepts():
+    # meshes_up_to builds every mesh through the constructor
     for s, tri in meshes_up_to(3):
         assert outcome(reference_check_links, tri.num_vertices, tri.face_array.tolist()) is None
-        assert outcome(_check_links, tri.num_vertices, tri.face_array) is None
 
 
 def test_open_link_is_an_invariant_error():
-    # the reference scan fails on a link path that ends with a bare KeyError
+    # the reference scan fails on a link path that ends with a bare KeyError;
+    # the constructor's edge checks see the open edge first
     faces = [(0, 1, 2), (0, 2, 3)]
     assert outcome(reference_check_links, 4, faces)[0] is KeyError
-    assert outcome(_check_links, 4, faces) == (
+    assert outcome(SphericalTriangulation, np.tile([1.0, 0.0, 0.0], (4, 1)), faces) == (
         MeshInvariantError,
-        "vertex 0 link does not close up",
+        "edge (0, 1) borders 1 faces",
     )
 
 

@@ -1,0 +1,123 @@
+"""Time of the flags suite of `verify`, in process and in fresh processes.
+
+This records:
+
+* ``suite_s``: in this process, the wall time of ``cli._suite_flags`` at
+  seed 0 and 10 samples (10 flags) for the ranks (4,1,4,1,4), (10,10) and
+  (1,18,1): perturbed flags, their membership and projection, a block
+  h-unitary moving each flag, and the wire round trip;
+* ``verify_s``: the wall time of one fresh ``python3 -m hodge_domains.cli
+  verify --ranks R --seed 0 --samples 10`` process for (1,18,1) and (10,10),
+  every suite included.
+
+Each repeat runs every case once, in turn, so host drift hits all cases
+alike.  Each figure is the median of the repeats, in seconds.  The JSON
+written holds the git revision of the measured sources (with a ``dirty``
+flag), the Python and numpy versions and ``nproc``.
+
+    python3 tools/bench_flags.py [--src DIR] [--out PATH]
+
+``--src`` is the ``src`` directory whose ``hodge_domains`` is measured
+(default: this checkout's); ``--out`` defaults to ``BENCH_flags.json`` at the
+root of this checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SUITE_RANKS = ((4, 1, 4, 1, 4), (10, 10), (1, 18, 1))
+VERIFY_RANKS = ((1, 18, 1), (10, 10))
+SEED = 0
+SAMPLES = 10
+REPEATS = 5
+
+
+def suite_seconds(ranks: tuple) -> float:
+    from hodge_domains import cli
+    from hodge_domains.hodge import HodgeNumbers
+
+    cfg = cli.RunConfig(ranks=HodgeNumbers(ranks), seed=SEED, samples=SAMPLES)
+    start = time.perf_counter()
+    passed, _ = cli._suite_flags(cfg)
+    elapsed = time.perf_counter() - start
+    if not passed:
+        raise SystemExit(f"the flags suite failed at {ranks}")
+    return elapsed
+
+
+def verify_seconds(src: Path, ranks: tuple, workdir: Path) -> float:
+    """Wall seconds of one fresh `verify` process."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "hodge_domains.cli", "verify", "--ranks", ",".join(map(str, ranks)),
+            "--seed", str(SEED), "--samples", str(SAMPLES)]
+    start = time.perf_counter()
+    proc = subprocess.run(argv, cwd=workdir, env=env, stdout=subprocess.DEVNULL)
+    elapsed = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise SystemExit(f"verify --ranks {argv[5]} exited {proc.returncode}")
+    return elapsed
+
+
+def label(ranks: tuple) -> str:
+    return ",".join(map(str, ranks))
+
+
+def git_revision(src: Path) -> dict:
+    def git(*argv: str) -> str:
+        return subprocess.run(["git", "-C", str(src), *argv], capture_output=True, text=True, check=True).stdout
+
+    return {"revision": git("rev-parse", "HEAD").strip(), "dirty": bool(git("status", "--porcelain", "--", ".").strip())}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_flags.json")
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
+    import numpy
+
+    suite = {ranks: [] for ranks in SUITE_RANKS}
+    verify = {ranks: [] for ranks in VERIFY_RANKS}
+    with tempfile.TemporaryDirectory() as tmp:
+        verify_seconds(src, (1, 1), Path(tmp))  # warm-up: bytecode and file cache
+        for _ in range(REPEATS):
+            for ranks in SUITE_RANKS:
+                suite[ranks].append(round(suite_seconds(ranks), 3))
+            for ranks in VERIFY_RANKS:
+                verify[ranks].append(round(verify_seconds(src, ranks, Path(tmp)), 3))
+    results = {"suite_s": {}, "verify_s": {}}
+    for key, runs in (("suite_s", suite), ("verify_s", verify)):
+        for ranks, times in runs.items():
+            results[key][label(ranks)] = {"median": round(statistics.median(times), 3), "runs": times}
+            print(f"{key} {label(ranks)}: {statistics.median(times):.3f} s", file=sys.stderr)
+    doc = {
+        "what": "wall time of cli._suite_flags in process, and of fresh `verify` processes",
+        "unit": "s, median of repeats",
+        "samples": SAMPLES,
+        "repeats": REPEATS,
+        "seed": SEED,
+        "git": git_revision(src),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "nproc": len(os.sched_getaffinity(0)),
+        "results": results,
+    }
+    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
