@@ -576,6 +576,10 @@ BAD_LINKS = {
 }
 
 
+# these two pass every edge and Euler check, so the link walk decides
+LINK_DECIDED = ["splits into several cycles", "is isolated"]
+
+
 @pytest.mark.parametrize("kind", sorted(BAD_LINKS))
 def test_link_check_matches_reference_scan(kind):
     # a pinched or unclosed link repeats a directed edge, so the edge checks
@@ -587,10 +591,16 @@ def test_link_check_matches_reference_scan(kind):
     verts = np.tile([1.0, 0.0, 0.0], (num_vertices, 1))
     expected = outcome(ReferenceTriangulation, verts, faces)
     assert outcome(SphericalTriangulation, verts, faces) == expected
-    if kind in ("splits into several cycles", "is isolated"):
-        assert expected == link_fault
-    else:
+    if kind not in LINK_DECIDED:
         assert expected[1].startswith("directed edge")
+
+
+@pytest.mark.parametrize("kind", LINK_DECIDED)
+def test_constructor_reports_reference_link_failure(kind):
+    num_vertices, faces = BAD_LINKS[kind]
+    verts = np.tile([1.0, 0.0, 0.0], (num_vertices, 1))
+    expected = outcome(reference_check_links, num_vertices, faces)
+    assert outcome(SphericalTriangulation, verts, faces) == expected
 
 
 def test_link_check_accepts_what_reference_accepts():
