@@ -14,6 +14,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from contextlib import nullcontext
@@ -284,20 +285,8 @@ def _suite_su22(cfg: RunConfig) -> tuple[bool, dict]:
 
 
 def _suite_mesh(cfg: RunConfig) -> tuple[bool, dict]:
-    from . import spheremesh as spheremesh_mod  # numpy loads only where the mesh runs
-    tri = spheremesh_mod.octahedron()
-    ok = True
-    fineness_prev = None
-    for s in range(0, 4):
-        if s > 0:
-            tri = spheremesh_mod.subdivide(tri)
-        coloring = spheremesh_mod.three_color(tri)
-        audit = spheremesh_mod.audit_mesh(tri, coloring)
-        ok = ok and spheremesh_mod.audit_passes(audit)
-        if fineness_prev is not None:
-            ok = ok and audit["fineness"] < fineness_prev
-        fineness_prev = audit["fineness"]
-    return ok, {"levels": 4}
+    from . import meshaudit  # the standard library's audit: numpy loads only in `mesh`
+    return meshaudit.levels_pass(), {"levels": meshaudit.LEVELS}
 
 
 # (name, applies(ranks), reason when it does not apply, run(cfg) -> (passed, details)).
@@ -318,9 +307,11 @@ _SUITES = (
 
 
 def run_verify(cfg: RunConfig) -> dict:
-    for path in (cfg.classify_out, cfg.output):
-        if path:
-            open(path, "w").close()  # an unwritable path fails before any suite runs
+    paths = [path for path in (cfg.classify_out, cfg.output) if path]
+    for path in paths:
+        open(path, "w").close()  # an unwritable path fails before any suite runs
+    if len(paths) == 2 and os.path.samefile(*paths):
+        raise ValueError(f"--out and --classify-out name the same file {cfg.output}")
     suites = []
     for name, applies, reason, run in _SUITES:
         if not applies(cfg.ranks):
@@ -381,6 +372,7 @@ def export_mesh(cfg: RunConfig) -> tuple[int, list[str]]:
     out = Path(cfg.output) if cfg.output else Path(f"octahedron_s{cfg.subdivisions}.off")
     if cfg.fmt != "json" and out.suffix == ".json":
         raise ValueError("OFF output path must not end in .json (the sidecar uses it)")
+    from . import meshaudit
     from . import spheremesh as spheremesh_mod
     tri = spheremesh_mod.octahedron()
     for _ in range(cfg.subdivisions):
@@ -389,7 +381,7 @@ def export_mesh(cfg: RunConfig) -> tuple[int, list[str]]:
     # geometry and gluing are computed once and shared by the audit and the sidecar
     geometry = spheremesh_mod.mesh_geometry(tri)
     glue = spheremesh_mod.gluing_pattern(tri, coloring)
-    if not spheremesh_mod.audit_passes(spheremesh_mod.audit_mesh(tri, coloring, geometry, glue)):
+    if not meshaudit.audit_passes(spheremesh_mod.audit_mesh(tri, coloring, geometry, glue)):
         return EXIT_SUITE_FAILURE, []
     doc = spheremesh_mod.sidecar_document(coloring, geometry, glue)
     if cfg.fmt == "json":

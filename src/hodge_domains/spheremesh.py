@@ -7,9 +7,10 @@ per face with edges identified by color pair.
 
 Vertices are float64 unit vectors; geodesic midpoints are normalized chord
 midpoints, valid because the meshes here never contain near-antipodal edges.
-Angular comparisons use a 1e-10 tolerance.  The topology is held in numpy
-arrays; an edge {u, v} of a mesh with V vertices is keyed by the integer
-min(u, v) * V + max(u, v), and the directed edge u -> v by u * V + v.
+meshaudit.audit_passes judges audit_mesh's dict, with the angular tolerance
+meshaudit.ANGLE_TOL.  The topology is held in numpy arrays; an edge {u, v}
+of a mesh with V vertices is keyed by the integer min(u, v) * V + max(u, v),
+and the directed edge u -> v by u * V + v.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 
 from . import wire
 
-ANGLE_TOL = 1e-10
 COLOR_NAMES = ("red", "green", "blue")
 
 
@@ -432,7 +432,8 @@ def audit_mesh(
     tri: SphericalTriangulation, coloring: ThreeColoring,
     geometry: Optional[MeshGeometry] = None, glue: Optional[GluingPolyhedron] = None,
 ) -> dict:
-    """The full battery of checks used by the verification suites.  A caller
+    """The full battery of checks that mesh export runs; meshaudit.audit_mesh
+    builds the same dict without numpy for verify's mesh suite.  A caller
     that already holds the mesh_geometry and gluing_pattern passes them in.
     An improper coloring has no glued polyhedron: its gluing fields fail."""
     try:
@@ -454,22 +455,6 @@ def audit_mesh(
         "gluing_links_single_cycles": getattr(glue, "links_single_cycles", False),
         "gluing_color_matched": getattr(glue, "color_matched", False),
     }
-
-
-def audit_passes(audit: dict) -> bool:
-    """Whether one level's audit_mesh battery passes (fineness is compared
-    across levels by the callers)."""
-    return bool(
-        audit["even"]
-        and audit["proper_coloring"]
-        and audit["euler_characteristic"] == 2
-        and audit["circumcenters_inside"]
-        and audit["max_equidistance_residual"] < ANGLE_TOL
-        and audit["gluing_euler"] == 2
-        and audit["gluing_closed"]
-        and audit["gluing_links_single_cycles"]
-        and audit["gluing_color_matched"]
-    )
 
 
 def off_chunks(tri: SphericalTriangulation):

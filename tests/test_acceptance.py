@@ -29,9 +29,10 @@ from hodge_domains.horizontal import (
     su22_embedding,
     verify_pu2n_criterion,
 )
+from hodge_domains.meshaudit import audit_passes
 from hodge_domains.pi2 import class_closure_oracle, class_of_root, pi2_report
 from hodge_domains.rootcalc import bracket_generating_check, parabolic_from_ranks
-from hodge_domains.spheremesh import audit_mesh, audit_passes, octahedron, subdivide, three_color
+from hodge_domains.spheremesh import audit_mesh, octahedron, subdivide, three_color
 
 
 def _finish(num: int, description: str, ok: bool, elapsed: float, bound: float):

@@ -340,6 +340,33 @@ def test_unwritable_verify_out_fails_before_any_suite(tmp_path, capsys, monkeypa
     assert err.startswith("invalid input: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("classify_out", ["x.json", "./x.json", "hard.json", "soft.json"])
+def test_verify_rejects_one_file_for_both_outputs(tmp_path, capsys, monkeypatch, classify_out):
+    import hodge_domains.cli as cli
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.json").write_text("")
+    (tmp_path / "hard.json").hardlink_to(tmp_path / "x.json")
+    (tmp_path / "soft.json").symlink_to(tmp_path / "x.json")
+    ran = []
+    monkeypatch.setattr(cli, "_SUITES", tuple((*entry[:3], lambda cfg, name=entry[0]: ran.append(name))
+                                              for entry in cli._SUITES))
+    argv = ["verify", "--ranks", "1,2,1", "--samples", "20", "--out", "x.json", "--classify-out", classify_out]
+    assert main(argv) == EXIT_INVALID_INPUT
+    assert ran == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "invalid input: --out and --classify-out name the same file x.json\n"
+
+
+def test_verify_writes_two_distinct_outputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "--ranks", "1,2,1", "--samples", "20", "--out", "x.json", "--classify-out", "planes.jsonl"]
+    assert main(argv) == EXIT_OK
+    assert json.loads((tmp_path / "x.json").read_text())["all_passed"]
+    assert len((tmp_path / "planes.jsonl").read_text().splitlines()) == 20
+
+
 def test_classify_out_rejected_for_other_ranks(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["verify", "--ranks", "1,1", "--samples", "2", "--classify-out", "x.jsonl"]) == EXIT_INVALID_INPUT
@@ -512,3 +539,20 @@ def test_report_leaves_numpy_unloaded(tmp_path):
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env())
     assert res.stdout.split() == ["0", "False"], res.stderr
     assert json.loads(out.read_text())["domain"]["dim"] == 5
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        (["verify", "--ranks", "1,2,1", "--samples", "8", "--out", "v.json"], False),
+        (["mesh", "--subdivisions", "1", "--out", "m.off"], True),
+    ],
+    ids=["verify", "mesh"],
+)
+def test_numpy_loads_only_for_mesh_export(tmp_path, argv, loads_numpy):
+    # verify's mesh suite audits on the standard library; the export needs arrays
+    code = ("import sys\nimport hodge_domains.cli as cli\n"
+            f"code = cli.main({argv!r})\n"
+            "print(code, 'numpy' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env(), cwd=tmp_path)
+    assert res.stdout.splitlines()[-1].split() == ["0", str(loads_numpy)], res.stderr

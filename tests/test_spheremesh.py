@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hodge_domains import wire
+from hodge_domains.meshaudit import audit_passes
 from hodge_domains.spheremesh import (
     DegenerateFaceError,
     MeshInvariantError,
@@ -16,7 +17,6 @@ from hodge_domains.spheremesh import (
     SphericalTriangulation,
     ThreeColoring,
     audit_mesh,
-    audit_passes,
     gluing_pattern,
     mesh_geometry,
     octahedron,
