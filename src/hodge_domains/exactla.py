@@ -1,5 +1,5 @@
-"""Exact linear algebra kernels: Gaussian rationals, rank/nullspace/definiteness
-over Q(i), and integer Smith normal forms, kernels and lattice equality.
+"""Exact linear algebra kernels: Gaussian rationals, and rank, nullspace,
+definiteness and unimodularity on one Bareiss elimination over Z[i].
 
 A Gaussian rational is one Gaussian integer a + b*i over one positive
 denominator d; the hot paths read (a, b, d) directly and stay in integers.
@@ -11,7 +11,7 @@ floating point enters any decision.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -21,7 +21,7 @@ class GaussianRational:
 
     __slots__ = ("a", "b", "d")
 
-    def __init__(self, re=0, im=0):
+    def __init__(self, re, im=0):
         """From real and imaginary parts: ints, Fractions or 'a/b' strings."""
         if type(re) is int and type(im) is int:
             a, b, d = re, im, 1
@@ -345,107 +345,9 @@ def hermitian_definiteness(g: Sequence[Sequence]) -> str:
     return "indefinite"
 
 
-# ---------------------------------------------------------------------------
-# Integer linear algebra: Smith normal form, kernels, lattice equality.
-# ---------------------------------------------------------------------------
-
-
-def smith_normal_form(a: Sequence[Sequence[int]]):
-    """Smith normal form of an integer matrix.
-
-    Returns (d, v) with u a v = d for some unimodular u (not built), v
-    unimodular and d diagonal with d[i][i] dividing d[i+1][i+1].
-    """
-    m = [list(map(int, row)) for row in a]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        m[i] = [x - q * y for x, y in zip(m[i], m[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for row in m:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    for s in range(min(nr, nc)):
-        while True:
-            # Move a minimal nonzero entry of the trailing block to (s, s).
-            best = None
-            for i in range(s, nr):
-                for j in range(s, nc):
-                    if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                break
-            if best[0] != s:
-                m[s], m[best[0]] = m[best[0]], m[s]
-            if best[1] != s:
-                swap_cols(s, best[1])
-            dirty = False
-            for i in range(s + 1, nr):
-                if m[i][s] != 0:
-                    row_op(i, s, m[i][s] // m[s][s])
-                    if m[i][s] != 0:
-                        dirty = True
-            for j in range(s + 1, nc):
-                if m[s][j] != 0:
-                    col_op(j, s, m[s][j] // m[s][s])
-                    if m[s][j] != 0:
-                        dirty = True
-            if dirty:
-                continue
-            # Enforce divisibility of the trailing block by the pivot.
-            offender = None
-            for i in range(s + 1, nr):
-                for j in range(s + 1, nc):
-                    if m[i][j] % m[s][s] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_op(s, offender, -1)
-        if s < min(nr, nc) and m[s][s] < 0:
-            m[s] = [-x for x in m[s]]
-    return m, v
-
-
-def _invariant_factors(d) -> list[int]:
-    """The nonzero diagonal entries of a Smith form d."""
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0]
-
-
-def smith_invariant_factors(a: Sequence[Sequence[int]]) -> list[int]:
-    return _invariant_factors(smith_normal_form(a)[0])
-
-
-def integer_kernel(a: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis of the integer kernel {x in Z^n : a x = 0} (columns of V past the rank)."""
-    if not a:
-        return []
-    d, v = smith_normal_form(a)
-    nc = len(a[0])
-    r = len(_invariant_factors(d))
-    return [[v[i][j] for i in range(nc)] for j in range(r, nc)]
-
-
-def lattices_equal(basis_a: Sequence[Sequence[int]], basis_b: Sequence[Sequence[int]]) -> bool:
-    """Whether two integer row-span lattices coincide.
-
-    A lattice's index in its saturation (the integer points of its rational
-    span) is the product of its invariant factors.  A and B both lie in their
-    sum [A; B]; with equal ranks all three have the same saturation, so A and
-    B equal the sum exactly when all three products agree.
-    """
-    fa, fb, fab = (smith_invariant_factors(x) for x in (basis_a, basis_b, [*basis_a, *basis_b]))
-    return len(fa) == len(fb) == len(fab) and prod(fa) == prod(fb) == prod(fab)
+def is_unimodular(a: Sequence[Sequence[int]]) -> bool:
+    """Whether a nonempty integer matrix is square with determinant +-1: the
+    forward pass reaches full rank, and its last pivot is then +-det (a row
+    exchange flips the sign only)."""
+    pivot_cols, _, pivots, _ = _eliminate(a, forward=True)
+    return len(pivot_cols) == len(a) == len(a[0]) and pivots[-1] in ((1, 0), (-1, 0))

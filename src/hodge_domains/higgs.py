@@ -108,7 +108,7 @@ def _random_matrix(rng: random.Random, nr: int, nc: int) -> Matrix:
     return tuple(tuple(Qi(rng.randint(-2, 2)) for _ in range(nc)) for _ in range(nr))
 
 
-def random_commuting_higgs(ranks: HodgeNumbers, m_t: int, seed: int, strategy: str = "pullback") -> HiggsField:
+def random_commuting_higgs(ranks: HodgeNumbers, m_t: int, seed: int, strategy: str) -> HiggsField:
     """A commuting field, deterministic per seed.
 
     'pullback': theta_i^(a) = c_a * N_i for fixed matrices N_i and scalars c_a,

@@ -160,27 +160,10 @@ def _bracket_entries(ranks: HodgeNumbers, u: Sequence[tuple[int, int]],
     return out
 
 
-def is_isotropic(plane: TwoPlane) -> bool:
-    """Whether the bracket 2-form vanishes on the plane (bilinearity and
-    antisymmetry make the single spanning pair sufficient), decided on u and
-    w cleared of denominators, whose bracket is a positive multiple of the
-    bracket of u and w."""
-    return not any(map(any, _bracket_entries(plane.ranks, plane.u.gaussian_integers, plane.w.gaussian_integers)))
-
-
-def is_complex_line(plane: TwoPlane) -> bool:
-    return not _independent(plane.u.gaussian_integers, plane.w.gaussian_integers)
-
-
-def is_regular(plane: TwoPlane) -> bool:
-    """Exact real surjectivity test for v -> (s -> bracket(v, s)) restricted
-    to the plane."""
-    return _regular(plane.ranks, plane.u.gaussian_integers, plane.w.gaussian_integers)
-
-
 def _regular(ranks: HodgeNumbers, u: Sequence[tuple[int, int]], w: Sequence[tuple[int, int]]) -> bool:
-    """is_regular on the plane spanned by u and w over Z[i] ((re, im) int
-    pairs in flatten order).
+    """Exact real surjectivity test for v -> (s -> bracket(v, s)) restricted
+    to the plane spanned by u and w over Z[i] ((re, im) int pairs in flatten
+    order).
 
     The target is the space of real-linear maps S -> (level-two piece); its
     real dimension is 4 * sum_i r_i r_{i+2}.  The matrix is assembled over the
@@ -254,11 +237,11 @@ def verify_pu2n_criterion(
     n: int,
     samples: int,
     seed: int,
-    record: Optional[Callable[[dict], None]] = None,
+    record: Optional[Callable[[dict], None]],
 ) -> Pu2nReport:
     """Seeded check of the regularity criterion in the rank-(1,n,1) model.
 
-    Asserts is_regular == complex-linear independence sample by sample and
+    Asserts regularity == complex-linear independence sample by sample and
     counts regular isotropic planes.  Every HALF_ZERO_PERIOD-th sample, from
     idx 7 on, is drawn from the second-half-zero stratum, on which the
     symplectic scalar vanishes, so isotropic planes appear at a stable rate;

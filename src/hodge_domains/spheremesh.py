@@ -430,19 +430,19 @@ def gluing_pattern(tri: SphericalTriangulation, coloring: ThreeColoring) -> Glui
 
 def audit_mesh(
     tri: SphericalTriangulation, coloring: ThreeColoring,
-    geometry: Optional[MeshGeometry] = None, glue: Optional[GluingPolyhedron] = None,
+    geometry: MeshGeometry, glue: Optional[GluingPolyhedron],
 ) -> dict:
-    """The full battery of checks that mesh export runs; meshaudit.audit_mesh
-    builds the same dict without numpy for verify's mesh suite.  A caller
-    that already holds the mesh_geometry and gluing_pattern passes them in.
-    An improper coloring has no glued polyhedron: its gluing fields fail."""
+    """The full battery of checks that mesh export runs on the mesh, its
+    coloring, its mesh_geometry and its gluing_pattern; meshaudit.audit_mesh
+    builds the same dict without numpy for verify's mesh suite.  An improper
+    coloring has no glued polyhedron (gluing_pattern raises, so glue is
+    None), and any glue given with it is ignored: its gluing fields fail."""
     try:
         _check_coloring(tri, coloring)
         proper = True
     except NotThreeColorableError:
         proper = False
-    geometry = mesh_geometry(tri) if geometry is None else geometry
-    glue = (gluing_pattern(tri, coloring) if glue is None else glue) if proper else None
+    glue = glue if proper else None
     return {
         "even": tri.is_even(),
         "proper_coloring": proper,

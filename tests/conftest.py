@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
+from typing import Sequence
 
 import hodge_domains
 from hodge_domains.exactla import _coerce, rank
@@ -70,3 +71,49 @@ def bounded_rank_tuples(max_blocks: int, max_rank: int):
 
     # depth-first over prefixes; each prefix is visited once, so no tuple repeats
     yield from rec(max_blocks, [])
+
+
+def reference_hermite_normal_form(rows_in: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Canonical row-style Hermite normal form (zero rows dropped), by
+    Euclid's algorithm down each column: two generating sets span one
+    lattice iff their Hermite forms are equal."""
+    rows = [list(map(int, r)) for r in rows_in]
+    if not rows:
+        return []
+    nr, nc = len(rows), len(rows[0])
+    piv = 0
+    for c in range(nc):
+        # Euclid within column c until at most one row below piv has a nonzero.
+        while True:
+            nz = [i for i in range(piv, nr) if rows[i][c] != 0]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda i: abs(rows[i][c]))
+            base = nz[0]
+            for i in nz[1:]:
+                q = rows[i][c] // rows[base][c]
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[base])]
+        nz = [i for i in range(piv, nr) if rows[i][c] != 0]
+        if not nz:
+            continue
+        rows[piv], rows[nz[0]] = rows[nz[0]], rows[piv]
+        if rows[piv][c] < 0:
+            rows[piv] = [-x for x in rows[piv]]
+        for i in range(nr):
+            if i != piv and rows[i][c] != 0:
+                q = rows[i][c] // rows[piv][c]
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[piv])]
+        piv += 1
+    return rows[:piv]
+
+
+def reference_is_kernel_basis(claimed: Sequence[Sequence[int]], k: int) -> bool:
+    """Whether the vectors claimed are a Z-basis of the kernel of
+    x -> sum_i (-1)^i x_i on Z^k, read off Hermite forms: there are k - 1 of
+    them, each lies in the kernel, and together with e_0 (whose image is 1)
+    they span Z^k, so the Hermite form of [claimed; e_0] is the identity."""
+    e0 = [1] + [0] * (k - 1)
+    identity = [[int(i == j) for j in range(k)] for i in range(k)]
+    return (len(claimed) == k - 1
+            and all(sum((-1) ** i * x for i, x in enumerate(c)) == 0 for c in claimed)
+            and reference_hermite_normal_form([*claimed, e0]) == identity)

@@ -15,8 +15,9 @@ from math import gcd, prod
 from typing import Sequence
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+from conftest import reference_hermite_normal_form
 from hodge_domains.domain import Flag
 from hodge_domains.exactla import (
     GaussianRational,
@@ -28,6 +29,7 @@ from hodge_domains.exactla import (
     _eliminate,
     as_matrix,
     hermitian_definiteness,
+    is_unimodular,
     nullspace,
     rank,
 )
@@ -345,6 +347,29 @@ def test_eliminate_entries_obey_the_hadamard_bound(a, forward):
     assert all(x * x + y * y <= bound for x, y in pivots)
 
 
+@st.composite
+def square_int_matrices(draw):
+    """A random n x n int matrix, or a unimodular one: the identity after
+    random row shears, negations and a permutation."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return draw(matrices(st.just(n), st.just(n), entries=st.integers(-3, 3)))
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 8))):
+        i, j, q = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(st.integers(-3, 3))
+        a[i] = [-x for x in a[i]] if i == j else [x + q * y for x, y in zip(a[i], a[j])]
+    return draw(st.permutations(a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_int_matrices())
+def test_is_unimodular_matches_hermite_form(a):
+    # a square matrix is unimodular iff its rows span Z^n: Hermite form I
+    expected = reference_hermite_normal_form(a) == [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+    event("unimodular" if expected else "not unimodular")
+    assert is_unimodular(a) == expected
+
+
 # ---------------------------------------------------------------------------
 # Fixed cases
 # ---------------------------------------------------------------------------
@@ -363,6 +388,14 @@ def test_non_hermitian_input_raises():
         hermitian_definiteness([[1, 2], [3, 4]])
     with pytest.raises(ValueError, match="not Hermitian"):
         hermitian_definiteness([[GaussianRational(1, 1)]])
+
+
+def test_is_unimodular_fixed_cases():
+    assert is_unimodular([[2, 1], [1, 1]])  # det 1
+    assert is_unimodular([[0, 1], [1, 0]])  # det -1, after a row exchange
+    assert not is_unimodular([[2, 0], [0, 1]])  # det 2
+    assert not is_unimodular([[1, 2], [2, 4]])  # singular
+    assert not is_unimodular([[1, 0, 0], [0, 1, 0]])  # full row rank, not square
 
 
 def test_empty_and_singular_inputs():

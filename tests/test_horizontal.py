@@ -8,9 +8,10 @@ commutation.  The reference_* functions are the plane sampler and the
 rank-based independence tests as they were before the plane path moved to
 Gaussian integers, and the dense bracket as it was before it read
 _bracket_table, kept verbatim as the oracles for them.  sample_model_plane
-builds the suite's drawn pairs into the public TwoPlane, so the public
-predicates on it are the oracle for the verdicts the suite reaches on the
-bare pairs.
+builds the suite's drawn pairs into a TwoPlane, and the plane predicates
+is_isotropic, is_regular and is_complex_line read the suite's kernels on the
+plane's vectors cleared of denominators: the oracle for the verdicts the
+suite reaches on the bare pairs.
 """
 
 import inspect
@@ -34,10 +35,8 @@ from hodge_domains.horizontal import (
     _bracket_entries,
     _draw_model_pair,
     _independent,
+    _regular,
     horizontal_positions,
-    is_complex_line,
-    is_isotropic,
-    is_regular,
     isotropic_tuple_orbit_dimension,
     stabilizer_dimension,
     su22_embedding,
@@ -130,6 +129,23 @@ def gl2_transform(plane: TwoPlane, a: Fraction, b: Fraction, c: Fraction, d: Fra
 def complex_independent(u: HorizontalVector, w: HorizontalVector) -> bool:
     """The minor scan is_complex_line runs, on any pair."""
     return _independent(u.gaussian_integers, w.gaussian_integers)
+
+
+def is_complex_line(plane: TwoPlane) -> bool:
+    return not complex_independent(plane.u, plane.w)
+
+
+def is_isotropic(plane: TwoPlane) -> bool:
+    """Whether the bracket 2-form vanishes on the plane (bilinearity and
+    antisymmetry make the spanning pair enough), decided on u and w cleared
+    of denominators, whose bracket is a positive multiple of theirs."""
+    return not any(map(any, _bracket_entries(plane.ranks, plane.u.gaussian_integers, plane.w.gaussian_integers)))
+
+
+def is_regular(plane: TwoPlane) -> bool:
+    """The suite's exact regularity test, on the plane's spanning pair
+    cleared of denominators."""
+    return _regular(plane.ranks, plane.u.gaussian_integers, plane.w.gaussian_integers)
 
 
 def bracket(u: HorizontalVector, w: HorizontalVector) -> list[GaussianRational]:
@@ -399,13 +415,13 @@ def test_bracket_rejects_rank_mismatch():
 
 
 def test_pu2n_suite_small_n2():
-    rep = verify_pu2n_criterion(2, 800, seed=10)
+    rep = verify_pu2n_criterion(2, 800, seed=10, record=None)
     assert rep.mismatches == 0
     assert rep.found_regular_isotropic
 
 
 def test_pu2n_suite_small_n1():
-    rep = verify_pu2n_criterion(1, 800, seed=10)
+    rep = verify_pu2n_criterion(1, 800, seed=10, record=None)
     assert rep.mismatches == 0
     assert not rep.found_regular_isotropic
     assert rep.isotropic_noncomplex_count == 0
@@ -427,7 +443,7 @@ def test_pu2n_record_stream():
 
 def test_pu2n_rejects_nonpositive_n():
     with pytest.raises(ValueError):
-        verify_pu2n_criterion(0, 10, seed=0)
+        verify_pu2n_criterion(0, 10, seed=0, record=None)
 
 
 # -- the Gaussian-integer plane path against the reference -----------------------
@@ -484,7 +500,7 @@ def test_flipped_regularity_verdict_is_one_mismatch(monkeypatch, capsys):
         return original(ranks, u, w) != (len(calls) == 5)
 
     monkeypatch.setattr(horizontal_mod, "_regular", flip_fifth)
-    rep = verify_pu2n_criterion(2, 40, seed=0)
+    rep = verify_pu2n_criterion(2, 40, seed=0, record=None)
     assert (rep.mismatches, len(calls)) == (1, 40)
     calls.clear()
     assert main(["verify", "--ranks", "1,2,1", "--seed", "0", "--samples", "40"]) == EXIT_SUITE_FAILURE
@@ -542,7 +558,7 @@ def test_minor_scans_match_rank(pair):
 def test_pu2n_n18_2000_samples_within_readme_bound():
     # the bound README states: about 4x the 1.3-1.5 s measured on 2 CPUs
     start = time.perf_counter()
-    rep = verify_pu2n_criterion(18, 2000, seed=18)
+    rep = verify_pu2n_criterion(18, 2000, seed=18, record=None)
     elapsed = time.perf_counter() - start
     assert rep.mismatches == 0 and rep.found_regular_isotropic
     assert elapsed < 6.0, f"took {elapsed:.2f}s"

@@ -35,6 +35,12 @@ def rows(array):
     return [tuple(row) for row in array.tolist()]
 
 
+def exported_audit(tri):
+    """spheremesh.audit_mesh of tri's three_color, as mesh export runs it."""
+    coloring = spheremesh.three_color(tri)
+    return spheremesh.audit_mesh(tri, coloring, spheremesh.mesh_geometry(tri), spheremesh.gluing_pattern(tri, coloring))
+
+
 def assert_same_audit(ours, theirs):
     """Ints and bools exactly, of the same type; floats within 1e-12."""
     assert ours.keys() == theirs.keys()
@@ -75,7 +81,7 @@ def test_colors_and_gluing_pairs_equal_spheremesh(s):
 def test_audit_equals_audit_mesh(s):
     tri, mesh = level(s)
     ours = audit_mesh(mesh, three_color(mesh))
-    assert_same_audit(ours, spheremesh.audit_mesh(tri, spheremesh.three_color(tri)))
+    assert_same_audit(ours, exported_audit(tri))
     assert audit_passes(ours)
 
 
@@ -88,7 +94,7 @@ def test_inward_faces_audit_as_in_spheremesh(s):
     inward = Mesh(mesh.vertices, [face[::-1] for face in mesh.faces])
     theirs = spheremesh.SphericalTriangulation(tri.vertices, tri.face_array[:, ::-1])
     ours = audit_mesh(inward, three_color(inward))
-    assert_same_audit(ours, spheremesh.audit_mesh(theirs, spheremesh.three_color(theirs)))
+    assert_same_audit(ours, exported_audit(theirs))
     assert abs(ours["fineness"] - audit_mesh(mesh, three_color(mesh))["fineness"]) <= 1e-12
     assert not ours["circumcenters_inside"]
 
@@ -155,7 +161,8 @@ def test_corrupted_mesh_fails_as_in_spheremesh(kind):
 def test_improper_coloring_fails_the_audit(colors):
     ours = audit_mesh(octahedron(), list(colors))
     assert ours["proper_coloring"] is False and not audit_passes(ours)
-    theirs = spheremesh.audit_mesh(spheremesh.octahedron(), spheremesh.ThreeColoring(colors))
+    tri = spheremesh.octahedron()
+    theirs = spheremesh.audit_mesh(tri, spheremesh.ThreeColoring(colors), spheremesh.mesh_geometry(tri), None)
     assert_same_audit(ours, theirs)
 
 

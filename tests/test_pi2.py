@@ -1,15 +1,10 @@
-from typing import Sequence
-
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import all_rank_tuples, bridge_root
-from hodge_domains.exactla import (
-    integer_kernel,
-    lattices_equal,
-    smith_invariant_factors,
-)
+from conftest import all_rank_tuples, bridge_root, reference_hermite_normal_form, reference_is_kernel_basis
+from hodge_domains import pi2
+from hodge_domains.exactla import is_unimodular
 from hodge_domains.hodge import HodgeNumbers
 from hodge_domains.pi2 import (
     Pi2Class,
@@ -132,11 +127,7 @@ def test_kernel_basis_equals_exact_kernel_k_le_6():
         ranks = HodgeNumbers((1,) * (k + 1))
         rep = pi2_report(ranks)
         assert rep.kernel_verified
-        claimed = [list(c.coords) for c in rep.kernel_basis]
-        exact = integer_kernel([[(-1) ** i for i in range(k)]])
-        assert lattices_equal(claimed, exact)
-        if k >= 2:
-            assert smith_invariant_factors(claimed) == [1] * (k - 1)
+        assert reference_is_kernel_basis([list(c.coords) for c in rep.kernel_basis], k)
 
 
 def test_kernel_basis_roots_have_kernel_classes():
@@ -181,42 +172,7 @@ def test_generation_matches_interior_rank_flag_m_le_7():
         assert len(rep.per_generator) == hn.k - 1
 
 
-# -- integer form helpers -------------------------------------------------------
-
-
-def reference_hermite_normal_form(rows_in: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Canonical row-style Hermite normal form (zero rows dropped).
-
-    The oracle for lattices_equal: two generating sets span one lattice iff
-    their Hermite forms are equal."""
-    rows = [list(map(int, r)) for r in rows_in]
-    if not rows:
-        return []
-    nr, nc = len(rows), len(rows[0])
-    piv = 0
-    for c in range(nc):
-        # Euclid within column c until at most one row below piv has a nonzero.
-        while True:
-            nz = [i for i in range(piv, nr) if rows[i][c] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda i: abs(rows[i][c]))
-            base = nz[0]
-            for i in nz[1:]:
-                q = rows[i][c] // rows[base][c]
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[base])]
-        nz = [i for i in range(piv, nr) if rows[i][c] != 0]
-        if not nz:
-            continue
-        rows[piv], rows[nz[0]] = rows[nz[0]], rows[piv]
-        if rows[piv][c] < 0:
-            rows[piv] = [-x for x in rows[piv]]
-        for i in range(nr):
-            if i != piv and rows[i][c] != 0:
-                q = rows[i][c] // rows[piv][c]
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[piv])]
-        piv += 1
-    return rows[:piv]
+# -- the kernel certificate against the Hermite-form oracle ---------------------
 
 
 def test_hermite_normal_form_basics():
@@ -225,64 +181,64 @@ def test_hermite_normal_form_basics():
 
 
 @st.composite
-def lattice_pairs(draw):
-    """(A, B): generating sets of two lattices in Z^n.  A gets zero, duplicate
-    and dependent rows; B is random, or a unimodular recombination of A (the
-    same lattice), possibly with one row then scaled (often a sublattice)."""
-    n = draw(st.integers(min_value=1, max_value=4))
-    row = st.lists(st.integers(min_value=-4, max_value=4), min_size=n, max_size=n)
-    a = draw(st.lists(row, max_size=4))
-    for kind in draw(st.lists(st.sampled_from(("zero", "duplicate", "dependent")), max_size=2)):
-        if kind == "zero" or not a:
-            a.append([0] * n)
-        elif kind == "duplicate":
-            a.append(list(draw(st.sampled_from(a))))
-        else:
-            x, y, c = draw(st.sampled_from(a)), draw(st.sampled_from(a)), draw(st.integers(-3, 3))
-            a.append([u + c * v for u, v in zip(x, y)])
-    how = draw(st.sampled_from(("random", "recombined", "recombined and scaled")))
-    if how == "random":
-        return a, draw(st.lists(row, max_size=4))
-    b = [list(r) for r in a]
-    for _ in range(draw(st.integers(min_value=0, max_value=6)) if b else 0):
-        i, j = draw(st.integers(0, len(b) - 1)), draw(st.integers(0, len(b) - 1))
+def perturbed_kernel_bases(draw):
+    """(k, basis): the kernel basis e_i + e_{i+1} of Z^k after a unimodular
+    recombination (negations, shears and a permutation: still a Z-basis),
+    then perhaps one row scaled, moved off the kernel or dropped."""
+    k = draw(st.integers(min_value=1, max_value=7))
+    basis = [[int(w in (i, i + 1)) for w in range(k)] for i in range(k - 1)]
+    for _ in range(draw(st.integers(min_value=0, max_value=6)) if basis else 0):
+        i, j = draw(st.integers(0, k - 2)), draw(st.integers(0, k - 2))
         if i == j:
-            b[i] = [-x for x in b[i]]
+            basis[i] = [-x for x in basis[i]]
         else:
             q = draw(st.integers(-3, 3))
-            b[i] = [x + q * y for x, y in zip(b[i], b[j])]
-    b = draw(st.permutations(b))
-    if how == "recombined and scaled" and b:
-        i = draw(st.integers(0, len(b) - 1))
-        b[i] = [draw(st.integers(2, 3)) * x for x in b[i]]
-    return a, b
+            basis[i] = [x + q * y for x, y in zip(basis[i], basis[j])]
+    basis = draw(st.permutations(basis))
+    how = draw(st.sampled_from(("recombined", "scaled", "off the kernel", "dropped")))
+    if how != "recombined" and basis:
+        i = draw(st.integers(0, len(basis) - 1))
+        if how == "scaled":
+            basis[i] = [draw(st.sampled_from((-3, -2, -1, 2, 3))) * x for x in basis[i]]
+        elif how == "off the kernel":  # pi_u* of the row becomes +-q
+            j, q = draw(st.integers(0, k - 1)), draw(st.sampled_from((-2, -1, 1, 2)))
+            basis[i] = [x + q * (w == j) for w, x in enumerate(basis[i])]
+        else:
+            del basis[i]
+    return k, basis
 
 
 @settings(max_examples=300, deadline=None)
-@given(lattice_pairs())
-@example(([[2, 4], [1, 3]], [[1, 1], [0, 2]]))  # equal, different generators
-@example(([[2, 0]], [[1, 0]]))  # same rank, index 2
-@example(([[1, 0]], [[1, 0], [0, 1]]))  # different rank
-@example(([], [[0, 0]]))  # both zero
-def test_lattices_equal_matches_hermite_forms(pair):
-    a, b = pair
-    expected = reference_hermite_normal_form(a) == reference_hermite_normal_form(b)
-    event("equal" if expected else "unequal")
-    assert lattices_equal(a, b) == expected
+@given(perturbed_kernel_bases())
+@example((3, [[2, 2, 0], [0, 1, 1]]))  # a doubled generator: index 2
+@example((3, [[1, 1, 0], [0, 0, 1]]))  # a generator off the kernel, yet unimodular with e_0
+@example((2, []))  # a dropped generator: [e_0] alone is not square
+@example((1, []))  # k = 1: the kernel is 0, and [e_0] = [[1]]
+def test_certificate_matches_hermite_oracle(case):
+    # pi2_report's certificate: pi_u* kills each class, and [basis; e_0] is unimodular
+    k, basis = case
+    expected = reference_is_kernel_basis(basis, k)
+    event("accepted" if expected else "rejected")
+    certified = all(pi_u_star(Pi2Class(c)) == 0 for c in basis) and is_unimodular([*basis, [1] + [0] * (k - 1)])
+    assert certified == expected
 
 
-def test_integer_kernel_alternating_row():
-    k = 4
-    ker = integer_kernel([[(-1) ** i for i in range(k)]])
-    assert len(ker) == 3
-    for v in ker:
-        assert sum((-1) ** i * x for i, x in enumerate(v)) == 0
+@pytest.mark.parametrize("mutate", [
+    lambda coords: tuple(2 * x for x in coords),  # doubled: still in the kernel, index 2
+    lambda coords: (coords[0] + 1, *coords[1:]),  # off the kernel
+], ids=["doubled", "off_kernel"])
+def test_pi2_report_raises_on_a_mutated_generator(monkeypatch, mutate):
+    # the first class pi2_report builds is generator c_0
+    built = []
 
+    def first_mutated(coords):
+        built.append(Pi2Class(mutate(coords) if not built else coords))
+        return built[-1]
 
-def test_smith_invariant_factors_divisibility():
-    factors = smith_invariant_factors([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    for a, b in zip(factors, factors[1:]):
-        assert b % a == 0
+    monkeypatch.setattr(pi2, "Pi2Class", first_mutated)
+    with pytest.raises(AssertionError, match="kernel basis"):
+        pi2.pi2_report(HodgeNumbers((1, 2, 1, 1)))
+    assert built[0].coords == mutate((1, 1, 0))
 
 
 @settings(max_examples=30, deadline=None)

@@ -13,11 +13,15 @@ its original name.
 A second guard reports every name a module imports and never mentions (the
 package root re-exports nothing, so no module is exempt), a third every
 parameter default that no call in the package overrides, a fourth every
-parameter that every call passes the same literal, and a fifth every
-annotated class field that reached code never reads.  Calls and fields are
-matched by bare name, so a field whose name another class's reached field
-shares, or a function whose name a called method shares, escapes them.
-A sixth reports every entry of the exemption lists below that names no
+default that every call overrides (it serves only callers outside the
+package), a fifth every parameter that every call passes the same literal,
+and a sixth every annotated class field that reached code never reads.  A
+call matches a function by name, and by module where the call names one: a
+bare name resolves to the module defining or importing it, and x.name to
+module x.  A method call names no module, so a function whose name a called
+method shares escapes these guards.  Fields are matched by bare name, so a
+field whose name another class's reached field shares escapes them.  A
+seventh reports every entry of the exemption lists below that names no
 definition, parameter or field in the package, so no exemption goes stale.
 """
 
@@ -32,11 +36,11 @@ PACKAGE_DIR = Path(hodge_domains.__file__).resolve().parent
 
 # Public names the CLI never calls, each kept for a stated reason.
 KEPT_API = (
-    "HorizontalVector",  # the value type the pu2n_criterion oracles build planes from
-    "TwoPlane",  # the plane the oracles test; perfbench/tracer.py hooks TwoPlane.__init__
-    "is_isotropic",  # oracle of the pu2n_criterion suite's isotropy verdicts
-    "is_regular",  # oracle of the pu2n_criterion suite's regularity verdicts
-    "is_complex_line",  # oracle of the pu2n_criterion suite's complex-line verdicts
+    # the value type of TwoPlane's spanning vectors, which tests build planes from
+    "HorizontalVector",
+    # perfbench/tracer.py names it in CLASSES and hooks TwoPlane.__init__ (its
+    # install raises without it); tests run the (1,n,1) verdicts on its vectors
+    "TwoPlane",
 )
 # Parameter defaults no call in the package overrides: main(argv=None) makes
 # argparse read sys.argv, and the console script and `python -m` call main() bare.
@@ -175,41 +179,92 @@ def test_guard_sees_an_unused_import(tmp_path):
     assert unused_imports(tmp_path) == ["__init__.X", "extra.least", "extra.os"]
 
 
+def _call_targets(module: str, tree: ast.Module, package: set):
+    """(call node, called name, module or None) for each call in the tree.  A bare
+    name resolves to the module defining or importing it (an alias to its
+    original name), and x.name to x's module when x names one; any other
+    call, such as a method call, names no module (None)."""
+    defined = {stmt.name for stmt in tree.body if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
+    imported, modules = {}, {}  # bare name -> (module, original name); alias -> module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = (node.module or "").rsplit(".", 1)[-1] if node.level else node.module
+            for alias in node.names:
+                if node.module is None and alias.name in package:  # from . import spheremesh as mod
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    imported[alias.asname or alias.name] = (source, alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                modules[alias.asname or alias.name.split(".")[0]] = alias.name
+    for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+        func = call.func
+        if isinstance(func, ast.Name):
+            source, name = imported.get(func.id, (module if func.id in defined else None, func.id))
+        elif isinstance(func, ast.Attribute):
+            source, name = modules.get(getattr(func.value, "id", None)), func.attr
+        else:
+            continue
+        yield call, name, source
+
+
 def _functions_and_calls(package_dir: Path):
-    """(functions, calls): (qualname, called name, leading parameters a call
-    does not pass, node) for each module-level function and method, and the
-    call nodes in the package by called name.  A method's position counts
-    after self, and a constructor is called by its class name."""
+    """(functions, calls): (qualname, module, called name, leading parameters
+    a call does not pass, node) for each module-level function and method,
+    and the (call node, module or None) pairs in the package by called name,
+    as _call_targets resolves them.  A method's position counts after self,
+    and a constructor is called by its class name."""
     functions, calls = [], {}
-    for module, tree in _modules(package_dir):
+    trees = dict(_modules(package_dir))
+    for module, tree in trees.items():
         for stmt in tree.body:
             if isinstance(stmt, ast.FunctionDef):
-                functions.append((f"{module}.{stmt.name}", stmt.name, 0, stmt))
+                functions.append((f"{module}.{stmt.name}", module, stmt.name, 0, stmt))
             for meth in stmt.body if isinstance(stmt, ast.ClassDef) else ():
                 if isinstance(meth, ast.FunctionDef):
                     called = stmt.name if meth.name == "__init__" else meth.name
-                    functions.append((f"{module}.{stmt.name}.{meth.name}", called, 1, meth))
-        for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
-            calls.setdefault(getattr(call.func, "id", getattr(call.func, "attr", None)), []).append(call)
+                    functions.append((f"{module}.{stmt.name}.{meth.name}", module, called, 1, meth))
+        for call, name, source in _call_targets(module, tree, set(trees)):
+            calls.setdefault(name, []).append((call, source))
     return functions, calls
 
 
-def unused_defaults(package_dir: Path = PACKAGE_DIR) -> list[str]:
-    """module.function.parameter for each parameter default of a module-level
-    function or a method that no call in the package passes, by keyword or by
-    position."""
+def _calls_of(module: str, called: str, calls: dict) -> list:
+    """The call nodes that may call module's function `called`: those by its
+    name that name its module, or no module."""
+    return [call for call, source in calls.get(called, ()) if source in (None, module)]
+
+
+def _defaults_passed(package_dir: Path):
+    """(module.function.parameter, one bool per call: whether the call
+    passes it, by keyword or by position) for each parameter default of a
+    module-level function or a method."""
     functions, calls = _functions_and_calls(package_dir)
-    out = []
-    for qualname, called, skip, node in functions:
+    for qualname, module, called, skip, node in functions:
         args = node.args
         positional = [*args.posonlyargs, *args.args]
         first = len(positional) - len(args.defaults)
         defaulted = [(i - skip, p.arg) for i, p in enumerate(positional) if i >= first]
         defaulted += [(None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-        out += [f"{qualname}.{param}" for index, param in defaulted if not any(
-            param in {k.arg for k in call.keywords} or (index is not None and index < len(call.args))
-            for call in calls.get(called, ()))]
-    return sorted(name for name in out if name not in KEPT_DEFAULTS)
+        matching = _calls_of(module, called, calls)
+        for index, param in defaulted:
+            yield f"{qualname}.{param}", [
+                param in {k.arg for k in call.keywords} or (index is not None and index < len(call.args))
+                for call in matching]
+
+
+def unused_defaults(package_dir: Path = PACKAGE_DIR) -> list[str]:
+    """module.function.parameter for each parameter default that no call in
+    the package passes."""
+    return sorted(name for name, passed in _defaults_passed(package_dir)
+                  if not any(passed) and name not in KEPT_DEFAULTS)
+
+
+def overridden_defaults(package_dir: Path = PACKAGE_DIR) -> list[str]:
+    """module.function.parameter for each parameter default that every call
+    in the package passes (there being at least one call): a default that
+    serves only callers outside the package."""
+    return sorted(name for name, passed in _defaults_passed(package_dir) if passed and all(passed))
 
 
 def test_every_default_is_passed():
@@ -224,6 +279,25 @@ def test_guard_sees_an_unused_default(tmp_path):
         "class C:\n    def __init__(self, x=0): pass\n    def m(self, y=0, z=0): pass\n"
         "X = f(0, 5), g(0, e=3), C().m(1)\n")
     assert unused_defaults(tmp_path) == ["extra.C.__init__.x", "extra.C.m.z", "extra.f.c", "extra.g.d"]
+
+
+def test_no_default_is_passed_by_every_call():
+    overridden = overridden_defaults()
+    assert not overridden, "parameter defaults every call in src/ overrides: " + ", ".join(overridden)
+
+
+def test_guard_sees_a_default_every_call_overrides(tmp_path):
+    # audit(m, g=None) in two modules: every call of extra.audit, through the
+    # module or bare, passes g; the one call of other.audit does not.  A method
+    # call names no module, so f's default is passed by o.f(1) and by f(2)
+    (tmp_path / "extra.py").write_text(
+        "def audit(m, g=None): pass\ndef f(a=0): pass\nX = audit(1, 2), f(2)\n")
+    (tmp_path / "other.py").write_text(
+        "from . import extra as extra_mod\nfrom .extra import audit as check\n"
+        "def audit(m, g=None): pass\n"
+        "def run(o): return extra_mod.audit(1, g=2), check(3, 4), audit(5), o.f(1)\n")
+    assert overridden_defaults(tmp_path) == ["extra.audit.g", "extra.f.a"]
+    assert unused_defaults(tmp_path) == ["other.audit.g"]
 
 
 def _literal(node):
@@ -241,7 +315,7 @@ def one_valued_parameters(package_dir: Path = PACKAGE_DIR) -> list[str]:
     the default.  A call that unpacks arguments passes no literal."""
     functions, calls = _functions_and_calls(package_dir)
     out = []
-    for qualname, called, skip, node in functions:
+    for qualname, module, called, skip, node in functions:
         args = node.args
         positional = [*args.posonlyargs, *args.args]
         names = [p.arg for p in positional[skip:]]
@@ -249,7 +323,7 @@ def one_valued_parameters(package_dir: Path = PACKAGE_DIR) -> list[str]:
         defaults.update((p.arg, d) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
         passed = [{**defaults, **dict(zip(names, call.args)), **{k.arg: k.value for k in call.keywords}}
                   if all(k.arg for k in call.keywords) and not any(isinstance(a, ast.Starred) for a in call.args)
-                  else {} for call in calls.get(called, ())]
+                  else {} for call in _calls_of(module, called, calls)]
         for param in names + [p.arg for p in args.kwonlyargs]:
             values = {_literal(bound.get(param)) for bound in passed}
             if len(values) == 1 and None not in values:
@@ -308,7 +382,7 @@ def stale_exemptions(package_dir: Path = PACKAGE_DIR) -> list[str]:
     module-level definition, parameter or annotated field in the package."""
     definitions, _, _ = _scan_package(package_dir)
     functions, _ = _functions_and_calls(package_dir)
-    params = {f"{qualname}.{p.arg}" for qualname, _, _, node in functions
+    params = {f"{qualname}.{p.arg}" for qualname, _, _, _, node in functions
               for p in [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]}
     fields = set(_annotated_fields(package_dir))
     return ([name for name in KEPT_API if name not in definitions]

@@ -831,7 +831,8 @@ def test_sidecar_fields():
 
 def test_audit_mesh_summary():
     t = subdivide(octahedron())
-    audit = audit_mesh(t, three_color(t))
+    coloring = three_color(t)
+    audit = audit_mesh(t, coloring, mesh_geometry(t), gluing_pattern(t, coloring))
     assert audit["even"] and audit["proper_coloring"]
     assert audit["euler_characteristic"] == 2
     assert audit["gluing_euler"] == 2
@@ -839,17 +840,19 @@ def test_audit_mesh_summary():
     assert audit["max_equidistance_residual"] < 1e-10
 
 
+# "computed": no glue, as gluing_pattern gives none for an improper coloring;
+# "passed_in": the proper coloring's glue, which must not count for this one
 @pytest.mark.parametrize("with_glue", [False, True], ids=["computed", "passed_in"])
 def test_audit_mesh_reports_improper_coloring(with_glue):
     t = octahedron()
     proper = three_color(t)
-    glue = gluing_pattern(t, proper) if with_glue else None
-    audit = audit_mesh(t, ThreeColoring((0,) * 6), glue=glue)
+    glue = gluing_pattern(t, proper)
+    audit = audit_mesh(t, ThreeColoring((0,) * 6), mesh_geometry(t), glue if with_glue else None)
     assert audit["proper_coloring"] is False
     assert audit["gluing_euler"] is None
     assert not (audit["gluing_closed"] or audit["gluing_links_single_cycles"] or audit["gluing_color_matched"])
     assert not audit_passes(audit)
     # the fields that do not depend on the coloring are those of the proper audit
-    good = audit_mesh(t, proper)
+    good = audit_mesh(t, proper, mesh_geometry(t), glue)
     same = ("even", "euler_characteristic", "circumcenters_inside", "max_equidistance_residual", "fineness")
     assert {k: audit[k] for k in same} == {k: good[k] for k in same}

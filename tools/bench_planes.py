@@ -7,7 +7,7 @@ seeds:
   per-sample seeding, the unused ``choice`` and the ``randint`` pairs of both
   spanning vectors (n pairs each on every eighth sample, 2n otherwise), as
   ``verify_pu2n_criterion`` makes them;
-* ``suite``: ``verify_pu2n_criterion(n, samples, seed)``.
+* ``suite``: ``verify_pu2n_criterion(n, samples, seed, record=None)``.
 
 The two alternate within each repeat, so host drift hits both alike.  Each
 figure is the median of the repeats, in microseconds per sample, and
@@ -25,6 +25,7 @@ root of this checkout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -76,13 +77,14 @@ def main(argv=None) -> int:
 
     from hodge_domains.horizontal import verify_pu2n_criterion
 
+    suite_fn = functools.partial(verify_pu2n_criterion, record=None)
     results = {}
     for n in SIZES:
-        verify_pu2n_criterion(n, 50, SEED)  # fill the per-ranks caches before timing
+        suite_fn(n, 50, SEED)  # fill the per-ranks caches before timing
         draws, suite = [], []
         for _ in range(REPEATS):
             draws.append(per_sample_us(bare_draws, n, SAMPLES, SEED))
-            suite.append(per_sample_us(verify_pu2n_criterion, n, SAMPLES, SEED))
+            suite.append(per_sample_us(suite_fn, n, SAMPLES, SEED))
         d, s = statistics.median(draws), statistics.median(suite)
         results[str(n)] = {
             "draws_us": round(d, 2),
