@@ -202,10 +202,7 @@ def is_zero_matrix(a) -> bool:
 def _cleared(v) -> tuple[int, list[int], list[int]]:
     """(l, re, im): the lcm l of the denominators of the entries of v (ints,
     Fractions or GaussianRationals) and the integer parts of l * v."""
-    types = set(map(type, v))
-    if types <= {int}:
-        return 1, list(v), [0] * len(v)
-    if types != {GaussianRational}:
+    if set(map(type, v)) != {GaussianRational}:
         v = [_coerce(x) for x in v]
     l = lcm(*(z.d for z in v))
     return l, [z.a * (l // z.d) for z in v], [z.b * (l // z.d) for z in v]

@@ -172,8 +172,6 @@ def _regular(ranks: HodgeNumbers, u: Sequence[tuple[int, int]], w: Sequence[tupl
     its entries are ints.
     """
     getters = _regularity_rows(ranks)
-    if not getters:
-        return True
     rows = []
     for s in (u, w):
         flat = [*chain.from_iterable(s)]

@@ -15,7 +15,7 @@ and the directed edge u -> v by u * V + v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import starmap
 from typing import Iterable, Optional
 
@@ -31,7 +31,7 @@ class MeshInvariantError(ValueError):
 
 
 class NotThreeColorableError(ValueError):
-    """Propagation produced no proper 3-coloring (the mesh is not even)."""
+    """A coloring is not a proper 3-coloring of the mesh."""
 
 
 class DegenerateFaceError(ValueError):
@@ -228,19 +228,16 @@ def subdivide(tri: SphericalTriangulation) -> SphericalTriangulation:
 
 @dataclass(frozen=True)
 class ThreeColoring:
-    colors: tuple  # vertex -> 0 | 1 | 2
-    # the mesh three_color verified this coloring on; later checks on it are skipped
-    verified_for: Optional[SphericalTriangulation] = field(default=None, compare=False, repr=False)
+    colors: tuple  # vertex -> 0 | 1 | 2 (other values only where the mesh is not even)
 
 
 def three_color(tri: SphericalTriangulation) -> ThreeColoring:
-    """Proper 3-coloring of an even triangulation by dual-tree propagation.
+    """The 3-coloring by dual-tree propagation, proper on an even triangulation.
 
     Colors the first face (0, 1, 2) and propagates over a frontier of faces
     across shared edges (the third vertex of a neighboring face is forced), so
-    each face is reached once.  The final global verification is the source
-    of truth; its failure raises NotThreeColorableError, which on even sphere
-    triangulations never happens.
+    each face is reached once.  audit_mesh verifies the result, which on a
+    mesh that is not even is improper, so the audit fails.
     """
     f = tri.face_array
     across = tri.edge_faces[tri.face_edges, 0]
@@ -259,16 +256,12 @@ def three_color(tri: SphericalTriangulation) -> ThreeColoring:
         t = (f[g].sum(axis=1) - rows.ravel() - rows[:, (1, 2, 0)].ravel())[fresh]
         ends = colors[rows]
         ca, cb = ends.ravel()[fresh], ends[:, (1, 2, 0)].ravel()[fresh]
-        paint = colors[t] < 0  # a non-even mesh may get junk here; the verification rejects it
+        paint = colors[t] < 0  # a non-even mesh may get junk here; the audit rejects it
         colors[t[paint]] = 3 - ca[paint] - cb[paint]
         frontier = np.sort(g[fresh])  # deduplicated without np.unique, which imports numpy.ma
         frontier = frontier[np.diff(frontier, prepend=-1) != 0]
         reached[frontier] = True
-    if np.any(colors < 0):
-        raise NotThreeColorableError("propagation left vertices uncolored")
-    coloring = ThreeColoring(tuple(colors.tolist()))
-    verify_coloring(tri, coloring)
-    return ThreeColoring(coloring.colors, verified_for=tri)
+    return ThreeColoring(tuple(colors.tolist()))
 
 
 def verify_coloring(tri: SphericalTriangulation, coloring: ThreeColoring) -> None:
@@ -287,12 +280,6 @@ def verify_coloring(tri: SphericalTriangulation, coloring: ThreeColoring) -> Non
     mixed = np.any(np.sort(corner_colors, axis=1) != (0, 1, 2), axis=1)
     if mixed.any():
         raise NotThreeColorableError(f"face {tuple(f[int(np.argmax(mixed))].tolist())} is not trichromatic")
-
-
-def _check_coloring(tri: SphericalTriangulation, coloring: ThreeColoring) -> None:
-    """verify_coloring, unless three_color already verified this coloring on tri."""
-    if coloring.verified_for is not tri:
-        verify_coloring(tri, coloring)
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +380,8 @@ def _component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def gluing_pattern(tri: SphericalTriangulation, coloring: ThreeColoring) -> GluingPolyhedron:
-    """Assemble the edge identifications of the glued polyhedron and audit
-    that it is a closed surface of Euler characteristic 2."""
-    _check_coloring(tri, coloring)
+    """Assemble the edge identifications of the glued polyhedron and the
+    counts audit_mesh judges, which are meaningful for a proper coloring."""
     color_pairs = np.array(coloring.colors, dtype=np.int64)[tri.edges]
     color_pairs.sort(axis=1)
 
@@ -434,11 +420,11 @@ def audit_mesh(
 ) -> dict:
     """The full battery of checks that mesh export runs on the mesh, its
     coloring, its mesh_geometry and its gluing_pattern; meshaudit.audit_mesh
-    builds the same dict without numpy for verify's mesh suite.  An improper
-    coloring has no glued polyhedron (gluing_pattern raises, so glue is
-    None), and any glue given with it is ignored: its gluing fields fail."""
+    builds the same dict without numpy for verify's mesh suite.  The coloring
+    is verified here.  An improper coloring has no glued polyhedron, so any
+    glue given with it is ignored: its gluing fields fail."""
     try:
-        _check_coloring(tri, coloring)
+        verify_coloring(tri, coloring)
         proper = True
     except NotThreeColorableError:
         proper = False

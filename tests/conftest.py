@@ -117,3 +117,18 @@ def reference_is_kernel_basis(claimed: Sequence[Sequence[int]], k: int) -> bool:
     return (len(claimed) == k - 1
             and all(sum((-1) ** i * x for i, x in enumerate(c)) == 0 for c in claimed)
             and reference_hermite_normal_form([*claimed, e0]) == identity)
+
+
+def flip(faces, u, v):
+    """The faces with the edge (u, v) flipped: its faces (u, v, x) and
+    (v, u, y) become (x, u, y) and (y, v, x)."""
+    kept, third = [], {}
+    for face in faces:
+        turns = [face[r:] + face[:r] for r in range(3)]
+        ends = [t[2] for t in turns if t[:2] in ((u, v), (v, u))]
+        if ends:
+            third[(u, v) in (t[:2] for t in turns)] = ends[0]
+        else:
+            kept.append(face)
+    x, y = third[True], third[False]
+    return kept + [(x, u, y), (y, v, x)]

@@ -519,6 +519,16 @@ def test_mesh_export_verifies_the_coloring_once(tmp_path, monkeypatch):
     assert code == EXIT_OK and len(calls) == 1
 
 
+def test_mesh_with_an_improper_coloring_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    import hodge_domains.spheremesh as spheremesh
+
+    # the coloring of a mesh that is not even: the audit, not three_color, rejects it
+    monkeypatch.setattr(spheremesh, "three_color", lambda tri: spheremesh.ThreeColoring((0,) * tri.num_vertices))
+    assert main(["mesh", "--subdivisions", "1", "--out", str(tmp_path / "m.off")]) == EXIT_SUITE_FAILURE
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr() == ("", "mesh audit failed; nothing written\n")
+
+
 # -- subprocess smoke ---------------------------------------------------------------
 
 

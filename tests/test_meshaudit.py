@@ -16,6 +16,7 @@ from hodge_domains.meshaudit import (
     subdivide,
     three_color,
 )
+from conftest import flip
 from test_spheremesh import BAD_LINKS, CORRUPTED, outcome
 
 _CHAIN = []
@@ -164,21 +165,6 @@ def test_improper_coloring_fails_the_audit(colors):
     tri = spheremesh.octahedron()
     theirs = spheremesh.audit_mesh(tri, spheremesh.ThreeColoring(colors), spheremesh.mesh_geometry(tri), None)
     assert_same_audit(ours, theirs)
-
-
-def flip(faces, u, v):
-    """The faces with the edge (u, v) flipped: its faces (u, v, x) and
-    (v, u, y) become (x, u, y) and (y, v, x)."""
-    kept, third = [], {}
-    for face in faces:
-        turns = [face[r:] + face[:r] for r in range(3)]
-        ends = [t[2] for t in turns if t[:2] in ((u, v), (v, u))]
-        if ends:
-            third[(u, v) in (t[:2] for t in turns)] = ends[0]
-        else:
-            kept.append(face)
-    x, y = third[True], third[False]
-    return kept + [(x, u, y), (y, v, x)]
 
 
 def test_odd_mesh_fails_the_audit():

@@ -1,47 +1,145 @@
-"""Dead-code guard: src/ keeps only what the package runs.
+"""Dead-code guards: every line of src/ runs, or says why not.
 
-Parses every module of ``hodge_domains`` and collects what is reachable from
-the command line entry point ``cli.main``, from module-level statements
-(tables such as ``cli._SUITES``, aliases such as ``Qi = ...``) and from the
-few names in KEPT_API below.  A reached function reaches every name it
-mentions; a reached class reaches its bases, decorators, class-level
-statements and dunder methods.  A module-level definition is reached by its
-bare name or by an attribute access ``x.name``, a class member only by an
-attribute access, and an import alias (``bracket as mat_bracket``) counts as
-its original name.
+The line guard runs GRID, a fixed set of command lines, through ``cli.main``
+in a fresh interpreter under ``sys.settrace``, installed before the package
+is imported so that module-level lines count.  It compares the lines that ran
+with the ``co_lines()`` of every compiled module and its nested code objects.
+A line that never ran must be exempt by its syntax (a ``raise``, a block that
+ends in one, the ``except`` line of a handler that re-raises, the body of
+``if __name__ == "__main__"``) or be named, with a reason, by KEPT_LINES; an
+entry that names no line, or a line that ran, is stale.  A definition that
+``cli.main`` never reaches never runs, so this guard sees dead functions,
+dead methods and dead dunders, and also dead branches; it cannot see a
+method-less class that nothing builds, whose class body still runs at import.
 
-A second guard reports every name a module imports and never mentions (the
-package root re-exports nothing, so no module is exempt), a third every
-parameter default that no call in the package overrides, a fourth every
-default that every call overrides (it serves only callers outside the
-package), a fifth every parameter that every call passes the same literal,
-and a sixth every annotated class field that reached code never reads.  A
-call matches a function by name, and by module where the call names one: a
-bare name resolves to the module defining or importing it, and x.name to
-module x.  A method call names no module, so a function whose name a called
-method shares escapes these guards.  Fields are matched by bare name, so a
-field whose name another class's reached field shares escapes them.  A
-seventh reports every entry of the exemption lists below that names no
-definition, parameter or field in the package, so no exemption goes stale.
+The static guards parse the modules.  One reports every name a module
+imports and never mentions (the package root re-exports nothing, so no module
+is exempt), one every parameter default that no call in the package
+overrides, one every default that every call overrides (it serves only
+callers outside the package), one every parameter that every call passes the
+same literal, and one every annotated class field that nothing in the
+package reads, which catches the method-less class above.  A call matches a
+function by name, and by module where the call names one: a bare name
+resolves to the module defining or importing it, and x.name to module x.  A
+method call names no module, so a function whose name a called method shares
+escapes the call guards.  Fields are matched by bare name, so a field whose
+name any attribute read in the package shares escapes the field guard.  The
+last reports every entry of KEPT_DEFAULTS and KEPT_FIELDS that names no
+parameter or field in the package, so no exemption goes stale.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
+import json
+import subprocess
+import sys
+import tempfile
+import types
 from pathlib import Path
+
+from conftest import cli_env
 
 import hodge_domains
 
 PACKAGE_DIR = Path(hodge_domains.__file__).resolve().parent
 
-# Public names the CLI never calls, each kept for a stated reason.
-KEPT_API = (
-    # the value type of TwoPlane's spanning vectors, which tests build planes from
-    "HorizontalVector",
-    # perfbench/tracer.py names it in CLASSES and hooks TwoPlane.__init__ (its
-    # install raises without it); tests run the (1,n,1) verdicts on its vectors
-    "TwoPlane",
+# (exit code, argv) for each command the line guard runs: every suite of
+# verify, both report formats, every output option, the mesh export in both
+# formats, and invalid inputs.  (3,1,3) is there for class_closure_oracle's
+# reverse shift, which no other tuple here needs.
+GRID = (
+    *((0, ["verify", "--ranks", ranks, "--samples", "20"])
+      for ranks in ("1,1", "1,1,1", "1,2,1", "2,1,2", "2,2,2", "1,2,1,1", "3,1,3")),
+    *((0, ["report", "--ranks", ranks, "--format", fmt]) for ranks in ("1,2,1", "2,1,2") for fmt in ("json", "text")),
+    (0, ["report", "--ranks", "2,2,2", "--out", "report.json"]),
+    (0, ["verify", "--ranks", "2,2", "--samples", "5", "--format", "text"]),
+    (0, ["verify", "--ranks", "1,2,1", "--samples", "5", "--classify-out", "planes.jsonl", "--out", "verify.json"]),
+    *((0, ["mesh", "--subdivisions", str(s), "--format", fmt, "--out", f"mesh{s}.off"])
+      for s in range(3) for fmt in ("off", "json")),
+    (2, ["report", "--ranks", "1,x"]),
+    (2, ["report", "--ranks", "1"]),
+    (2, ["report", "--ranks", "1,0"]),
+    (3, ["report", "--ranks", "11,10"]),
+    (2, ["report", "--ranks", "1,2,1", "--out", "missing/report.json"]),
+    (2, ["verify", "--ranks", "1,2,1", "--samples", "0"]),
+    (3, ["verify", "--ranks", "1,2,1", "--samples", "1000001"]),
+    (2, ["verify", "--ranks", "2,2", "--classify-out", "planes.jsonl"]),
+    (2, ["verify", "--ranks", "1,2,1", "--out", "same.json", "--classify-out", "same.json"]),
+    (2, ["verify", "--ranks", "1,2,1", "--out", "missing/verify.json"]),
+    (2, ["mesh", "--subdivisions", "-1"]),
+    (3, ["mesh", "--subdivisions", "9"]),
+    (2, ["mesh", "--out", "mesh.json"]),
+    (2, ["mesh", "--out", "missing/mesh.off"]),
 )
+
+# Lines no GRID command runs, each kept for a stated reason.  A key
+# "module.Qualname" names every line of that function's body, and of the
+# functions nested in it or, for a class, of its methods; a key
+# "module.Qualname: source line" names the lines of that body whose text,
+# stripped, is the source line.
+_FAILING = "a failing verdict, which the grid's passing runs never reach; tests reach it"
+_ORACLE = ("part of the scalar type's arithmetic, which the test oracles compute with (tests fail without "
+           "__sub__, __rsub__, __rtruediv__ and the int and Fraction branches of __eq__)")
+KEPT_LINES = {
+    "horizontal.HorizontalVector": "the value type of TwoPlane's spanning vectors, which tests build planes from",
+    "horizontal.TwoPlane": "perfbench/tracer.py names it in CLASSES and hooks TwoPlane.__init__ (its install "
+                           "raises without it); tests run the (1,n,1) verdicts on its vectors",
+    **dict.fromkeys((
+        "cli.run_verify: except Exception as exc:  # a crashing suite is a failing suite",
+        'cli.run_verify: passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}',
+        "cli.export_mesh: return EXIT_SUITE_FAILURE, []",
+        'cli.main: sys.stderr.write("mesh audit failed; nothing written\\n")',
+        "horizontal.su22_embedding: return False",
+        "meshaudit.levels_pass: return False",
+        "spheremesh.audit_mesh: except NotThreeColorableError:",
+        "spheremesh.audit_mesh: proper = False",
+    ), _FAILING),
+    **dict.fromkeys((
+        'exactla.hermitian_definiteness: return "positive"  # empty form, vacuously definite either way',
+        'exactla.hermitian_definiteness: return "degenerate"',
+        'exactla.hermitian_definiteness: return "indefinite"',
+        "exactla.hermitian_definiteness: if all((re < 0) == (k % 2 == 0) for k, (re, _) in enumerate(pivots)):",
+        'exactla.hermitian_definiteness: return "negative"',
+    ), "the verdicts that fail the flags suite's check of a projection; tests compare each with leading minors, "
+       "and perfbench/test_bench.py asserts calls to the function"),
+    **dict.fromkeys((
+        "domain.perturbed_flag: except ValueError:",
+        "domain.perturbed_flag: scale = scale / 4",
+        "domain.perturbed_flag: continue",
+    ), "perturbed_flag draws a perturbation that leaves the flag degenerate or outside the domain again, "
+       "smaller; the grid's seeds never need it, and a test forces it"),
+    **dict.fromkeys((
+        "exactla.GaussianRational.__sub__",
+        "exactla.GaussianRational.__rsub__",
+        "exactla.GaussianRational.__rtruediv__",
+        "exactla.GaussianRational.__eq__: if isinstance(other, int):",
+        "exactla.GaussianRational.__eq__: return self.b == 0 and self.d == 1 and self.a == other",
+        "exactla.GaussianRational.__eq__: if isinstance(other, Fraction):",
+        "exactla.GaussianRational.__eq__: return self.b == 0 and self.a == other.numerator and "
+        "self.d == other.denominator",
+        "exactla.GaussianRational.__eq__: return NotImplemented",
+    ), _ORACLE),
+    "exactla.GaussianRational.__hash__": "defining __eq__ drops the inherited hash; this one agrees with __eq__ on "
+                                          "ints and Fractions, which tests check",
+    "exactla.GaussianRational.__reduce__": "copy and pickle go through it (the default restore would hit the "
+                                           "raising __setattr__); tests round-trip scalars",
+    "exactla.GaussianRational.re": "perfbench/tracer.py's _bits reads it, and __hash__ and __repr__ use it",
+    "exactla.GaussianRational.im": "perfbench/tracer.py's _bits reads it, and __hash__ and __repr__ use it",
+    "exactla.GaussianRational.__repr__": "error messages and failure reports print scalars; a test pins it",
+    "pi2.Pi2Class.__repr__": "the short form pytest prints when a comparison of classes in the tests fails",
+    "rootcalc.RootVector.__repr__": "the bracket certificate's repr, which a test pins, prints its witness "
+                                    "roots, and so do pi2's error messages",
+    "exactla._cleared: v = [_coerce(x) for x in v]":
+        "the kernels take ints and Fractions among Gaussian rationals, as their docstrings say; tests pass them",
+    "exactla.nullspace: return []": "an empty matrix has no row to count the columns by; tests pin nullspace([])",
+    "horizontal._independent: return False": "a zero first vector, which a draw of the (1,n,1) suite can give "
+                                             "(with probability at most 49**-n)",
+    "spheremesh._corner_edge": "names the edge in the constructor's error messages, which only bad meshes reach",
+    "spheremesh._face_array: return np.array(rows, dtype=np.int64).reshape(-1, 3), face":
+        "hands the first bad face to the constructor, which raises naming it; only bad meshes reach it",
+}
 # Parameter defaults no call in the package overrides: main(argv=None) makes
 # argparse read sys.argv, and the console script and `python -m` call main() bare.
 # It is also the one parameter every call passes the same value, None.
@@ -52,6 +150,53 @@ KEPT_FIELDS = (
     "rootcalc.LevelCertificate.witnesses",
 )
 
+# The child process of the line guard: argv[1] is the package directory and
+# argv[2] the JSON list of command lines.  A code object stops being traced
+# once each of its lines has run.  It prints the lines that ran, by file, and
+# the exit codes.
+_TRACER = r"""
+import contextlib, importlib, io, json, os, sys
+root, grid = sys.argv[1], json.loads(sys.argv[2])
+sys.path.insert(0, os.path.dirname(root))
+prefix = root + os.sep
+ran, left = {}, {}  # file -> lines that ran; code object -> its lines that have not
+
+def on_line(frame, event, arg):
+    if event == "line":
+        lines = left[frame.f_code]
+        lines.discard(frame.f_lineno)
+        ran[frame.f_code.co_filename].add(frame.f_lineno)
+        if not lines:
+            return None
+    return on_line
+
+def on_call(frame, event, arg):
+    code = frame.f_code
+    lines = left.get(code)
+    if lines is None:
+        ours = code.co_filename.startswith(prefix)
+        lines = left[code] = {line for _, _, line in code.co_lines() if line} if ours else set()
+        if ours:
+            ran.setdefault(code.co_filename, set())
+    if not lines:
+        return None
+    lines.discard(frame.f_lineno)
+    ran[code.co_filename].add(frame.f_lineno)
+    return on_line
+
+sys.settrace(on_call)
+cli = importlib.import_module(os.path.basename(root) + ".cli")
+codes = []
+for argv in grid:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+sys.settrace(None)
+print(json.dumps({"ran": {path: sorted(lines) for path, lines in ran.items()}, "codes": codes}))
+"""
+
 
 def _modules(package_dir: Path):
     """(module name, syntax tree) for every module of the package."""
@@ -59,95 +204,155 @@ def _modules(package_dir: Path):
         yield path.stem, ast.parse(path.read_text(), filename=str(path))
 
 
-def _is_dunder(name: str) -> bool:
-    return name.startswith("__") and name.endswith("__")
+def _run_grid(package_dir: Path, argvs: list) -> tuple[dict, list]:
+    """(file -> set of lines that ran, exit codes) of package.cli.main run on
+    each argv by _TRACER, in an empty working directory."""
+    with tempfile.TemporaryDirectory() as cwd:
+        res = subprocess.run([sys.executable, "-c", _TRACER, str(package_dir), json.dumps(argvs)],
+                             capture_output=True, text=True, env=cli_env(), cwd=cwd, timeout=120)
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout.splitlines()[-1])
+    return {path: set(lines) for path, lines in out["ran"].items()}, out["codes"]
 
 
-def _mentioned(nodes, aliases: dict) -> set:
-    """Every bare name under the nodes, aliases resolved, and every attribute
-    access x.name as ".name"."""
+def _code_objects(code: types.CodeType, qualname: str = "<module>"):
+    """(qualified name, code object) for code and each code object nested in
+    it, outermost first."""
+    yield qualname, code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            scope = "" if qualname == "<module>" else qualname + (
+                ".<locals>." if code.co_flags & inspect.CO_OPTIMIZED else ".")
+            yield from _code_objects(const, scope + const.co_name)
+
+
+def _owners(path: Path) -> dict:
+    """line -> (qualified name, whether a function) of the outermost code
+    object of the module whose co_lines include the line: a def line belongs
+    to the code that runs the def, a body line to the function."""
+    owners = {}
+    for qualname, code in _code_objects(compile(path.read_text(), str(path), "exec")):
+        for _, _, line in code.co_lines():
+            if line:
+                owners.setdefault(line, (qualname, bool(code.co_flags & inspect.CO_OPTIMIZED)))
+    return owners
+
+
+def _exempt_lines(tree: ast.Module) -> set:
+    """The lines that need not run: every line of a raise statement, of a
+    block (not a function body) whose last statement is a raise, the except
+    line of a handler that is such a block, and the body of
+    `if __name__ == "__main__"`."""
     out = set()
-    for node in nodes:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                out.add(aliases.get(sub.id, sub.id))
-            elif isinstance(sub, ast.Attribute) and not isinstance(sub.ctx, ast.Store):
-                out.add("." + sub.attr)
-            elif isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "getattr":
-                out.update("." + a.value for a in sub.args[1:2] if isinstance(a, ast.Constant))
+
+    def cover(stmts):
+        out.update(line for stmt in stmts for line in range(stmt.lineno, stmt.end_lineno + 1))
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise):
+            cover([node])
+        elif isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'":
+            cover(node.body)
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        for block in (getattr(node, name, None) for name in ("body", "orelse", "finalbody")):
+            if isinstance(block, list) and block and isinstance(block[-1], ast.Raise):
+                cover(block)
+                if isinstance(node, ast.ExceptHandler):
+                    out.add(node.lineno)
     return out
 
 
-def _scan_package(package_dir: Path):
-    """(definitions, roots, aliases): definitions maps each name that reaches
-    a definition (a bare name or ".name") to the (qualified name, nodes to
-    scan once reached) pairs it reaches."""
-    definitions: dict[str, list] = {}
-    roots: list = []
-    aliases: dict[str, str] = {}
-    for module, tree in _modules(package_dir):
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    if alias.asname:
-                        aliases[alias.asname] = alias.name.rsplit(".", 1)[-1]
-        for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for key in (stmt.name, "." + stmt.name):
-                    definitions.setdefault(key, []).append((f"{module}.{stmt.name}", [stmt]))
-            elif isinstance(stmt, ast.ClassDef):
-                methods = [s for s in stmt.body if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))]
-                named = [s for s in methods if not _is_dunder(s.name)]
-                body = [s for s in stmt.body if s not in named]
-                nodes = [*stmt.decorator_list, *stmt.bases, *stmt.keywords, *body]
-                for key in (stmt.name, "." + stmt.name):
-                    definitions.setdefault(key, []).append((f"{module}.{stmt.name}", nodes))
-                for meth in named:
-                    qualname = f"{module}.{stmt.name}.{meth.name}"
-                    definitions.setdefault("." + meth.name, []).append((qualname, [meth]))
-            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
-                roots.append(stmt)
-    return definitions, roots, aliases
+def _named_lines(key: str, module: str, owners: dict, source: list) -> set:
+    """The lines of the module that the KEPT_LINES key names."""
+    name, _, text = key.partition(": ")
+    key_module, _, qualname = name.partition(".")
+    if key_module != module:
+        return set()
+    if text:
+        return {line for line, (owner, _) in owners.items() if owner == qualname and source[line - 1].strip() == text}
+    return {line for line, (owner, function) in owners.items()
+            if function and (owner + ".").startswith(qualname + ".")}
 
 
-def reached_names(package_dir: Path = PACKAGE_DIR) -> tuple[set, dict]:
-    """(every name and ".name" reached from main, module-level code and
-    KEPT_API, the definitions of _scan_package)."""
-    definitions, roots, aliases = _scan_package(package_dir)
-    reached: set[str] = set()
-    todo = ["main", *KEPT_API, *_mentioned(roots, aliases)]
-    while todo:
-        name = todo.pop()
-        if name in reached:
-            continue
-        reached.add(name)
-        for _, nodes in definitions.get(name, ()):
-            todo.extend(_mentioned(nodes, aliases) - reached)
-    return reached, definitions
+def unrun_lines(package_dir: Path = PACKAGE_DIR, grid=GRID, kept=KEPT_LINES) -> list[str]:
+    """What the line guard finds, with the package's cli.main run on each
+    command line of grid: each command whose exit code is not the one grid
+    gives; each line that no command ran, that _exempt_lines does not exempt
+    and no entry of kept names, as "module.Qualname: line (line number)";
+    and each entry of kept that names no line, or a line that ran."""
+    ran, codes = _run_grid(package_dir, [argv for _, argv in grid])
+    found = [f"exit {code}, not {want}: {' '.join(argv)}" for (want, argv), code in zip(grid, codes) if code != want]
+    named = {key: set() for key in kept}  # key -> {whether a line it names ran}
+    for path in sorted(package_dir.glob("*.py")):
+        text = path.read_text()
+        source, owners, hit = text.splitlines(), _owners(path), ran.get(str(path), set())
+        covered = _exempt_lines(ast.parse(text))
+        for key in kept:
+            lines = _named_lines(key, path.stem, owners, source)
+            named[key] |= {line in hit for line in lines}
+            covered |= lines
+        found += [f"{path.stem}.{owners[line][0]}: {source[line - 1].strip()} (line {line})"
+                  for line in sorted(owners.keys() - hit - covered)]
+    found += [f"KEPT_LINES entry {key!r} names no line" for key, lines in named.items() if not lines]
+    found += [f"KEPT_LINES entry {key!r} names a line that ran" for key, lines in named.items() if True in lines]
+    return found
 
 
-def unreachable_definitions(package_dir: Path = PACKAGE_DIR) -> list[str]:
-    reached, definitions = reached_names(package_dir)
-    alive = {qualname for name in reached for qualname, _ in definitions.get(name, ())}
-    return sorted({qualname for defs in definitions.values() for qualname, _ in defs} - alive)
+def test_every_line_runs_or_is_kept():
+    found = unrun_lines()
+    assert not found, "lines of src/ that GRID never runs, unexplained:\n" + "\n".join(found)
 
 
-def test_every_definition_is_reachable():
-    dead = unreachable_definitions()
-    assert not dead, "defined in src/ but reachable from neither cli.main nor KEPT_API: " + ", ".join(dead)
+def _package(tmp_path: Path, cli: str) -> Path:
+    """A package `planted` in tmp_path whose cli module has the given source."""
+    package = tmp_path / "planted"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(cli)
+    return package
+
+
+def test_guard_sees_a_line_that_never_runs(tmp_path):
+    # main's `return 9` never runs, nor does its error branch, whose message
+    # and raise are exempt; the command expecting exit 1 gets 0
+    package = _package(tmp_path, (
+        "def main(argv):\n"
+        "    if argv == ['never']:\n"
+        "        return 9\n"
+        "    if not argv:\n"
+        "        message = 'no arguments'\n"
+        "        raise ValueError(message)\n"
+        "    return 0\n"))
+    assert unrun_lines(package, [(0, ["go"]), (1, ["go"])], {}) == [
+        "exit 0, not 1: go", "cli.main: return 9 (line 3)"]
 
 
 def test_guard_sees_a_dead_definition(tmp_path):
-    # a module with one called and one uncalled helper
-    (tmp_path / "extra.py").write_text("def used():\n    return 1\n\nX = used()\n\ndef unused_helper():\n    return 2\n")
-    assert unreachable_definitions(tmp_path) == ["extra.unused_helper"]
+    # helper is never called and Box.__repr__ never runs; the static walker
+    # this guard replaced took every dunder of a reached class for reached
+    package = _package(tmp_path, (
+        "class Box:\n"
+        "    def __init__(self, x):\n"
+        "        self.x = x\n"
+        "    def __repr__(self):\n"
+        "        return f'Box({self.x})'\n"
+        "def helper():\n"
+        "    return 2\n"
+        "def main(argv):\n"
+        "    return Box(0).x\n"))
+    assert unrun_lines(package, [(0, [])], {}) == [
+        "cli.Box.__repr__: return f'Box({self.x})' (line 5)", "cli.helper: return 2 (line 7)"]
+    assert unrun_lines(package, [(0, [])], {"cli.Box.__repr__": "kept", "cli.helper: return 2": "kept"}) == []
 
 
-def test_guard_reaches_a_member_only_by_attribute(tmp_path):
-    # the bare name size() calls the function, not the method of the same name
-    (tmp_path / "extra.py").write_text(
-        "class A:\n    def used(self): pass\n    def size(self): pass\ndef size(): pass\nX = size(), A().used()\n")
-    assert unreachable_definitions(tmp_path) == ["extra.A.size"]
+def test_line_guard_sees_a_stale_exemption(tmp_path):
+    # `return 0` ran, `return 1` is no line of main, and `gone` names nothing
+    package = _package(tmp_path, "def main(argv):\n    return 0\n")
+    kept = {"cli.main: return 0": "ran", "cli.main: return 1": "edited away", "cli.gone": "deleted"}
+    assert unrun_lines(package, [(0, [])], kept) == [
+        "KEPT_LINES entry 'cli.main: return 1' names no line", "KEPT_LINES entry 'cli.gone' names no line",
+        "KEPT_LINES entry 'cli.main: return 0' names a line that ran"]
 
 
 def unused_imports(package_dir: Path = PACKAGE_DIR) -> list[str]:
@@ -340,10 +545,17 @@ def _annotated_fields(package_dir: Path) -> list[str]:
 
 def unread_fields(package_dir: Path = PACKAGE_DIR) -> list[str]:
     """module.Class.field for each annotated field of a class in the package
-    that reached code never reads, by x.field or getattr(x, "field", ...)."""
-    reached, _ = reached_names(package_dir)
+    whose name nothing in the package reads, by x.field or
+    getattr(x, "field", ...)."""
+    read = set()
+    for _, tree in _modules(package_dir):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                read.add(node.attr)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr":
+                read.update(arg.value for arg in node.args[1:2] if isinstance(arg, ast.Constant))
     return sorted(name for name in _annotated_fields(package_dir)
-                  if "." + name.rsplit(".", 1)[1] not in reached and name not in KEPT_FIELDS)
+                  if name.rsplit(".", 1)[1] not in read and name not in KEPT_FIELDS)
 
 
 def test_no_parameter_is_one_valued():
@@ -364,29 +576,29 @@ def test_guard_sees_a_one_valued_parameter(tmp_path):
 
 def test_every_field_is_read():
     unread = unread_fields()
-    assert not unread, "fields no reached code in src/ reads: " + ", ".join(unread)
+    assert not unread, "fields nothing in src/ reads: " + ", ".join(unread)
 
 
 def test_guard_sees_an_unread_field(tmp_path):
-    # a is read, b only through getattr, c only written; D is never reached
+    # a is read, b only through getattr, c only written; D is a method-less
+    # dataclass that nothing builds, whose class body runs at import all the same
     (tmp_path / "extra.py").write_text(
+        "from dataclasses import dataclass\n"
         "class R:\n    a: int\n    b: int\n    c: int\n"
-        "class D:\n    e: int\n"
+        "@dataclass\nclass D:\n    e: int\n"
         "def use(r):\n    r.c = r.a\n    return getattr(r, 'b', 0)\n"
         "X = use(R())\n")
     assert unread_fields(tmp_path) == ["extra.D.e", "extra.R.c"]
 
 
 def stale_exemptions(package_dir: Path = PACKAGE_DIR) -> list[str]:
-    """Each entry of KEPT_API, KEPT_DEFAULTS and KEPT_FIELDS that names no
-    module-level definition, parameter or annotated field in the package."""
-    definitions, _, _ = _scan_package(package_dir)
+    """Each entry of KEPT_DEFAULTS and KEPT_FIELDS that names no parameter or
+    annotated field in the package."""
     functions, _ = _functions_and_calls(package_dir)
     params = {f"{qualname}.{p.arg}" for qualname, _, _, _, node in functions
               for p in [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]}
     fields = set(_annotated_fields(package_dir))
-    return ([name for name in KEPT_API if name not in definitions]
-            + [name for name in KEPT_DEFAULTS if name not in params]
+    return ([name for name in KEPT_DEFAULTS if name not in params]
             + [name for name in KEPT_FIELDS if name not in fields])
 
 
@@ -398,4 +610,4 @@ def test_every_exemption_names_code():
 def test_guard_sees_a_stale_exemption(tmp_path):
     # a package that defines none of the exempted names; its main is in another module
     (tmp_path / "extra.py").write_text("def main(args=None): pass\n")
-    assert stale_exemptions(tmp_path) == [*KEPT_API, *KEPT_DEFAULTS, *KEPT_FIELDS]
+    assert stale_exemptions(tmp_path) == [*KEPT_DEFAULTS, *KEPT_FIELDS]

@@ -8,7 +8,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from hodge_domains import wire
+from conftest import flip
+from hodge_domains import meshaudit, wire
 from hodge_domains.meshaudit import audit_passes
 from hodge_domains.spheremesh import (
     DegenerateFaceError,
@@ -119,18 +120,25 @@ def test_coloring_proper_up_to_five_subdivisions():
 
 def test_non_even_mesh_not_colorable():
     # Flip one edge of the octahedron: still a valid closed surface, but four
-    # vertices acquire odd degree.
+    # vertices acquire odd degree, so the propagated coloring is improper.
     t = octahedron()
-    faces = t.face_array.tolist()
-    faces.remove([0, 1, 2])
-    faces.remove([1, 3, 2])
-    faces.extend([(0, 1, 3), (0, 3, 2)])
+    faces = flip([tuple(face) for face in t.face_array.tolist()], 1, 2)
     flipped = SphericalTriangulation(t.vertices, faces)
     assert not flipped.is_even()
     with pytest.raises(NotThreeColorableError):
-        three_color(flipped)
+        verify_coloring(flipped, three_color(flipped))
     with pytest.raises(NotThreeColorableError):
         reference_three_color(ReferenceTriangulation(t.vertices, faces))
+    # Both audits fail it.  The flipped octahedron has an antipodal edge, so
+    # no circumcircle geometry: flip an edge of the subdivided octahedron.
+    tri = subdivide(t)
+    faces = flip([tuple(face) for face in tri.face_array.tolist()], *tri.edges[0].tolist())
+    odd, mesh = SphericalTriangulation(tri.vertices, faces), meshaudit.Mesh(tri.vertices.tolist(), faces)
+    coloring = three_color(odd)
+    theirs = audit_mesh(odd, coloring, mesh_geometry(odd), gluing_pattern(odd, coloring))
+    ours = meshaudit.audit_mesh(mesh, meshaudit.three_color(mesh))
+    for audit in (theirs, ours):
+        assert not audit["even"] and audit["proper_coloring"] is False and not audit_passes(audit)
 
 
 def test_verify_coloring_rejects_monochromatic_edge():
@@ -196,11 +204,13 @@ def test_gluing_color_pairs_match_by_construction():
 
 
 def test_gluing_rejects_improper_coloring():
-    from hodge_domains.spheremesh import ThreeColoring
-
+    # gluing_pattern builds whatever the coloring gives; both audits reject it
     t = octahedron()
-    with pytest.raises(NotThreeColorableError):
-        gluing_pattern(t, ThreeColoring((0,) * 6))
+    coloring = ThreeColoring((0,) * 6)
+    theirs = audit_mesh(t, coloring, mesh_geometry(t), gluing_pattern(t, coloring))
+    ours = meshaudit.audit_mesh(meshaudit.octahedron(), list(coloring.colors))
+    for audit in (theirs, ours):
+        assert audit["proper_coloring"] is False and audit["gluing_euler"] is None and not audit_passes(audit)
 
 
 def test_gluing_audit_up_to_four():
@@ -840,14 +850,14 @@ def test_audit_mesh_summary():
     assert audit["max_equidistance_residual"] < 1e-10
 
 
-# "computed": no glue, as gluing_pattern gives none for an improper coloring;
-# "passed_in": the proper coloring's glue, which must not count for this one
+# "computed": the glue gluing_pattern builds for the improper coloring, as
+# mesh export passes it; "passed_in": the proper coloring's glue; neither counts
 @pytest.mark.parametrize("with_glue", [False, True], ids=["computed", "passed_in"])
 def test_audit_mesh_reports_improper_coloring(with_glue):
     t = octahedron()
-    proper = three_color(t)
+    proper, improper = three_color(t), ThreeColoring((0,) * 6)
     glue = gluing_pattern(t, proper)
-    audit = audit_mesh(t, ThreeColoring((0,) * 6), mesh_geometry(t), glue if with_glue else None)
+    audit = audit_mesh(t, improper, mesh_geometry(t), glue if with_glue else gluing_pattern(t, improper))
     assert audit["proper_coloring"] is False
     assert audit["gluing_euler"] is None
     assert not (audit["gluing_closed"] or audit["gluing_links_single_cycles"] or audit["gluing_color_matched"])

@@ -27,13 +27,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+from benchenv import environment
 
 ROOT = Path(__file__).resolve().parent.parent
 SUITE_RANKS = ((4, 1, 4, 1, 4), (10, 10), (1, 18, 1))
@@ -73,13 +74,6 @@ def label(ranks: tuple) -> str:
     return ",".join(map(str, ranks))
 
 
-def git_revision(src: Path) -> dict:
-    def git(*argv: str) -> str:
-        return subprocess.run(["git", "-C", str(src), *argv], capture_output=True, text=True, check=True).stdout
-
-    return {"revision": git("rev-parse", "HEAD").strip(), "dirty": bool(git("status", "--porcelain", "--", ".").strip())}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
@@ -87,7 +81,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     src = args.src.resolve()
     sys.path.insert(0, str(src))
-    import numpy
 
     suite = {ranks: [] for ranks in SUITE_RANKS}
     verify = {ranks: [] for ranks in VERIFY_RANKS}
@@ -109,10 +102,7 @@ def main(argv=None) -> int:
         "samples": SAMPLES,
         "repeats": REPEATS,
         "seed": SEED,
-        "git": git_revision(src),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "nproc": len(os.sched_getaffinity(0)),
+        **environment(src),
         "results": results,
     }
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

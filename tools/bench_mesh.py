@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -36,6 +35,8 @@ import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+
+from benchenv import environment
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (5, 6, 7, 8)
@@ -89,13 +90,6 @@ def stage_peaks(s: int) -> tuple[dict, dict]:
     return peak, kept
 
 
-def git_revision(src: Path) -> dict:
-    def git(*argv: str) -> str:
-        return subprocess.run(["git", "-C", str(src), *argv], capture_output=True, text=True, check=True).stdout
-
-    return {"revision": git("rev-parse", "HEAD").strip(), "dirty": bool(git("status", "--porcelain", "--", ".").strip())}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
@@ -103,7 +97,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     src = args.src.resolve()
     sys.path.insert(0, str(src))
-    import numpy
 
     walls = {s: [] for s in SIZES}
     rss = {s: [] for s in SIZES}
@@ -132,10 +125,7 @@ def main(argv=None) -> int:
         "what": "wall time and max RSS of fresh `mesh --subdivisions s` processes; tracemalloc peak of each stage",
         "unit": "s and MB (2**20 bytes); wall time and max RSS are medians of repeats",
         "repeats": REPEATS,
-        "git": git_revision(src),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "nproc": len(os.sched_getaffinity(0)),
+        **environment(src),
         "results": results,
     }
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

@@ -27,14 +27,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
-import platform
 import random
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
+
+from benchenv import environment
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (1, 2, 18)
@@ -59,13 +58,6 @@ def per_sample_us(fn, n: int, samples: int, seed: int) -> float:
     return (time.perf_counter() - start) / samples * 1e6
 
 
-def git_revision(src: Path) -> dict:
-    def git(*argv: str) -> str:
-        return subprocess.run(["git", "-C", str(src), *argv], capture_output=True, text=True, check=True).stdout
-
-    return {"revision": git("rev-parse", "HEAD").strip(), "dirty": bool(git("status", "--porcelain", "--", ".").strip())}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
@@ -73,7 +65,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     src = args.src.resolve()
     sys.path.insert(0, str(src))
-    import numpy
 
     from hodge_domains.horizontal import verify_pu2n_criterion
 
@@ -100,10 +91,7 @@ def main(argv=None) -> int:
         "samples": SAMPLES,
         "repeats": REPEATS,
         "seed": SEED,
-        "git": git_revision(src),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "nproc": len(os.sched_getaffinity(0)),
+        **environment(src),
         "results": results,
     }
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

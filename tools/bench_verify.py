@@ -29,13 +29,14 @@ import argparse
 import hashlib
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+from benchenv import environment
 
 ROOT = Path(__file__).resolve().parent.parent
 CLI = ["-m", "hodge_domains.cli"]
@@ -62,13 +63,6 @@ def run_python(src: Path, argv: list[str], workdir: Path) -> tuple[float, float,
     outputs = [stdout] + [workdir / argv[i + 1] for i, a in enumerate(argv) if a == "--classify-out"]
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in outputs}
     return wall, usage.ru_maxrss / 1024, digests
-
-
-def git_revision(src: Path) -> dict:
-    def git(*argv: str) -> str:
-        return subprocess.run(["git", "-C", str(src), *argv], capture_output=True, text=True, check=True).stdout
-
-    return {"revision": git("rev-parse", "HEAD").strip(), "dirty": bool(git("status", "--porcelain", "--", ".").strip())}
 
 
 def main(argv=None) -> int:
@@ -101,18 +95,12 @@ def main(argv=None) -> int:
             "outputs_sha256": digests[name],
         }
         print(f"{name}: {results[name]['wall_s']} s, {results[name]['max_rss_mb']} MB", file=sys.stderr)
-    # only now: a child's max RSS counts what it held before exec, a copy of this process
-    import numpy
-
     doc = {
         "what": "wall time and max RSS of fresh `verify` processes (the verify commands of the benchmark"
                 " workloads) and of `python -c pass`, the floor of the max RSS as measured here",
         "unit": "s and MB (2**20 bytes); medians of repeats",
         "repeats": REPEATS,
-        "git": git_revision(src),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "nproc": len(os.sched_getaffinity(0)),
+        **environment(src),
         "results": results,
     }
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
