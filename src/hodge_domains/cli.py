@@ -59,6 +59,8 @@ class RunConfig:
     classify_out: Optional[str] = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
         if self.samples > MAX_SAMPLES:

@@ -9,11 +9,12 @@ the one predicate `audit_passes` judges.
 
 A level is checked as `spheremesh` checks it: every directed edge occurs
 once and every edge borders two faces, the Euler characteristic is 2 and
-every vertex link is a single cycle (a `MeshError` otherwise); then the
-audit reports even degrees, the 3-coloring propagated from face 0 and
-verified, the circumcircle geometry of every face, and the glued polyhedron,
-whose corner classes come from a union-find per color.  Floats are computed
-with `math`, so they may differ from numpy's in the last bit.
+every vertex link is a single cycle (a `MeshError` naming the first fault
+in face order otherwise, which `spheremesh` raises too); then the audit
+reports even degrees, the 3-coloring propagated from face 0 and verified,
+the circumcircle geometry of every face, and the glued polyhedron, whose
+corner classes come from a union-find per color.  Floats are computed with
+`math`, so they may differ from numpy's in the last bit.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ LEVELS = 4  # verify audits s = 0..3
 
 class MeshError(ValueError):
     """The faces do not describe a closed oriented sphere triangulation, or a
-    face or an edge is degenerate."""
+    face or an edge is degenerate: the one error of both mesh pipelines."""
 
 
 def _sub(a, b):
@@ -62,7 +63,7 @@ class Mesh:
         count = len(self.vertices)
         corner = {}  # directed edge (u, v) -> corner 3i + j of the face i that runs u -> v
         for i, face in enumerate(self.faces):
-            if len(face) != 3 or len(set(face)) != 3 or not all(type(x) is int and 0 <= x < count for x in face):
+            if len(face) != 3 or not all(type(x) is int and 0 <= x < count for x in face) or len(set(face)) != 3:
                 raise MeshError(f"bad face {face}")
             for j in range(3):
                 edge = face[j], face[(j + 1) % 3]

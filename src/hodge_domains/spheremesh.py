@@ -9,33 +9,23 @@ Vertices are float64 unit vectors; geodesic midpoints are normalized chord
 midpoints, valid because the meshes here never contain near-antipodal edges.
 meshaudit.audit_passes judges audit_mesh's dict, with the angular tolerance
 meshaudit.ANGLE_TOL.  The topology is held in numpy arrays; an edge {u, v}
-of a mesh with V vertices is keyed by the integer min(u, v) * V + max(u, v),
-and the directed edge u -> v by u * V + v.
+of a mesh with V vertices is keyed by the integer min(u, v) * V + max(u, v).
+Every mesh fault raises meshaudit.MeshError, and a mesh the constructor
+rejects is named as meshaudit.Mesh names it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import starmap
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
-from . import wire
+from . import meshaudit, wire
+from .meshaudit import MeshError
 
 COLOR_NAMES = ("red", "green", "blue")
-
-
-class MeshInvariantError(ValueError):
-    """The face list does not describe an oriented closed triangulated surface."""
-
-
-class NotThreeColorableError(ValueError):
-    """A coloring is not a proper 3-coloring of the mesh."""
-
-
-class DegenerateFaceError(ValueError):
-    """A face has collinear or antipodal vertices."""
 
 
 class SphericalTriangulation:
@@ -43,58 +33,47 @@ class SphericalTriangulation:
 
     Construction validates that every directed edge occurs exactly once, every
     undirected edge borders two faces, the Euler characteristic is 2, and
-    vertex links are single cycles.  Arrays: `face_array` (F, 3); `edges` (E, 2),
+    vertex links are single cycles; the faces must be an (F, 3) integer
+    array.  A mesh that fails is handed to meshaudit.Mesh, which names its
+    first fault in face order.  Arrays: `face_array` (F, 3); `edges` (E, 2),
     sorted; `face_edges` (F, 3), the edge from corner j to j + 1 of a face;
     `edge_faces` (E, 2), the two faces on an edge in increasing order.
     """
 
-    def __init__(self, vertices: np.ndarray, faces: Iterable[tuple[int, int, int]]):
+    def __init__(self, vertices: np.ndarray, faces: np.ndarray):
         vertices = np.asarray(vertices)
         if vertices.dtype.kind not in "biuf":
-            raise MeshInvariantError("vertices must be an array of real numbers")
+            raise MeshError("vertices must be an array of real numbers")
         self.vertices = vertices.astype(float, copy=False)
-        # the first failure raises: face by face, a bad face or a repeated
-        # directed edge; then the edges, the Euler characteristic, the links
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
-            raise MeshInvariantError("vertices must be an (V, 3) array")
+            raise MeshError("vertices must be an (V, 3) array")
         v = self.num_vertices
         norms = np.linalg.norm(self.vertices, axis=1)
         if not np.all(np.abs(norms - 1.0) <= 1e-12):  # written so that NaN fails too
-            raise MeshInvariantError("vertices must lie on the unit sphere")
-        f, not_integers = _face_array(faces, v)
+            raise MeshError("vertices must lie on the unit sphere")
+        if not (isinstance(faces, np.ndarray) and faces.dtype.kind in "iu" and faces.shape[1:] == (3,)):
+            raise _fault(self.vertices, faces)
+        f = faces.astype(np.int64, copy=False)
         tail = f[:, (1, 2, 0)]  # corner 3i + j is the directed edge f[i, j] -> tail[i, j]
-        bad = np.any((f < 0) | (f >= v) | (f == tail), axis=1)
-        first_bad = int(np.argmax(bad)) if bad.any() else len(f)
+        if np.any((f < 0) | (f >= v) | (f == tail)):
+            raise _fault(self.vertices, faces)
         # One stable sort serves both edge checks: the key of a corner is its
         # undirected edge min * v + max, doubled, plus 1 if it runs from max to min.
-        good, ahead = f[:first_bad], tail[:first_bad]
-        key = ((np.minimum(good, ahead) * v + np.maximum(good, ahead)) * 2 + (good > ahead)).ravel()
-        del tail, ahead
+        key = ((np.minimum(f, tail) * v + np.maximum(f, tail)) * 2 + (f > tail)).ravel()
+        del tail
         order = np.argsort(key, kind="stable")
         key = key[order]
-        repeated = key[1:] == key[:-1]
-        if repeated.any():
-            edge = _corner_edge(f, int(order[1:][repeated].min()))
-            raise MeshInvariantError(f"directed edge {edge} repeated: orientation broken")
-        if first_bad < len(f):
-            raise MeshInvariantError(f"bad face {tuple(f[first_bad].tolist())}")
-        if not_integers is not None:
-            raise MeshInvariantError(f"bad face {not_integers}")
+        if np.any(key[1:] == key[:-1]):  # a repeated directed edge
+            raise _fault(self.vertices, faces)
         # the undirected edges, sorted; no directed edge repeats, so each borders one face or two
         key >>= 1
         if len(key) % 2 or np.any(key[0::2] != key[1::2]):
-            differs, alone = key[1:] != key[:-1], np.ones(len(key), dtype=bool)
-            alone[1:] &= differs
-            alone[:-1] &= differs
-            # the edge met first in face order, named by its one directed occurrence
-            ends = tuple(frozenset(_corner_edge(f, int(order[alone].min()))))
-            raise MeshInvariantError(f"edge {ends} borders 1 faces")
+            raise _fault(self.vertices, faces)
         self.face_array = f
         self.edges = np.stack([key[0::2] // v, key[0::2] % v], axis=1)
         del key
-        if self.euler_characteristic() != 2:
-            raise MeshInvariantError(f"Euler characteristic {self.euler_characteristic()} != 2")
-        _walk_links(v, f, order)
+        if self.euler_characteristic() != 2 or not _walk_links(v, f, order):
+            raise _fault(self.vertices, faces)
         face_edges = np.empty(len(order), dtype=np.intp)
         face_edges[order.reshape(-1, 2)] = np.arange(len(order) // 2)[:, None]
         self.face_edges = face_edges.reshape(-1, 3)
@@ -126,28 +105,20 @@ class SphericalTriangulation:
         return all(d % 2 == 0 for d in self.vertex_degrees())
 
 
-def _corner_edge(f: np.ndarray, p: int) -> tuple[int, int]:
-    """The directed edge at corner p (= 3i + j) of the face array f."""
-    return int(f.flat[p]), int(f[p // 3, (p + 1) % 3])
+def _fault(vertices: np.ndarray, faces) -> MeshError:
+    """The MeshError naming the first fault, in face order, of faces that the
+    constructor's array checks reject: the one meshaudit.Mesh raises."""
+    try:
+        meshaudit.Mesh(vertices.tolist(), faces.tolist() if isinstance(faces, np.ndarray) else faces)
+    except MeshError as exc:
+        return exc
+    except TypeError:  # faces that are not a sequence of faces
+        pass
+    return MeshError("faces must be an (F, 3) integer array")  # or a valid list of faces, say
 
 
-def _face_array(faces, num_vertices: int) -> tuple[np.ndarray, Optional[tuple]]:
-    """The faces as an (F, 3) int64 array up to the first that is not three
-    ints in range(num_vertices), and that face (None if there is none)."""
-    if isinstance(faces, np.ndarray) and faces.dtype.kind in "iu" and faces.shape[1:] == (3,):
-        return faces.astype(np.int64, copy=False), None
-    rows = []
-    for face in faces:
-        items = face if isinstance(face, Iterable) else (face,)
-        face = tuple(x.item() if isinstance(x, np.generic) else x for x in items)
-        if len(face) != 3 or not all(type(x) is int and 0 <= x < num_vertices for x in face):
-            return np.array(rows, dtype=np.int64).reshape(-1, 3), face
-        rows.append(face)
-    return np.array(rows, dtype=np.int64).reshape(-1, 3), None
-
-
-def _walk_links(num_vertices: int, f: np.ndarray, order: np.ndarray) -> None:
-    """Raise MeshInvariantError unless every vertex link is a single cycle.
+def _walk_links(num_vertices: int, f: np.ndarray, order: np.ndarray) -> bool:
+    """Whether every vertex link is a single cycle.
 
     `order` is the constructor's sort of the corners by edge: order[2k] and
     order[2k + 1] are the two directed occurrences of edge k, each the other's
@@ -173,35 +144,13 @@ def _walk_links(num_vertices: int, f: np.ndarray, order: np.ndarray) -> None:
         closed = corner == start[live]
         cycle[at[live[closed]]] = steps
         live, corner, steps = live[~closed], succ[corner[~closed]], steps + 1
-    faulty = np.flatnonzero(cycle != degree)
-    if faulty.size:
-        v = int(faulty[0])
-        raise MeshInvariantError(f"vertex {v} " + ("link splits into several cycles" if degree[v] else "is isolated"))
+    return bool(np.array_equal(cycle, degree))
 
 
 def octahedron() -> SphericalTriangulation:
-    """The regular octahedron: 6 vertices, 8 faces, all degrees 4, oriented outward."""
-    vertices = np.array(
-        [
-            [1.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0],
-            [-1.0, 0.0, 0.0],
-            [0.0, -1.0, 0.0],
-            [0.0, 0.0, -1.0],
-        ]
-    )
-    faces = [
-        (0, 1, 2),
-        (1, 3, 2),
-        (3, 4, 2),
-        (4, 0, 2),
-        (1, 0, 5),
-        (3, 1, 5),
-        (4, 3, 5),
-        (0, 4, 5),
-    ]
-    return SphericalTriangulation(vertices, faces)
+    """The regular octahedron of meshaudit.octahedron, all degrees 4, oriented outward."""
+    mesh = meshaudit.octahedron()
+    return SphericalTriangulation(np.array(mesh.vertices), np.array(mesh.faces))
 
 
 def subdivide(tri: SphericalTriangulation) -> SphericalTriangulation:
@@ -214,7 +163,7 @@ def subdivide(tri: SphericalTriangulation) -> SphericalTriangulation:
     nrm = np.sqrt(_dot(mids, mids))
     if np.any(nrm < 1e-9):
         e = tuple(tri.edges[int(np.argmax(nrm < 1e-9))].tolist())
-        raise DegenerateFaceError(f"edge {e} is antipodal: geodesic midpoint undefined")
+        raise MeshError(f"edge {e} is antipodal: geodesic midpoint undefined")
     a, b, c = tri.face_array.T
     mab, mbc, mca = (tri.num_vertices + tri.face_edges).T
     faces = np.stack([a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca], axis=1).reshape(-1, 3)
@@ -226,13 +175,8 @@ def subdivide(tri: SphericalTriangulation) -> SphericalTriangulation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThreeColoring:
-    colors: tuple  # vertex -> 0 | 1 | 2 (other values only where the mesh is not even)
-
-
-def three_color(tri: SphericalTriangulation) -> ThreeColoring:
-    """The 3-coloring by dual-tree propagation, proper on an even triangulation.
+def three_color(tri: SphericalTriangulation) -> np.ndarray:
+    """The vertex colors by dual-tree propagation, proper on an even triangulation.
 
     Colors the first face (0, 1, 2) and propagates over a frontier of faces
     across shared edges (the third vertex of a neighboring face is forced), so
@@ -261,25 +205,7 @@ def three_color(tri: SphericalTriangulation) -> ThreeColoring:
         frontier = np.sort(g[fresh])  # deduplicated without np.unique, which imports numpy.ma
         frontier = frontier[np.diff(frontier, prepend=-1) != 0]
         reached[frontier] = True
-    return ThreeColoring(tuple(colors.tolist()))
-
-
-def verify_coloring(tri: SphericalTriangulation, coloring: ThreeColoring) -> None:
-    """Raise NotThreeColorableError unless the coloring is proper and every
-    face carries all three colors."""
-    if len(coloring.colors) != tri.num_vertices or any(c not in (0, 1, 2) for c in coloring.colors):
-        raise NotThreeColorableError("coloring does not assign 3 colors to all vertices")
-    f = tri.face_array
-    corner_colors = np.array(coloring.colors, dtype=np.int64)[f]
-    # the first monochromatic corner in face order is its edge's first occurrence
-    mono = (corner_colors == corner_colors[:, (1, 2, 0)]).ravel()
-    if mono.any():
-        p = int(np.argmax(mono))
-        a, b = tuple(frozenset(_corner_edge(f, p)))
-        raise NotThreeColorableError(f"edge {(a, b)} is monochromatic")
-    mixed = np.any(np.sort(corner_colors, axis=1) != (0, 1, 2), axis=1)
-    if mixed.any():
-        raise NotThreeColorableError(f"face {tuple(f[int(np.argmax(mixed))].tolist())} is not trichromatic")
+    return colors
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +238,7 @@ def mesh_geometry(tri: SphericalTriangulation) -> MeshGeometry:
     grow with the block and not with the mesh; a row does not depend on the
     block size, bit for bit.
 
-    Raises DegenerateFaceError naming the first face that has collinear
-    vertices or an antipodal edge.
+    Raises MeshError naming the first face with collinear vertices or an antipodal edge.
     """
     faces = tri.face_array
     n = len(faces)
@@ -335,7 +260,7 @@ def mesh_geometry(tri: SphericalTriangulation) -> MeshGeometry:
         if bad.any():
             i = int(np.argmax(bad))
             why = "is degenerate (collinear vertices)" if nrm[i] < 1e-13 else "has an antipodal edge"
-            raise DegenerateFaceError(f"face {tuple(faces[start + i].tolist())} {why}")
+            raise MeshError(f"face {tuple(faces[start + i].tolist())} {why}")
         center = normal / nrm[:, None]
         center[_dot(center, v0 + v1 + v2) < 0] *= -1.0
         angles = np.arccos(np.clip(_dot(center[:, None, :], corners), -1.0, 1.0))  # (B, 3)
@@ -379,10 +304,10 @@ def _component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.minimum.at(parent, np.maximum(ra, rb)[join], np.minimum(ra, rb)[join])
 
 
-def gluing_pattern(tri: SphericalTriangulation, coloring: ThreeColoring) -> GluingPolyhedron:
+def gluing_pattern(tri: SphericalTriangulation, colors: np.ndarray) -> GluingPolyhedron:
     """Assemble the edge identifications of the glued polyhedron and the
     counts audit_mesh judges, which are meaningful for a proper coloring."""
-    color_pairs = np.array(coloring.colors, dtype=np.int64)[tri.edges]
+    color_pairs = colors[tri.edges]
     color_pairs.sort(axis=1)
 
     # Corner classes: gluing along an edge with colors {c1, c2} matches the
@@ -415,19 +340,15 @@ def gluing_pattern(tri: SphericalTriangulation, coloring: ThreeColoring) -> Glui
 
 
 def audit_mesh(
-    tri: SphericalTriangulation, coloring: ThreeColoring,
+    tri: SphericalTriangulation, colors: np.ndarray,
     geometry: MeshGeometry, glue: Optional[GluingPolyhedron],
 ) -> dict:
     """The full battery of checks that mesh export runs on the mesh, its
-    coloring, its mesh_geometry and its gluing_pattern; meshaudit.audit_mesh
+    colors, its mesh_geometry and its gluing_pattern; meshaudit.audit_mesh
     builds the same dict without numpy for verify's mesh suite.  The coloring
-    is verified here.  An improper coloring has no glued polyhedron, so any
-    glue given with it is ignored: its gluing fields fail."""
-    try:
-        verify_coloring(tri, coloring)
-        proper = True
-    except NotThreeColorableError:
-        proper = False
+    is verified here, as there.  An improper coloring has no glued polyhedron,
+    so any glue given with it is ignored: its gluing fields fail."""
+    proper = len(colors) == tri.num_vertices and bool(np.all(np.sort(colors[tri.face_array], axis=1) == (0, 1, 2)))
     glue = glue if proper else None
     return {
         "even": tri.is_even(),
@@ -452,14 +373,14 @@ def off_chunks(tri: SphericalTriangulation):
             yield "".join(starmap(line.format, rows[start:start + wire.CHUNK_ROWS].tolist()))
 
 
-def sidecar_document(coloring: ThreeColoring, geometry: MeshGeometry, glue: GluingPolyhedron) -> dict:
-    """The sidecar (colors, circumcenters, gluing) of a mesh's coloring,
+def sidecar_document(colors: np.ndarray, geometry: MeshGeometry, glue: GluingPolyhedron) -> dict:
+    """The sidecar (colors, circumcenters, gluing) of a mesh's vertex colors,
     mesh_geometry and gluing_pattern, as a document whose arrays are
     wire.Tables."""
     names = np.array(COLOR_NAMES, dtype=object)  # a pointer per cell, not a 5-character string
     return {
         "schema": wire.SCHEMA,
-        "colors": wire.Table(None, (names[np.array(coloring.colors, dtype=np.int64)],)),
+        "colors": wire.Table(None, (names[colors],)),
         "circumcenters": wire.Table([None] * 3, tuple(geometry.circumcenters.T)),
         "gluing": wire.Table(
             [None, None, [None, None]], (*glue.face_pairs.T, *names[glue.color_pairs].T)

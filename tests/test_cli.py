@@ -293,6 +293,21 @@ def test_samples_must_be_positive():
         cfg_verify((1, 1), samples=0)
 
 
+def test_negative_seed_exit_2(tmp_path, capsys, monkeypatch):
+    # random.seed drops the sign, so a negative seed would replay another
+    # seed's draws under its own name in the documents
+    import hodge_domains.cli as cli
+
+    ran = []
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_SUITES", tuple((*entry[:3], lambda cfg, name=entry[0]: ran.append(name))
+                                              for entry in cli._SUITES))
+    argv = ["verify", "--ranks", "1,2,1", "--seed", "-1", "--out", "x.json", "--classify-out", "x.jsonl"]
+    assert main(argv) == EXIT_INVALID_INPUT
+    assert ran == [] and list(tmp_path.iterdir()) == []
+    assert capsys.readouterr() == ("", "invalid input: seed must be nonnegative\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -512,18 +527,23 @@ def test_unwritable_mesh_path_leaves_no_file(tmp_path, capsys, monkeypatch, bloc
 def test_mesh_export_verifies_the_coloring_once(tmp_path, monkeypatch):
     import hodge_domains.spheremesh as spheremesh
 
+    # audit_mesh is the one coloring verifier: export colors the mesh once
+    # and audits it once
     calls = []
-    verify = spheremesh.verify_coloring
-    monkeypatch.setattr(spheremesh, "verify_coloring", lambda *args: calls.append(args) or verify(*args))
+    for name in ("audit_mesh", "three_color"):
+        fn = getattr(spheremesh, name)
+        monkeypatch.setattr(spheremesh, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
     code, _ = export_mesh(RunConfig(subdivisions=2, output=str(tmp_path / "m.off"), fmt="off"))
-    assert code == EXIT_OK and len(calls) == 1
+    assert code == EXIT_OK and calls == ["three_color", "audit_mesh"]
 
 
 def test_mesh_with_an_improper_coloring_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    import numpy as np
+
     import hodge_domains.spheremesh as spheremesh
 
     # the coloring of a mesh that is not even: the audit, not three_color, rejects it
-    monkeypatch.setattr(spheremesh, "three_color", lambda tri: spheremesh.ThreeColoring((0,) * tri.num_vertices))
+    monkeypatch.setattr(spheremesh, "three_color", lambda tri: np.zeros(tri.num_vertices, dtype=np.int64))
     assert main(["mesh", "--subdivisions", "1", "--out", str(tmp_path / "m.off")]) == EXIT_SUITE_FAILURE
     assert list(tmp_path.iterdir()) == []
     assert capsys.readouterr() == ("", "mesh audit failed; nothing written\n")

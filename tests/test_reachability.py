@@ -64,6 +64,7 @@ GRID = (
     (3, ["report", "--ranks", "11,10"]),
     (2, ["report", "--ranks", "1,2,1", "--out", "missing/report.json"]),
     (2, ["verify", "--ranks", "1,2,1", "--samples", "0"]),
+    (2, ["verify", "--ranks", "1,2,1", "--seed", "-1"]),
     (3, ["verify", "--ranks", "1,2,1", "--samples", "1000001"]),
     (2, ["verify", "--ranks", "2,2", "--classify-out", "planes.jsonl"]),
     (2, ["verify", "--ranks", "1,2,1", "--out", "same.json", "--classify-out", "same.json"]),
@@ -93,8 +94,6 @@ KEPT_LINES = {
         'cli.main: sys.stderr.write("mesh audit failed; nothing written\\n")',
         "horizontal.su22_embedding: return False",
         "meshaudit.levels_pass: return False",
-        "spheremesh.audit_mesh: except NotThreeColorableError:",
-        "spheremesh.audit_mesh: proper = False",
     ), _FAILING),
     **dict.fromkeys((
         'exactla.hermitian_definiteness: return "positive"  # empty form, vacuously definite either way',
@@ -136,9 +135,9 @@ KEPT_LINES = {
     "exactla.nullspace: return []": "an empty matrix has no row to count the columns by; tests pin nullspace([])",
     "horizontal._independent: return False": "a zero first vector, which a draw of the (1,n,1) suite can give "
                                              "(with probability at most 49**-n)",
-    "spheremesh._corner_edge": "names the edge in the constructor's error messages, which only bad meshes reach",
-    "spheremesh._face_array: return np.array(rows, dtype=np.int64).reshape(-1, 3), face":
-        "hands the first bad face to the constructor, which raises naming it; only bad meshes reach it",
+    "spheremesh._fault": "names the fault of a mesh the constructor rejects, which only bad meshes reach; its "
+                         "fallback names faces that are no integer array and that meshaudit.Mesh accepts or "
+                         "cannot read",
 }
 # Parameter defaults no call in the package overrides: main(argv=None) makes
 # argparse read sys.argv, and the console script and `python -m` call main() bare.

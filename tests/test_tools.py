@@ -1,0 +1,43 @@
+"""The benchmark scripts under tools/ against the package they measure, so a
+change of the package's API breaks a test rather than a script."""
+
+import os
+from pathlib import Path
+
+import pytest
+
+import hodge_domains
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+SRC = Path(hodge_domains.__file__).resolve().parent.parent
+
+
+@pytest.fixture(autouse=True)
+def tools_on_path(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+
+
+def test_stage_peaks_measures_every_export_stage():
+    import bench_mesh
+
+    peak, kept = bench_mesh.stage_peaks(1)
+    stages = ["export_text", "gluing_pattern", "mesh_geometry", "subdivide", "three_color"]
+    assert sorted(peak) == sorted(kept) == stages
+    assert all(peak[name] >= 0 for name in stages)
+
+
+def test_run_python_times_a_fresh_process(tmp_path):
+    from benchenv import run_python
+
+    wall, rss_mb = run_python(SRC, ["-c", "pass"], tmp_path)
+    assert 0 < wall < 60 and rss_mb > 0
+    with pytest.raises(SystemExit, match="exited 3"):
+        run_python(SRC, ["-c", "raise SystemExit(3)"], tmp_path)
+
+
+def test_run_python_sends_stdout_to_the_sink(tmp_path):
+    from benchenv import run_python
+
+    with open(tmp_path / "out.txt", "wb") as sink:
+        run_python(SRC, ["-c", "import os, hodge_domains; print(os.getcwd())"], tmp_path, stdout=sink)
+    assert (tmp_path / "out.txt").read_text() == f"{os.path.realpath(tmp_path)}\n"

@@ -26,15 +26,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from benchenv import environment
+from benchenv import environment, run_python
 
 ROOT = Path(__file__).resolve().parent.parent
 SUITE_RANKS = ((4, 1, 4, 1, 4), (10, 10), (1, 18, 1))
@@ -59,15 +57,8 @@ def suite_seconds(ranks: tuple) -> float:
 
 def verify_seconds(src: Path, ranks: tuple, workdir: Path) -> float:
     """Wall seconds of one fresh `verify` process."""
-    env = dict(os.environ, PYTHONPATH=str(src))
-    argv = [sys.executable, "-m", "hodge_domains.cli", "verify", "--ranks", ",".join(map(str, ranks)),
-            "--seed", str(SEED), "--samples", str(SAMPLES)]
-    start = time.perf_counter()
-    proc = subprocess.run(argv, cwd=workdir, env=env, stdout=subprocess.DEVNULL)
-    elapsed = time.perf_counter() - start
-    if proc.returncode != 0:
-        raise SystemExit(f"verify --ranks {argv[5]} exited {proc.returncode}")
-    return elapsed
+    argv = ["-m", "hodge_domains.cli", "verify", "--ranks", label(ranks), "--seed", str(SEED), "--samples", str(SAMPLES)]
+    return run_python(src, argv, workdir)[0]
 
 
 def label(ranks: tuple) -> str:

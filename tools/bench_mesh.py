@@ -27,16 +27,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
-import subprocess
 import sys
 import tempfile
-import time
 import tracemalloc
 from pathlib import Path
 
-from benchenv import environment
+from benchenv import environment, run_python
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (5, 6, 7, 8)
@@ -46,23 +43,15 @@ MB = 1 << 20
 
 def run_mesh(src: Path, s: int, workdir: Path) -> tuple[float, float]:
     """(wall seconds, max RSS in MB) of one fresh `mesh --subdivisions s` process."""
-    env = dict(os.environ, PYTHONPATH=str(src))
-    argv = [sys.executable, "-m", "hodge_domains.cli", "mesh", "--subdivisions", str(s), "--out", "mesh.off"]
-    start = time.perf_counter()
-    proc = subprocess.Popen(argv, cwd=workdir, env=env, stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - start
-    if os.waitstatus_to_exitcode(status) != 0:
-        raise SystemExit(f"mesh --subdivisions {s} failed")
-    return wall, usage.ru_maxrss / 1024
+    return run_python(src, ["-m", "hodge_domains.cli", "mesh", "--subdivisions", str(s), "--out", "mesh.off"], workdir)
 
 
 def stage_peaks(s: int) -> tuple[dict, dict]:
     """Traced peak and kept memory of each export stage at s subdivisions, in MB."""
     from hodge_domains import spheremesh, wire
 
-    def export_text(tri, coloring, geometry, glue):
-        doc = spheremesh.sidecar_document(coloring, geometry, glue)
+    def export_text(tri, colors, geometry, glue):
+        doc = spheremesh.sidecar_document(colors, geometry, glue)
         for chunks in (spheremesh.off_chunks(tri), wire.indented_chunks(doc)):
             for _ in chunks:
                 pass
@@ -82,10 +71,10 @@ def stage_peaks(s: int) -> tuple[dict, dict]:
         tri = spheremesh.subdivide(tri)
     tracemalloc.start()
     tri = traced("subdivide", spheremesh.subdivide, tri)
-    coloring = traced("three_color", spheremesh.three_color, tri)
+    colors = traced("three_color", spheremesh.three_color, tri)
     geometry = traced("mesh_geometry", spheremesh.mesh_geometry, tri)
-    glue = traced("gluing_pattern", spheremesh.gluing_pattern, tri, coloring)
-    traced("export_text", export_text, tri, coloring, geometry, glue)
+    glue = traced("gluing_pattern", spheremesh.gluing_pattern, tri, colors)
+    traced("export_text", export_text, tri, colors, geometry, glue)
     tracemalloc.stop()
     return peak, kept
 

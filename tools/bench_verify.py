@@ -28,15 +28,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import statistics
-import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
-from benchenv import environment
+from benchenv import environment, run_python
 
 ROOT = Path(__file__).resolve().parent.parent
 CLI = ["-m", "hodge_domains.cli"]
@@ -49,20 +46,14 @@ COMMANDS = {  # the arguments after python3
 REPEATS = 7
 
 
-def run_python(src: Path, argv: list[str], workdir: Path) -> tuple[float, float, dict]:
+def run_command(src: Path, argv: list[str], workdir: Path) -> tuple[float, float, dict]:
     """(wall seconds, max RSS in MB, SHA-256 of each output) of one fresh process."""
-    env = dict(os.environ, PYTHONPATH=str(src))
     stdout = workdir / "stdout.json"
     with open(stdout, "wb") as sink:
-        start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, *argv], cwd=workdir, env=env, stdout=sink)
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - start
-    if os.waitstatus_to_exitcode(status) != 0:
-        raise SystemExit(f"{' '.join(argv)} failed")
+        wall, mb = run_python(src, argv, workdir, stdout=sink)
     outputs = [stdout] + [workdir / argv[i + 1] for i, a in enumerate(argv) if a == "--classify-out"]
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in outputs}
-    return wall, usage.ru_maxrss / 1024, digests
+    return wall, mb, digests
 
 
 def main(argv=None) -> int:
@@ -75,11 +66,10 @@ def main(argv=None) -> int:
     rss = {name: [] for name in COMMANDS}
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
-        subprocess.run([sys.executable, "-c", "import hodge_domains.cli"], env=dict(os.environ, PYTHONPATH=str(src)),
-                       check=True)  # warm-up: bytecode and file cache
+        run_python(src, ["-c", "import hodge_domains.cli"], Path(tmp))  # warm-up: bytecode and file cache
         for _ in range(REPEATS):
             for name, command in COMMANDS.items():
-                wall, mb, outputs = run_python(src, command, Path(tmp))
+                wall, mb, outputs = run_command(src, command, Path(tmp))
                 if digests.setdefault(name, outputs) != outputs:
                     raise SystemExit(f"{name}: the output differs between repeats")
                 walls[name].append(round(wall, 3))
