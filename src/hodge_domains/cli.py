@@ -200,7 +200,8 @@ def _suite_pi2(cfg: RunConfig) -> tuple[bool, dict]:
 
 def _suite_bracket_generation(cfg: RunConfig) -> tuple[bool, dict]:
     cert = rootcalc_mod.bracket_generating_check(rootcalc_mod.parabolic_from_ranks(cfg.ranks))
-    return cert.ok, {"levels": [[lc.level, lc.achieved, lc.dim] for lc in cert.levels]}
+    passed = cert.ok and horizontal_mod.bracket_table_certified(cfg.ranks)
+    return passed, {"levels": [[lc.level, lc.achieved, lc.dim] for lc in cert.levels]}
 
 
 def _suite_flags(cfg: RunConfig) -> tuple[bool, dict]:

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from operator import mul
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import wire
 from .exactla import (
@@ -36,7 +37,6 @@ from .exactla import (
     mat_mul,
     nullspace,
     rank,
-    transpose,
 )
 from .hodge import HodgeNumbers
 
@@ -50,7 +50,9 @@ class DegenerateComplementError(ValueError):
 @dataclass(frozen=True)
 class Flag:
     """A flag given by an adapted basis: F^i is the span of the first
-    r_0 + ... + r_i basis columns."""
+    r_0 + ... + r_i basis columns.  Its Gram matrix G (_integer_gram), built
+    once, decides independence (det G = det h |det B|^2 times a positive
+    scale, so rank G = m), membership and projection."""
 
     ranks: HodgeNumbers
     basis: tuple  # m column vectors, each a tuple of GaussianRational
@@ -58,25 +60,28 @@ class Flag:
     def __post_init__(self):
         cols = as_matrix(self.basis, self.m, self.m)
         object.__setattr__(self, "basis", cols)
-        if rank(list(map(list, cols))) != self.m:
+        object.__setattr__(self, "_gram", _integer_gram(cols, self.ranks.signature_signs()))
+        if rank(self._gram[0]) != self.m:
             raise ValueError("flag basis is not linearly independent")
 
     @property
     def m(self) -> int:
         return self.ranks.m
 
+    @cached_property
+    def _minors(self) -> list[int]:
+        """[1, d_1, ..., d_t]: the leading minors of G before the first zero one (d_{t+1} = 0
+        if t < m), the pivots of one elimination before a row swap."""
+        pivot_cols, _, pivots, swap = _eliminate(self._gram[0], forward=True)
+        return [1] + [re for k, (c, (re, _)) in enumerate(zip(pivot_cols[:swap], pivots)) if c == k]
 
+
+@lru_cache(maxsize=None)
 def hodge_flag(ranks: HodgeNumbers) -> Flag:
-    """The base flag: standard basis vectors grouped block by block, even
-    blocks on plus coordinates and odd blocks on minus coordinates."""
-    m = ranks.m
-    perm = ranks.block_to_signature()
-    cols = []
-    for c in range(m):
-        col = [QI_ZERO] * m
-        col[perm[c]] = QI_ONE
-        cols.append(tuple(col))
-    return Flag(ranks, tuple(cols))
+    """The base flag (one per ranks): standard basis vectors grouped block by
+    block, even blocks on plus coordinates and odd blocks on minus coordinates."""
+    m, perm = ranks.m, ranks.block_to_signature()
+    return Flag(ranks, tuple(tuple(QI_ONE if x == perm[c] else QI_ZERO for x in range(m)) for c in range(m)))
 
 
 def _integer_gram(vectors: Iterable[Vector], signs: tuple[int, ...]):
@@ -96,7 +101,7 @@ def _integer_gram(vectors: Iterable[Vector], signs: tuple[int, ...]):
             br, bi = cols[b]
             re = sum(map(mul, ar, br)) + sum(map(mul, ai, bi))
             im = sum(map(mul, ar, bi)) - sum(map(mul, ai, br))
-            g[a][b], g[b][a] = GaussianRational(re, im), GaussianRational(re, -im)
+            g[a][b], g[b][a] = _gaussian(re, im, 1), _gaussian(re, -im, 1)
     return g, cols, scales
 
 
@@ -107,15 +112,8 @@ def form_definiteness(vectors: Iterable[Vector], signs: tuple[int, ...]) -> str:
     return hermitian_definiteness(_integer_gram(vectors, signs)[0])
 
 
-def _leading_minors(g) -> list[int]:
-    """[1, d_1, ..., d_t]: the leading minors of g over Z[i] before the first zero
-    one (d_{t+1} = 0 if t < n), the pivots of one elimination before a row swap."""
-    pivot_cols, _, pivots, swap = _eliminate(g, forward=True)
-    return [1] + [re for k, (c, (re, _)) in enumerate(zip(pivot_cols[:swap], pivots)) if c == k]
-
-
 def _minor_vanishes(g, d: list[int], n: int) -> bool:
-    """Whether the leading n x n minor of g is 0, given d = _leading_minors(g)."""
+    """Whether the leading n x n minor of g is 0, given d = Flag._minors."""
     return n >= len(d) and (n == len(d) or rank([row[:n] for row in g[:n]]) < n)
 
 
@@ -142,7 +140,7 @@ def flag_in_period_domain(flag: Flag) -> bool:
     complement of the F^i block of G in the F^{i+1} block, so this holds iff
     d_n * d_{n-1} has sign (-1)^(i+1) for dim F^i < n <= dim F^{i+1}.
     """
-    d = _leading_minors(_integer_gram(flag.basis, flag.ranks.signature_signs())[0])
+    d = flag._minors
     bounds = (0, *flag.ranks.walls, flag.m)
     return all(n < len(d) and (-1) ** b * d[n] * d[n - 1] > 0
                for b in range(flag.ranks.k + 1) for n in range(bounds[b] + 1, bounds[b + 1] + 1))
@@ -155,10 +153,10 @@ def project_to_symmetric_space(flag: Flag) -> tuple[Vector, ...]:
     The i = -1 step contributes F^0 itself.  The form must be nondegenerate
     on F^i and F^{i+1} for every odd i >= 1.
     """
-    g, cols, scales = _integer_gram(flag.basis, flag.ranks.signature_signs())
+    g, cols, scales = flag._gram
     bounds = (0, *flag.ranks.walls, flag.m)
     odd_steps = range(1, flag.ranks.k, 2)
-    d = _leading_minors(g)
+    d = flag._minors
     for i in odd_steps:
         if _minor_vanishes(g, d, bounds[i + 1]) or _minor_vanishes(g, d, bounds[i + 2]):
             raise DegenerateComplementError(f"indefinite form degenerates on flag step {i}")
@@ -175,8 +173,7 @@ def project_to_symmetric_space(flag: Flag) -> tuple[Vector, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DomainDescriptor:
+class DomainDescriptor(NamedTuple):
     dim: int  # complex dimension of the flag manifold and of the open orbit
     horizontal_rank: int  # complex rank of the first-level tangent subbundle
     vertical_rank: int  # fiber directions of the symmetric-space fibration
@@ -229,7 +226,7 @@ def perturbed_flag(ranks: HodgeNumbers, rng) -> Flag:
                 c = rng.randrange(m)
                 dre = rng.randint(-2, 2)
                 dim_ = rng.randint(-2, 2)
-                new[c] = new[c] + Qi(dre * scale, dim_ * scale)
+                new[c] = new[c] + GaussianRational(dre * scale, dim_ * scale)
             cols.append(tuple(new))
         try:
             flag = Flag(ranks, tuple(cols))
@@ -244,13 +241,13 @@ def perturbed_flag(ranks: HodgeNumbers, rng) -> Flag:
 
 def _reflection(s: int, rng) -> list[list[GaussianRational]]:
     """The Householder reflection I - 2 v v* / (v* v) of a nonzero v drawn in
-    Z[i]^s with real and imaginary parts in [-2, 2]."""
-    v = [QI_ZERO] * s
-    while not any(v):
-        v = [Qi(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(s)]
-    c = Qi(Fraction(-2, sum(x.a * x.a + x.b * x.b for x in v)))
-    return [[(QI_ONE if i == j else QI_ZERO) + c * x * y.conjugate() for j, y in enumerate(v)]
-            for i, x in enumerate(v)]
+    Z[i]^s with real and imaginary parts in [-2, 2], as (re, im) pairs."""
+    v = [(0, 0)] * s
+    while not any(map(any, v)):
+        v = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(s)]
+    n = sum(a * a + b * b for a, b in v)
+    return [[_gaussian(n * (i == j) - 2 * (a * c + b * e), 2 * (a * e - b * c), n) for j, (c, e) in enumerate(v)]
+            for i, (a, b) in enumerate(v)]
 
 
 def random_block_unitary(ranks: HodgeNumbers, rng) -> list[list[GaussianRational]]:
@@ -277,7 +274,7 @@ def random_block_unitary(ranks: HodgeNumbers, rng) -> list[list[GaussianRational
 
 
 def apply_matrix(u: list[list[GaussianRational]], flag: Flag) -> Flag:
-    return Flag(flag.ranks, tuple(map(tuple, transpose(mat_mul(u, transpose(flag.basis))))))
+    return Flag(flag.ranks, tuple(zip(*mat_mul(u, list(zip(*flag.basis))))))
 
 
 # ---------------------------------------------------------------------------

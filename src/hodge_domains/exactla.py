@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -160,43 +161,22 @@ def as_matrix(rows: Iterable[Iterable], nr: int, nc: int) -> tuple[tuple[Gaussia
     """rows as a tuple of row tuples of GaussianRational (other entries go
     through its constructor, so a float is a ValueError); ValueError unless
     the shape is nr x nc."""
-    out = tuple(tuple(x if isinstance(x, GaussianRational) else GaussianRational(x) for x in row) for row in rows)
+    out = tuple(map(tuple, rows))
+    if not all(type(x) is GaussianRational for row in out for x in row):
+        out = tuple(tuple(x if isinstance(x, GaussianRational) else GaussianRational(x) for x in row) for row in out)
     if len(out) != nr or any(len(r) != nc for r in out):
         raise ValueError(f"expected a {nr}x{nc} matrix")
     return out
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list[GaussianRational]]:
+    """a b, with each row of a and each column of b cleared of denominators
+    once: entry (i, j) is one Gaussian-integer dot product over l_i l_j."""
     if a and b and len(a[0]) != len(b):
         raise ValueError("matrix dimension mismatch in product")
-    bt = list(zip(*b)) if b else []
-    return [[_dot_plain(row, col) for col in bt] for row in a]
-
-
-def _dot_plain(xs, ys) -> GaussianRational:
-    """sum(x * y), accumulated as (a + b*i) / d over a common denominator and
-    reduced once."""
-    a = b = 0
-    d = 1
-    for x, y in zip(xs, ys):
-        x, y = _coerce(x), _coerce(y)
-        xa, xb, ya, yb = x.a, x.b, y.a, y.b
-        if (xa or xb) and (ya or yb):  # zero terms are skipped; the sum is the same exact value
-            pa, pb, e = xa * ya - xb * yb, xa * yb + xb * ya, x.d * y.d
-            if e == d:
-                a, b = a + pa, b + pb
-            else:
-                l = lcm(d, e)
-                a, b, d = a * (l // d) + pa * (l // e), b * (l // d) + pb * (l // e), l
-    return _gaussian(a, b, d)
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
-
-
-def is_zero_matrix(a) -> bool:
-    return all(_coerce(x).is_zero() for row in a for x in row)
+    cols = [_cleared(col) for col in zip(*b)]
+    return [[_gaussian(sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)), sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)),
+                       l * m) for m, yr, yi in cols] for l, xr, xi in map(_cleared, a)]
 
 
 def _cleared(v) -> tuple[int, list[int], list[int]]:
@@ -218,13 +198,14 @@ def _eliminate(a: Sequence[Sequence], forward: bool = False):
     previous pivot; the division is exact, so entries stay minors and their
     size grows polynomially.  After the last step every pivot entry equals the
     last pivot d, and the reduced row echelon form is the rows divided by d.
+    A step with f = 0 only scales the row by p / prev, so it is deferred: row
+    i holds its values times dens[i] / prev, and its next update divides by
+    dens[i] instead (the pivot row, and at the end each RREF row, is scaled).
 
     With forward=True a step updates only the rows below the pivot row, and
     only right of the pivot column (left of it those rows are zero); the rows
     are then left partly stale, but the pivot row is never touched by the
     updates above it, so pivot_cols, pivots and swap are the same.
-
-    A real matrix stays real, so then only the real parts are updated.
 
     Returns (pivot_cols, rows, pivots, swap): rows are (re, im) lists of
     ints, pivots the (re, im) pivot of each step, and swap the step of the
@@ -243,10 +224,8 @@ def _eliminate(a: Sequence[Sequence], forward: bool = False):
     else:
         rows = [_cleared(row)[1:] for row in a]
         real = not any(any(xi) for _, xi in rows)
-    pivot_cols: list[int] = []
-    pivots: list[tuple[int, int]] = []
-    swap = None
-    qa, qb = 1, 0  # previous pivot
+    zeros, dens = ([0] * ncols,) * 2, [(1, 0)] * nrows
+    pivot_cols, pivots, swap, q = [], [], None, (1, 0)  # q: the previous pivot
     for c in range(ncols):
         r = len(pivot_cols)
         if r == nrows:
@@ -257,36 +236,46 @@ def _eliminate(a: Sequence[Sequence], forward: bool = False):
         else:
             continue
         if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
+            rows[r], rows[piv], dens[r], dens[piv] = rows[piv], rows[r], dens[piv], dens[r]
             swap = r if swap is None else swap
+        if dens[r] != q:
+            _combine(rows[r], q, 0, 0, zeros, dens[r], c, real)
         lo = c + 1 if forward else 0
         yr, yi = rows[r]
-        pa, pb = yr[c], yi[c]
-        yr, yi = yr[lo:], yi[lo:]
-        qn = qa * qa + qb * qb
+        p, y = (yr[c], yi[c]), (yr[lo:], yi[lo:])
         for i in range(r + 1 if forward else 0, nrows):
-            if i == r:
-                continue
             xr, xi = rows[i]
-            fa, fb = xr[c], xi[c]
-            if real:
-                xr[lo:] = [(pa * x - fa * y) // qa for x, y in zip(xr[lo:], yr)]
-                continue
-            tr = [pa * x - pb * u - fa * y + fb * v for x, u, y, v in zip(xr[lo:], xi[lo:], yr, yi)]
-            ti = [pa * u + pb * x - fa * v - fb * y for x, u, y, v in zip(xr[lo:], xi[lo:], yr, yi)]
-            # exact division by the previous pivot: t / q = t * conj(q) / |q|^2
-            xr[lo:] = [(s * qa + t * qb) // qn for s, t in zip(tr, ti)]
-            xi[lo:] = [(t * qa - s * qb) // qn for s, t in zip(tr, ti)]
+            if i != r and (xr[c] or xi[c]):
+                if real:  # _combine's first case, inline: the (1,n,1) suite's many small ranks
+                    fa, qa = xr[c], dens[i][0]
+                    xr[lo:] = [(p[0] * u - fa * v) // qa for u, v in zip(xr[lo:], y[0])]
+                else:
+                    _combine(rows[i], p, xr[c], xi[c], y, dens[i], lo, real)
+                dens[i] = p
+        dens[r] = q = p
         pivot_cols.append(c)
-        pivots.append((pa, pb))
-        qa, qb = pa, pb
+        pivots.append(p)
+    for i in range(0 if forward else len(pivot_cols)):
+        if dens[i] != q:
+            _combine(rows[i], q, 0, 0, zeros, dens[i], 0, real)
     return pivot_cols, rows, pivots, swap
 
 
-def _divide(xa: int, xb: int, d: tuple[int, int]) -> GaussianRational:
-    """The Gaussian rational (xa + xb i) / d."""
-    da, db = d
-    return _gaussian(xa * da + xb * db, xb * da - xa * db, da * da + db * db)
+def _combine(x, p, fa: int, fb: int, y, q, lo: int, real: bool) -> None:
+    """x[lo:] = (p x[lo:] - f y) / q in place, exactly, for x and y (re, im)
+    int lists and p, q and f = fa + fb i Gaussian integers ((re, im) pairs)."""
+    (xr, xi), (pa, pb), (yr, yi), (qa, qb) = x, p, y, q
+    if real:
+        xr[lo:] = [(pa * u - fa * v) // qa for u, v in zip(xr[lo:], yr)]
+    elif pb == qb == 0:  # real pivots (on a Hermitian matrix, leading minors): no conjugate needed
+        xr[lo:], xi[lo:] = ([(pa * u - fa * v + fb * w) // qa for u, v, w in zip(xr[lo:], yr, yi)],
+                            [(pa * u - fa * w - fb * v) // qa for u, v, w in zip(xi[lo:], yr, yi)])
+    else:
+        tr = [pa * u - pb * t - fa * v + fb * w for u, t, v, w in zip(xr[lo:], xi[lo:], yr, yi)]
+        ti = [pa * t + pb * u - fa * w - fb * v for u, t, v, w in zip(xr[lo:], xi[lo:], yr, yi)]
+        qn = qa * qa + qb * qb  # t / q = t * conj(q) / |q|^2
+        xr[lo:] = [(s * qa + t * qb) // qn for s, t in zip(tr, ti)]
+        xi[lo:] = [(t * qa - s * qb) // qn for s, t in zip(tr, ti)]
 
 
 def rank(a: Sequence[Sequence]) -> int:
@@ -299,15 +288,16 @@ def nullspace(a: Sequence[Sequence]) -> list[list[GaussianRational]]:
     if not a:
         return []
     ncols = len(a[0])
-    pivot_cols, rows, pivots, _ = _eliminate(a)
+    pivot_cols, rows, pivots, _ = _eliminate([row for row in a if any(row)])  # a zero row changes no solution
     pivot_set = set(pivot_cols)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free:
         v = [QI_ZERO] * ncols
         v[fc] = QI_ONE
-        for (xr, xi), pc in zip(rows, pivot_cols):
-            v[pc] = _divide(-xr[fc], -xi[fc], pivots[-1])
+        for (xr, xi), pc in zip(rows, pivot_cols):  # -x / d = -x conj(d) / |d|^2, d the last pivot
+            (da, db), xa, xb = pivots[-1], xr[fc], xi[fc]
+            v[pc] = _gaussian(-xa * da - xb * db, xa * db - xb * da, da * da + db * db)
         basis.append(v)
     return basis
 
@@ -322,10 +312,8 @@ def hermitian_definiteness(g: Sequence[Sequence]) -> str:
     the leading minors times positive row scales.
     """
     n = len(g)
-    for i in range(n):
-        for j in range(n):
-            if _coerce(g[i][j]) != _coerce(g[j][i]).conjugate():
-                raise ValueError("matrix is not Hermitian")
+    if any(_coerce(g[i][j]) != _coerce(g[j][i]).conjugate() for i in range(n) for j in range(n)):
+        raise ValueError("matrix is not Hermitian")
     if n == 0:
         return "positive"  # empty form, vacuously definite either way
     pivot_cols, _, pivots, swap = _eliminate(g, forward=True)

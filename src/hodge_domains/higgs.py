@@ -13,10 +13,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import accumulate, combinations
-from typing import Optional
+from math import lcm
+from typing import NamedTuple, Optional
 
 from . import wire
-from .exactla import GaussianRational, Qi, QI_ZERO, _cleared, as_matrix, is_zero_matrix, nullspace, rank
+from .exactla import Qi, QI_ZERO, _cleared, _gaussian, as_matrix, nullspace, rank
 from .hodge import HodgeNumbers
 from .horizontal import _bracket_entries, _bracket_table
 
@@ -49,8 +50,7 @@ class HiggsField:
         object.__setattr__(self, "theta", tuple(layers))
 
 
-@dataclass(frozen=True)
-class CommutationResult:
+class CommutationResult(NamedTuple):
     commutes: bool
     first_violation: Optional[tuple]  # (layer i, direction a, direction b)
 
@@ -74,8 +74,7 @@ def check_commutation(h: HiggsField) -> CommutationResult:
     return CommutationResult(not violations, min(violations, default=None))
 
 
-@dataclass(frozen=True)
-class LemmaVerdict:
+class LemmaVerdict(NamedTuple):
     holds: bool
     triggered: bool  # whether the rank hypothesis was met
 
@@ -96,7 +95,7 @@ def rank_one_lemma_check(h: HiggsField) -> LemmaVerdict:
     theta_0, theta_1 = h.theta
     if rank([row for mx in theta_0 for row in mx]) < 2:
         return LemmaVerdict(True, triggered=False)
-    return LemmaVerdict(all(map(is_zero_matrix, theta_1)), triggered=True)
+    return LemmaVerdict(all(x.is_zero() for mx in theta_1 for row in mx for x in row), triggered=True)
 
 
 # ---------------------------------------------------------------------------
@@ -164,23 +163,23 @@ def _solve_direction(ranks: HodgeNumbers, fixed: list, rng: random.Random):
     """Sample an unknown direction phi with phi_{i+1} f_i = f_{i+1} phi_i
     against every fixed direction f, from the exact nullspace of that linear
     system: entry k of the bracket of phi against f vanishes, whose
-    coefficients in flatten order are row k of _bracket_table filled from f."""
+    coefficients in flatten order are row k of _bracket_table filled from f,
+    cleared of denominators once (the sampled directions are real)."""
     r = ranks.ranks
     total = sum(r[i + 1] * r[i] for i in range(ranks.k))
     # a zero row changes no solution; with no level-two bracket (k = 1) it is the system
-    rows: list[list[GaussianRational]] = [[QI_ZERO] * total]
+    rows = [[0] * total]
     for f in fixed:
-        flat = [x for mx in f for row in mx for x in row]
-        signed = (*flat, *(-x for x in flat), QI_ZERO)
+        _, flat, _ = _cleared([x for mx in f for row in mx for x in row])
+        signed = (*flat, *(-x for x in flat), 0)
         rows.extend([signed[j] for j in image] for image in _bracket_table(ranks))
-    basis = nullspace(rows)
-    # an empty basis means the system forces this direction to vanish
-    vec = [QI_ZERO] * total
-    for b in basis:
-        c = Qi(rng.randint(-2, 2))
-        if not c.is_zero():
-            vec = [x + c * y for x, y in zip(vec, b)]
-    entries = iter(vec)
+    # sum_b c_b b over the basis (empty when the system forces this direction
+    # to vanish), summed in Z[i] over the lcm of the basis vectors' denominators
+    picked = [(c, *_cleared(b)) for b in nullspace(rows) if (c := rng.randint(-2, 2))]
+    den = lcm(*(l for _, l, _, _ in picked))
+    terms = [(c * (den // l), re, im) for c, l, re, im in picked]
+    entries = (_gaussian(sum(s * re[j] for s, re, _ in terms), sum(s * im[j] for s, _, im in terms), den)
+               for j in range(total))
     return [tuple(tuple(next(entries) for _ in range(r[i])) for _ in range(r[i + 1])) for i in range(ranks.k)]
 
 

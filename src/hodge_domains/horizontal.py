@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 from operator import itemgetter, neg
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .exactla import GaussianRational, _cleared, as_matrix, rank
 from .hodge import HodgeNumbers
@@ -140,22 +140,50 @@ def _bracket_table(ranks: HodgeNumbers) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, table))
 
 
+def bracket_table_certified(ranks: HodgeNumbers) -> bool:
+    """Whether _bracket_table(ranks) is, cell for cell, the table of matrix
+    units: position (i, row, col) is E_{a,b}, a the row-th coordinate of block
+    i+1 and b the col-th of block i; its bracket against s = sum_q s_q E_q is
+    s E_{a,b} - E_{a,b} s, and E_{c,d} E_{a,b} = [d = a] E_{c,b}."""
+    r, first = ranks.ranks, (0, *ranks.walls)
+    units = [(first[i + 1] + row, first[i] + col) for i, row, col in horizontal_positions(ranks)]
+    entry = {(first[i + 2] + x, first[i] + y): k for k, (i, x, y) in enumerate(
+        (i, x, y) for i in range(ranks.k - 1) for x in range(r[i + 2]) for y in range(r[i]))}
+    ends: dict[int, list] = {}  # coordinate -> the units (q, c, d) with c or d there
+    for q, (c, d) in enumerate(units):
+        ends.setdefault(c, []).append((q, c, d))
+        ends.setdefault(d, []).append((q, c, d))
+    n = len(units)
+    table = [[2 * n] * n for _ in entry]
+    for p, (a, b) in enumerate(units):
+        for q, c, d in ends.get(a, []) + ends.get(b, []):
+            if d == a:  # s_q E_{c,a} E_{a,b} = s_q E_{c,b}
+                table[entry[c, b]][p] = q
+            if c == b:  # -E_{a,b} s_q E_{b,d} = -s_q E_{a,d}
+                table[entry[a, d]][p] = n + q
+    return tuple(map(tuple, table)) == _bracket_table(ranks)
+
+
+@lru_cache(maxsize=None)
+def _bracket_cells(table: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The (p, j) cells of each row of a _bracket_table other than the zero index 2N."""
+    return tuple(tuple((p, j) for p, j in enumerate(image) if j != 2 * len(image)) for image in table)
+
+
 def _bracket_entries(ranks: HodgeNumbers, u: Sequence[tuple[int, int]],
                      w: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     """The flattened level-two bracket of u against w, for u and w over Z[i]
     given as (re, im) int pairs in flatten order.  The bracket is
     complex-linear in u, so entry k is sum_p u_p times entry k of the bracket
     of the basis vector e_p against w, which _bracket_table reads off w."""
-    s = (*w, *((-a, -b) for a, b in w))  # w, then -w; _bracket_table's index len(s) means 0
-    zero = len(s)
+    s = (*w, *((-a, -b) for a, b in w))  # w, then -w
     out = []
-    for image in _bracket_table(ranks):
+    for cells in _bracket_cells(_bracket_table(ranks)):
         re = im = 0
-        for (a, b), j in zip(u, image):
-            if j != zero:  # all but 2 r_{i+1} cells of a row in component i are 0
-                c, e = s[j]
-                re += a * c - b * e
-                im += a * e + b * c
+        for p, j in cells:
+            (a, b), (c, e) = u[p], s[j]
+            re += a * c - b * e
+            im += a * e + b * c
         out.append((re, im))
     return out
 
@@ -201,8 +229,7 @@ def _regularity_rows(ranks: HodgeNumbers) -> tuple[itemgetter, ...]:
 HALF_ZERO_PERIOD = 8  # sample idx is drawn from the half-zero stratum when idx % 8 == 7
 
 
-@dataclass(frozen=True)
-class Pu2nReport:
+class Pu2nReport(NamedTuple):
     samples: int
     mismatches: int  # regular vs complex-independence disagreements
     found_regular_isotropic: bool
@@ -277,8 +304,7 @@ def verify_pu2n_criterion(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StabilizerDimensions:
+class StabilizerDimensions(NamedTuple):
     stab_dim: int
     orbit_dim: int
 

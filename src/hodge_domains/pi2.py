@@ -13,6 +13,7 @@ kept alongside it as an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactla import is_unimodular
 from .hodge import HodgeNumbers
@@ -135,8 +136,7 @@ def pi_u_star(c: Pi2Class) -> int:
     return sum((-1) ** i * a for i, a in enumerate(c.coords))
 
 
-@dataclass(frozen=True)
-class Pi2Report:
+class Pi2Report(NamedTuple):
     rank_flag_manifold: int  # k
     rank_domain: int  # k - 1
     basis: tuple  # wall roots beta_0 .. beta_{k-1}
@@ -175,15 +175,13 @@ def pi2_report(ranks: HodgeNumbers) -> Pi2Report:
     )
 
 
-@dataclass(frozen=True)
-class GeneratorStatus:
+class GeneratorStatus(NamedTuple):
     index: int  # i, for the kernel generator bridging walls i and i+1
     middle_rank: int  # r_{i+1}
     status: str  # 'representable' when r_{i+1} >= 2, else 'unknown'
 
 
-@dataclass(frozen=True)
-class GenerationReport:
+class GenerationReport(NamedTuple):
     per_generator: tuple
     fully_generated: bool
     interior_rank_one: bool

@@ -23,7 +23,8 @@ and this module fixes the one above throughout.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
 from .hodge import HodgeNumbers
 
@@ -67,11 +68,11 @@ def root_between(m: int, plus_index: int, minus_index: int) -> RootVector:
 
 
 def root_sum(a: RootVector, b: RootVector) -> Optional[RootVector]:
-    """a + b if it is again a root, else None."""
-    coords = tuple(x + y for x, y in zip(a.coords, b.coords))
-    if sorted(coords) == [-1] + [0] * (len(coords) - 2) + [1]:
-        return RootVector(coords)
-    return None
+    """a + b if it is again a root, else None: (e_p - e_q) + (e_r - e_s) is
+    e_p - e_s when q = r, e_r - e_q when s = p, and a root unless it is 0."""
+    (p, q), (r, s) = (a.plus_index, a.minus_index), (b.plus_index, b.minus_index)
+    ends = (p, s) if q == r else (r, q) if s == p else None
+    return root_between(len(a.coords), *ends) if ends and ends[0] != ends[1] else None
 
 
 def all_roots(m: int) -> list[RootVector]:
@@ -83,8 +84,7 @@ def all_roots(m: int) -> list[RootVector]:
     )
 
 
-@dataclass(frozen=True)
-class ParabolicData:
+class ParabolicData(NamedTuple):
     """Root-level description of the block parabolic q inside sl(m), whose
     roots phi are the roots of levels >= 0.
 
@@ -106,8 +106,9 @@ class ParabolicData:
         return sorted(self.n_roots)
 
 
+@lru_cache(maxsize=None)
 def parabolic_from_ranks(ranks: HodgeNumbers) -> ParabolicData:
-    """Build the parabolic data of the block flag type (r_0, ..., r_k)."""
+    """Build the parabolic data of the block flag type (r_0, ..., r_k) (once: it is frozen)."""
     m = ranks.m
     block_of = ranks.block_of
 
@@ -145,16 +146,14 @@ def wall_roots(pd: ParabolicData) -> list[RootVector]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LevelCertificate:
+class LevelCertificate(NamedTuple):
     level: int
     dim: int
     achieved: int
     witnesses: tuple  # bracket trees: a RootVector, or (RootVector, subtree)
 
 
-@dataclass(frozen=True)
-class BracketGenerationCertificate:
+class BracketGenerationCertificate(NamedTuple):
     ranks: HodgeNumbers
     ok: bool
     levels: tuple[LevelCertificate, ...]

@@ -64,17 +64,18 @@ def dumps_indented(doc: dict) -> str:
 
 def encode_array(values) -> list:
     """Nested tuples of GaussianRational as nested lists of exact scalars."""
-    if isinstance(values, GaussianRational):
+    if type(values) is GaussianRational:
         g, h = gcd(values.a, values.d), gcd(values.b, values.d)  # the parts in lowest terms
         return [[values.a // g, values.d // g], [values.b // h, values.d // h]]
     return [encode_array(v) for v in values]
 
 
 def decode_scalar(obj) -> GaussianRational:
-    if not (isinstance(obj, list) and len(obj) == 2 and all(isinstance(p, list) and len(p) == 2 for p in obj)):
+    if not (type(obj) is list and len(obj) == 2 and type(obj[0]) is list and len(obj[0]) == 2
+            and type(obj[1]) is list and len(obj[1]) == 2):
         raise ValueError("a scalar must be [[re_num, re_den], [im_num, im_den]]")
     (rn, rd), (im_n, im_d) = obj
-    if any(type(x) is not int for x in (rn, rd, im_n, im_d)) or not rd or not im_d:
+    if not (type(rn) is type(rd) is type(im_n) is type(im_d) is int and rd and im_d):
         raise ValueError("a scalar needs int parts and nonzero denominators")
     sign = 1 if rd * im_d > 0 else -1  # the denominator of _gaussian is positive
     return _gaussian(sign * rn * im_d, sign * im_n * rd, abs(rd * im_d))
@@ -82,9 +83,9 @@ def decode_scalar(obj) -> GaussianRational:
 
 def decode_array(obj, depth: int) -> tuple:
     """`depth` levels of JSON arrays around exact scalars, as nested tuples."""
-    if not isinstance(obj, list):
+    if type(obj) is not list:
         raise ValueError("expected a JSON array of scalars")
-    return tuple(decode_scalar(x) if depth == 1 else decode_array(x, depth - 1) for x in obj)
+    return tuple(map(decode_scalar, obj)) if depth == 1 else tuple([decode_array(x, depth - 1) for x in obj])
 
 
 def read(text: str, *keys: str) -> dict:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import namedtuple
@@ -5,9 +6,10 @@ from fractions import Fraction
 from typing import Iterable
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import all_rank_tuples
+from hodge_domains import wire
 from hodge_domains.exactla import (
     GaussianRational,
     QI_ONE,
@@ -422,6 +424,46 @@ def small_flags(draw):
     return Flag(hn, tuple(map(tuple, cols)))
 
 
+@st.composite
+def small_bases(draw):
+    """(ranks, columns) with m <= 6: often singular (a column that combines
+    others, or a zero column) and often with h-null columns, so that leading
+    Gram minors vanish on independent bases too."""
+    hn = draw(st.sampled_from(SMALL_RANKS))
+    cols = draw(st.lists(st.lists(small_scalars, min_size=hn.m, max_size=hn.m), min_size=hn.m, max_size=hn.m))
+    kind = draw(st.sampled_from(("free", "combination", "zero", "null")))
+    c = draw(st.integers(0, hn.m - 1))
+    if kind == "combination":
+        coeffs = [draw(small_scalars) for _ in range(hn.m)]
+        cols[c] = [sum((x * col[j] for x, col in zip(coeffs, cols[:c] + cols[c + 1:])), QI_ZERO)
+                   for j in range(hn.m)]
+    elif kind == "zero":
+        cols[c] = [QI_ZERO] * hn.m
+    elif kind == "null" and hn.p and hn.q:
+        # e_plus + w e_minus with |w| = 1 is h-null
+        plus, minus = hn.signature_signs().index(1), hn.signature_signs().index(-1)
+        cols[c] = [QI_ZERO] * hn.m
+        cols[c][plus], cols[c][minus] = QI_ONE, draw(st.sampled_from((QI_ONE, -QI_ONE, Qi(0, 1), Qi(0, -1))))
+    return hn, tuple(map(tuple, cols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_bases())
+@example((HodgeNumbers((1, 1)), ((Qi(1), Qi(1)), (Qi(1), Qi(0)))))
+@example((HodgeNumbers((1, 1)), ((Qi(1), Qi(1)), (Qi(1), Qi(1)))))
+@example((HodgeNumbers((2, 2)), ((Qi(1), Qi(0), Qi(1), Qi(0)), (Qi(0), Qi(1), Qi(0), Qi(1)),
+                                 (Qi(1), Qi(0), Qi(0), Qi(0)), (Qi(0), Qi(1), Qi(0), Qi(0)))))
+def test_flag_accepts_exactly_the_independent_bases(case):
+    hn, cols = case
+    independent = rank([list(col) for col in cols]) == hn.m
+    try:
+        flag = Flag(hn, cols)
+    except ValueError as exc:
+        assert not independent and str(exc) == "flag basis is not linearly independent"
+    else:
+        assert independent and flag.basis == cols
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_flags())
 def test_membership_and_projection_match_reference(flag):
@@ -444,6 +486,49 @@ def test_membership_and_projection_match_reference_seeded():
     assert any(v.in_domain for v in verdicts)
     assert {v.failing_step for v in verdicts if v.degenerate} >= {-1, 0, 1}
     assert {v.failing_step for v in verdicts if not v.in_domain and not v.degenerate} >= {-1, 0, 1}
+
+
+# SHA-256 of what the flags suite's steps give on DIGEST_RANKS: for seeds
+# 0..7 a perturbed flag and its image under a block h-unitary, and for seeds
+# 0..11 a base flag with Gaussian-integer noise (often dependent, degenerate
+# or outside the domain); for each, its text, membership and projection (or
+# which error the constructor or the projection raised).  Pinned at the
+# parent of the one-Gram-per-flag change.
+DIGEST_RANKS = ((4, 1, 4, 1, 4), (2, 2, 2), (1, 2, 1), (3, 3), (1, 1, 1), (2, 1, 2, 1))
+FLAG_DIGEST = "428752a857bf1e084fe53daa9c112eba031d05ef393f6f9ffce3278e82e381fb"
+
+
+def _flag_verdicts(flag: Flag) -> str:
+    try:
+        plane = wire.encode_array(project_to_symmetric_space(flag))
+    except DegenerateComplementError:
+        plane = "degenerate"
+    return wire.dumps([flag_dumps(flag), flag_in_period_domain(flag), plane])
+
+
+def flag_digest() -> str:
+    digest = hashlib.sha256()
+    for ranks in map(HodgeNumbers, DIGEST_RANKS):
+        for seed in range(8):
+            rng = random.Random(seed)
+            flag = perturbed_flag(ranks, rng)
+            moved = apply_matrix(random_block_unitary(ranks, rng), flag)
+            digest.update((_flag_verdicts(flag) + _flag_verdicts(moved)).encode())
+        for seed in range(12):
+            rng = random.Random(seed)
+            cols = [list(col) for col in hodge_flag(ranks).basis]
+            for col in cols:
+                col[rng.randrange(ranks.m)] += Qi(rng.randint(-1, 1), rng.randint(-1, 1))
+            try:
+                text = _flag_verdicts(Flag(ranks, tuple(map(tuple, cols))))
+            except ValueError:
+                text = "dependent"
+            digest.update(text.encode())
+    return digest.hexdigest()
+
+
+def test_flag_steps_match_the_pinned_digest():
+    assert flag_digest() == FLAG_DIGEST
 
 
 def test_zero_leading_minor_inside_a_block_is_a_sign_failure():

@@ -11,7 +11,7 @@ import copy
 import operator
 import pickle
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Sequence
 
 import pytest
@@ -27,9 +27,11 @@ from hodge_domains.exactla import (
     _cleared,
     _coerce,
     _eliminate,
+    _gaussian,
     as_matrix,
     hermitian_definiteness,
     is_unimodular,
+    mat_mul,
     nullspace,
     rank,
 )
@@ -232,6 +234,33 @@ def reference_definiteness(g: Sequence[Sequence]) -> str:
     return "indefinite"
 
 
+def _dot_plain(xs, ys) -> GaussianRational:
+    """sum(x * y), accumulated as (a + b*i) / d over a common denominator and
+    reduced once."""
+    a = b = 0
+    d = 1
+    for x, y in zip(xs, ys):
+        x, y = _coerce(x), _coerce(y)
+        xa, xb, ya, yb = x.a, x.b, y.a, y.b
+        if (xa or xb) and (ya or yb):  # zero terms are skipped; the sum is the same exact value
+            pa, pb, e = xa * ya - xb * yb, xa * yb + xb * ya, x.d * y.d
+            if e == d:
+                a, b = a + pa, b + pb
+            else:
+                l = lcm(d, e)
+                a, b, d = a * (l // d) + pa * (l // e), b * (l // d) + pb * (l // e), l
+    return _gaussian(a, b, d)
+
+
+def reference_mat_mul(a, b) -> list[list[GaussianRational]]:
+    """The product one _dot_plain per entry, as mat_mul computed it before it
+    cleared each row and column once."""
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("matrix dimension mismatch in product")
+    bt = list(zip(*b)) if b else []
+    return [[_dot_plain(row, col) for col in bt] for row in a]
+
+
 def reference_nullspace(a):
     if not a:
         return []
@@ -300,6 +329,46 @@ def test_rank_and_nullspace_match_reference(a):
     assert rank(a) == len(rref(a)[1])
     # the RREF is canonical, so the kernel bases agree exactly
     assert nullspace(a) == reference_nullspace(a)
+
+
+mixed = st.integers(-4, 4) | fractions | gaussians | st.just(0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_mat_mul_matches_reference(n, k, p, data):
+    # mixed int, Fraction and GaussianRational entries, zero rows and columns
+    a = data.draw(matrices(st.just(n), st.just(k), entries=mixed))
+    b = data.draw(matrices(st.just(k), st.just(p), entries=mixed))
+    if data.draw(st.booleans()):
+        a, b = [tuple(row) for row in a], tuple(tuple(row) for row in b)
+    product = mat_mul(a, b)
+    assert product == reference_mat_mul(a, b)
+    assert all(type(x) is GaussianRational for row in product for x in row)
+
+
+def test_mat_mul_rejects_mismatched_shapes():
+    for a, b in (([[1, 2]], [[1, 2]]), ([[1]], [[1], [2]])):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            mat_mul(a, b)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            reference_mat_mul(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    matrices(st.integers(0, 6), st.integers(1, 7))
+    | matrices(st.integers(0, 6), st.integers(1, 7), entries=st.integers(-4, 4) | fractions),
+    st.data(),
+)
+def test_nullspace_ignores_zero_rows_and_positive_row_scales(a, data):
+    # both keep the row space, and the basis is read off its canonical RREF
+    scales = [data.draw(st.integers(1, 6)) for _ in a]
+    rows = [[x * c for x in row] for c, row in zip(scales, a)]
+    for _ in range(data.draw(st.integers(0, 3))):
+        rows.insert(data.draw(st.integers(0, len(rows))), [data.draw(st.sampled_from((0, Fraction(0), QI_ZERO)))
+                                                           for _ in range(len(a[0]) if a else 1)])
+    assert nullspace(rows) == nullspace(a) if a else nullspace(rows) == reference_nullspace(rows)
 
 
 @settings(max_examples=300, deadline=None)

@@ -6,6 +6,7 @@ hand-indexed nullspace sampler as they were before both read the bracket
 table of horizontal, kept verbatim as the oracles for them.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mat_sub, pointwise_rank
-from hodge_domains.exactla import GaussianRational, Qi, QI_ZERO, is_zero_matrix, mat_mul, nullspace, rank
+from hodge_domains.exactla import GaussianRational, Qi, QI_ZERO, _coerce, mat_mul, nullspace, rank
 from hodge_domains.hodge import HodgeNumbers
 from hodge_domains.higgs import (
     CommutationResult,
@@ -27,6 +28,10 @@ from hodge_domains.higgs import (
     random_commuting_higgs,
     rank_one_lemma_check,
 )
+
+
+def is_zero_matrix(a) -> bool:
+    return all(_coerce(x).is_zero() for row in a for x in row)
 
 
 def directional_image_rank(h: HiggsField, i: int) -> int:
@@ -363,6 +368,29 @@ def test_nullspace_sampler_matches_reference(ranks, m_t, seed):
 
 
 # -- wire format --------------------------------------------------------------------
+
+
+# SHA-256 of higgs_dumps over DIGEST_SHAPES x seeds 0..149 x both strategies x
+# m_t in {2, 3}, each document followed by a newline: the samplers' fields and
+# their text, byte for byte, as the integer-row sampler's parent wrote them.
+DIGEST_SHAPES = ((4, 1, 4), (2, 1, 3), (1, 1, 1), (3, 1, 2, 1, 3))
+HIGGS_DIGEST = "fea59e142ef20c881a206e4e6ed5001f972d41b7902c5da7b3ed22b06a1fac15"
+
+
+def higgs_digest() -> str:
+    digest = hashlib.sha256()
+    for shape in DIGEST_SHAPES:
+        ranks = HodgeNumbers(shape)
+        for seed in range(150):
+            for strategy in ("nullspace", "pullback"):
+                for m_t in (2, 3):
+                    field = random_commuting_higgs(ranks, m_t, seed=seed, strategy=strategy)
+                    digest.update(higgs_dumps(field).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_sampled_fields_match_the_pinned_digest():
+    assert higgs_digest() == HIGGS_DIGEST
 
 
 def test_higgs_json_roundtrip():

@@ -18,6 +18,7 @@ import inspect
 import json
 import random
 import time
+import timeit
 from fractions import Fraction
 
 import pytest
@@ -632,7 +633,8 @@ def test_su22_draws_model_pairs_from_the_given_rng():
 
 def test_su22_fails_on_a_bracket_table_with_two_rows_swapped(monkeypatch, capsys):
     # the ambient bracket lands on entry (c3, c0) = row 1 of the (2,3,2) table;
-    # swapping rows 0 and 1 moves it, and only the su22 suite reads the table here
+    # swapping rows 0 and 1 moves it; the su22 suite reads the table here, and
+    # the bracket_generation suite certifies it against matrix units
     original = horizontal_mod._bracket_table.__wrapped__
 
     def swapped(ranks):
@@ -643,7 +645,7 @@ def test_su22_fails_on_a_bracket_table_with_two_rows_swapped(monkeypatch, capsys
     monkeypatch.setattr(horizontal_mod, "_bracket_table", swapped)
     assert main(["verify", "--ranks", "2,3,2", "--seed", "0", "--samples", "8"]) == EXIT_SUITE_FAILURE
     failed = [s["name"] for s in json.loads(capsys.readouterr().out)["suites"] if not s["passed"]]
-    assert failed == ["su22_embedding"]
+    assert failed == ["bracket_generation", "su22_embedding"]
 
 
 @pytest.mark.parametrize("old, new", [
@@ -672,3 +674,68 @@ def test_su22_not_applicable_on_thin_middle():
 def test_su22_wall_index_out_of_range():
     with pytest.raises(ValueError):
         su22_embedding(HodgeNumbers((1, 2, 1)), 1, random.Random(0))
+
+
+# -- the bracket table against matrix units ------------------------------------------
+
+
+def test_bracket_table_is_certified_on_every_tuple_up_to_total_rank_9():
+    tuples = [hn for hn in all_rank_tuples(9)]
+    assert len(tuples) > 250 and all(horizontal_mod.bracket_table_certified(hn) for hn in tuples)
+
+
+def test_bracket_table_certificate_is_cheap_at_total_rank_20():
+    for ranks in [(7, 7, 6), (5, 5, 5, 5), (4, 4, 4, 4, 4), (6, 1, 6, 1, 6), (2,) * 10, (1,) * 20]:
+        hn = HodgeNumbers(ranks)
+        horizontal_mod.bracket_table_certified(hn)  # the table itself is built and cached once
+        best = min(timeit.timeit(lambda: horizontal_mod.bracket_table_certified(hn), number=1) for _ in range(5))
+        assert best < 0.001, (ranks, best)
+
+
+def _swapped_rows(table, n):
+    table = list(table)
+    table[0], table[1] = table[1], table[0]
+    return table
+
+
+def _flipped_sign(table, n):
+    # the first nonzero cell now reads s_j where it read -s_j, or the reverse
+    table = [list(row) for row in table]
+    k, p = next((k, p) for k, row in enumerate(table) for p, j in enumerate(row) if j != 2 * n)
+    table[k][p] = (table[k][p] + n) % (2 * n)
+    return table
+
+
+def _wrong_component(table, n, ranks):
+    # the first nonzero cell reads the same entry of the other component of s
+    # (the first-component entries come first in s's flattening)
+    table = [list(row) for row in table]
+    k, p = next((k, p) for k, row in enumerate(table) for p, j in enumerate(row) if j != 2 * n)
+    size = ranks.ranks[0] * ranks.ranks[1]
+    j, sign = table[k][p] % n, table[k][p] // n
+    table[k][p] = sign * n + (j + size) % n if j < size else sign * n + j - size
+    return table
+
+
+@pytest.mark.parametrize("mutate", ["swapped_rows", "flipped_sign", "wrong_component"])
+@pytest.mark.parametrize("ranks", ["4,1,4,1,4", "2,2,2"])
+def test_verify_fails_on_a_mutated_bracket_table(monkeypatch, capsys, mutate, ranks):
+    original = horizontal_mod._bracket_table.__wrapped__
+    hn = HodgeNumbers(tuple(map(int, ranks.split(","))))
+
+    def mutant(table_ranks):
+        table = original(table_ranks)
+        if table_ranks != hn:
+            return table
+        n = len(horizontal_positions(hn))
+        mutated = {"swapped_rows": lambda: _swapped_rows(table, n), "flipped_sign": lambda: _flipped_sign(table, n),
+                   "wrong_component": lambda: _wrong_component(table, n, hn)}[mutate]()
+        mutated = tuple(map(tuple, mutated))
+        assert mutated != table
+        return mutated
+
+    monkeypatch.setattr(horizontal_mod, "_bracket_table", mutant)
+    assert main(["verify", "--ranks", ranks, "--seed", "0", "--samples", "8"]) == EXIT_SUITE_FAILURE
+    suites = {s["name"]: s for s in json.loads(capsys.readouterr().out)["suites"]}
+    assert not suites["bracket_generation"]["passed"]
+    assert "error" not in suites["bracket_generation"]["details"]

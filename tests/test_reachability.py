@@ -82,7 +82,7 @@ GRID = (
 # stripped, is the source line.
 _FAILING = "a failing verdict, which the grid's passing runs never reach; tests reach it"
 _ORACLE = ("part of the scalar type's arithmetic, which the test oracles compute with (tests fail without "
-           "__sub__, __rsub__, __rtruediv__ and the int and Fraction branches of __eq__)")
+           "__neg__, __sub__, __rsub__, __rtruediv__ and the int and Fraction branches of __eq__)")
 KEPT_LINES = {
     "horizontal.HorizontalVector": "the value type of TwoPlane's spanning vectors, which tests build planes from",
     "horizontal.TwoPlane": "perfbench/tracer.py names it in CLASSES and hooks TwoPlane.__init__ (its install "
@@ -110,6 +110,16 @@ KEPT_LINES = {
     ), "perturbed_flag draws a perturbation that leaves the flag degenerate or outside the domain again, "
        "smaller; the grid's seeds never need it, and a test forces it"),
     **dict.fromkeys((
+        "exactla._combine: tr = [pa * u - pb * t - fa * v + fb * w for u, t, v, w in zip(xr[lo:], xi[lo:], yr, yi)]",
+        "exactla._combine: ti = [pa * t + pb * u - fa * w - fb * v for u, t, v, w in zip(xr[lo:], xi[lo:], yr, yi)]",
+        "exactla._combine: qn = qa * qa + qb * qb  # t / q = t * conj(q) / |q|^2",
+        "exactla._combine: xr[lo:] = [(s * qa + t * qb) // qn for s, t in zip(tr, ti)]",
+        "exactla._combine: xi[lo:] = [(t * qa - s * qb) // qn for s, t in zip(tr, ti)]",
+    ), "the division by a pivot that is not real: the grid eliminates Hermitian matrices, whose pivots are "
+       "leading minors until a row exchange, and real matrices; the kernel takes any matrix over Q(i), and "
+       "tests eliminate random Gaussian matrices"),
+    **dict.fromkeys((
+        "exactla.GaussianRational.__neg__",
         "exactla.GaussianRational.__sub__",
         "exactla.GaussianRational.__rsub__",
         "exactla.GaussianRational.__rtruediv__",
@@ -132,6 +142,9 @@ KEPT_LINES = {
                                     "roots, and so do pi2's error messages",
     "exactla._cleared: v = [_coerce(x) for x in v]":
         "the kernels take ints and Fractions among Gaussian rationals, as their docstrings say; tests pass them",
+    "exactla.as_matrix: out = tuple(tuple(x if isinstance(x, GaussianRational) else GaussianRational(x) for x in row) "
+    "for row in out)": "Flag, HiggsField and HorizontalVector take ints, Fractions and 'a/b' strings, as as_matrix's "
+                       "docstring says; the grid builds them from Gaussian rationals only, and tests pass the others",
     "exactla.nullspace: return []": "an empty matrix has no row to count the columns by; tests pin nullspace([])",
     "horizontal._independent: return False": "a zero first vector, which a draw of the (1,n,1) suite can give "
                                              "(with probability at most 49**-n)",

@@ -196,6 +196,21 @@ def test_grading_additivity_exhaustive_m_le_7():
                     assert pd.level(c) == pd.level(a) + pd.level(b)
 
 
+def reference_root_sum(a: RootVector, b: RootVector):
+    """a + b on coordinates, as root_sum computed it before it read the root ends."""
+    coords = tuple(x + y for x, y in zip(a.coords, b.coords))
+    if sorted(coords) == [-1] + [0] * (len(coords) - 2) + [1]:
+        return RootVector(coords)
+    return None
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_root_sum_matches_coordinate_sum(m):
+    roots = all_roots(m)
+    assert all(root_sum(a, b) == reference_root_sum(a, b) for a in roots for b in roots)
+    assert any(root_sum(a, b) is not None for a in roots for b in roots) == (m > 2)  # sl(2) has one positive root
+
+
 def test_grading_bracket_audits_hold():
     # On matrix units: [g_a, g_b] lies in g_{a+b} (a diagonal entry only when
     # a + b = 0), and [n, n^(r)] lies in n^(r+1), n^(r) the levels >= r.

@@ -41,3 +41,11 @@ def test_run_python_sends_stdout_to_the_sink(tmp_path):
     with open(tmp_path / "out.txt", "wb") as sink:
         run_python(SRC, ["-c", "import os, hodge_domains; print(os.getcwd())"], tmp_path, stdout=sink)
     assert (tmp_path / "out.txt").read_text() == f"{os.path.realpath(tmp_path)}\n"
+
+
+def test_bench_flags_times_each_case_at_a_tiny_size(tmp_path):
+    import bench_flags
+
+    assert 0 < bench_flags.suite_seconds((1, 1, 1)) < 60
+    assert 0 < bench_flags.suite_seconds((1, 1, 1), "_suite_higgs", 2) < 60
+    assert 0 < bench_flags.pair_seconds(SRC, (1, 1, 1), 2, tmp_path) < 60

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from hodge_domains import wire
 from hodge_domains.domain import flag_dumps, flag_loads, hodge_flag, perturbed_flag
-from hodge_domains.exactla import GaussianRational
+from hodge_domains.exactla import GaussianRational, _gaussian
 from hodge_domains.higgs import higgs_dumps, higgs_loads, random_commuting_higgs
 from hodge_domains.hodge import HodgeNumbers
 
@@ -163,6 +163,63 @@ def test_scalar_codec_matches_fraction_parts(rn, rd, im_n, im_d):
     z = wire.decode_scalar([[rn, rd], [im_n, im_d]])
     assert z == GaussianRational(Fraction(rn, rd), Fraction(im_n, im_d))
     assert wire.encode_array(z) == [[z.re.numerator, z.re.denominator], [z.im.numerator, z.im.denominator]]
+
+
+# -- the decoder against the generator-based one it replaced ------------------
+
+
+def reference_decode_scalar(obj) -> GaussianRational:
+    if not (isinstance(obj, list) and len(obj) == 2 and all(isinstance(p, list) and len(p) == 2 for p in obj)):
+        raise ValueError("a scalar must be [[re_num, re_den], [im_num, im_den]]")
+    (rn, rd), (im_n, im_d) = obj
+    if any(type(x) is not int for x in (rn, rd, im_n, im_d)) or not rd or not im_d:
+        raise ValueError("a scalar needs int parts and nonzero denominators")
+    sign = 1 if rd * im_d > 0 else -1  # the denominator of _gaussian is positive
+    return _gaussian(sign * rn * im_d, sign * im_n * rd, abs(rd * im_d))
+
+
+def reference_decode_array(obj, depth: int) -> tuple:
+    if not isinstance(obj, list):
+        raise ValueError("expected a JSON array of scalars")
+    return tuple(reference_decode_scalar(x) if depth == 1 else reference_decode_array(x, depth - 1) for x in obj)
+
+
+def outcome(decode, *args):
+    """("value", what decode returns) or ("error", its ValueError message)."""
+    try:
+        return "value", decode(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+json_leaves = st.one_of(st.integers(-3, 3), st.sampled_from([1.5, 2.0, -0.0, True, False, "1", None]))
+pairs = st.one_of(st.lists(st.integers(-3, 3), min_size=2, max_size=2), st.lists(json_leaves, max_size=3), json_leaves)
+scalar_like = st.one_of(st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2), min_size=2, max_size=2),
+                        st.lists(pairs, max_size=3))
+json_values = st.recursive(st.one_of(json_leaves, scalar_like),
+                           lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                                   st.dictionaries(st.text(max_size=2), inner, max_size=2)),
+                           max_leaves=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(json_values, st.integers(1, 4))
+def test_decoder_matches_reference(obj, depth):
+    # JSON text in and out, so the objects are what json.loads gives
+    obj = json.loads(json.dumps(obj))
+    assert outcome(wire.decode_scalar, obj) == outcome(reference_decode_scalar, obj)
+    assert outcome(wire.decode_array, obj, depth) == outcome(reference_decode_array, obj, depth)
+
+
+@pytest.mark.parametrize("obj", [
+    [[1, 2], [3, 4]], [[0, -1], [0, 5]], [[1, 0], [0, 1]], [[1, 1], [0, 0]], [[True, 1], [0, 1]],
+    [[1, 1], [0, 1.0]], [[1, 1], [0]], [[1, 1]], [[1, 1], [0, 1], [0, 1]], [[1, 1], None], "[[1, 1], [0, 1]]",
+    None, 1, [], [[[1, 1], [0, 1]]], [[[[1, 1], [0, 1]], [[1, 1], [0, 1]]]], [[[[1, 1], [0, 0]]]],
+])
+def test_decoder_matches_reference_fixed_cases(obj):
+    assert outcome(wire.decode_scalar, obj) == outcome(reference_decode_scalar, obj)
+    for depth in (1, 2, 3):
+        assert outcome(wire.decode_array, obj, depth) == outcome(reference_decode_array, obj, depth)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,4 +1,5 @@
-"""Time of the flags suite of `verify`, in process and in fresh processes.
+"""Time of the flags and Higgs suites of `verify`, in process and in fresh
+processes.
 
 This records:
 
@@ -6,9 +7,15 @@ This records:
   seed 0 and 10 samples (10 flags) for the ranks (4,1,4,1,4), (10,10) and
   (1,18,1): perturbed flags, their membership and projection, a block
   h-unitary moving each flag, and the wire round trip;
+* ``higgs_s``: in this process, the wall time of ``cli._suite_higgs`` at
+  (4,1,4,1,4), seed 0 and 200 samples (400 fields, as the verify-flags
+  benchmark workload draws them);
 * ``verify_s``: the wall time of one fresh ``python3 -m hodge_domains.cli
   verify --ranks R --seed 0 --samples 10`` process for (1,18,1) and (10,10),
-  every suite included.
+  every suite included;
+* ``pair_s``: the wall time of the verify-flags workload's two commands,
+  ``report --ranks 4,1,4,1,4`` and ``verify --ranks 4,1,4,1,4 --seed 0
+  --samples 200``, each in a fresh process, summed.
 
 Each repeat runs every case once, in turn, so host drift hits all cases
 alike.  Each figure is the median of the repeats, in seconds.  The JSON
@@ -37,21 +44,24 @@ from benchenv import environment, run_python
 ROOT = Path(__file__).resolve().parent.parent
 SUITE_RANKS = ((4, 1, 4, 1, 4), (10, 10), (1, 18, 1))
 VERIFY_RANKS = ((1, 18, 1), (10, 10))
+WORKLOAD_RANKS = (4, 1, 4, 1, 4)  # the verify-flags benchmark workload's
 SEED = 0
 SAMPLES = 10
+WORKLOAD_SAMPLES = 200
 REPEATS = 5
 
 
-def suite_seconds(ranks: tuple) -> float:
+def suite_seconds(ranks: tuple, suite: str = "_suite_flags", samples: int = SAMPLES) -> float:
+    """Wall seconds of one in-process run of the named suite of cli."""
     from hodge_domains import cli
     from hodge_domains.hodge import HodgeNumbers
 
-    cfg = cli.RunConfig(ranks=HodgeNumbers(ranks), seed=SEED, samples=SAMPLES)
+    cfg = cli.RunConfig(ranks=HodgeNumbers(ranks), seed=SEED, samples=samples)
     start = time.perf_counter()
-    passed, _ = cli._suite_flags(cfg)
+    passed, _ = getattr(cli, suite)(cfg)
     elapsed = time.perf_counter() - start
     if not passed:
-        raise SystemExit(f"the flags suite failed at {ranks}")
+        raise SystemExit(f"{suite} failed at {ranks}")
     return elapsed
 
 
@@ -59,6 +69,13 @@ def verify_seconds(src: Path, ranks: tuple, workdir: Path) -> float:
     """Wall seconds of one fresh `verify` process."""
     argv = ["-m", "hodge_domains.cli", "verify", "--ranks", label(ranks), "--seed", str(SEED), "--samples", str(SAMPLES)]
     return run_python(src, argv, workdir)[0]
+
+
+def pair_seconds(src: Path, ranks: tuple, samples: int, workdir: Path) -> float:
+    """Wall seconds of fresh `report` and `verify` processes at ranks, summed."""
+    report = ["-m", "hodge_domains.cli", "report", "--ranks", label(ranks)]
+    verify = ["-m", "hodge_domains.cli", "verify", "--ranks", label(ranks), "--seed", str(SEED), "--samples", str(samples)]
+    return run_python(src, report, workdir)[0] + run_python(src, verify, workdir)[0]
 
 
 def label(ranks: tuple) -> str:
@@ -75,20 +92,24 @@ def main(argv=None) -> int:
 
     suite = {ranks: [] for ranks in SUITE_RANKS}
     verify = {ranks: [] for ranks in VERIFY_RANKS}
+    higgs, pair = {WORKLOAD_RANKS: []}, {WORKLOAD_RANKS: []}
     with tempfile.TemporaryDirectory() as tmp:
         verify_seconds(src, (1, 1), Path(tmp))  # warm-up: bytecode and file cache
         for _ in range(REPEATS):
             for ranks in SUITE_RANKS:
                 suite[ranks].append(round(suite_seconds(ranks), 3))
+            higgs[WORKLOAD_RANKS].append(round(suite_seconds(WORKLOAD_RANKS, "_suite_higgs", WORKLOAD_SAMPLES), 3))
             for ranks in VERIFY_RANKS:
                 verify[ranks].append(round(verify_seconds(src, ranks, Path(tmp)), 3))
-    results = {"suite_s": {}, "verify_s": {}}
-    for key, runs in (("suite_s", suite), ("verify_s", verify)):
+            pair[WORKLOAD_RANKS].append(round(pair_seconds(src, WORKLOAD_RANKS, WORKLOAD_SAMPLES, Path(tmp)), 3))
+    results = {"suite_s": {}, "higgs_s": {}, "verify_s": {}, "pair_s": {}}
+    for key, runs in (("suite_s", suite), ("higgs_s", higgs), ("verify_s", verify), ("pair_s", pair)):
         for ranks, times in runs.items():
             results[key][label(ranks)] = {"median": round(statistics.median(times), 3), "runs": times}
             print(f"{key} {label(ranks)}: {statistics.median(times):.3f} s", file=sys.stderr)
     doc = {
-        "what": "wall time of cli._suite_flags in process, and of fresh `verify` processes",
+        "what": "wall time of cli._suite_flags and cli._suite_higgs in process, and of fresh "
+                "`verify` processes and of the verify-flags workload's report + verify pair",
         "unit": "s, median of repeats",
         "samples": SAMPLES,
         "repeats": REPEATS,
