@@ -123,12 +123,11 @@ def _complement(g, cols, scales, small: int, big: int) -> list[Vector]:
     the block g[:small][:big], scaled so that its coefficient on the f-th
     basis vector is 1.  The form must be nondegenerate on the first `small`."""
     out = []
+    coords = list(zip(zip(*(re for re, _ in cols)), zip(*(im for _, im in cols))))  # coordinate x across the columns
     for f, c in zip(range(small, big), nullspace([row[:big] for row in g[:small]])):
         l, cr, ci = _cleared(c)
-        terms, d = list(zip(cr, ci, cols)), l * scales[f]
-        re = [sum(a * xr[x] - b * xi[x] for a, b, (xr, xi) in terms) for x in range(len(cols[0][0]))]
-        im = [sum(a * xi[x] + b * xr[x] for a, b, (xr, xi) in terms) for x in range(len(cols[0][0]))]
-        out.append(tuple(_gaussian(x, y, d) for x, y in zip(re, im)))
+        out.append(tuple(_gaussian(sum(map(mul, cr, u)) - sum(map(mul, ci, v)),
+                                   sum(map(mul, cr, v)) + sum(map(mul, ci, u)), l * scales[f]) for u, v in coords))
     return out
 
 
