@@ -23,8 +23,6 @@ from pathlib import Path
 from typing import Optional
 
 from . import domain as domain_mod
-from . import higgs as higgs_mod
-from . import horizontal as horizontal_mod
 from . import pi2 as pi2_mod
 from . import rootcalc as rootcalc_mod
 from . import wire
@@ -199,6 +197,7 @@ def _suite_pi2(cfg: RunConfig) -> tuple[bool, dict]:
 
 
 def _suite_bracket_generation(cfg: RunConfig) -> tuple[bool, dict]:
+    from . import horizontal as horizontal_mod  # verify's suites import higgs and horizontal; report needs neither
     cert = rootcalc_mod.bracket_generating_check(rootcalc_mod.parabolic_from_ranks(cfg.ranks))
     passed = cert.ok and horizontal_mod.bracket_table_certified(cfg.ranks)
     return passed, {"levels": [[lc.level, lc.achieved, lc.dim] for lc in cert.levels]}
@@ -224,6 +223,7 @@ def _suite_flags(cfg: RunConfig) -> tuple[bool, dict]:
 
 
 def _suite_pu2n(cfg: RunConfig) -> tuple[bool, dict]:
+    from . import horizontal as horizontal_mod
     n = cfg.ranks.ranks[1]
     with open(cfg.classify_out, "w") if cfg.classify_out else nullcontext() as sink:
         record = (lambda entry: sink.write(wire.dumps(entry) + "\n")) if sink else None
@@ -247,6 +247,7 @@ def _suite_pu2n(cfg: RunConfig) -> tuple[bool, dict]:
 
 
 def _suite_stabilizers(cfg: RunConfig) -> tuple[bool, dict]:
+    from . import horizontal as horizontal_mod
     ok = True
     cases = 0
     for n in range(1, 11):
@@ -260,6 +261,7 @@ def _suite_stabilizers(cfg: RunConfig) -> tuple[bool, dict]:
 
 
 def _suite_higgs(cfg: RunConfig) -> tuple[bool, dict]:
+    from . import higgs as higgs_mod
     ranks = cfg.ranks
     interior = _interior_rank_one(ranks)
     count = min(cfg.samples, 200)
@@ -282,6 +284,7 @@ def _suite_higgs(cfg: RunConfig) -> tuple[bool, dict]:
 
 
 def _suite_su22(cfg: RunConfig) -> tuple[bool, dict]:
+    from . import horizontal as horizontal_mod
     walls = _wide_middles(cfg.ranks)
     rng = random.Random(cfg.seed * 7919 + 22)  # a stream of its own, apart from the flags suite's
     return all([horizontal_mod.su22_embedding(cfg.ranks, i, rng) for i in walls]), {"walls": walls}

@@ -242,13 +242,15 @@ def _eliminate(a: Sequence[Sequence], forward: bool = False):
             _combine(rows[r], q, 0, 0, zeros, dens[r], c, real)
         lo = c + 1 if forward else 0
         yr, yi = rows[r]
-        p, y = (yr[c], yi[c]), (yr[lo:], yi[lo:])
+        pa, _ = p = (yr[c], yi[c])
+        yr, _ = y = (yr[lo:], yi[lo:])
         for i in range(r + 1 if forward else 0, nrows):
             xr, xi = rows[i]
             if i != r and (xr[c] or xi[c]):
-                if real:  # _combine's first case, inline: the (1,n,1) suite's many small ranks
-                    fa, qa = xr[c], dens[i][0]
-                    xr[lo:] = [(p[0] * u - fa * v) // qa for u, v in zip(xr[lo:], y[0])]
+                if real:  # _combine's first case, inline, without the division by 1 of each row's first
+                    fa, qa = xr[c], dens[i][0]  # update: the (1,n,1) suite's many small ranks
+                    xr[lo:] = ([pa * u - fa * v for u, v in zip(xr[lo:], yr)] if qa == 1 else
+                               [(pa * u - fa * v) // qa for u, v in zip(xr[lo:], yr)])
                 else:
                     _combine(rows[i], p, xr[c], xi[c], y, dens[i], lo, real)
                 dens[i] = p
