@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from . import wire
 from .exactla import (
@@ -172,7 +172,8 @@ def project_to_symmetric_space(flag: Flag) -> tuple[Vector, ...]:
 # ---------------------------------------------------------------------------
 
 
-class DomainDescriptor(NamedTuple):
+@dataclass(frozen=True)
+class DomainDescriptor:
     dim: int  # complex dimension of the flag manifold and of the open orbit
     horizontal_rank: int  # complex rank of the first-level tangent subbundle
     vertical_rank: int  # fiber directions of the symmetric-space fibration

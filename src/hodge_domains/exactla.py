@@ -161,9 +161,7 @@ def as_matrix(rows: Iterable[Iterable], nr: int, nc: int) -> tuple[tuple[Gaussia
     """rows as a tuple of row tuples of GaussianRational (other entries go
     through its constructor, so a float is a ValueError); ValueError unless
     the shape is nr x nc."""
-    out = tuple(map(tuple, rows))
-    if not all(type(x) is GaussianRational for row in out for x in row):
-        out = tuple(tuple(x if isinstance(x, GaussianRational) else GaussianRational(x) for x in row) for row in out)
+    out = tuple(tuple(x if isinstance(x, GaussianRational) else GaussianRational(x) for x in row) for row in rows)
     if len(out) != nr or any(len(r) != nc for r in out):
         raise ValueError(f"expected a {nr}x{nc} matrix")
     return out
@@ -216,7 +214,7 @@ def _eliminate(a: Sequence[Sequence], forward: bool = False):
     ncols = len(a[0]) if a else 0
     # Rows of ints (whose sums are ints; a Fraction or GaussianRational entry
     # makes the sum one) are copied as they are, with one shared zero
-    # imaginary part, which the real updates never write.
+    # imaginary part, which every update leaves zero.
     if all(type(sum(row)) is int for row in a):
         zero = [0] * ncols
         rows = [(list(row), zero) for row in a]
@@ -239,7 +237,7 @@ def _eliminate(a: Sequence[Sequence], forward: bool = False):
             rows[r], rows[piv], dens[r], dens[piv] = rows[piv], rows[r], dens[piv], dens[r]
             swap = r if swap is None else swap
         if dens[r] != q:
-            _combine(rows[r], q, 0, 0, zeros, dens[r], c, real)
+            _combine(rows[r], q, 0, 0, zeros, dens[r], c)
         lo = c + 1 if forward else 0
         yr, yi = rows[r]
         pa, _ = p = (yr[c], yi[c])
@@ -247,29 +245,28 @@ def _eliminate(a: Sequence[Sequence], forward: bool = False):
         for i in range(r + 1 if forward else 0, nrows):
             xr, xi = rows[i]
             if i != r and (xr[c] or xi[c]):
-                if real:  # _combine's first case, inline, without the division by 1 of each row's first
-                    fa, qa = xr[c], dens[i][0]  # update: the (1,n,1) suite's many small ranks
+                if real:  # _combine on real rows, without the division by 1 of a row's first update
+                    fa, qa = xr[c], dens[i][0]
                     xr[lo:] = ([pa * u - fa * v for u, v in zip(xr[lo:], yr)] if qa == 1 else
                                [(pa * u - fa * v) // qa for u, v in zip(xr[lo:], yr)])
                 else:
-                    _combine(rows[i], p, xr[c], xi[c], y, dens[i], lo, real)
+                    _combine(rows[i], p, xr[c], xi[c], y, dens[i], lo)
                 dens[i] = p
         dens[r] = q = p
         pivot_cols.append(c)
         pivots.append(p)
     for i in range(0 if forward else len(pivot_cols)):
         if dens[i] != q:
-            _combine(rows[i], q, 0, 0, zeros, dens[i], 0, real)
+            _combine(rows[i], q, 0, 0, zeros, dens[i], 0)
     return pivot_cols, rows, pivots, swap
 
 
-def _combine(x, p, fa: int, fb: int, y, q, lo: int, real: bool) -> None:
+def _combine(x, p, fa: int, fb: int, y, q, lo: int) -> None:
     """x[lo:] = (p x[lo:] - f y) / q in place, exactly, for x and y (re, im)
-    int lists and p, q and f = fa + fb i Gaussian integers ((re, im) pairs)."""
+    int lists and p, q and f = fa + fb i Gaussian integers ((re, im) pairs).
+    _eliminate updates real rows itself, and rescales every row here (f = 0)."""
     (xr, xi), (pa, pb), (yr, yi), (qa, qb) = x, p, y, q
-    if real:
-        xr[lo:] = [(pa * u - fa * v) // qa for u, v in zip(xr[lo:], yr)]
-    elif pb == qb == 0:  # real pivots (on a Hermitian matrix, leading minors): no conjugate needed
+    if pb == qb == 0:  # real pivots (on a Hermitian matrix, leading minors): no conjugate needed
         xr[lo:], xi[lo:] = ([(pa * u - fa * v + fb * w) // qa for u, v, w in zip(xr[lo:], yr, yi)],
                             [(pa * u - fa * w - fb * v) // qa for u, v, w in zip(xi[lo:], yr, yi)])
     else:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 from math import lcm
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import wire
 from .exactla import Qi, QI_ZERO, _cleared, _gaussian, as_matrix, nullspace, rank
@@ -50,7 +50,8 @@ class HiggsField:
         object.__setattr__(self, "theta", tuple(layers))
 
 
-class CommutationResult(NamedTuple):
+@dataclass(frozen=True)
+class CommutationResult:
     commutes: bool
     first_violation: Optional[tuple]  # (layer i, direction a, direction b)
 
@@ -74,7 +75,8 @@ def check_commutation(h: HiggsField) -> CommutationResult:
     return CommutationResult(not violations, min(violations, default=None))
 
 
-class LemmaVerdict(NamedTuple):
+@dataclass(frozen=True)
+class LemmaVerdict:
     holds: bool
     triggered: bool  # whether the rank hypothesis was met
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 from operator import itemgetter, neg
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .exactla import GaussianRational, _cleared, as_matrix, rank
 from .hodge import HodgeNumbers
@@ -165,9 +165,9 @@ def bracket_table_certified(ranks: HodgeNumbers) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _bracket_cells(table: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The (p, j) cells of each row of a _bracket_table other than the zero index 2N."""
-    return tuple(tuple((p, j) for p, j in enumerate(image) if j != 2 * len(image)) for image in table)
+def _bracket_cells(ranks: HodgeNumbers) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The (p, j) cells of each row of _bracket_table(ranks) other than the zero index 2N."""
+    return tuple(tuple((p, j) for p, j in enumerate(image) if j != 2 * len(image)) for image in _bracket_table(ranks))
 
 
 def _bracket_entries(ranks: HodgeNumbers, u: Sequence[tuple[int, int]],
@@ -178,7 +178,7 @@ def _bracket_entries(ranks: HodgeNumbers, u: Sequence[tuple[int, int]],
     of the basis vector e_p against w, which _bracket_table reads off w."""
     s = (*w, *((-a, -b) for a, b in w))  # w, then -w
     out = []
-    for cells in _bracket_cells(_bracket_table(ranks)):
+    for cells in _bracket_cells(ranks):
         re = im = 0
         for p, j in cells:
             (a, b), (c, e) = u[p], s[j]
@@ -229,7 +229,8 @@ def _regularity_rows(ranks: HodgeNumbers) -> tuple[itemgetter, ...]:
 HALF_ZERO_PERIOD = 8  # sample idx is drawn from the half-zero stratum when idx % 8 == 7
 
 
-class Pu2nReport(NamedTuple):
+@dataclass(frozen=True)
+class Pu2nReport:
     samples: int
     mismatches: int  # regular vs complex-independence disagreements
     found_regular_isotropic: bool
@@ -304,7 +305,8 @@ def verify_pu2n_criterion(
 # ---------------------------------------------------------------------------
 
 
-class StabilizerDimensions(NamedTuple):
+@dataclass(frozen=True)
+class StabilizerDimensions:
     stab_dim: int
     orbit_dim: int
 

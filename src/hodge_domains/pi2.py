@@ -13,7 +13,6 @@ kept alongside it as an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .exactla import is_unimodular
 from .hodge import HodgeNumbers
@@ -136,7 +135,8 @@ def pi_u_star(c: Pi2Class) -> int:
     return sum((-1) ** i * a for i, a in enumerate(c.coords))
 
 
-class Pi2Report(NamedTuple):
+@dataclass(frozen=True)
+class Pi2Report:
     rank_flag_manifold: int  # k
     rank_domain: int  # k - 1
     basis: tuple  # wall roots beta_0 .. beta_{k-1}
@@ -175,13 +175,15 @@ def pi2_report(ranks: HodgeNumbers) -> Pi2Report:
     )
 
 
-class GeneratorStatus(NamedTuple):
+@dataclass(frozen=True)
+class GeneratorStatus:
     index: int  # i, for the kernel generator bridging walls i and i+1
     middle_rank: int  # r_{i+1}
     status: str  # 'representable' when r_{i+1} >= 2, else 'unknown'
 
 
-class GenerationReport(NamedTuple):
+@dataclass(frozen=True)
+class GenerationReport:
     per_generator: tuple
     fully_generated: bool
     interior_rank_one: bool

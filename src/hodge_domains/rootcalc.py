@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .hodge import HodgeNumbers
 
@@ -84,7 +84,8 @@ def all_roots(m: int) -> list[RootVector]:
     )
 
 
-class ParabolicData(NamedTuple):
+@dataclass(frozen=True)
+class ParabolicData:
     """Root-level description of the block parabolic q inside sl(m), whose
     roots phi are the roots of levels >= 0.
 
@@ -146,14 +147,16 @@ def wall_roots(pd: ParabolicData) -> list[RootVector]:
 # ---------------------------------------------------------------------------
 
 
-class LevelCertificate(NamedTuple):
+@dataclass(frozen=True)
+class LevelCertificate:
     level: int
     dim: int
     achieved: int
     witnesses: tuple  # bracket trees: a RootVector, or (RootVector, subtree)
 
 
-class BracketGenerationCertificate(NamedTuple):
+@dataclass(frozen=True)
+class BracketGenerationCertificate:
     ranks: HodgeNumbers
     ok: bool
     levels: tuple[LevelCertificate, ...]

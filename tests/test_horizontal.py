@@ -631,7 +631,20 @@ def test_su22_draws_model_pairs_from_the_given_rng():
     assert rng.getstate() == twin.getstate()
 
 
-def test_su22_fails_on_a_bracket_table_with_two_rows_swapped(monkeypatch, capsys):
+@pytest.fixture
+def fresh_bracket_caches():
+    # _bracket_cells is cached per ranks: a test that replaces _bracket_table
+    # clears it first, so the cells are read from the replacement, and after,
+    # so they do not outlive it
+    caches = (horizontal_mod._bracket_table, horizontal_mod._bracket_cells)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_su22_fails_on_a_bracket_table_with_two_rows_swapped(monkeypatch, capsys, fresh_bracket_caches):
     # the ambient bracket lands on entry (c3, c0) = row 1 of the (2,3,2) table;
     # swapping rows 0 and 1 moves it; the su22 suite reads the table here, and
     # the bracket_generation suite certifies it against matrix units
@@ -719,7 +732,7 @@ def _wrong_component(table, n, ranks):
 
 @pytest.mark.parametrize("mutate", ["swapped_rows", "flipped_sign", "wrong_component"])
 @pytest.mark.parametrize("ranks", ["4,1,4,1,4", "2,2,2"])
-def test_verify_fails_on_a_mutated_bracket_table(monkeypatch, capsys, mutate, ranks):
+def test_verify_fails_on_a_mutated_bracket_table(monkeypatch, capsys, fresh_bracket_caches, mutate, ranks):
     original = horizontal_mod._bracket_table.__wrapped__
     hn = HodgeNumbers(tuple(map(int, ranks.split(","))))
 

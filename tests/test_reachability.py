@@ -142,9 +142,6 @@ KEPT_LINES = {
                                     "roots, and so do pi2's error messages",
     "exactla._cleared: v = [_coerce(x) for x in v]":
         "the kernels take ints and Fractions among Gaussian rationals, as their docstrings say; tests pass them",
-    "exactla.as_matrix: out = tuple(tuple(x if isinstance(x, GaussianRational) else GaussianRational(x) for x in row) "
-    "for row in out)": "Flag, HiggsField and HorizontalVector take ints, Fractions and 'a/b' strings, as as_matrix's "
-                       "docstring says; the grid builds them from Gaussian rationals only, and tests pass the others",
     "exactla.nullspace: return []": "an empty matrix has no row to count the columns by; tests pin nullspace([])",
     "horizontal._independent: return False": "a zero first vector, which a draw of the (1,n,1) suite can give "
                                              "(with probability at most 49**-n)",
