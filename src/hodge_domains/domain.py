@@ -224,9 +224,7 @@ def perturbed_flag(ranks: HodgeNumbers, rng) -> Flag:
             new = list(col)
             for _ in range(2):
                 c = rng.randrange(m)
-                dre = rng.randint(-2, 2)
-                dim_ = rng.randint(-2, 2)
-                new[c] = new[c] + GaussianRational(dre * scale, dim_ * scale)
+                new[c] = new[c] + GaussianRational(rng.randint(-2, 2) * scale, rng.randint(-2, 2) * scale)  # re, then im
             cols.append(tuple(new))
         try:
             flag = Flag(ranks, tuple(cols))

@@ -196,9 +196,10 @@ def _eliminate(a: Sequence[Sequence], forward: bool = False):
     previous pivot; the division is exact, so entries stay minors and their
     size grows polynomially.  After the last step every pivot entry equals the
     last pivot d, and the reduced row echelon form is the rows divided by d.
-    A step with f = 0 only scales the row by p / prev, so it is deferred: row
-    i holds its values times dens[i] / prev, and its next update divides by
-    dens[i] instead (the pivot row, and at the end each RREF row, is scaled).
+    On a matrix that is not real, a step with f = 0 only scales the row by
+    p / prev, so it is deferred: row i holds its values times dens[i] / prev,
+    and its next update divides by dens[i] (the pivot row, and at the end each
+    RREF row, is rescaled).  Real rows, one product per entry, are not deferred.
 
     With forward=True a step updates only the rows below the pivot row, and
     only right of the pivot column (left of it those rows are zero); the rows
@@ -214,7 +215,7 @@ def _eliminate(a: Sequence[Sequence], forward: bool = False):
     ncols = len(a[0]) if a else 0
     # Rows of ints (whose sums are ints; a Fraction or GaussianRational entry
     # makes the sum one) are copied as they are, with one shared zero
-    # imaginary part, which every update leaves zero.
+    # imaginary part, which the real updates never write.
     if all(type(sum(row)) is int for row in a):
         zero = [0] * ncols
         rows = [(list(row), zero) for row in a]
@@ -244,14 +245,15 @@ def _eliminate(a: Sequence[Sequence], forward: bool = False):
         yr, _ = y = (yr[lo:], yi[lo:])
         for i in range(r + 1 if forward else 0, nrows):
             xr, xi = rows[i]
-            if i != r and (xr[c] or xi[c]):
-                if real:  # _combine on real rows, without the division by 1 of a row's first update
-                    fa, qa = xr[c], dens[i][0]
-                    xr[lo:] = ([pa * u - fa * v for u, v in zip(xr[lo:], yr)] if qa == 1 else
-                               [(pa * u - fa * v) // qa for u, v in zip(xr[lo:], yr)])
-                else:
-                    _combine(rows[i], p, xr[c], xi[c], y, dens[i], lo)
-                dens[i] = p
+            if i == r or not (real or xr[c] or xi[c]):
+                continue
+            if real:  # never deferred, so never rescaled
+                fa, qa = xr[c], q[0]
+                xr[lo:] = ([pa * u - fa * v for u, v in zip(xr[lo:], yr)] if qa == 1 else
+                           [(pa * u - fa * v) // qa for u, v in zip(xr[lo:], yr)])
+            else:
+                _combine(rows[i], p, xr[c], xi[c], y, dens[i], lo)
+            dens[i] = p
         dens[r] = q = p
         pivot_cols.append(c)
         pivots.append(p)
@@ -263,8 +265,8 @@ def _eliminate(a: Sequence[Sequence], forward: bool = False):
 
 def _combine(x, p, fa: int, fb: int, y, q, lo: int) -> None:
     """x[lo:] = (p x[lo:] - f y) / q in place, exactly, for x and y (re, im)
-    int lists and p, q and f = fa + fb i Gaussian integers ((re, im) pairs).
-    _eliminate updates real rows itself, and rescales every row here (f = 0)."""
+    int lists and p, q and f = fa + fb i Gaussian integers ((re, im) pairs):
+    the update, and the rescaling (f = 0), of a row that is not real."""
     (xr, xi), (pa, pb), (yr, yi), (qa, qb) = x, p, y, q
     if pb == qb == 0:  # real pivots (on a Hermitian matrix, leading minors): no conjugate needed
         xr[lo:], xi[lo:] = ([(pa * u - fa * v + fb * w) // qa for u, v, w in zip(xr[lo:], yr, yi)],
