@@ -77,10 +77,6 @@ class RunConfig:
             raise ValueError(f"--classify-out needs ranks (1, n, 1), got {self.ranks.ranks}")
 
 
-def _root_str(root) -> str:
-    return f"e{root.plus_index + 1}-e{root.minus_index + 1}"
-
-
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------
@@ -88,37 +84,14 @@ def _root_str(root) -> str:
 
 def run_report(cfg: RunConfig) -> dict:
     ranks = cfg.ranks
-    desc = domain_mod.describe_domain(ranks)
-    rep = pi2_mod.pi2_report(ranks)
-    gen = pi2_mod.superhorizontal_generation_report(ranks)
-    pd = rootcalc_mod.parabolic_from_ranks(ranks)
-    cert = rootcalc_mod.bracket_generating_check(pd)
+    cert = rootcalc_mod.bracket_generating_check(rootcalc_mod.parabolic_from_ranks(ranks))
     return {
         "schema": wire.SCHEMA,
         "command": "report",
         "ranks": list(ranks.ranks),
-        "domain": {
-            "dim": desc.dim,
-            "horizontal_rank": desc.horizontal_rank,
-            "vertical_rank": desc.vertical_rank,
-            "fiber_factors": [list(desc.fiber_factors[0]), list(desc.fiber_factors[1])],
-            "interior_rank_one": desc.interior_rank_one,
-        },
-        "pi2": {
-            "rank_flag_manifold": rep.rank_flag_manifold,
-            "rank_domain": rep.rank_domain,
-            "basis": [_root_str(b) for b in rep.basis],
-            "kernel_basis": [list(c.coords) for c in rep.kernel_basis],
-            "kernel_verified": rep.kernel_verified,
-        },
-        "superhorizontal": {
-            "generators": [
-                {"index": g.index, "middle_rank": g.middle_rank, "status": g.status}
-                for g in gen.per_generator
-            ],
-            "fully_generated": gen.fully_generated,
-            "interior_rank_one": gen.interior_rank_one,
-        },
+        "domain": domain_mod.describe_domain(ranks),
+        "pi2": pi2_mod.pi2_report(ranks),
+        "superhorizontal": pi2_mod.superhorizontal_generation_report(ranks),
         "bracket_generation": {
             "ok": cert.ok,
             "levels": [
@@ -171,18 +144,19 @@ def _suite_dimensions(cfg: RunConfig) -> tuple[bool, dict]:
     ranks = cfg.ranks
     r = ranks.ranks
     desc = domain_mod.describe_domain(ranks)
-    split = desc.horizontal_rank + desc.vertical_rank
+    dim = desc["dim"]
+    split = desc["horizontal_rank"] + desc["vertical_rank"]
     ok = (
-        desc.dim == sum(r[i] * r[j] for i in range(len(r)) for j in range(i + 1, len(r)))
-        and split <= desc.dim
-        and (split == desc.dim) == (ranks.k <= 2)
+        dim == sum(r[i] * r[j] for i in range(len(r)) for j in range(i + 1, len(r)))
+        and split <= dim
+        and (split == dim) == (ranks.k <= 2)
         and domain_mod.flag_in_period_domain(domain_mod.hodge_flag(ranks))
     )
     checks = 4
     if _is_1n1(ranks):
-        ok = ok and desc.dim == 2 * r[1] + 1 and desc.horizontal_rank == 2 * r[1]
+        ok = ok and dim == 2 * r[1] + 1 and desc["horizontal_rank"] == 2 * r[1]
         checks = 6
-    return ok, {"checks": checks, "dim": desc.dim}
+    return ok, {"checks": checks, "dim": dim}
 
 
 def _suite_pi2(cfg: RunConfig) -> tuple[bool, dict]:
@@ -191,7 +165,7 @@ def _suite_pi2(cfg: RunConfig) -> tuple[bool, dict]:
     oracle = pi2_mod.class_closure_oracle(pd)
     mismatches = sum(pi2_mod.class_of_root(root, pd) != oracle[root] for root in pd.sorted_n_roots())
     rep = pi2_mod.pi2_report(ranks)
-    kernel_ok = rep.kernel_verified and all(pi2_mod.pi_u_star(c) == 0 for c in rep.kernel_basis)
+    kernel_ok = rep["kernel_verified"] and all(pi2_mod.pi_u_star(c) == 0 for c in rep["kernel_basis"])
     details = {"n_roots": len(pd.n_roots), "mismatches": mismatches, "kernel_verified": kernel_ok}
     return mismatches == 0 and kernel_ok, details
 
@@ -227,23 +201,16 @@ def _suite_pu2n(cfg: RunConfig) -> tuple[bool, dict]:
     n = cfg.ranks.ranks[1]
     with open(cfg.classify_out, "w") if cfg.classify_out else nullcontext() as sink:
         record = (lambda entry: sink.write(wire.dumps(entry) + "\n")) if sink else None
-        rep = horizontal_mod.verify_pu2n_criterion(n, cfg.samples, cfg.seed, record=record)
+        details = horizontal_mod.verify_pu2n_criterion(n, cfg.samples, cfg.seed, record=record)
+    half_zero_independent = details.pop("half_zero_independent")
     if n == 1:
-        passed = rep.mismatches == 0 and not rep.found_regular_isotropic and rep.isotropic_noncomplex_count == 0
+        passed = not details["found_regular_isotropic"] and details["isotropic_noncomplex"] == 0
     else:
         # regular isotropic planes are looked for on the half-zero stratum only,
         # so their existence is claimed only once a run has drawn a
         # complex-independent plane from it
-        passed = rep.mismatches == 0 and (rep.found_regular_isotropic or not rep.half_zero_independent)
-    return passed, {
-        "n": n,
-        "samples": rep.samples,
-        "mismatches": rep.mismatches,
-        "regular": rep.regular_count,
-        "isotropic": rep.isotropic_count,
-        "found_regular_isotropic": rep.found_regular_isotropic,
-        "isotropic_noncomplex": rep.isotropic_noncomplex_count,
-    }
+        passed = details["found_regular_isotropic"] or not half_zero_independent
+    return details["mismatches"] == 0 and passed, details
 
 
 def _suite_stabilizers(cfg: RunConfig) -> tuple[bool, dict]:
@@ -252,10 +219,9 @@ def _suite_stabilizers(cfg: RunConfig) -> tuple[bool, dict]:
     cases = 0
     for n in range(1, 11):
         for k in range(1, n + 1):
-            dims = horizontal_mod.stabilizer_dimension(n, k)
+            orbit = n * (2 * n + 1) - horizontal_mod.stabilizer_dimension(n, k)
             oracle = horizontal_mod.isotropic_tuple_orbit_dimension(n, k)
-            ok = ok and dims.stab_dim + dims.orbit_dim == n * (2 * n + 1)
-            ok = ok and dims.orbit_dim == oracle == 2 * n * k - k * (k - 1) // 2
+            ok = ok and orbit == oracle == 2 * n * k - k * (k - 1) // 2
             cases += 1
     return ok, {"cases": cases}
 
@@ -274,10 +240,9 @@ def _suite_higgs(cfg: RunConfig) -> tuple[bool, dict]:
             field = higgs_mod.random_commuting_higgs(
                 shape, m_t=2 + j % 2, seed=cfg.seed * 104729 + pos * 1000 + j, strategy=strategy
             )
-            verdict = higgs_mod.rank_one_lemma_check(field)
-            ok = ok and verdict.holds
-            if verdict.triggered:
-                triggered += 1
+            holds, hit = higgs_mod.rank_one_lemma_check(field)
+            ok = ok and holds
+            triggered += hit
             round_trip = higgs_mod.higgs_loads(higgs_mod.higgs_dumps(field))
             ok = ok and round_trip.theta == field.theta
     return ok, {"fields": count * len(interior), "triggered": triggered}

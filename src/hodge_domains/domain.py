@@ -172,32 +172,21 @@ def project_to_symmetric_space(flag: Flag) -> tuple[Vector, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DomainDescriptor:
-    dim: int  # complex dimension of the flag manifold and of the open orbit
-    horizontal_rank: int  # complex rank of the first-level tangent subbundle
-    vertical_rank: int  # fiber directions of the symmetric-space fibration
-    fiber_factors: tuple  # rank tuples of the two flag-manifold factors of the fiber
-    interior_rank_one: bool  # some interior block has rank 1
-
-
-def describe_domain(ranks: HodgeNumbers) -> DomainDescriptor:
+def describe_domain(ranks: HodgeNumbers) -> dict:
+    """The report's "domain" section: the complex dimension of the flag
+    manifold and of the open orbit, the complex rank of the first-level
+    tangent subbundle, the fiber directions of the symmetric-space fibration,
+    the rank tuples of the fiber's two flag-manifold factors, and whether
+    some interior block has rank 1."""
     r = ranks.ranks
     n = len(r)
-    dim = sum(r[i] * r[j] for i in range(n) for j in range(i + 1, n))
-    horizontal = sum(r[i] * r[i + 1] for i in range(n - 1))
-    vertical = sum(
-        r[i] * r[j] for i in range(n) for j in range(i + 1, n) if (j - i) % 2 == 0
-    )
-    evens = tuple(r[i] for i in range(0, n, 2))
-    odds = tuple(r[i] for i in range(1, n, 2))
-    return DomainDescriptor(
-        dim=dim,
-        horizontal_rank=horizontal,
-        vertical_rank=vertical,
-        fiber_factors=(evens, odds),
-        interior_rank_one=ranks.has_interior_rank_one,
-    )
+    return {
+        "dim": sum(r[i] * r[j] for i in range(n) for j in range(i + 1, n)),
+        "horizontal_rank": sum(r[i] * r[i + 1] for i in range(n - 1)),
+        "vertical_rank": sum(r[i] * r[j] for i in range(n) for j in range(i + 1, n) if (j - i) % 2 == 0),
+        "fiber_factors": [list(r[0::2]), list(r[1::2])],
+        "interior_rank_one": ranks.has_interior_rank_one,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -50,17 +50,12 @@ class HiggsField:
         object.__setattr__(self, "theta", tuple(layers))
 
 
-@dataclass(frozen=True)
-class CommutationResult:
-    commutes: bool
-    first_violation: Optional[tuple]  # (layer i, direction a, direction b)
-
-
-def check_commutation(h: HiggsField) -> CommutationResult:
-    """Whether theta_{i+1}^(a) theta_i^(b) = theta_{i+1}^(b) theta_i^(a) for all
-    layers and direction pairs a < b: whether component i of the level-two
-    bracket of directions a and b vanishes (on the directions cleared of
-    denominators, which scales it by a positive integer)."""
+def check_commutation(h: HiggsField) -> Optional[tuple[int, int, int]]:
+    """The first (layer i, direction a, direction b), a < b, with
+    theta_{i+1}^(a) theta_i^(b) != theta_{i+1}^(b) theta_i^(a), or None if the
+    field commutes.  The relation holds at (i, a, b) iff component i of the
+    level-two bracket of directions a and b vanishes (on the directions
+    cleared of denominators, which scales it by a positive integer)."""
     r = h.ranks.ranks
     starts = list(accumulate((r[i] * r[i + 2] for i in range(h.ranks.k - 1)), initial=0))
     directions = []
@@ -72,32 +67,27 @@ def check_commutation(h: HiggsField) -> CommutationResult:
         entries = _bracket_entries(h.ranks, directions[a], directions[b])
         violations += [(i, a + 1, b + 1) for i in range(h.ranks.k - 1)
                        if any(map(any, entries[starts[i]:starts[i + 1]]))]
-    return CommutationResult(not violations, min(violations, default=None))
+    return min(violations, default=None)
 
 
-@dataclass(frozen=True)
-class LemmaVerdict:
-    holds: bool
-    triggered: bool  # whether the rank hypothesis was met
-
-
-def rank_one_lemma_check(h: HiggsField) -> LemmaVerdict:
-    """Verify, for a commuting field of ranks (a, 1, b), that
-    rank(theta_0) >= 2 forces theta_1 = 0, with theta_0 the directions
-    stacked into one (tangent_dim x a) map.
+def rank_one_lemma_check(h: HiggsField) -> tuple[bool, bool]:
+    """(holds, triggered): verify, for a commuting field of ranks (a, 1, b),
+    that rank(theta_0) >= 2 forces theta_1 = 0, with theta_0 the directions
+    stacked into one (tangent_dim x a) map; triggered says whether the rank
+    hypothesis was met.
 
     A failing verdict cannot occur for genuinely commuting data; it would
     signal an implementation bug, and the suites treat it as a failure.
     """
     if len(h.ranks.ranks) != 3 or h.ranks.ranks[1] != 1:
         raise PreconditionError(f"ranks {h.ranks.ranks} are not (a, 1, b)")
-    comm = check_commutation(h)
-    if not comm.commutes:
-        raise PreconditionError(f"field does not commute (violation at {comm.first_violation})")
+    violation = check_commutation(h)
+    if violation is not None:
+        raise PreconditionError(f"field does not commute (violation at {violation})")
     theta_0, theta_1 = h.theta
     if rank([row for mx in theta_0 for row in mx]) < 2:
-        return LemmaVerdict(True, triggered=False)
-    return LemmaVerdict(all(x.is_zero() for mx in theta_1 for row in mx for x in row), triggered=True)
+        return True, False
+    return all(x.is_zero() for mx in theta_1 for row in mx for x in row), True
 
 
 # ---------------------------------------------------------------------------

@@ -229,18 +229,6 @@ def _regularity_rows(ranks: HodgeNumbers) -> tuple[itemgetter, ...]:
 HALF_ZERO_PERIOD = 8  # sample idx is drawn from the half-zero stratum when idx % 8 == 7
 
 
-@dataclass(frozen=True)
-class Pu2nReport:
-    samples: int
-    mismatches: int  # regular vs complex-independence disagreements
-    found_regular_isotropic: bool
-    # some half-zero sample is complex-independent: isotropic, so regular isotropic if it is regular
-    half_zero_independent: bool
-    regular_count: int
-    isotropic_count: int
-    isotropic_noncomplex_count: int  # isotropic planes that are not complex lines
-
-
 def _draw_model_pair(n: int, rng: random.Random, half_zero: bool):
     """Two R-independent vectors of the rank-(1,n,1) model over Z[i], as
     (re, im) int pairs in flatten order: components (column v1, row t(v2))
@@ -264,16 +252,19 @@ def verify_pu2n_criterion(
     samples: int,
     seed: int,
     record: Optional[Callable[[dict], None]],
-) -> Pu2nReport:
-    """Seeded check of the regularity criterion in the rank-(1,n,1) model.
+) -> dict:
+    """Seeded check of the regularity criterion in the rank-(1,n,1) model:
+    the suite's details, keyed as the report prints them, plus
+    "half_zero_independent".
 
-    Asserts regularity == complex-linear independence sample by sample and
-    counts regular isotropic planes.  Every HALF_ZERO_PERIOD-th sample, from
-    idx 7 on, is drawn from the second-half-zero stratum, on which the
-    symplectic scalar vanishes, so isotropic planes appear at a stable rate;
-    a complex-independent one among them should be a regular isotropic plane.
-    For n = 1 the report additionally counts isotropic samples that fail to
-    be complex lines (there must be none).
+    Compares regularity with complex-linear independence sample by sample
+    ("mismatches" counts disagreements) and counts regular and isotropic
+    planes.  Every HALF_ZERO_PERIOD-th sample, from idx 7 on, is drawn from
+    the second-half-zero stratum, on which the symplectic scalar vanishes, so
+    isotropic planes appear at a stable rate; a complex-independent one among
+    them ("half_zero_independent") should be a regular isotropic plane.  For
+    n = 1, "isotropic_noncomplex" counts isotropic samples that fail to be
+    complex lines (there must be none).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -296,8 +287,9 @@ def verify_pu2n_criterion(
         half_zero_independent = half_zero_independent or (half_zero and not line)
         if record is not None:
             record({"seed": seed * 1_000_003 + idx, "isotropic": iso, "regular": reg, "complex_line": line})
-    return Pu2nReport(samples, mismatches, found_reg_iso, half_zero_independent, regular_count, isotropic_count,
-                      noncomplex_iso)
+    return {"n": n, "samples": samples, "mismatches": mismatches, "regular": regular_count,
+            "isotropic": isotropic_count, "found_regular_isotropic": found_reg_iso,
+            "isotropic_noncomplex": noncomplex_iso, "half_zero_independent": half_zero_independent}
 
 
 # ---------------------------------------------------------------------------
@@ -305,23 +297,16 @@ def verify_pu2n_criterion(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StabilizerDimensions:
-    stab_dim: int
-    orbit_dim: int
-
-
-def stabilizer_dimension(n: int, k: int) -> StabilizerDimensions:
-    """Complex dimensions of the stabilizer of a k-tuple spanning an isotropic
-    k-plane in C^(2n), and of its orbit, inside Sp(n, C).
+def stabilizer_dimension(n: int, k: int) -> int:
+    """Complex dimension of the stabilizer of a k-tuple spanning an isotropic
+    k-plane in C^(2n), inside Sp(n, C); its orbit has dimension n(2n+1)
+    minus this.
 
     The stabilizer is topologically Sp(n-k, C) x C^(2k(n-k)) x C^(k(k+1)/2).
     """
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    stab = (n - k) * (2 * (n - k) + 1) + 2 * k * (n - k) + k * (k + 1) // 2
-    orbit = n * (2 * n + 1) - stab
-    return StabilizerDimensions(stab_dim=stab, orbit_dim=orbit)
+    return (n - k) * (2 * (n - k) + 1) + 2 * k * (n - k) + k * (k + 1) // 2
 
 
 def isotropic_tuple_orbit_dimension(n: int, k: int) -> int:

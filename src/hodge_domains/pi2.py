@@ -13,6 +13,7 @@ kept alongside it as an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .exactla import is_unimodular
 from .hodge import HodgeNumbers
@@ -129,85 +130,61 @@ def class_closure_oracle(pd: ParabolicData) -> dict:
     return known
 
 
-def pi_u_star(c: Pi2Class) -> int:
-    """Image degree of a sphere class under the Grassmannian projection:
-    the alternating coordinate sum."""
-    return sum((-1) ** i * a for i, a in enumerate(c.coords))
+def pi_u_star(coords: Sequence[int]) -> int:
+    """Image degree of a sphere class, given by its coordinates, under the
+    Grassmannian projection: the alternating coordinate sum."""
+    return sum((-1) ** i * a for i, a in enumerate(coords))
 
 
-@dataclass(frozen=True)
-class Pi2Report:
-    rank_flag_manifold: int  # k
-    rank_domain: int  # k - 1
-    basis: tuple  # wall roots beta_0 .. beta_{k-1}
-    kernel_basis: tuple  # Pi2Class coordinates e_i + e_{i+1}
-    kernel_verified: bool
+def _root_str(root: RootVector) -> str:
+    return f"e{root.plus_index + 1}-e{root.minus_index + 1}"
 
 
-def pi2_report(ranks: HodgeNumbers) -> Pi2Report:
-    """Ranks and kernel data of the projection on second homotopy.
+def pi2_report(ranks: HodgeNumbers) -> dict:
+    """The report's "pi2" section: ranks and kernel data of the projection on
+    second homotopy, with the wall roots beta_0 .. beta_{k-1} as the basis.
 
-    The reported classes c_i are checked to be a Z-basis of the kernel of
-    pi_u*: Z^k -> Z.  As pi_u*(e_0) = 1, they are such a basis exactly when
-    pi_u* kills each c_i and [c_0; ...; c_{k-2}; e_0] is unimodular: then
-    Z^k = span(c) + Z e_0 maps onto 0 + Z, and conversely the kernel and
-    Z e_0 split Z^k.
+    The reported classes c_i = e_i + e_{i+1} are checked to be a Z-basis of
+    the kernel of pi_u*: Z^k -> Z.  As pi_u*(e_0) = 1, they are such a basis
+    exactly when pi_u* kills each c_i and [c_0; ...; c_{k-2}; e_0] is
+    unimodular: then Z^k = span(c) + Z e_0 maps onto 0 + Z, and conversely
+    the kernel and Z e_0 split Z^k.
     """
-    pd = parabolic_from_ranks(ranks)
     k = ranks.k
-    betas = tuple(wall_roots(pd))
-    kernel_classes = tuple(
+    kernel_classes = [
         Pi2Class(tuple(1 if w in (i, i + 1) else 0 for w in range(k)))
         for i in range(k - 1)
-    )
-    verified = all(pi_u_star(c) == 0 for c in kernel_classes) and is_unimodular(
+    ]
+    verified = all(pi_u_star(c.coords) == 0 for c in kernel_classes) and is_unimodular(
         [*(c.coords for c in kernel_classes), basis_class(k, 0).coords]
     )
     if not verified:
         raise AssertionError("kernel basis does not span the exact integer kernel")
-
-    return Pi2Report(
-        rank_flag_manifold=k,
-        rank_domain=k - 1,
-        basis=betas,
-        kernel_basis=kernel_classes,
-        kernel_verified=verified,
-    )
-
-
-@dataclass(frozen=True)
-class GeneratorStatus:
-    index: int  # i, for the kernel generator bridging walls i and i+1
-    middle_rank: int  # r_{i+1}
-    status: str  # 'representable' when r_{i+1} >= 2, else 'unknown'
+    return {
+        "rank_flag_manifold": k,
+        "rank_domain": k - 1,
+        "basis": [_root_str(b) for b in wall_roots(parabolic_from_ranks(ranks))],
+        "kernel_basis": [list(c.coords) for c in kernel_classes],
+        "kernel_verified": verified,
+    }
 
 
-@dataclass(frozen=True)
-class GenerationReport:
-    per_generator: tuple
-    fully_generated: bool
-    interior_rank_one: bool
+def superhorizontal_generation_report(ranks: HodgeNumbers) -> dict:
+    """The report's "superhorizontal" section: which kernel generators admit
+    horizontal sphere representatives.
 
-
-def superhorizontal_generation_report(ranks: HodgeNumbers) -> GenerationReport:
-    """Which kernel generators admit horizontal sphere representatives.
-
-    Generator i (i = 0..k-2) is representable when the middle block has rank
-    r_{i+1} >= 2.  When r_{i+1} = 1 the question is open, so the status is
-    'unknown' rather than 'false'.  Full generation is equivalent to no
-    interior block having rank 1.
+    Generator i (i = 0..k-2), bridging walls i and i+1, is representable when
+    the middle block has rank r_{i+1} >= 2.  When r_{i+1} = 1 the question is
+    open, so the status is 'unknown' rather than 'false'.  Full generation is
+    equivalent to no interior block having rank 1.
     """
     gens = []
     for i in range(ranks.k - 1):
         middle = ranks.ranks[i + 1]
         status = "representable" if middle >= 2 else "unknown"
-        gens.append(GeneratorStatus(index=i, middle_rank=middle, status=status))
-    fully = all(g.status == "representable" for g in gens)
+        gens.append({"index": i, "middle_rank": middle, "status": status})
+    fully = all(g["status"] == "representable" for g in gens)
     interior_one = ranks.has_interior_rank_one
     if fully == interior_one:
         raise AssertionError("generation report disagrees with the interior-rank-one flag")
-    return GenerationReport(
-        per_generator=tuple(gens),
-        fully_generated=fully,
-        interior_rank_one=interior_one,
-    )
+    return {"generators": gens, "fully_generated": fully, "interior_rank_one": interior_one}

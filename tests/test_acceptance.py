@@ -54,7 +54,7 @@ def test_criterion_01_dimension_identities():
     ok = True
     for n in range(1, 9):
         d = describe_domain(HodgeNumbers((1, n, 1)))
-        ok = ok and d.dim == 2 * n + 1 and d.horizontal_rank == 2 * n
+        ok = ok and d["dim"] == 2 * n + 1 and d["horizontal_rank"] == 2 * n
     _finish(1, "rank-(1,n,1) dimensions 2n+1 and horizontal rank 2n, n=1..8", ok, time.perf_counter() - start, 1.0)
 
 
@@ -65,9 +65,9 @@ def test_criterion_02_pi2_calculus():
     for hn in all_rank_tuples(8):
         tuples += 1
         rep = pi2_report(hn)
-        ok = ok and rep.rank_flag_manifold == hn.k and rep.rank_domain == hn.k - 1
-        ok = ok and rep.kernel_verified
-        ok = ok and reference_is_kernel_basis([list(c.coords) for c in rep.kernel_basis], hn.k)
+        ok = ok and rep["rank_flag_manifold"] == hn.k and rep["rank_domain"] == hn.k - 1
+        ok = ok and rep["kernel_verified"]
+        ok = ok and reference_is_kernel_basis(rep["kernel_basis"], hn.k)
         pd = parabolic_from_ranks(hn)
         oracle = class_closure_oracle(pd)
         for root in pd.sorted_n_roots():
@@ -104,7 +104,7 @@ def test_criterion_04_pu2n_regularity_criterion():
     ok = True
     for n in (2, 3, 4):
         rep = verify_pu2n_criterion(n, 10_000, seed=20_2400 + n, record=None)
-        ok = ok and rep.mismatches == 0 and rep.found_regular_isotropic
+        ok = ok and rep["mismatches"] == 0 and rep["found_regular_isotropic"]
     _finish(
         4,
         "regular iff complex-independent on 10^4 exact planes each for n=2,3,4, with a regular isotropic witness",
@@ -118,10 +118,10 @@ def test_criterion_05_n1_obstruction():
     start = time.perf_counter()
     rep = verify_pu2n_criterion(1, 10_000, seed=51, record=None)
     ok = (
-        rep.mismatches == 0
-        and not rep.found_regular_isotropic
-        and rep.isotropic_noncomplex_count == 0
-        and rep.isotropic_count > 0
+        rep["mismatches"] == 0
+        and not rep["found_regular_isotropic"]
+        and rep["isotropic_noncomplex"] == 0
+        and rep["isotropic"] > 0
     )
     _finish(
         5,
@@ -137,10 +137,9 @@ def test_criterion_06_stabilizer_dimensions():
     ok = True
     for n in range(1, 11):
         for k in range(1, n + 1):
-            dims = stabilizer_dimension(n, k)
-            ok = ok and dims.stab_dim + dims.orbit_dim == n * (2 * n + 1)
-            ok = ok and dims.orbit_dim == isotropic_tuple_orbit_dimension(n, k)
-            ok = ok and dims.orbit_dim == 2 * n * k - k * (k - 1) // 2
+            orbit = n * (2 * n + 1) - stabilizer_dimension(n, k)
+            ok = ok and orbit == isotropic_tuple_orbit_dimension(n, k)
+            ok = ok and orbit == 2 * n * k - k * (k - 1) // 2
     _finish(6, "isotropic-tuple stabilizer and orbit dimensions, 1 <= k <= n <= 10", ok, time.perf_counter() - start, 1.0)
 
 
@@ -157,9 +156,9 @@ def test_criterion_07_rank_one_lemma():
         field = random_commuting_higgs(HodgeNumbers(shape), m_t, seed=910_000 + seed, strategy=strategy)
         seed += 1
         count += 1
-        verdict = rank_one_lemma_check(field)
-        ok = ok and verdict.holds
-        if verdict.triggered:
+        holds, hit = rank_one_lemma_check(field)
+        ok = ok and holds
+        if hit:
             triggered += 1
     ok = ok and triggered >= 50
 
@@ -174,7 +173,7 @@ def test_criterion_07_rank_one_lemma():
         for t1 in itertools.product(entries, repeat=4):
             theta1 = (((Qi(t1[0]),), (Qi(t1[1]),)), ((Qi(t1[2]),), (Qi(t1[3]),)))
             field = HiggsField(hn, 2, (theta0, theta1))
-            if not check_commutation(field).commutes:
+            if check_commutation(field) is not None:
                 continue
             grid_checked += 1
             if pointwise_rank(field, 0) >= 2:

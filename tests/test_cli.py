@@ -169,6 +169,17 @@ def test_verify_crashing_suite_fails(monkeypatch):
     assert "synthetic failure" in by_name["pi2_calculus"]["details"]["error"]
 
 
+def test_verify_fails_on_a_stabilizer_dimension_off_by_one(monkeypatch, capsys):
+    # the orbit dimension n(2n+1) - stab is checked against two independent counts
+    original = hodge_domains.horizontal.stabilizer_dimension
+    monkeypatch.setattr(hodge_domains.horizontal, "stabilizer_dimension", lambda n, k: original(n, k) + 1)
+    assert main(["verify", "--ranks", "1,1", "--samples", "5"]) == EXIT_SUITE_FAILURE
+    by_name = {s["name"]: s for s in json.loads(capsys.readouterr().out)["suites"]}
+    assert not by_name["stabilizer_dimensions"]["passed"]
+    assert [name for name, s in by_name.items() if not s["passed"]] == ["stabilizer_dimensions"]
+    assert by_name["stabilizer_dimensions"]["details"] == {"cases": 55}
+
+
 def test_verify_classification_stream(tmp_path):
     stream = tmp_path / "planes.jsonl"
     doc = run_verify(cfg_verify((1, 2, 1), seed=9, samples=24, classify_out=str(stream)))

@@ -18,7 +18,6 @@ from conftest import mat_sub, pointwise_rank
 from hodge_domains.exactla import GaussianRational, Qi, QI_ZERO, _coerce, mat_mul, nullspace, rank
 from hodge_domains.hodge import HodgeNumbers
 from hodge_domains.higgs import (
-    CommutationResult,
     HiggsField,
     PreconditionError,
     _sample_nullspace,
@@ -43,17 +42,17 @@ def directional_image_rank(h: HiggsField, i: int) -> int:
     return rank(cols)
 
 
-def reference_check_commutation(h: HiggsField) -> CommutationResult:
-    """Whether theta_{i+1}^(a) theta_i^(b) = theta_{i+1}^(b) theta_i^(a) for all
-    layers and direction pairs a < b."""
+def reference_check_commutation(h: HiggsField):
+    """The first (layer i, direction a, direction b), a < b, with
+    theta_{i+1}^(a) theta_i^(b) != theta_{i+1}^(b) theta_i^(a), or None."""
     for i in range(h.ranks.k - 1):
         for a in range(1, h.tangent_dim + 1):
             for b in range(a + 1, h.tangent_dim + 1):
                 lhs = mat_mul(list(map(list, h.theta[i + 1][a - 1])), list(map(list, h.theta[i][b - 1])))
                 rhs = mat_mul(list(map(list, h.theta[i + 1][b - 1])), list(map(list, h.theta[i][a - 1])))
                 if not is_zero_matrix(mat_sub(lhs, rhs)):
-                    return CommutationResult(False, (i, a, b))
-    return CommutationResult(True, None)
+                    return i, a, b
+    return None
 
 
 def reference_solve_direction(ranks: HodgeNumbers, fixed: list, rng: random.Random):
@@ -141,21 +140,19 @@ def field_111(theta0_dirs, theta1_dirs):
 
 def test_commutation_single_direction_trivial():
     h = field_111([3], [5])
-    assert check_commutation(h).commutes
+    assert check_commutation(h) is None
 
 
 def test_commutation_pullback_scalars():
     rng = random.Random(1)
     for _ in range(20):
         h = random_commuting_higgs(HodgeNumbers((1, 2, 2)), 3, seed=rng.randint(0, 10**6), strategy="pullback")
-        assert check_commutation(h).commutes
+        assert check_commutation(h) is None
 
 
 def test_commutation_violation_111():
     h = field_111([1, 0], [0, 1])
-    res = check_commutation(h)
-    assert not res.commutes
-    assert res.first_violation == (0, 1, 2)
+    assert check_commutation(h) == (0, 1, 2)
 
 
 # -- ranks ---------------------------------------------------------------------
@@ -192,9 +189,8 @@ def test_pointwise_rank_bound():
 def test_lemma_scalar_field_vacuous():
     # rank theta_0 = 1 < 2: the hypothesis is not triggered.
     h = field_111([1, 2], [3, 6])
-    assert check_commutation(h).commutes
-    verdict = rank_one_lemma_check(h)
-    assert verdict.holds and not verdict.triggered
+    assert check_commutation(h) is None
+    assert rank_one_lemma_check(h) == (True, False)  # holds, not triggered
 
 
 def test_lemma_triggered_forces_zero_212():
@@ -228,9 +224,9 @@ def test_lemma_on_sampled_fields():
     triggered = 0
     for seed in range(120):
         h = random_commuting_higgs(HodgeNumbers((2, 1, 2)), 2, seed=seed, strategy="nullspace")
-        verdict = rank_one_lemma_check(h)
-        assert verdict.holds
-        if verdict.triggered:
+        holds, hit = rank_one_lemma_check(h)
+        assert holds
+        if hit:
             triggered += 1
             assert pointwise_rank(h, 1) == 0
     assert triggered > 0
@@ -259,7 +255,7 @@ def test_lemma_mirror_statement_exhaustive_grid():
         for t1 in itertools.product(entries, repeat=4):
             theta1 = (((Qi(t1[0]),), (Qi(t1[1]),)), ((Qi(t1[2]),), (Qi(t1[3]),)))
             h = HiggsField(hn, 2, (theta0, theta1))
-            if not check_commutation(h).commutes:
+            if check_commutation(h) is not None:
                 continue
             if directional_image_rank(h, 1) >= 2:
                 triggered += 1
@@ -293,7 +289,7 @@ def test_sampler_deterministic_per_seed():
 def test_sampler_nullspace_commutes():
     for seed in range(40):
         h = random_commuting_higgs(HodgeNumbers((2, 2, 1)), 3, seed=seed, strategy="nullspace")
-        assert check_commutation(h).commutes
+        assert check_commutation(h) is None
 
 
 def test_sampler_rank_target_212():
@@ -316,7 +312,7 @@ def test_sampler_rejects_bad_strategy():
 )
 def test_sampler_always_commutes_property(ranks, m_t, seed, strategy):
     h = random_commuting_higgs(HodgeNumbers(tuple(ranks)), m_t, seed=seed, strategy=strategy)
-    assert check_commutation(h).commutes
+    assert check_commutation(h) is None
 
 
 # -- the bracket-table paths against the dense references ---------------------------

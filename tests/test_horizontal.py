@@ -417,15 +417,15 @@ def test_bracket_rejects_rank_mismatch():
 
 def test_pu2n_suite_small_n2():
     rep = verify_pu2n_criterion(2, 800, seed=10, record=None)
-    assert rep.mismatches == 0
-    assert rep.found_regular_isotropic
+    assert rep["mismatches"] == 0
+    assert rep["found_regular_isotropic"]
 
 
 def test_pu2n_suite_small_n1():
     rep = verify_pu2n_criterion(1, 800, seed=10, record=None)
-    assert rep.mismatches == 0
-    assert not rep.found_regular_isotropic
-    assert rep.isotropic_noncomplex_count == 0
+    assert rep["mismatches"] == 0
+    assert not rep["found_regular_isotropic"]
+    assert rep["isotropic_noncomplex"] == 0
 
 
 def test_pu2n_targeted_plane_n3():
@@ -502,7 +502,7 @@ def test_flipped_regularity_verdict_is_one_mismatch(monkeypatch, capsys):
 
     monkeypatch.setattr(horizontal_mod, "_regular", flip_fifth)
     rep = verify_pu2n_criterion(2, 40, seed=0, record=None)
-    assert (rep.mismatches, len(calls)) == (1, 40)
+    assert (rep["mismatches"], len(calls)) == (1, 40)
     calls.clear()
     assert main(["verify", "--ranks", "1,2,1", "--seed", "0", "--samples", "40"]) == EXIT_SUITE_FAILURE
     suite = next(s for s in json.loads(capsys.readouterr().out)["suites"] if s["name"] == "pu2n_criterion")
@@ -561,7 +561,7 @@ def test_pu2n_n18_2000_samples_within_readme_bound():
     start = time.perf_counter()
     rep = verify_pu2n_criterion(18, 2000, seed=18, record=None)
     elapsed = time.perf_counter() - start
-    assert rep.mismatches == 0 and rep.found_regular_isotropic
+    assert rep["mismatches"] == 0 and rep["found_regular_isotropic"]
     assert elapsed < 6.0, f"took {elapsed:.2f}s"
 
 
@@ -569,27 +569,23 @@ def test_pu2n_n18_2000_samples_within_readme_bound():
 
 
 def test_stabilizer_n2_k2():
-    dims = stabilizer_dimension(2, 2)
-    assert (dims.stab_dim, dims.orbit_dim) == (3, 7)
+    assert stabilizer_dimension(2, 2) == 3  # orbit 10 - 3 = 7
 
 
 def test_stabilizer_n1_k1():
-    dims = stabilizer_dimension(1, 1)
-    assert (dims.stab_dim, dims.orbit_dim) == (1, 2)
+    assert stabilizer_dimension(1, 1) == 1  # orbit 3 - 1 = 2
 
 
 def test_stabilizer_n3_k1():
-    dims = stabilizer_dimension(3, 1)
-    assert (dims.stab_dim, dims.orbit_dim) == (15, 6)
+    assert stabilizer_dimension(3, 1) == 15  # orbit 21 - 15 = 6
 
 
 def test_stabilizer_table_n_le_10():
     for n in range(1, 11):
         for k in range(1, n + 1):
-            dims = stabilizer_dimension(n, k)
-            assert dims.stab_dim + dims.orbit_dim == n * (2 * n + 1)
-            assert dims.orbit_dim == isotropic_tuple_orbit_dimension(n, k)
-            assert dims.orbit_dim == 2 * n * k - k * (k - 1) // 2
+            orbit = n * (2 * n + 1) - stabilizer_dimension(n, k)
+            assert orbit == isotropic_tuple_orbit_dimension(n, k)
+            assert orbit == 2 * n * k - k * (k - 1) // 2
 
 
 def test_stabilizer_rejects_k_above_n():

@@ -78,9 +78,9 @@ def test_class_additivity_m_le_7():
 
 
 def test_pi_u_star_values():
-    assert pi_u_star(Pi2Class((1, 1))) == 0
-    assert pi_u_star(Pi2Class((1, 0, 0))) == 1
-    assert pi_u_star(Pi2Class((2, 3, 1))) == 0
+    assert pi_u_star((1, 1)) == 0
+    assert pi_u_star((1, 0, 0)) == 1
+    assert pi_u_star([2, 3, 1]) == 0
 
 
 def test_pi_u_star_kills_bridge_classes_m_le_8():
@@ -88,7 +88,7 @@ def test_pi_u_star_kills_bridge_classes_m_le_8():
         pd = parabolic_from_ranks(hn)
         for i in range(hn.k - 1):
             cls = class_of_root(bridge_root(pd, i, i + 1), pd)
-            assert pi_u_star(cls) == 0
+            assert pi_u_star(cls.coords) == 0
 
 
 def test_bridge_classes_match_the_closure_oracle_m_le_8():
@@ -104,30 +104,30 @@ def test_bridge_classes_match_the_closure_oracle_m_le_8():
 
 def test_pi2_report_1n1():
     rep = pi2_report(HodgeNumbers((1, 4, 1)))
-    assert rep.rank_flag_manifold == 2
-    assert rep.rank_domain == 1
+    assert rep["rank_flag_manifold"] == 2
+    assert rep["rank_domain"] == 1
 
 
 def test_pi2_report_k1():
     rep = pi2_report(HodgeNumbers((2, 3)))
-    assert rep.rank_flag_manifold == 1
-    assert rep.rank_domain == 0
-    assert rep.kernel_basis == ()
+    assert rep["rank_flag_manifold"] == 1
+    assert rep["rank_domain"] == 0
+    assert rep["kernel_basis"] == []
 
 
 def test_pi2_report_1111():
     rep = pi2_report(HodgeNumbers((1, 1, 1, 1)))
-    assert rep.rank_flag_manifold == 3
-    assert rep.rank_domain == 2
-    assert [c.coords for c in rep.kernel_basis] == [(1, 1, 0), (0, 1, 1)]
+    assert rep["rank_flag_manifold"] == 3
+    assert rep["rank_domain"] == 2
+    assert rep["kernel_basis"] == [[1, 1, 0], [0, 1, 1]]
 
 
 def test_kernel_basis_equals_exact_kernel_k_le_6():
     for k in range(1, 7):
         ranks = HodgeNumbers((1,) * (k + 1))
         rep = pi2_report(ranks)
-        assert rep.kernel_verified
-        assert reference_is_kernel_basis([list(c.coords) for c in rep.kernel_basis], k)
+        assert rep["kernel_verified"]
+        assert reference_is_kernel_basis(rep["kernel_basis"], k)
 
 
 def test_kernel_basis_roots_have_kernel_classes():
@@ -135,8 +135,8 @@ def test_kernel_basis_roots_have_kernel_classes():
         hn = HodgeNumbers(ranks)
         pd = parabolic_from_ranks(hn)
         rep = pi2_report(hn)
-        for i, cls in enumerate(rep.kernel_basis):
-            assert class_of_root(bridge_root(pd, i, i + 1), pd) == cls
+        for i, coords in enumerate(rep["kernel_basis"]):
+            assert class_of_root(bridge_root(pd, i, i + 1), pd) == Pi2Class(coords)
 
 
 # -- generation report ---------------------------------------------------------
@@ -144,32 +144,32 @@ def test_kernel_basis_roots_have_kernel_classes():
 
 def test_generation_report_121():
     rep = superhorizontal_generation_report(HodgeNumbers((1, 2, 1)))
-    assert [g.status for g in rep.per_generator] == ["representable"]
-    assert rep.fully_generated
-    assert not rep.interior_rank_one
+    assert [g["status"] for g in rep["generators"]] == ["representable"]
+    assert rep["fully_generated"]
+    assert not rep["interior_rank_one"]
 
 
 def test_generation_report_111():
     rep = superhorizontal_generation_report(HodgeNumbers((1, 1, 1)))
-    assert [g.status for g in rep.per_generator] == ["unknown"]
-    assert not rep.fully_generated
-    assert rep.interior_rank_one
+    assert [g["status"] for g in rep["generators"]] == ["unknown"]
+    assert not rep["fully_generated"]
+    assert rep["interior_rank_one"]
 
 
 def test_generation_report_2322():
     rep = superhorizontal_generation_report(HodgeNumbers((2, 3, 2, 2)))
-    assert [(g.index, g.middle_rank, g.status) for g in rep.per_generator] == [
-        (0, 3, "representable"),
-        (1, 2, "representable"),
+    assert rep["generators"] == [
+        {"index": 0, "middle_rank": 3, "status": "representable"},
+        {"index": 1, "middle_rank": 2, "status": "representable"},
     ]
-    assert rep.fully_generated
+    assert rep["fully_generated"]
 
 
 def test_generation_matches_interior_rank_flag_m_le_7():
     for hn in all_rank_tuples(7):
         rep = superhorizontal_generation_report(hn)
-        assert rep.fully_generated == (not hn.has_interior_rank_one)
-        assert len(rep.per_generator) == hn.k - 1
+        assert rep["fully_generated"] == (not hn.has_interior_rank_one)
+        assert len(rep["generators"]) == hn.k - 1
 
 
 # -- the kernel certificate against the Hermite-form oracle ---------------------
@@ -219,7 +219,7 @@ def test_certificate_matches_hermite_oracle(case):
     k, basis = case
     expected = reference_is_kernel_basis(basis, k)
     event("accepted" if expected else "rejected")
-    certified = all(pi_u_star(Pi2Class(c)) == 0 for c in basis) and is_unimodular([*basis, [1] + [0] * (k - 1)])
+    certified = all(pi_u_star(c) == 0 for c in basis) and is_unimodular([*basis, [1] + [0] * (k - 1)])
     assert certified == expected
 
 

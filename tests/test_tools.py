@@ -1,6 +1,8 @@
 """The benchmark scripts under tools/ against the package they measure, so a
 change of the package's API breaks a test rather than a script."""
 
+import functools
+import hashlib
 import os
 from pathlib import Path
 
@@ -49,3 +51,22 @@ def test_bench_flags_times_each_case_at_a_tiny_size(tmp_path):
     assert 0 < bench_flags.suite_seconds((1, 1, 1)) < 60
     assert 0 < bench_flags.suite_seconds((1, 1, 1), "_suite_higgs", 2) < 60
     assert 0 < bench_flags.pair_seconds(SRC, (1, 1, 1), 2, tmp_path) < 60
+
+
+def test_bench_planes_times_both_loops_at_a_tiny_size():
+    import bench_planes
+    from hodge_domains.horizontal import verify_pu2n_criterion
+
+    suite = functools.partial(verify_pu2n_criterion, record=None)
+    for fn in (bench_planes.bare_draws, suite):
+        assert 0 < bench_planes.per_sample_us(fn, 1, 16, 0) < 60e6
+
+
+def test_bench_verify_digests_stdout_and_the_classify_stream(tmp_path):
+    import bench_verify
+
+    code = "import sys; print('doc'); open(sys.argv[2], 'w').write('line\\n')"
+    wall, mb, digests = bench_verify.run_command(SRC, ["-c", code, "--classify-out", "planes.jsonl"], tmp_path)
+    assert 0 < wall < 60 and mb > 0
+    assert digests == {"stdout.json": hashlib.sha256(b"doc\n").hexdigest(),
+                       "planes.jsonl": hashlib.sha256(b"line\n").hexdigest()}
