@@ -84,7 +84,7 @@ class RunConfig:
 
 def run_report(cfg: RunConfig) -> dict:
     ranks = cfg.ranks
-    cert = rootcalc_mod.bracket_generating_check(rootcalc_mod.parabolic_from_ranks(ranks))
+    ok, levels = rootcalc_mod.bracket_generating_check(ranks)
     return {
         "schema": wire.SCHEMA,
         "command": "report",
@@ -93,11 +93,8 @@ def run_report(cfg: RunConfig) -> dict:
         "pi2": pi2_mod.pi2_report(ranks),
         "superhorizontal": pi2_mod.superhorizontal_generation_report(ranks),
         "bracket_generation": {
-            "ok": cert.ok,
-            "levels": [
-                {"level": lc.level, "dim": lc.dim, "achieved": lc.achieved}
-                for lc in cert.levels
-            ],
+            "ok": ok,
+            "levels": [{"level": lv, "dim": dim, "achieved": len(w)} for lv, dim, w in levels],
         },
     }
 
@@ -147,7 +144,7 @@ def _suite_dimensions(cfg: RunConfig) -> tuple[bool, dict]:
     dim = desc["dim"]
     split = desc["horizontal_rank"] + desc["vertical_rank"]
     ok = (
-        dim == sum(r[i] * r[j] for i in range(len(r)) for j in range(i + 1, len(r)))
+        dim == len(rootcalc_mod.nilradical(ranks))
         and split <= dim
         and (split == dim) == (ranks.k <= 2)
         and domain_mod.flag_in_period_domain(domain_mod.hodge_flag(ranks))
@@ -161,20 +158,19 @@ def _suite_dimensions(cfg: RunConfig) -> tuple[bool, dict]:
 
 def _suite_pi2(cfg: RunConfig) -> tuple[bool, dict]:
     ranks = cfg.ranks
-    pd = rootcalc_mod.parabolic_from_ranks(ranks)
-    oracle = pi2_mod.class_closure_oracle(pd)
-    mismatches = sum(pi2_mod.class_of_root(root, pd) != oracle[root] for root in pd.sorted_n_roots())
-    rep = pi2_mod.pi2_report(ranks)
-    kernel_ok = rep["kernel_verified"] and all(pi2_mod.pi_u_star(c) == 0 for c in rep["kernel_basis"])
-    details = {"n_roots": len(pd.n_roots), "mismatches": mismatches, "kernel_verified": kernel_ok}
+    n_roots = rootcalc_mod.nilradical(ranks)
+    oracle = pi2_mod.class_closure_oracle(ranks)
+    mismatches = sum(pi2_mod.class_of_root(root, ranks) != oracle[root] for root in n_roots)
+    kernel_ok = pi2_mod.pi2_report(ranks)["kernel_verified"]  # pi2_report raises unless its certificate holds
+    details = {"n_roots": len(n_roots), "mismatches": mismatches, "kernel_verified": kernel_ok}
     return mismatches == 0 and kernel_ok, details
 
 
 def _suite_bracket_generation(cfg: RunConfig) -> tuple[bool, dict]:
     from . import horizontal as horizontal_mod  # verify's suites import higgs and horizontal; report needs neither
-    cert = rootcalc_mod.bracket_generating_check(rootcalc_mod.parabolic_from_ranks(cfg.ranks))
-    passed = cert.ok and horizontal_mod.bracket_table_certified(cfg.ranks)
-    return passed, {"levels": [[lc.level, lc.achieved, lc.dim] for lc in cert.levels]}
+    ok, levels = rootcalc_mod.bracket_generating_check(cfg.ranks)
+    passed = ok and horizontal_mod.bracket_table_certified(cfg.ranks)
+    return passed, {"levels": [[lv, len(w), dim] for lv, dim, w in levels]}
 
 
 def _suite_flags(cfg: RunConfig) -> tuple[bool, dict]:

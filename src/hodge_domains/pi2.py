@@ -12,18 +12,11 @@ kept alongside it as an oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .exactla import is_unimodular
 from .hodge import HodgeNumbers
-from .rootcalc import (
-    ParabolicData,
-    RootVector,
-    parabolic_from_ranks,
-    root_sum,
-    wall_roots,
-)
+from .rootcalc import level_zero_roots, nilradical, root_sum, wall_roots
 
 
 class OracleInconsistentError(RuntimeError):
@@ -34,45 +27,16 @@ class OracleUnderdeterminedError(RuntimeError):
     """The relation closure left some sphere class unassigned."""
 
 
-@dataclass(frozen=True)
-class Pi2Class:
-    """An integer vector in the basis of wall-root sphere classes."""
-
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
-
-    @property
-    def k(self) -> int:
-        return len(self.coords)
-
-    def __add__(self, other: "Pi2Class") -> "Pi2Class":
-        if self.k != other.k:
-            raise ValueError("class dimension mismatch")
-        return Pi2Class(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __repr__(self):
-        return f"Pi2Class{self.coords}"
-
-
-def basis_class(k: int, i: int) -> Pi2Class:
-    coords = [0] * k
-    coords[i] = 1
-    return Pi2Class(tuple(coords))
-
-
-def class_of_root(root: RootVector, pd: ParabolicData) -> Pi2Class:
+def class_of_root(root: tuple[int, int], ranks: HodgeNumbers) -> tuple[int, ...]:
     """Closed form: coordinate w is 1 iff the root's block interval crosses wall w."""
-    if root not in pd.n_roots:
-        raise ValueError(f"{root!r} is not a nilradical root for ranks {pd.ranks.ranks}")
-    lo = pd.block_of[root.minus_index]
-    hi = pd.block_of[root.plus_index]
-    k = pd.ranks.k
-    return Pi2Class(tuple(1 if lo <= w < hi else 0 for w in range(k)))
+    block_of = ranks.block_of
+    lo, hi = block_of[root[1]], block_of[root[0]]
+    if lo >= hi:
+        raise ValueError(f"{_root_str(root)} is not a nilradical root for ranks {ranks.ranks}")
+    return tuple(1 if lo <= w < hi else 0 for w in range(ranks.k))
 
 
-def class_closure_oracle(pd: ParabolicData) -> dict:
+def class_closure_oracle(ranks: HodgeNumbers) -> dict:
     """Brute-force closure of the two sphere-class relations over the root poset.
 
     Seeds the wall roots with the standard basis classes and saturates
@@ -80,33 +44,25 @@ def class_closure_oracle(pd: ParabolicData) -> dict:
     class(b+g) = class(b) (g a level-0 root) by fixpoint iteration.  Fails
     loudly if the system is inconsistent or underdetermined.
     """
-    k = pd.ranks.k
-    n_roots = pd.sorted_n_roots()
-    v_roots = sorted(pd.v_roots)
-    known: dict[RootVector, Pi2Class] = {}
-    for i, beta in enumerate(wall_roots(pd)):
-        known[beta] = basis_class(k, i)
+    k = ranks.k
+    n_roots = nilradical(ranks)
+    known = {beta: tuple(int(w == i) for w in range(k)) for i, beta in enumerate(wall_roots(ranks))}
 
-    sum_relations = []
-    n_set = pd.n_roots
-    for ia, a in enumerate(n_roots):
-        for b in n_roots[ia:]:
-            c = root_sum(a, b)
-            if c is not None and c in n_set:
-                sum_relations.append((a, b, c))
-    shift_relations = []
-    for b in n_roots:
-        for g in v_roots:
-            a = root_sum(b, g)
-            if a is not None and a in n_set:
-                shift_relations.append((b, a))
+    def add(a, b):
+        return tuple(x + y for x, y in zip(known[a], known[b]))
+
+    n_set = set(n_roots)
+    sum_relations = [(a, b, c) for ia, a in enumerate(n_roots) for b in n_roots[ia:]
+                     if (c := root_sum(a, b)) in n_set]
+    shift_relations = [(b, a) for b in n_roots for g in level_zero_roots(ranks)
+                       if (a := root_sum(b, g)) in n_set]
 
     changed = True
     while changed:
         changed = False
         for a, b, c in sum_relations:
             if a in known and b in known and c not in known:
-                known[c] = known[a] + known[b]
+                known[c] = add(a, b)
                 changed = True
         for b, a in shift_relations:
             if b in known and a not in known:
@@ -119,14 +75,15 @@ def class_closure_oracle(pd: ParabolicData) -> dict:
     missing = [r for r in n_roots if r not in known]
     if missing:
         raise OracleUnderdeterminedError(
-            f"classes of {missing} not determined by the relations"
+            f"classes of {', '.join(map(_root_str, missing))} not determined by the relations"
         )
     for a, b, c in sum_relations:
-        if known[c] != known[a] + known[b]:
-            raise OracleInconsistentError(f"additivity fails on {a!r} + {b!r} = {c!r}")
+        if known[c] != add(a, b):
+            raise OracleInconsistentError(
+                f"additivity fails on {_root_str(a)} + {_root_str(b)} = {_root_str(c)}")
     for b, a in shift_relations:
         if known[a] != known[b]:
-            raise OracleInconsistentError(f"level-0 shift changes the class of {b!r}")
+            raise OracleInconsistentError(f"level-0 shift changes the class of {_root_str(b)}")
     return known
 
 
@@ -136,35 +93,33 @@ def pi_u_star(coords: Sequence[int]) -> int:
     return sum((-1) ** i * a for i, a in enumerate(coords))
 
 
-def _root_str(root: RootVector) -> str:
-    return f"e{root.plus_index + 1}-e{root.minus_index + 1}"
+def _root_str(root: tuple[int, int]) -> str:
+    return f"e{root[0] + 1}-e{root[1] + 1}"
 
 
 def pi2_report(ranks: HodgeNumbers) -> dict:
     """The report's "pi2" section: ranks and kernel data of the projection on
     second homotopy, with the wall roots beta_0 .. beta_{k-1} as the basis.
 
-    The reported classes c_i = e_i + e_{i+1} are checked to be a Z-basis of
-    the kernel of pi_u*: Z^k -> Z.  As pi_u*(e_0) = 1, they are such a basis
-    exactly when pi_u* kills each c_i and [c_0; ...; c_{k-2}; e_0] is
-    unimodular: then Z^k = span(c) + Z e_0 maps onto 0 + Z, and conversely
-    the kernel and Z e_0 split Z^k.
+    The reported classes c_i = e_i + e_{i+1}, the closed-form classes of the
+    roots from the last coordinate of block i to the first of block i+2, are
+    checked to be a Z-basis of the kernel of pi_u*: Z^k -> Z.  As
+    pi_u*(e_0) = 1, they are such a basis exactly when pi_u* kills each c_i
+    and [c_0; ...; c_{k-2}; e_0] is unimodular: then Z^k = span(c) + Z e_0
+    maps onto 0 + Z, and conversely the kernel and Z e_0 split Z^k.
     """
-    k = ranks.k
-    kernel_classes = [
-        Pi2Class(tuple(1 if w in (i, i + 1) else 0 for w in range(k)))
-        for i in range(k - 1)
-    ]
-    verified = all(pi_u_star(c.coords) == 0 for c in kernel_classes) and is_unimodular(
-        [*(c.coords for c in kernel_classes), basis_class(k, 0).coords]
+    k, walls = ranks.k, ranks.walls
+    kernel_classes = [class_of_root((walls[i + 1], walls[i] - 1), ranks) for i in range(k - 1)]
+    verified = all(pi_u_star(c) == 0 for c in kernel_classes) and is_unimodular(
+        [*kernel_classes, [1] + [0] * (k - 1)]
     )
     if not verified:
         raise AssertionError("kernel basis does not span the exact integer kernel")
     return {
         "rank_flag_manifold": k,
         "rank_domain": k - 1,
-        "basis": [_root_str(b) for b in wall_roots(parabolic_from_ranks(ranks))],
-        "kernel_basis": [list(c.coords) for c in kernel_classes],
+        "basis": [_root_str(b) for b in wall_roots(ranks)],
+        "kernel_basis": [list(c) for c in kernel_classes],
         "kernel_verified": verified,
     }
 

@@ -9,7 +9,6 @@ from typing import Sequence
 import hodge_domains
 from hodge_domains.exactla import _coerce, rank
 from hodge_domains.hodge import HodgeNumbers
-from hodge_domains.rootcalc import ParabolicData, RootVector, root_between
 
 
 def cli_env() -> dict:
@@ -26,11 +25,11 @@ def mat_sub(a, b):
     return [[_coerce(x) - _coerce(y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def bridge_root(pd: ParabolicData, i: int, j: int) -> RootVector:
+def bridge_root(ranks: HodgeNumbers, i: int, j: int) -> tuple[int, int]:
     """The root alpha_{R_i} + ... + alpha_{R_j} running from the last coordinate
     of block i to the first coordinate of block j+1 (i <= j <= k-1)."""
-    walls = pd.ranks.walls
-    return root_between(pd.m, walls[j], walls[i] - 1)
+    walls = ranks.walls
+    return walls[j], walls[i] - 1
 
 
 def pointwise_rank(h, i: int) -> int:

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import hodge_domains.domain
 import hodge_domains.horizontal
 import hodge_domains.pi2
 from conftest import all_rank_tuples, cli_env
@@ -26,8 +27,8 @@ from hodge_domains.cli import (
 from hodge_domains.higgs import higgs_dumps, random_commuting_higgs
 from hodge_domains.hodge import HodgeNumbers
 from hodge_domains.horizontal import HALF_ZERO_PERIOD
-from hodge_domains.pi2 import Pi2Class
-from hodge_domains.rootcalc import bracket_generating_check, parabolic_from_ranks
+from hodge_domains.pi2 import _root_str
+from hodge_domains.rootcalc import bracket_generating_check, nilradical
 
 
 def cfg_verify(ranks, seed=0, samples=50, **kw):
@@ -150,8 +151,8 @@ def test_verify_exit_codes_and_determinism(capsys):
 
 
 def test_verify_corrupted_oracle_fails(monkeypatch):
-    def broken_oracle(pd):
-        return {root: Pi2Class((0,) * pd.ranks.k) for root in pd.n_roots}
+    def broken_oracle(ranks):
+        return {root: (0,) * ranks.k for root in nilradical(ranks)}
 
     monkeypatch.setattr(hodge_domains.pi2, "class_closure_oracle", broken_oracle)
     code = main(["verify", "--ranks", "1,1,1", "--samples", "10"])
@@ -159,7 +160,7 @@ def test_verify_corrupted_oracle_fails(monkeypatch):
 
 
 def test_verify_crashing_suite_fails(monkeypatch):
-    def explode(pd):
+    def explode(ranks):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setattr(hodge_domains.pi2, "class_closure_oracle", explode)
@@ -167,6 +168,29 @@ def test_verify_crashing_suite_fails(monkeypatch):
     assert not doc["all_passed"]
     by_name = {s["name"]: s for s in doc["suites"]}
     assert "synthetic failure" in by_name["pi2_calculus"]["details"]["error"]
+
+
+def test_verify_fails_when_the_kernel_certificate_fails(monkeypatch, capsys):
+    # pi2_report raises unless [c_0; ...; c_{k-2}; e_0] is unimodular, so the
+    # pi2 suite fails through that error, and no other suite reads it
+    monkeypatch.setattr(hodge_domains.pi2, "is_unimodular", lambda rows: False)
+    assert main(["verify", "--ranks", "1,1,1", "--samples", "5"]) == EXIT_SUITE_FAILURE
+    by_name = {s["name"]: s for s in json.loads(capsys.readouterr().out)["suites"]}
+    assert [name for name, s in by_name.items() if not s["passed"]] == ["pi2_calculus"]
+    assert by_name["pi2_calculus"]["details"] == {
+        "error": "AssertionError: kernel basis does not span the exact integer kernel"}
+
+
+def test_verify_fails_on_a_domain_dimension_off_by_one(monkeypatch, capsys):
+    # dim is compared with the count of nilradical roots; the horizontal and
+    # vertical split still fits under dim + 1 at k = 3, so only that count catches it
+    original = hodge_domains.domain.describe_domain
+    monkeypatch.setattr(hodge_domains.domain, "describe_domain",
+                        lambda ranks: {**original(ranks), "dim": original(ranks)["dim"] + 1})
+    assert main(["verify", "--ranks", "2,1,2,1", "--samples", "5"]) == EXIT_SUITE_FAILURE
+    by_name = {s["name"]: s for s in json.loads(capsys.readouterr().out)["suites"]}
+    assert [name for name, s in by_name.items() if not s["passed"]] == ["dimensions"]
+    assert by_name["dimensions"]["details"] == {"checks": 4, "dim": 14}
 
 
 def test_verify_fails_on_a_stabilizer_dimension_off_by_one(monkeypatch, capsys):
@@ -259,14 +283,27 @@ def test_report_deterministic_bytes(capsys):
     assert first == second
 
 
+def render_tree(tree) -> str:
+    """A bracket-generation witness tree as text: a level-1 root, or
+    [root, subtree] for the bracket of a level-1 root with a subtree."""
+    if isinstance(tree[0], int):
+        return _root_str(tree)
+    root, sub = tree
+    return f"[{_root_str(root)}, {render_tree(sub)}]"
+
+
 def test_report_and_bracket_certificates_pinned():
-    # every report document and bracket-generation certificate (its witness
-    # trees included) of total rank <= 8, 247 rank tuples
-    h = hashlib.sha256()
+    # every report document, and every bracket-generation certificate with its
+    # witness trees in order, of total rank <= 8, 247 rank tuples
+    reports, trees = hashlib.sha256(), hashlib.sha256()
     for hn in all_rank_tuples(8):
-        h.update(wire.dumps_indented(run_report(RunConfig(ranks=hn))).encode())
-        h.update(repr(bracket_generating_check(parabolic_from_ranks(hn))).encode())
-    assert h.hexdigest() == "6a104c80342cb856171afaa7ff6a8b89aa7edfd15d839eeff3e28142010bf553"
+        reports.update(wire.dumps_indented(run_report(RunConfig(ranks=hn))).encode())
+        ok, levels = bracket_generating_check(hn)
+        trees.update(f"{hn.ranks} {ok}\n".encode())
+        for lv, dim, witnesses in levels:
+            trees.update(f"{lv} {dim} {len(witnesses)}: {' '.join(map(render_tree, witnesses))}\n".encode())
+    assert reports.hexdigest() == "8d7b8bc93269f7733aeac8ca005ed71bd4d36e0c151ba0870d264e29641cc919"
+    assert trees.hexdigest() == "44ae8b46543eabde58fd495276543d931345236376388e1d0f15fb33c20aa366"
 
 
 def test_verify_documents_pinned():

@@ -37,7 +37,7 @@ from hodge_domains.domain import (
     project_to_symmetric_space,
     random_block_unitary,
 )
-from hodge_domains.rootcalc import parabolic_from_ranks
+from hodge_domains.rootcalc import nilradical
 
 
 # -- span helpers: only the tests below call them -----------------------------
@@ -203,8 +203,7 @@ def test_dim_matches_grading_tail():
     for ranks in [(1, 1), (1, 1, 1), (1, 2, 1), (2, 1, 2), (1, 1, 1, 1), (2, 2, 1, 1)]:
         hn = HodgeNumbers(ranks)
         d = describe_domain(hn)
-        pd = parabolic_from_ranks(hn)
-        deep = sum(pd.level(r) >= 2 for r in pd.n_roots)  # dim of the levels <= -2
+        deep = sum(hn.block_of[a] - hn.block_of[b] >= 2 for a, b in nilradical(hn))  # dim of the levels <= -2
         assert d["dim"] == d["horizontal_rank"] + deep
 
 

@@ -7,71 +7,66 @@ from hodge_domains import pi2
 from hodge_domains.exactla import is_unimodular
 from hodge_domains.hodge import HodgeNumbers
 from hodge_domains.pi2 import (
-    Pi2Class,
+    OracleInconsistentError,
+    OracleUnderdeterminedError,
     class_closure_oracle,
     class_of_root,
     pi2_report,
     pi_u_star,
     superhorizontal_generation_report,
 )
-from hodge_domains.rootcalc import (
-    parabolic_from_ranks,
-    root_between,
-    root_sum,
-    wall_roots,
-)
+from hodge_domains.rootcalc import nilradical, root_sum, wall_roots
 
 
 # -- sphere classes of roots --------------------------------------------------
 
 
 def test_class_111_long_root_is_sum_of_walls():
-    pd = parabolic_from_ranks(HodgeNumbers((1, 1, 1)))
-    long_root = root_between(3, 2, 0)
-    assert class_of_root(long_root, pd).coords == (1, 1)
+    long_root = (2, 0)
+    assert class_of_root(long_root, HodgeNumbers((1, 1, 1))) == (1, 1)
 
 
 def test_class_21_both_roots():
     # Oracle: relation closure on the m = 3 root poset.
-    pd = parabolic_from_ranks(HodgeNumbers((2, 1)))
-    oracle = class_closure_oracle(pd)
-    for r in pd.n_roots:
-        assert class_of_root(r, pd).coords == (1,)
-        assert oracle[r].coords == (1,)
+    hn = HodgeNumbers((2, 1))
+    oracle = class_closure_oracle(hn)
+    for r in nilradical(hn):
+        assert class_of_root(r, hn) == (1,)
+        assert oracle[r] == (1,)
 
 
 def test_class_of_wall_roots_are_basis_vectors():
     for ranks in [(1, 1), (1, 1, 1), (2, 3, 2), (1, 2, 1, 2)]:
         hn = HodgeNumbers(ranks)
-        pd = parabolic_from_ranks(hn)
-        for i, beta in enumerate(wall_roots(pd)):
+        for i, beta in enumerate(wall_roots(hn)):
             expected = tuple(1 if j == i else 0 for j in range(hn.k))
-            assert class_of_root(beta, pd).coords == expected
+            assert class_of_root(beta, hn) == expected
 
 
 def test_class_rejects_non_nilradical_roots():
-    pd = parabolic_from_ranks(HodgeNumbers((2, 1)))
-    with pytest.raises(ValueError):
-        class_of_root(root_between(3, 1, 0), pd)  # a level-0 root
+    hn = HodgeNumbers((2, 1))
+    with pytest.raises(ValueError, match="e2-e1 is not a nilradical root"):
+        class_of_root((1, 0), hn)  # a level-0 root
+    with pytest.raises(ValueError, match="e1-e3 is not a nilradical root"):
+        class_of_root((0, 2), hn)  # a negative root
 
 
 def test_closed_form_matches_oracle_m_le_6():
     for hn in all_rank_tuples(6):
-        pd = parabolic_from_ranks(hn)
-        oracle = class_closure_oracle(pd)
-        for r in pd.n_roots:
-            assert class_of_root(r, pd) == oracle[r]
+        oracle = class_closure_oracle(hn)
+        for r in nilradical(hn):
+            assert class_of_root(r, hn) == oracle[r]
 
 
 def test_class_additivity_m_le_7():
     for hn in all_rank_tuples(7):
-        pd = parabolic_from_ranks(hn)
-        nset = pd.n_roots
+        nset = set(nilradical(hn))
         for a in nset:
             for b in nset:
                 c = root_sum(a, b)
                 if c is not None and c in nset:
-                    assert class_of_root(c, pd) == class_of_root(a, pd) + class_of_root(b, pd)
+                    pair = zip(class_of_root(a, hn), class_of_root(b, hn))
+                    assert class_of_root(c, hn) == tuple(x + y for x, y in pair)
 
 
 # -- the projection morphism --------------------------------------------------
@@ -85,21 +80,19 @@ def test_pi_u_star_values():
 
 def test_pi_u_star_kills_bridge_classes_m_le_8():
     for hn in all_rank_tuples(8):
-        pd = parabolic_from_ranks(hn)
         for i in range(hn.k - 1):
-            cls = class_of_root(bridge_root(pd, i, i + 1), pd)
-            assert pi_u_star(cls.coords) == 0
+            cls = class_of_root(bridge_root(hn, i, i + 1), hn)
+            assert pi_u_star(cls) == 0
 
 
 def test_bridge_classes_match_the_closure_oracle_m_le_8():
     # the bridge root of walls i and i+1, whose sphere represents kernel
     # generator i, has class beta_i + beta_{i+1} in the relation closure
     for hn in all_rank_tuples(8):
-        pd = parabolic_from_ranks(hn)
-        oracle = class_closure_oracle(pd)
+        oracle = class_closure_oracle(hn)
         for i in range(hn.k - 1):
             expected = tuple(1 if w in (i, i + 1) else 0 for w in range(hn.k))
-            assert oracle[bridge_root(pd, i, i + 1)].coords == expected
+            assert oracle[bridge_root(hn, i, i + 1)] == expected
 
 
 def test_pi2_report_1n1():
@@ -133,10 +126,9 @@ def test_kernel_basis_equals_exact_kernel_k_le_6():
 def test_kernel_basis_roots_have_kernel_classes():
     for ranks in [(1, 1, 1), (2, 1, 3), (1, 2, 1, 2)]:
         hn = HodgeNumbers(ranks)
-        pd = parabolic_from_ranks(hn)
         rep = pi2_report(hn)
         for i, coords in enumerate(rep["kernel_basis"]):
-            assert class_of_root(bridge_root(pd, i, i + 1), pd) == Pi2Class(coords)
+            assert class_of_root(bridge_root(hn, i, i + 1), hn) == tuple(coords)
 
 
 # -- generation report ---------------------------------------------------------
@@ -230,22 +222,42 @@ def test_certificate_matches_hermite_oracle(case):
 def test_pi2_report_raises_on_a_mutated_generator(monkeypatch, mutate):
     # the first class pi2_report builds is generator c_0
     built = []
+    original = pi2.class_of_root
 
-    def first_mutated(coords):
-        built.append(Pi2Class(mutate(coords) if not built else coords))
+    def first_mutated(root, ranks):
+        coords = original(root, ranks)
+        built.append(mutate(coords) if not built else coords)
         return built[-1]
 
-    monkeypatch.setattr(pi2, "Pi2Class", first_mutated)
+    monkeypatch.setattr(pi2, "class_of_root", first_mutated)
     with pytest.raises(AssertionError, match="kernel basis"):
         pi2.pi2_report(HodgeNumbers((1, 2, 1, 1)))
-    assert built[0].coords == mutate((1, 1, 0))
+    assert built[0] == mutate((1, 1, 0))
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=5))
 def test_closed_form_matches_oracle_property(ranks):
     hn = HodgeNumbers(tuple(ranks))
-    pd = parabolic_from_ranks(hn)
-    oracle = class_closure_oracle(pd)
-    for r in pd.n_roots:
-        assert class_of_root(r, pd) == oracle[r]
+    oracle = class_closure_oracle(hn)
+    for r in nilradical(hn):
+        assert class_of_root(r, hn) == oracle[r]
+
+
+# -- the closure oracle's failures ------------------------------------------------
+
+
+def test_oracle_raises_when_a_wall_seed_is_dropped(monkeypatch):
+    # without beta_1's seed nothing fixes the class of beta_1 = e3-e2, nor that
+    # of the long root e3-e1 = beta_0 + beta_1: (1,1,1) has no level-0 root
+    monkeypatch.setattr(pi2, "wall_roots", lambda ranks: wall_roots(ranks)[:1])
+    with pytest.raises(OracleUnderdeterminedError, match=r"classes of e3-e1, e3-e2 not determined"):
+        class_closure_oracle(HodgeNumbers((1, 1, 1)))
+
+
+def test_oracle_raises_when_the_seeds_contradict(monkeypatch):
+    # seeding the long root of (1,1,1) as a third wall gives it the class 0
+    # (a basis vector past the k = 2 coordinates), not beta_0 + beta_1
+    monkeypatch.setattr(pi2, "wall_roots", lambda ranks: [*wall_roots(ranks), (2, 0)])
+    with pytest.raises(OracleInconsistentError, match=r"additivity fails on e2-e1 \+ e3-e2 = e3-e1"):
+        class_closure_oracle(HodgeNumbers((1, 1, 1)))

@@ -137,9 +137,6 @@ KEPT_LINES = {
     "exactla.GaussianRational.re": "perfbench/tracer.py's _bits reads it, and __hash__ and __repr__ use it",
     "exactla.GaussianRational.im": "perfbench/tracer.py's _bits reads it, and __hash__ and __repr__ use it",
     "exactla.GaussianRational.__repr__": "error messages and failure reports print scalars; a test pins it",
-    "pi2.Pi2Class.__repr__": "the short form pytest prints when a comparison of classes in the tests fails",
-    "rootcalc.RootVector.__repr__": "the bracket certificate's repr, which a test pins, prints its witness "
-                                    "roots, and so do pi2's error messages",
     "exactla._cleared: v = [_coerce(x) for x in v]":
         "the kernels take ints and Fractions among Gaussian rationals, as their docstrings say; tests pass them",
     "exactla.nullspace: return []": "an empty matrix has no row to count the columns by; tests pin nullspace([])",
@@ -154,10 +151,7 @@ KEPT_LINES = {
 # It is also the one parameter every call passes the same value, None.
 KEPT_DEFAULTS = ("cli.main.argv",)
 # Fields nothing in the package reads, each kept for a stated reason.
-KEPT_FIELDS = (
-    # the certificate's evidence: its repr is pinned, and the tests check the bracket trees
-    "rootcalc.LevelCertificate.witnesses",
-)
+KEPT_FIELDS = ()
 
 # The child process of the line guard: argv[1] is the package directory and
 # argv[2] the JSON list of command lines.  A code object stops being traced

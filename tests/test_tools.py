@@ -50,6 +50,7 @@ def test_bench_flags_times_each_case_at_a_tiny_size(tmp_path):
 
     assert 0 < bench_flags.suite_seconds((1, 1, 1)) < 60
     assert 0 < bench_flags.suite_seconds((1, 1, 1), "_suite_higgs", 2) < 60
+    assert 0 < bench_flags.suite_seconds((1, 1, 1), "_suite_pi2") < 60
     assert 0 < bench_flags.pair_seconds(SRC, (1, 1, 1), 2, tmp_path) < 60
 
 

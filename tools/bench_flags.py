@@ -10,6 +10,9 @@ This records:
 * ``higgs_s``: in this process, the wall time of ``cli._suite_higgs`` at
   (4,1,4,1,4), seed 0 and 200 samples (400 fields, as the verify-flags
   benchmark workload draws them);
+* ``pi2_s``: in this process, the wall time of ``cli._suite_pi2`` (the
+  closed-form sphere classes against the relation closure, and the kernel
+  certificate) for the ranks (4,1,4,1,4) and (1,)*20;
 * ``verify_s``: the wall time of one fresh ``python3 -m hodge_domains.cli
   verify --ranks R --seed 0 --samples 10`` process for (1,18,1) and (10,10),
   every suite included;
@@ -45,6 +48,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SUITE_RANKS = ((4, 1, 4, 1, 4), (10, 10), (1, 18, 1))
 VERIFY_RANKS = ((1, 18, 1), (10, 10))
 WORKLOAD_RANKS = (4, 1, 4, 1, 4)  # the verify-flags benchmark workload's
+PI2_RANKS = (WORKLOAD_RANKS, (1,) * 20)
 SEED = 0
 SAMPLES = 10
 WORKLOAD_SAMPLES = 200
@@ -93,22 +97,25 @@ def main(argv=None) -> int:
     suite = {ranks: [] for ranks in SUITE_RANKS}
     verify = {ranks: [] for ranks in VERIFY_RANKS}
     higgs, pair = {WORKLOAD_RANKS: []}, {WORKLOAD_RANKS: []}
+    pi2 = {ranks: [] for ranks in PI2_RANKS}
     with tempfile.TemporaryDirectory() as tmp:
         verify_seconds(src, (1, 1), Path(tmp))  # warm-up: bytecode and file cache
         for _ in range(REPEATS):
             for ranks in SUITE_RANKS:
                 suite[ranks].append(round(suite_seconds(ranks), 3))
             higgs[WORKLOAD_RANKS].append(round(suite_seconds(WORKLOAD_RANKS, "_suite_higgs", WORKLOAD_SAMPLES), 3))
+            for ranks in PI2_RANKS:
+                pi2[ranks].append(round(suite_seconds(ranks, "_suite_pi2"), 4))
             for ranks in VERIFY_RANKS:
                 verify[ranks].append(round(verify_seconds(src, ranks, Path(tmp)), 3))
             pair[WORKLOAD_RANKS].append(round(pair_seconds(src, WORKLOAD_RANKS, WORKLOAD_SAMPLES, Path(tmp)), 3))
-    results = {"suite_s": {}, "higgs_s": {}, "verify_s": {}, "pair_s": {}}
-    for key, runs in (("suite_s", suite), ("higgs_s", higgs), ("verify_s", verify), ("pair_s", pair)):
+    results = {"suite_s": {}, "higgs_s": {}, "pi2_s": {}, "verify_s": {}, "pair_s": {}}
+    for key, runs in (("suite_s", suite), ("higgs_s", higgs), ("pi2_s", pi2), ("verify_s", verify), ("pair_s", pair)):
         for ranks, times in runs.items():
-            results[key][label(ranks)] = {"median": round(statistics.median(times), 3), "runs": times}
-            print(f"{key} {label(ranks)}: {statistics.median(times):.3f} s", file=sys.stderr)
+            results[key][label(ranks)] = {"median": round(statistics.median(times), 4), "runs": times}
+            print(f"{key} {label(ranks)}: {statistics.median(times):.4f} s", file=sys.stderr)
     doc = {
-        "what": "wall time of cli._suite_flags and cli._suite_higgs in process, and of fresh "
+        "what": "wall time of cli._suite_flags, cli._suite_higgs and cli._suite_pi2 in process, and of fresh "
                 "`verify` processes and of the verify-flags workload's report + verify pair",
         "unit": "s, median of repeats",
         "samples": SAMPLES,
