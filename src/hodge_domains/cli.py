@@ -276,7 +276,7 @@ _SUITES = (
 def run_verify(cfg: RunConfig) -> dict:
     paths = [path for path in (cfg.classify_out, cfg.output) if path]
     for path in paths:
-        open(path, "w").close()  # an unwritable path fails before any suite runs
+        open(path, "a").close()  # an unwritable path fails before any suite runs; nothing is truncated
     if len(paths) == 2 and os.path.samefile(*paths):
         raise ValueError(f"--out and --classify-out name the same file {cfg.output}")
     suites = []

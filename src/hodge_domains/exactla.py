@@ -4,8 +4,9 @@ definiteness and unimodularity on one Bareiss elimination over Z[i].
 A Gaussian rational is one Gaussian integer a + b*i over one positive
 denominator d; the hot paths read (a, b, d) directly and stay in integers.
 
-Matrices are plain lists (or tuples) of rows.  Everything here is exact; no
-floating point enters any decision.
+Matrices are plain lists (or tuples) of rows, all ints or all Gaussian
+rationals (mat_mul takes only these); as_matrix coerces other entries.
+Everything here is exact; no floating point enters any decision.
 """
 
 from __future__ import annotations
@@ -57,24 +58,13 @@ class GaussianRational:
             return _gaussian(self.a + other.a, self.b + other.b, d)
         return _gaussian(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        d, e = self.d, other.d
-        if d == e:
-            return _gaussian(self.a - other.a, self.b - other.b, d)
-        return _gaussian(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
-
-    def __rsub__(self, other):
-        return _coerce(other) - self
+    def __radd__(self, other):  # 0 + x: the first step of sum(row), which _eliminate's int probe runs
+        return self + other
 
     def __mul__(self, other):
         other = _coerce(other)
         a, b, c, e = self.a, self.b, other.a, other.b
         return _gaussian(a * c - b * e, a * e + b * c, self.d * other.d)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
@@ -85,35 +75,17 @@ class GaussianRational:
             raise ZeroDivisionError("division by zero Gaussian rational")
         return _gaussian((a * c + b * e) * other.d, (b * c - a * e) * other.d, self.d * n)
 
-    def __rtruediv__(self, other):
-        return _coerce(other) / self
-
-    def __neg__(self):
-        return _gaussian(-self.a, -self.b, self.d)
-
     def conjugate(self):
         return _gaussian(self.a, -self.b, self.d)
-
-    def is_zero(self) -> bool:
-        return not (self.a or self.b)
 
     def __bool__(self):
         return bool(self.a or self.b)
 
-    def __eq__(self, other):
-        if isinstance(other, GaussianRational):
-            return self.a == other.a and self.b == other.b and self.d == other.d
-        if isinstance(other, int):
-            return self.b == 0 and self.d == 1 and self.a == other
-        if isinstance(other, Fraction):
-            return self.b == 0 and self.a == other.numerator and self.d == other.denominator
-        return NotImplemented
+    def __eq__(self, other):  # False for anything but a Gaussian rational: Qi(1) != 1
+        return isinstance(other, GaussianRational) and self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        # equal to hash(int) and hash(Fraction) on real values, which __eq__ matches
-        if self.b == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __repr__(self):
         if self.b == 0:
@@ -178,10 +150,8 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list[GaussianR
 
 
 def _cleared(v) -> tuple[int, list[int], list[int]]:
-    """(l, re, im): the lcm l of the denominators of the entries of v (ints,
-    Fractions or GaussianRationals) and the integer parts of l * v."""
-    if set(map(type, v)) != {GaussianRational}:
-        v = [_coerce(x) for x in v]
+    """(l, re, im): the lcm l of the denominators of the GaussianRationals v
+    and the integer parts of l * v."""
     l = lcm(*(z.d for z in v))
     return l, [z.a * (l // z.d) for z in v], [z.b * (l // z.d) for z in v]
 
@@ -280,7 +250,7 @@ def _combine(x, p, fa: int, fb: int, y, q, lo: int) -> None:
 
 
 def rank(a: Sequence[Sequence]) -> int:
-    """Exact rank over Q(i) of a matrix of Gaussian rationals, Fractions or ints."""
+    """Exact rank over Q(i) of a matrix of ints or of Gaussian rationals."""
     return len(_eliminate(a, forward=True)[0])
 
 
@@ -313,7 +283,7 @@ def hermitian_definiteness(g: Sequence[Sequence]) -> str:
     the leading minors times positive row scales.
     """
     n = len(g)
-    if any(_coerce(g[i][j]) != _coerce(g[j][i]).conjugate() for i in range(n) for j in range(n)):
+    if any(g[i][j] != g[j][i].conjugate() for i in range(n) for j in range(i, n)):
         raise ValueError("matrix is not Hermitian")
     if n == 0:
         return "positive"  # empty form, vacuously definite either way

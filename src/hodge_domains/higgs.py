@@ -87,7 +87,7 @@ def rank_one_lemma_check(h: HiggsField) -> tuple[bool, bool]:
     theta_0, theta_1 = h.theta
     if rank([row for mx in theta_0 for row in mx]) < 2:
         return True, False
-    return all(x.is_zero() for mx in theta_1 for row in mx for x in row), True
+    return not any(x for mx in theta_1 for row in mx for x in row), True
 
 
 # ---------------------------------------------------------------------------

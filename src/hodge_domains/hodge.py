@@ -15,11 +15,13 @@ underlying C^(p+q) come in two orderings:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
 class HodgeNumbers:
-    """Ranks (r_0, ..., r_k) of the graded pieces, all positive, k >= 1."""
+    """Ranks (r_0, ..., r_k) of the graded pieces, all positive, k >= 1.  m, walls and
+    block_of are cached in the instance __dict__, which __eq__ and __hash__ never read."""
 
     ranks: tuple[int, ...]
 
@@ -46,7 +48,7 @@ class HodgeNumbers:
     def k(self) -> int:
         return len(self.ranks) - 1
 
-    @property
+    @cached_property
     def m(self) -> int:
         return sum(self.ranks)
 
@@ -58,7 +60,7 @@ class HodgeNumbers:
     def q(self) -> int:
         return sum(r for i, r in enumerate(self.ranks) if i % 2 == 1)
 
-    @property
+    @cached_property
     def walls(self) -> tuple[int, ...]:
         """Cumulative sums R_i = r_0 + ... + r_i for i = 0..k-1 (1-based wall positions)."""
         acc, out = 0, []
@@ -67,7 +69,7 @@ class HodgeNumbers:
             out.append(acc)
         return tuple(out)
 
-    @property
+    @cached_property
     def block_of(self) -> tuple[int, ...]:
         """0-based coordinate -> block index, in block order."""
         out = []

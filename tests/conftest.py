@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import Sequence
 
 import hodge_domains
-from hodge_domains.exactla import _coerce, rank
+from hodge_domains.exactla import Qi, rank
 from hodge_domains.hodge import HodgeNumbers
 
 
@@ -20,9 +20,13 @@ def cli_env() -> dict:
     return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
 
 
+# the scalar has no subtraction or negation: x - y is x + y * MINUS_ONE
+MINUS_ONE = Qi(-1)
+
+
 def mat_sub(a, b):
-    """The entrywise difference a - b of two matrices of exact scalars."""
-    return [[_coerce(x) - _coerce(y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    """The entrywise difference a - b of two matrices of Gaussian rationals."""
+    return [[x + y * MINUS_ONE for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def bridge_root(ranks: HodgeNumbers, i: int, j: int) -> tuple[int, int]:

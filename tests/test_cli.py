@@ -408,7 +408,7 @@ def test_verify_rejects_one_file_for_both_outputs(tmp_path, capsys, monkeypatch,
     import hodge_domains.cli as cli
 
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "x.json").write_text("")
+    (tmp_path / "x.json").write_text('{"kept": true}\n')
     (tmp_path / "hard.json").hardlink_to(tmp_path / "x.json")
     (tmp_path / "soft.json").symlink_to(tmp_path / "x.json")
     ran = []
@@ -420,6 +420,17 @@ def test_verify_rejects_one_file_for_both_outputs(tmp_path, capsys, monkeypatch,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "invalid input: --out and --classify-out name the same file x.json\n"
+    assert (tmp_path / "x.json").read_text() == '{"kept": true}\n'  # the rejected run truncates nothing
+
+
+def test_unwritable_verify_out_keeps_an_existing_classify_out(tmp_path, capsys):
+    planes = tmp_path / "p.jsonl"
+    planes.write_text('{"kept": true}\n')
+    argv = ["verify", "--ranks", "1,2,1", "--samples", "20", "--out", str(tmp_path / "missing" / "v.json"),
+            "--classify-out", str(planes)]
+    assert main(argv) == EXIT_INVALID_INPUT
+    assert capsys.readouterr().err.startswith("invalid input: ")
+    assert planes.read_text() == '{"kept": true}\n'
 
 
 def test_verify_writes_two_distinct_outputs(tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ from typing import Iterable
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import all_rank_tuples
+from conftest import MINUS_ONE, all_rank_tuples
 from hodge_domains import wire
 from hodge_domains.exactla import (
     GaussianRational,
@@ -71,7 +71,7 @@ def hermitian_product(x: Vector, y: Vector, signs: tuple[int, ...]) -> GaussianR
     acc = QI_ZERO
     for s, a, b in zip(signs, x, y):
         term = a * b.conjugate()
-        acc = acc + (term if s > 0 else -term)
+        acc = acc + (term if s > 0 else term * MINUS_ONE)
     return acc
 
 
@@ -100,7 +100,7 @@ def orthocomplement_step(flag: Flag, i: int, signs: tuple[int, ...]) -> list[Vec
     for coeffs in null:
         vec = [QI_ZERO] * flag.m
         for c, g in zip(coeffs, big):
-            if not c.is_zero():
+            if c:
                 vec = [acc + c * comp for acc, comp in zip(vec, g)]
         out.append(tuple(vec))
     # Transversality: the complement must meet F^i only in 0 (fails exactly
@@ -121,7 +121,7 @@ def reference_flag_in_period_domain(flag: Flag) -> ReferenceVerdict:
             return ReferenceVerdict(False, True, i)
         g = reference_gram_matrix(comp, signs)
         if i % 2 == 1:  # odd i, including i = -1: sign (-1)^i = -1
-            g = [[-x for x in row] for row in g]
+            g = [[x * MINUS_ONE for x in row] for row in g]
         verdict = hermitian_definiteness(g)
         if verdict == "degenerate":
             return ReferenceVerdict(False, True, i)
@@ -221,6 +221,19 @@ def test_non_int_ranks_rejected(ranks):
         HodgeNumbers(ranks)
 
 
+def test_hodge_numbers_compute_m_walls_and_block_of_once():
+    # cached_property writes the instance __dict__, which the generated
+    # __eq__ and __hash__ (of ranks alone) never read
+    hn, twin = HodgeNumbers((2, 1, 3)), HodgeNumbers((2, 1, 3))
+    assert (hn.m, hn.walls, hn.block_of) == (6, (2, 3), (0, 0, 1, 2, 2, 2))
+    assert vars(hn).keys() == {"ranks", "m", "walls", "block_of"} and vars(twin).keys() == {"ranks"}
+    assert all(getattr(hn, name) is getattr(hn, name) for name in ("m", "walls", "block_of"))
+    assert hn == twin and twin == hn and hash(hn) == hash(twin) and {hn: 0}[twin] == 0
+    for h in all_rank_tuples(8):
+        assert h.m == sum(h.ranks) and h.walls == tuple(sum(h.ranks[:i + 1]) for i in range(h.k))
+        assert len(h.block_of) == h.m and all(h.block_of[c] == i for i in range(h.k + 1) for c in h.block_range(i))
+
+
 # -- base flags and membership ----------------------------------------------
 
 
@@ -231,7 +244,7 @@ def test_hodge_flag_11():
 
 def test_hodge_flag_121_signature_layout():
     f = hodge_flag(HodgeNumbers((1, 2, 1)))
-    nonzero = [[i for i, x in enumerate(col) if not x.is_zero()] for col in f.basis]
+    nonzero = [[i for i, x in enumerate(col) if x] for col in f.basis]
     assert nonzero == [[0], [2], [3], [1]]  # blocks on +,-,-,+ coordinates
 
 
@@ -442,7 +455,7 @@ def small_bases(draw):
         # e_plus + w e_minus with |w| = 1 is h-null
         plus, minus = hn.signature_signs().index(1), hn.signature_signs().index(-1)
         cols[c] = [QI_ZERO] * hn.m
-        cols[c][plus], cols[c][minus] = QI_ONE, draw(st.sampled_from((QI_ONE, -QI_ONE, Qi(0, 1), Qi(0, -1))))
+        cols[c][plus], cols[c][minus] = QI_ONE, draw(st.sampled_from((QI_ONE, MINUS_ONE, Qi(0, 1), Qi(0, -1))))
     return hn, tuple(map(tuple, cols))
 
 
@@ -536,7 +549,7 @@ def test_zero_leading_minor_inside_a_block_is_a_sign_failure():
     hn = HodgeNumbers((2, 2))
     e = [[Qi(int(i == c)) for i in range(4)] for c in range(4)]
     v1 = tuple(x + y for x, y in zip(e[0], e[2]))
-    v2 = tuple((x - y) / 2 for x, y in zip(e[0], e[2]))
+    v2 = tuple((x + y * MINUS_ONE) / 2 for x, y in zip(e[0], e[2]))
     flag = Flag(hn, (v1, v2, tuple(e[1]), tuple(e[3])))
     assert reference_gram_matrix(flag.basis[:2], hn.signature_signs()) == [[Qi(0), Qi(1)], [Qi(1), Qi(0)]]
     assert agrees_with_reference(flag) == (False, False, -1)
@@ -551,7 +564,7 @@ def test_zero_boundary_minor_is_degenerate():
     hn = HodgeNumbers((3, 3))
     e = [[Qi(int(i == c)) for i in range(6)] for c in range(6)]
     v1 = tuple(x + y for x, y in zip(e[0], e[3]))
-    v2 = tuple((x - y) / 2 for x, y in zip(e[0], e[3]))
+    v2 = tuple((x + y * MINUS_ONE) / 2 for x, y in zip(e[0], e[3]))
     v3 = tuple(x + y for x, y in zip(e[1], e[4]))
     flag = Flag(hn, (v1, v2, v3, tuple(e[2]), tuple(e[5]), tuple(e[4])))
     assert agrees_with_reference(flag) == (False, True, -1)

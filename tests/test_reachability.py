@@ -10,7 +10,9 @@ ends in one, the ``except`` line of a handler that re-raises, the body of
 entry that names no line, or a line that ran, is stale.  A definition that
 ``cli.main`` never reaches never runs, so this guard sees dead functions,
 dead methods and dead dunders, and also dead branches; it cannot see a
-method-less class that nothing builds, whose class body still runs at import.
+method-less class that nothing builds, whose class body still runs at import,
+nor a method alias such as ``__rmul__ = __mul__``, a class-body line that runs
+when the class is created whether or not the alias is ever called.
 
 The static guards parse the modules.  One reports every name a module
 imports and never mentions (the package root re-exports nothing, so no module
@@ -23,9 +25,11 @@ function by name, and by module where the call names one: a bare name
 resolves to the module defining or importing it, and x.name to module x.  A
 method call names no module, so a function whose name a called method shares
 escapes the call guards.  Fields are matched by bare name, so a field whose
-name any attribute read in the package shares escapes the field guard.  The
-last reports every entry of KEPT_DEFAULTS and KEPT_FIELDS that names no
-parameter or field in the package, so no exemption goes stale.
+name any attribute read in the package shares escapes the field guard.  One
+reports every class-body assignment whose value names a method of that
+class, which catches the alias above (written as a def, the line guard
+traces it).  The last reports every entry of KEPT_DEFAULTS and KEPT_FIELDS
+that names no parameter or field in the package, so no exemption goes stale.
 """
 
 from __future__ import annotations
@@ -81,8 +85,6 @@ GRID = (
 # "module.Qualname: source line" names the lines of that body whose text,
 # stripped, is the source line.
 _FAILING = "a failing verdict, which the grid's passing runs never reach; tests reach it"
-_ORACLE = ("part of the scalar type's arithmetic, which the test oracles compute with (tests fail without "
-           "__neg__, __sub__, __rsub__, __rtruediv__ and the int and Fraction branches of __eq__)")
 KEPT_LINES = {
     "horizontal.HorizontalVector": "the value type of TwoPlane's spanning vectors, which tests build planes from",
     "horizontal.TwoPlane": "perfbench/tracer.py names it in CLASSES and hooks TwoPlane.__init__ (its install "
@@ -118,27 +120,13 @@ KEPT_LINES = {
     ), "the division by a pivot that is not real: the grid eliminates Hermitian matrices, whose pivots are "
        "leading minors until a row exchange, and real matrices; the kernel takes any matrix over Q(i), and "
        "tests eliminate random Gaussian matrices"),
-    **dict.fromkeys((
-        "exactla.GaussianRational.__neg__",
-        "exactla.GaussianRational.__sub__",
-        "exactla.GaussianRational.__rsub__",
-        "exactla.GaussianRational.__rtruediv__",
-        "exactla.GaussianRational.__eq__: if isinstance(other, int):",
-        "exactla.GaussianRational.__eq__: return self.b == 0 and self.d == 1 and self.a == other",
-        "exactla.GaussianRational.__eq__: if isinstance(other, Fraction):",
-        "exactla.GaussianRational.__eq__: return self.b == 0 and self.a == other.numerator and "
-        "self.d == other.denominator",
-        "exactla.GaussianRational.__eq__: return NotImplemented",
-    ), _ORACLE),
-    "exactla.GaussianRational.__hash__": "defining __eq__ drops the inherited hash; this one agrees with __eq__ on "
-                                          "ints and Fractions, which tests check",
+    "exactla.GaussianRational.__hash__": "defining __eq__ drops the inherited hash; tests check that equal scalars "
+                                          "hash alike",
     "exactla.GaussianRational.__reduce__": "copy and pickle go through it (the default restore would hit the "
                                            "raising __setattr__); tests round-trip scalars",
-    "exactla.GaussianRational.re": "perfbench/tracer.py's _bits reads it, and __hash__ and __repr__ use it",
-    "exactla.GaussianRational.im": "perfbench/tracer.py's _bits reads it, and __hash__ and __repr__ use it",
+    "exactla.GaussianRational.re": "perfbench/tracer.py's _bits reads it, and __repr__ uses it",
+    "exactla.GaussianRational.im": "perfbench/tracer.py's _bits reads it, and __repr__ uses it",
     "exactla.GaussianRational.__repr__": "error messages and failure reports print scalars; a test pins it",
-    "exactla._cleared: v = [_coerce(x) for x in v]":
-        "the kernels take ints and Fractions among Gaussian rationals, as their docstrings say; tests pass them",
     "exactla.nullspace: return []": "an empty matrix has no row to count the columns by; tests pin nullspace([])",
     "horizontal._independent: return False": "a zero first vector, which a draw of the (1,n,1) suite can give "
                                              "(with probability at most 49**-n)",
@@ -592,6 +580,37 @@ def test_guard_sees_an_unread_field(tmp_path):
         "def use(r):\n    r.c = r.a\n    return getattr(r, 'b', 0)\n"
         "X = use(R())\n")
     assert unread_fields(tmp_path) == ["extra.D.e", "extra.R.c"]
+
+
+def method_aliases(package_dir: Path = PACKAGE_DIR) -> list[str]:
+    """module.Class.name for each class-body assignment `name = f` whose value
+    f names a function defined in that class's body."""
+    out = []
+    for module, tree in _modules(package_dir):
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            methods = {stmt.name for stmt in cls.body if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))}
+            for stmt in cls.body:
+                if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and getattr(stmt.value, "id", None) in methods:
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                    out += [f"{module}.{cls.name}.{target.id}" for target in targets if isinstance(target, ast.Name)]
+    return sorted(out)
+
+
+def test_no_class_aliases_a_method():
+    aliases = method_aliases()
+    assert not aliases, "class-body aliases of methods, which run when the class is created: " + ", ".join(aliases)
+
+
+def test_guard_sees_a_method_alias(tmp_path):
+    # __rmul__ and m2 alias methods of C, the latter annotated and inside a
+    # function; g names a module-level function, k a constant and D.n a method
+    # of another class
+    (tmp_path / "extra.py").write_text(
+        "def f(): pass\n"
+        "class C:\n    def __mul__(self, o): pass\n    __rmul__ = __mul__\n    g = f\n    k = 1\n"
+        "def build():\n    class C:\n        def m(self): pass\n        m2: object = m\n    return C\n"
+        "class D:\n    n = C.__mul__\n")
+    assert method_aliases(tmp_path) == ["extra.C.__rmul__", "extra.C.m2"]
 
 
 def stale_exemptions(package_dir: Path = PACKAGE_DIR) -> list[str]:
