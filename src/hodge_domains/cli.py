@@ -2,8 +2,8 @@
 
 Commands
     hodge-domains report --ranks R [--format json|text] [--out PATH]
-    hodge-domains verify --ranks R --seed S --samples N [--classify-out PATH]
-    hodge-domains mesh --subdivisions s --out PATH [--format off|json]
+    hodge-domains verify --ranks R [--seed S] [--samples N] [--format json|text] [--out PATH] [--classify-out PATH]
+    hodge-domains mesh [--subdivisions s] [--out PATH, default octahedron_s{s}.off] [--format off|json]
 
 Exit codes: 0 success, 1 suite/audit failure, 2 invalid input (including an
 unwritable output path), 3 resource guard.  All randomness flows from the
@@ -275,10 +275,16 @@ _SUITES = (
 
 def run_verify(cfg: RunConfig) -> dict:
     paths = [path for path in (cfg.classify_out, cfg.output) if path]
-    for path in paths:
-        open(path, "a").close()  # an unwritable path fails before any suite runs; nothing is truncated
-    if len(paths) == 2 and os.path.samefile(*paths):
-        raise ValueError(f"--out and --classify-out name the same file {cfg.output}")
+    created = [path for path in paths if not os.path.exists(path)]
+    try:
+        for path in paths:
+            open(path, "a").close()  # an unwritable path fails before any suite runs; nothing is truncated
+        if len(paths) == 2 and os.path.samefile(*paths):
+            raise ValueError(f"--out and --classify-out name the same file {cfg.output}")
+    except BaseException:  # a rejected run leaves no file that it made
+        for path in created:
+            Path(path).unlink(missing_ok=True)
+        raise
     suites = []
     for name, applies, reason, run in _SUITES:
         if not applies(cfg.ranks):
@@ -345,12 +351,12 @@ def export_mesh(cfg: RunConfig) -> tuple[int, list[str]]:
     for _ in range(cfg.subdivisions):
         tri = spheremesh_mod.subdivide(tri)
     coloring = spheremesh_mod.three_color(tri)
-    # geometry and gluing are computed once and shared by the audit and the sidecar
+    # the geometry and the color pairs are computed once and shared by the audit and the sidecar
     geometry = spheremesh_mod.mesh_geometry(tri)
-    glue = spheremesh_mod.gluing_pattern(tri, coloring)
-    if not meshaudit.audit_passes(spheremesh_mod.audit_mesh(tri, coloring, geometry, glue)):
+    pairs = spheremesh_mod.color_pairs(tri, coloring)
+    if not meshaudit.audit_passes(spheremesh_mod.audit_mesh(tri, coloring, geometry, pairs)):
         return EXIT_SUITE_FAILURE, []
-    doc = spheremesh_mod.sidecar_document(coloring, geometry, glue)
+    doc = spheremesh_mod.sidecar_document(tri, coloring, geometry[0], pairs)
     if cfg.fmt == "json":
         doc["vertices"] = wire.Table([None] * 3, tuple(tri.vertices.T))
         doc["faces"] = wire.Table([None] * 3, tuple(tri.face_array.T))

@@ -24,6 +24,8 @@ from collections import deque
 
 ANGLE_TOL = 1e-10
 LEVELS = 4  # verify audits s = 0..3
+# the gluing fields of both audits for an improper coloring, which has no glued polyhedron
+UNGLUED = {"gluing_euler": None, "gluing_closed": False, "gluing_links_single_cycles": False, "gluing_color_matched": False}
 
 
 class MeshError(ValueError):
@@ -211,12 +213,10 @@ def _gluing(mesh: Mesh, pairs) -> dict:
 
 def audit_mesh(mesh: Mesh, colors) -> dict:
     """The audit dict of spheremesh.audit_mesh for a mesh and a coloring.  An
-    improper coloring has no glued polyhedron: its gluing fields fail."""
+    improper coloring has no glued polyhedron: its gluing fields are UNGLUED."""
     proper = len(colors) == len(mesh.vertices) and all(
         {colors[a], colors[b], colors[c]} == {0, 1, 2} for a, b, c in mesh.faces)
     geometry = [_circumcircle(mesh.vertices, face) for face in mesh.faces]
-    failed = {"gluing_euler": None, "gluing_closed": False, "gluing_links_single_cycles": False,
-              "gluing_color_matched": False}
     return {
         "even": all(d % 2 == 0 for d in mesh.degrees()),
         "proper_coloring": proper,
@@ -224,7 +224,7 @@ def audit_mesh(mesh: Mesh, colors) -> dict:
         "circumcenters_inside": all(inside for _, _, inside in geometry),
         "max_equidistance_residual": max(residual for _, residual, _ in geometry),
         "fineness": max(radius for radius, _, _ in geometry),
-        **(_gluing(mesh, color_pairs(mesh, colors)) if proper else failed),
+        **(_gluing(mesh, color_pairs(mesh, colors)) if proper else UNGLUED),
     }
 
 

@@ -16,9 +16,7 @@ rejects is named as meshaudit.Mesh names it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import starmap
-from typing import Optional
 
 import numpy as np
 
@@ -213,15 +211,6 @@ def three_color(tri: SphericalTriangulation) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MeshGeometry:
-    """Circumcircle geometry of every face: row i belongs to face i."""
-    circumcenters: np.ndarray  # (F, 3), unit vectors on the faces' side
-    circumradii: np.ndarray  # (F,), angular radii
-    circumcenter_inside: np.ndarray  # (F,) bool
-    equidistance_residuals: np.ndarray  # (F,)
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products along the last axis, each through the same kernel as np.dot
     and np.linalg.norm of one 3-vector, so rows match a face-by-face
@@ -229,9 +218,10 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def mesh_geometry(tri: SphericalTriangulation) -> MeshGeometry:
-    """Circumcenter, angular circumradius, and containment of the
-    circumcenter in the closed spherical triangle, for every face.
+def mesh_geometry(tri: SphericalTriangulation) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The circumcircle of every face, row i for face i: circumcenters (F, 3), unit
+    vectors on the faces' side; angular circumradii (F,); circumcenter_inside (F,), in
+    the closed spherical triangle; equidistance_residuals (F,).
 
     The faces are taken in blocks of wire.CHUNK_ROWS, each vectorized and
     written into the preallocated rows of the result, so the temporaries
@@ -242,12 +232,7 @@ def mesh_geometry(tri: SphericalTriangulation) -> MeshGeometry:
     """
     faces = tri.face_array
     n = len(faces)
-    geometry = MeshGeometry(
-        circumcenters=np.empty((n, 3)),
-        circumradii=np.empty(n),
-        circumcenter_inside=np.empty(n, dtype=bool),
-        equidistance_residuals=np.empty(n),
-    )
+    centers, radii, inside, residuals = np.empty((n, 3)), np.empty(n), np.empty(n, dtype=bool), np.empty(n)
     for start in range(0, n, wire.CHUNK_ROWS):
         block = slice(start, start + wire.CHUNK_ROWS)
         corners = tri.vertices[faces[block]]  # (B, 3, 3)
@@ -265,11 +250,11 @@ def mesh_geometry(tri: SphericalTriangulation) -> MeshGeometry:
         center[_dot(center, v0 + v1 + v2) < 0] *= -1.0
         angles = np.arccos(np.clip(_dot(center[:, None, :], corners), -1.0, 1.0))  # (B, 3)
         sides = _dot(np.cross(corners, following), center[:, None, :])
-        geometry.circumcenters[block] = center
-        geometry.circumradii[block] = angles[:, 0]
-        geometry.circumcenter_inside[block] = np.all(sides >= -1e-12, axis=1)
-        geometry.equidistance_residuals[block] = np.max(np.abs(angles - angles[:, :1]), axis=1)
-    return geometry
+        centers[block] = center
+        radii[block] = angles[:, 0]
+        inside[block] = np.all(sides >= -1e-12, axis=1)
+        residuals[block] = np.max(np.abs(angles - angles[:, :1]), axis=1)
+    return centers, radii, inside, residuals
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +263,11 @@ def mesh_geometry(tri: SphericalTriangulation) -> MeshGeometry:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class GluingPolyhedron:
-    face_pairs: np.ndarray  # (E, 2): the two faces identified along each mesh edge, in mesh edge order
-    color_pairs: np.ndarray  # (E, 2): the sorted colors of that edge's ends
-    euler_characteristic: int
-    color_matched: bool
-    closed: bool
-    links_single_cycles: bool
+def color_pairs(tri: SphericalTriangulation, colors: np.ndarray) -> np.ndarray:
+    """The sorted colors of the ends of every edge, (E, 2) in edge order."""
+    pairs = colors[tri.edges]
+    pairs.sort(axis=1)
+    return pairs
 
 
 def _component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -304,34 +286,29 @@ def _component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.minimum.at(parent, np.maximum(ra, rb)[join], np.minimum(ra, rb)[join])
 
 
-def gluing_pattern(tri: SphericalTriangulation, colors: np.ndarray) -> GluingPolyhedron:
-    """Assemble the edge identifications of the glued polyhedron and the
-    counts audit_mesh judges, which are meaningful for a proper coloring."""
-    color_pairs = colors[tri.edges]
-    color_pairs.sort(axis=1)
+def gluing_pattern(tri: SphericalTriangulation, pairs: np.ndarray) -> dict:
+    """The audit's gluing fields for a proper coloring's color_pairs, as meshaudit._gluing gives them.
 
-    # Corner classes: gluing along an edge with colors {c1, c2} matches the
-    # c1 corners of the two copies and likewise the c2 corners.  A class is
-    # a connected component of the graph whose edges are these matchings, so
-    # when every corner lies on exactly two of them each class is a single
-    # cycle.  A matching joins two corners of one color, so the classes of
-    # each color are found apart, in a graph whose nodes are the faces.
+    Corner classes: gluing along an edge with colors {c1, c2} matches the
+    c1 corners of its two faces and likewise the c2 corners.  A class is a
+    connected component of the graph whose edges are these matchings, so
+    when every corner lies on exactly two of them each class is a single
+    cycle.  A matching joins two corners of one color, so the classes of
+    each color are found apart, in a graph whose nodes are the faces."""
     f_w = tri.num_faces
     v_w, links_single_cycles = 0, True
     for c in range(3):
-        ends = np.concatenate([tri.edge_faces[color_pairs[:, k] == c] for k in (0, 1)])
+        ends = np.concatenate([tri.edge_faces[pairs[:, k] == c] for k in (0, 1)])
         roots = _component_roots(f_w, ends[:, 0], ends[:, 1])
         v_w += int(np.count_nonzero(roots == np.arange(f_w)))
         links_single_cycles &= bool(np.all(np.bincount(ends.ravel(), minlength=f_w) == 2))
-    e_w = len(color_pairs)
-    return GluingPolyhedron(
-        face_pairs=tri.edge_faces,
-        color_pairs=color_pairs,
-        euler_characteristic=v_w - e_w + f_w,
-        color_matched=bool(np.all(color_pairs[:, 0] != color_pairs[:, 1])),
-        closed=e_w * 2 == 3 * f_w,
-        links_single_cycles=links_single_cycles,
-    )
+    e_w = len(pairs)
+    return {
+        "gluing_euler": v_w - e_w + f_w,
+        "gluing_closed": e_w * 2 == 3 * f_w,
+        "gluing_links_single_cycles": links_single_cycles,
+        "gluing_color_matched": bool(np.all(pairs[:, 0] != pairs[:, 1])),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -339,28 +316,22 @@ def gluing_pattern(tri: SphericalTriangulation, colors: np.ndarray) -> GluingPol
 # ---------------------------------------------------------------------------
 
 
-def audit_mesh(
-    tri: SphericalTriangulation, colors: np.ndarray,
-    geometry: MeshGeometry, glue: Optional[GluingPolyhedron],
-) -> dict:
+def audit_mesh(tri: SphericalTriangulation, colors: np.ndarray, geometry: tuple, pairs: np.ndarray) -> dict:
     """The full battery of checks that mesh export runs on the mesh, its
-    colors, its mesh_geometry and its gluing_pattern; meshaudit.audit_mesh
+    colors, its mesh_geometry and their color_pairs; meshaudit.audit_mesh
     builds the same dict without numpy for verify's mesh suite.  The coloring
-    is verified here, as there.  An improper coloring has no glued polyhedron,
-    so any glue given with it is ignored: its gluing fields fail."""
+    is verified here, as there, and only a proper one is glued: an improper
+    one has no glued polyhedron, whatever pairs come with it (meshaudit.UNGLUED)."""
     proper = len(colors) == tri.num_vertices and bool(np.all(np.sort(colors[tri.face_array], axis=1) == (0, 1, 2)))
-    glue = glue if proper else None
+    _, radii, inside, residuals = geometry
     return {
         "even": tri.is_even(),
         "proper_coloring": proper,
         "euler_characteristic": tri.euler_characteristic(),
-        "circumcenters_inside": bool(geometry.circumcenter_inside.all()),
-        "max_equidistance_residual": float(geometry.equidistance_residuals.max()),
-        "fineness": float(geometry.circumradii.max()),
-        "gluing_euler": getattr(glue, "euler_characteristic", None),
-        "gluing_closed": getattr(glue, "closed", False),
-        "gluing_links_single_cycles": getattr(glue, "links_single_cycles", False),
-        "gluing_color_matched": getattr(glue, "color_matched", False),
+        "circumcenters_inside": bool(inside.all()),
+        "max_equidistance_residual": float(residuals.max()),
+        "fineness": float(radii.max()),
+        **(gluing_pattern(tri, pairs) if proper else meshaudit.UNGLUED),
     }
 
 
@@ -373,16 +344,14 @@ def off_chunks(tri: SphericalTriangulation):
             yield "".join(starmap(line.format, rows[start:start + wire.CHUNK_ROWS].tolist()))
 
 
-def sidecar_document(colors: np.ndarray, geometry: MeshGeometry, glue: GluingPolyhedron) -> dict:
+def sidecar_document(tri: SphericalTriangulation, colors: np.ndarray, centers: np.ndarray, pairs: np.ndarray) -> dict:
     """The sidecar (colors, circumcenters, gluing) of a mesh's vertex colors,
-    mesh_geometry and gluing_pattern, as a document whose arrays are
-    wire.Tables."""
+    the circumcenters of its mesh_geometry and their color_pairs, as a
+    document whose arrays are wire.Tables."""
     names = np.array(COLOR_NAMES, dtype=object)  # a pointer per cell, not a 5-character string
     return {
         "schema": wire.SCHEMA,
         "colors": wire.Table(None, (names[colors],)),
-        "circumcenters": wire.Table([None] * 3, tuple(geometry.circumcenters.T)),
-        "gluing": wire.Table(
-            [None, None, [None, None]], (*glue.face_pairs.T, *names[glue.color_pairs].T)
-        ),
+        "circumcenters": wire.Table([None] * 3, tuple(centers.T)),
+        "gluing": wire.Table([None, None, [None, None]], (*tri.edge_faces.T, *names[pairs].T)),
     }

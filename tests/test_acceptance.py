@@ -34,7 +34,7 @@ from hodge_domains.pi2 import class_closure_oracle, class_of_root, pi2_report
 from hodge_domains.rootcalc import bracket_generating_check, nilradical
 from hodge_domains.spheremesh import (
     audit_mesh,
-    gluing_pattern,
+    color_pairs,
     mesh_geometry,
     octahedron,
     subdivide,
@@ -218,7 +218,7 @@ def test_criterion_09_mesh_suite():
         if s > 0:
             tri = subdivide(tri)
         coloring = three_color(tri)
-        audit = audit_mesh(tri, coloring, mesh_geometry(tri), gluing_pattern(tri, coloring))
+        audit = audit_mesh(tri, coloring, mesh_geometry(tri), color_pairs(tri, coloring))
         ok = ok and audit_passes(audit)
         if prev_fineness is not None:
             ok = ok and audit["fineness"] < prev_fineness

@@ -421,6 +421,11 @@ def test_verify_rejects_one_file_for_both_outputs(tmp_path, capsys, monkeypatch,
     assert out == ""
     assert err == "invalid input: --out and --classify-out name the same file x.json\n"
     assert (tmp_path / "x.json").read_text() == '{"kept": true}\n'  # the rejected run truncates nothing
+    # a file that did not exist: the probe creates it, and the rejected run removes it again
+    argv = ["verify", "--ranks", "1,2,1", "--samples", "20", "--out", "new.json", "--classify-out", "./new.json"]
+    assert main(argv) == EXIT_INVALID_INPUT
+    assert ran == [] and not (tmp_path / "new.json").exists()
+    assert capsys.readouterr() == ("", "invalid input: --out and --classify-out name the same file new.json\n")
 
 
 def test_unwritable_verify_out_keeps_an_existing_classify_out(tmp_path, capsys):
@@ -431,6 +436,11 @@ def test_unwritable_verify_out_keeps_an_existing_classify_out(tmp_path, capsys):
     assert main(argv) == EXIT_INVALID_INPUT
     assert capsys.readouterr().err.startswith("invalid input: ")
     assert planes.read_text() == '{"kept": true}\n'
+    # a classify-out that did not exist: the probe creates it, and the rejected run removes it again
+    argv[argv.index(str(planes))] = str(tmp_path / "fresh.jsonl")
+    assert main(argv) == EXIT_INVALID_INPUT
+    assert capsys.readouterr().err.startswith("invalid input: ")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["p.jsonl"]
 
 
 def test_verify_writes_two_distinct_outputs(tmp_path, monkeypatch):

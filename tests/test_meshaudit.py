@@ -39,7 +39,7 @@ def rows(array):
 def exported_audit(tri):
     """spheremesh.audit_mesh of tri's three_color, as mesh export runs it."""
     colors = spheremesh.three_color(tri)
-    return spheremesh.audit_mesh(tri, colors, spheremesh.mesh_geometry(tri), spheremesh.gluing_pattern(tri, colors))
+    return spheremesh.audit_mesh(tri, colors, spheremesh.mesh_geometry(tri), spheremesh.color_pairs(tri, colors))
 
 
 def assert_same_audit(ours, theirs):
@@ -73,9 +73,9 @@ def test_colors_and_gluing_pairs_equal_spheremesh(s):
     exported = spheremesh.three_color(tri)
     colors = three_color(mesh)
     assert colors == exported.tolist()
-    glue = spheremesh.gluing_pattern(tri, exported)
-    assert mesh.edge_faces == rows(glue.face_pairs)
-    assert color_pairs(mesh, colors) == rows(glue.color_pairs)
+    pairs = spheremesh.color_pairs(tri, exported)
+    assert color_pairs(mesh, colors) == rows(pairs)
+    assert_same_audit(meshaudit._gluing(mesh, color_pairs(mesh, colors)), spheremesh.gluing_pattern(tri, pairs))
 
 
 @pytest.mark.parametrize("s", SUBDIVISIONS)
@@ -171,7 +171,9 @@ def test_improper_coloring_fails_the_audit(colors):
     ours = audit_mesh(octahedron(), list(colors))
     assert ours["proper_coloring"] is False and not audit_passes(ours)
     tri = spheremesh.octahedron()
-    theirs = spheremesh.audit_mesh(tri, np.array(colors), spheremesh.mesh_geometry(tri), None)
+    # with the pairs of the proper coloring, which an improper one never glues
+    pairs = spheremesh.color_pairs(tri, spheremesh.three_color(tri))
+    theirs = spheremesh.audit_mesh(tri, np.array(colors), spheremesh.mesh_geometry(tri), pairs)
     assert_same_audit(ours, theirs)
 
 

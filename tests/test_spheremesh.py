@@ -14,6 +14,7 @@ from hodge_domains.meshaudit import MeshError, audit_passes
 from hodge_domains.spheremesh import (
     SphericalTriangulation,
     audit_mesh,
+    color_pairs,
     gluing_pattern,
     mesh_geometry,
     octahedron,
@@ -26,7 +27,7 @@ from hodge_domains.spheremesh import (
 
 def fineness(tri: SphericalTriangulation) -> float:
     """Largest angular circumradius over all faces."""
-    return float(mesh_geometry(tri).circumradii.max())
+    return float(mesh_geometry(tri)[1].max())
 
 
 _CHAIN = []
@@ -58,7 +59,7 @@ def test_octahedron_even_degree_four():
 
 def test_octahedron_equal_circumradii():
     t = octahedron()
-    radii = mesh_geometry(t).circumradii.tolist()
+    radii = mesh_geometry(t)[1].tolist()
     assert max(radii) - min(radii) < 1e-12
     assert abs(radii[0] - math.acos(1 / math.sqrt(3))) < 1e-12
 
@@ -111,7 +112,7 @@ def test_coloring_proper_up_to_five_subdivisions():
     for s, tri in meshes_up_to(5):
         colors = three_color(tri)
         assert colors.dtype == np.int64
-        assert audit_mesh(tri, colors, mesh_geometry(tri), None)["proper_coloring"] is True
+        assert audit_mesh(tri, colors, mesh_geometry(tri), color_pairs(tri, colors))["proper_coloring"] is True
 
 
 def test_non_even_mesh_not_colorable():
@@ -131,7 +132,7 @@ def test_non_even_mesh_not_colorable():
     faces = flip([tuple(face) for face in tri.face_array.tolist()], *tri.edges[0].tolist())
     odd, mesh = SphericalTriangulation(tri.vertices, np.array(faces)), meshaudit.Mesh(tri.vertices.tolist(), faces)
     colors = three_color(odd)
-    theirs = audit_mesh(odd, colors, mesh_geometry(odd), gluing_pattern(odd, colors))
+    theirs = audit_mesh(odd, colors, mesh_geometry(odd), color_pairs(odd, colors))
     ours = meshaudit.audit_mesh(mesh, meshaudit.three_color(mesh))
     for audit in (theirs, ours):
         assert not audit["even"] and audit["proper_coloring"] is False and not audit_passes(audit)
@@ -141,7 +142,7 @@ def test_verify_coloring_rejects_monochromatic_edge():
     # audit_mesh is the one coloring verifier; the edge (0, 1) is monochromatic
     t = octahedron()
     colors = np.array((0, 0, 1, 2, 1, 2))
-    audit = audit_mesh(t, colors, mesh_geometry(t), gluing_pattern(t, colors))
+    audit = audit_mesh(t, colors, mesh_geometry(t), color_pairs(t, colors))
     assert audit["proper_coloring"] is False and not audit_passes(audit)
 
 
@@ -151,22 +152,22 @@ def test_verify_coloring_rejects_monochromatic_edge():
 def test_face_geometry_octant_face():
     t = octahedron()
     face0 = t.face_array[0].tolist()  # [0, 1, 2] = (e1, e2, e3)
-    geo = mesh_geometry(t)
+    centers, _, inside, residuals = mesh_geometry(t)
     expected = np.ones(3) / math.sqrt(3)
-    assert np.allclose(geo.circumcenters[0], expected, atol=1e-14)
-    assert geo.circumcenter_inside[0]
-    assert geo.equidistance_residuals[0] < 1e-12
+    assert np.allclose(centers[0], expected, atol=1e-14)
+    assert inside[0]
+    assert residuals[0] < 1e-12
     assert face0 == [0, 1, 2]
 
 
 def test_face_geometry_equidistance_up_to_five_subdivisions():
     for s, tri in meshes_up_to(5):
-        assert mesh_geometry(tri).equidistance_residuals.max() < 1e-10
+        assert mesh_geometry(tri)[3].max() < 1e-10
 
 
 def test_face_geometry_circumcenters_inside_up_to_five():
     for s, tri in meshes_up_to(5):
-        assert mesh_geometry(tri).circumcenter_inside.all()
+        assert mesh_geometry(tri)[2].all()
 
 
 def test_antipodal_edge_has_no_geodesic_midpoint():
@@ -184,26 +185,25 @@ def test_antipodal_edge_has_no_geodesic_midpoint():
 
 def test_gluing_octahedron_counts():
     t = octahedron()
-    glue = gluing_pattern(t, three_color(t))
-    assert len(glue.face_pairs) == len(glue.color_pairs) == 12
-    assert glue.euler_characteristic == 2
-    assert glue.color_matched and glue.closed and glue.links_single_cycles
+    pairs = color_pairs(t, three_color(t))
+    assert len(t.edge_faces) == len(pairs) == 12
+    assert gluing_pattern(t, pairs) == {
+        "gluing_euler": 2, "gluing_closed": True, "gluing_links_single_cycles": True, "gluing_color_matched": True}
 
 
 def test_gluing_color_pairs_match_by_construction():
     for s, tri in meshes_up_to(3):
         colors = three_color(tri).tolist()
-        glue = gluing_pattern(tri, np.array(colors))
-        for f, g, pair in identifications(glue):
+        for f, g, pair in identifications(tri, color_pairs(tri, np.array(colors))):
             shared = set(tri.face_array[f].tolist()) & set(tri.face_array[g].tolist())
             assert {colors[v] for v in shared} == set(pair)
 
 
 def test_gluing_rejects_improper_coloring():
-    # gluing_pattern builds whatever the coloring gives; both audits reject it
+    # color_pairs pairs whatever the coloring gives; both audits reject it
     t = octahedron()
     colors = np.zeros(6, dtype=np.int64)
-    theirs = audit_mesh(t, colors, mesh_geometry(t), gluing_pattern(t, colors))
+    theirs = audit_mesh(t, colors, mesh_geometry(t), color_pairs(t, colors))
     ours = meshaudit.audit_mesh(meshaudit.octahedron(), colors.tolist())
     for audit in (theirs, ours):
         assert audit["proper_coloring"] is False and audit["gluing_euler"] is None and not audit_passes(audit)
@@ -211,9 +211,9 @@ def test_gluing_rejects_improper_coloring():
 
 def test_gluing_audit_up_to_four():
     for s, tri in meshes_up_to(4):
-        glue = gluing_pattern(tri, three_color(tri))
-        assert glue.euler_characteristic == 2
-        assert glue.closed and glue.links_single_cycles
+        glue = gluing_pattern(tri, color_pairs(tri, three_color(tri)))
+        assert glue["gluing_euler"] == 2
+        assert glue["gluing_closed"] and glue["gluing_links_single_cycles"]
 
 
 # -- invariant validation -------------------------------------------------------------
@@ -422,15 +422,15 @@ def reference_verify_coloring(tri, colors):
             raise ValueError(f"face {face} is not trichromatic")
 
 
-def identifications(glue):
-    """(face_a, face_b, (color_a, color_b)) per mesh edge, as the reference lists them."""
-    return tuple((f, g, (a, b)) for (f, g), (a, b) in zip(glue.face_pairs.tolist(), glue.color_pairs.tolist()))
+def identifications(tri, pairs):
+    """(face_a, face_b, (color_a, color_b)) per mesh edge, from tri.edge_faces
+    and color_pairs, as the reference lists them."""
+    return tuple((f, g, (a, b)) for (f, g), (a, b) in zip(tri.edge_faces.tolist(), pairs.tolist()))
 
 
-def glue_fields(glue):
-    """A GluingPolyhedron's fields in the form reference_gluing_pattern returns."""
-    names = ("euler_characteristic", "color_matched", "closed", "links_single_cycles")
-    return {"identifications": identifications(glue), **{name: getattr(glue, name) for name in names}}
+def glue_fields(tri, pairs):
+    """The identifications and gluing_pattern's fields, in the form reference_gluing_pattern returns."""
+    return {"identifications": identifications(tri, pairs), **gluing_pattern(tri, pairs)}
 
 
 def reference_gluing_pattern(tri, colors):
@@ -512,10 +512,10 @@ def reference_gluing_pattern(tri, colors):
 
     return dict(
         identifications=tuple(identifications),
-        euler_characteristic=euler,
-        color_matched=color_matched,
-        closed=closed,
-        links_single_cycles=links_ok,
+        gluing_euler=euler,
+        gluing_closed=closed,
+        gluing_links_single_cycles=links_ok,
+        gluing_color_matched=color_matched,
     )
 
 
@@ -530,27 +530,27 @@ def outcome(fn, *args):
 
 def test_mesh_geometry_matches_per_face_reference_up_to_five():
     for s, tri in meshes_up_to(5):
-        geo = mesh_geometry(tri)
+        centers, radii, inside, residuals = mesh_geometry(tri)
         ref = [reference_face_geometry(tri, i) for i in range(tri.num_faces)]
-        assert geo.circumcenters.tobytes() == np.array([r.circumcenter for r in ref]).tobytes()
-        assert geo.circumradii.tobytes() == np.array([r.circumradius for r in ref]).tobytes()
-        assert geo.equidistance_residuals.tobytes() == np.array([r.equidistance_residual for r in ref]).tobytes()
-        assert geo.circumcenter_inside.tolist() == [r.circumcenter_inside for r in ref]
+        assert centers.tobytes() == np.array([r.circumcenter for r in ref]).tobytes()
+        assert radii.tobytes() == np.array([r.circumradius for r in ref]).tobytes()
+        assert residuals.tobytes() == np.array([r.equidistance_residual for r in ref]).tobytes()
+        assert inside.tolist() == [r.circumcenter_inside for r in ref]
 
 
 def test_face_geometry_equals_reference_up_to_two():
     # Face by face, as plain Python values: row i of mesh_geometry is the
     # reference geometry of face i, with the midpoints left out.
     for s, tri in meshes_up_to(2):
-        geo = mesh_geometry(tri)
+        centers, radii, inside, residuals = mesh_geometry(tri)
         for i in range(tri.num_faces):
             ref = reference_face_geometry(tri, i)
             row = FaceGeometry(
-                circumcenter=tuple(float(x) for x in geo.circumcenters[i]),
-                circumradius=float(geo.circumradii[i]),
+                circumcenter=tuple(float(x) for x in centers[i]),
+                circumradius=float(radii[i]),
                 midpoints=ref.midpoints,
-                circumcenter_inside=bool(geo.circumcenter_inside[i]),
-                equidistance_residual=float(geo.equidistance_residuals[i]),
+                circumcenter_inside=bool(inside[i]),
+                equidistance_residual=float(residuals[i]),
             )
             assert row == ref
 
@@ -559,7 +559,7 @@ def test_gluing_pattern_equals_reference_up_to_three():
     for s, tri in meshes_up_to(3):
         colors = three_color(tri)
         reference = ReferenceTriangulation(tri.vertices, tri.face_array.tolist())
-        assert glue_fields(gluing_pattern(tri, colors)) == reference_gluing_pattern(reference, colors.tolist())
+        assert glue_fields(tri, color_pairs(tri, colors)) == reference_gluing_pattern(reference, colors.tolist())
 
 
 def _torus_faces():
@@ -674,7 +674,7 @@ def test_colors_and_gluing_equal_reference_up_to_five():
         assert tri.edges.tolist() == sorted(sorted(e) for e in reference.edge_faces)
         colors = three_color(tri)
         assert tuple(colors.tolist()) == reference_three_color(reference)
-        assert glue_fields(gluing_pattern(tri, colors)) == reference_gluing_pattern(reference, colors.tolist())
+        assert glue_fields(tri, color_pairs(tri, colors)) == reference_gluing_pattern(reference, colors.tolist())
 
 
 @pytest.mark.parametrize(
@@ -682,12 +682,14 @@ def test_colors_and_gluing_equal_reference_up_to_five():
     [(0, 0, 1, 2, 1, 2), (0,) * 6, (0, 1, 2, 0, 1), (0, 1, 2, 0, 1, 3), (2, 1, 0, 1, 0, 2), (1, 2, 0, 1, 2, 0)],
 )
 def test_verify_coloring_matches_reference(colors):
-    # audit_mesh calls a coloring proper exactly when the reference verifier accepts it
+    # audit_mesh calls a coloring proper exactly when the reference verifier
+    # accepts it; the verdict reads the colors alone, whatever pairs come with them
     t = octahedron()
     reference = ReferenceTriangulation(t.vertices, t.face_array.tolist())
     proper = outcome(reference_verify_coloring, reference, colors) is None
     assert proper is (colors == (1, 2, 0, 1, 2, 0))
-    assert audit_mesh(t, np.array(colors), mesh_geometry(t), None)["proper_coloring"] is proper
+    pairs = color_pairs(t, three_color(t))
+    assert audit_mesh(t, np.array(colors), mesh_geometry(t), pairs)["proper_coloring"] is proper
 
 
 @pytest.mark.parametrize("entry", [0.7, 0.0, np.float64(0.0), "0", True, np.bool_(False), None, 2**70])
@@ -747,9 +749,6 @@ def test_degenerate_faces_name_first_failing_face(moved, onto, message):
     assert outcome(fineness, tri) == first
 
 
-GEOMETRY_FIELDS = ("circumcenters", "circumradii", "circumcenter_inside", "equidistance_residuals")
-
-
 @pytest.mark.parametrize("block", [5, 7])
 def test_mesh_geometry_rows_do_not_depend_on_the_block_size(block):
     for s, tri in meshes_up_to(4):
@@ -757,8 +756,9 @@ def test_mesh_geometry_rows_do_not_depend_on_the_block_size(block):
             whole = mesh_geometry(tri)
         with mock.patch.object(wire, "CHUNK_ROWS", block):
             blocked = mesh_geometry(tri)
-        for name in GEOMETRY_FIELDS:
-            assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes()
+        assert len(blocked) == len(whole) == 4
+        for ours, theirs in zip(blocked, whole):
+            assert ours.tobytes() == theirs.tobytes()
 
 
 @pytest.mark.parametrize("block", [5, 7])
@@ -797,7 +797,7 @@ def traced_transient(fn, *args) -> int:
 
 def sidecar_text_transient(tri) -> int:
     colors = three_color(tri)
-    doc = sidecar_document(colors, mesh_geometry(tri), gluing_pattern(tri, colors))
+    doc = sidecar_document(tri, colors, mesh_geometry(tri)[0], color_pairs(tri, colors))
     return traced_transient(lambda: sum(map(len, wire.indented_chunks(doc))))
 
 
@@ -830,7 +830,7 @@ def test_off_export_structure():
 def test_sidecar_roundtrip_bit_exact():
     for s, tri in meshes_up_to(2):
         colors = three_color(tri)
-        text = wire.dumps_indented(sidecar_document(colors, mesh_geometry(tri), gluing_pattern(tri, colors)))
+        text = wire.dumps_indented(sidecar_document(tri, colors, mesh_geometry(tri)[0], color_pairs(tri, colors)))
         reparsed = json.dumps(json.loads(text), sort_keys=True, indent=1)
         assert reparsed == text
 
@@ -838,7 +838,7 @@ def test_sidecar_roundtrip_bit_exact():
 def test_sidecar_fields():
     t = octahedron()
     colors = three_color(t)
-    doc = json.loads(wire.dumps_indented(sidecar_document(colors, mesh_geometry(t), gluing_pattern(t, colors))))
+    doc = json.loads(wire.dumps_indented(sidecar_document(t, colors, mesh_geometry(t)[0], color_pairs(t, colors))))
     assert doc["schema"] == "hodge-domains/1"
     assert len(doc["colors"]) == 6
     assert set(doc["colors"]) == {"red", "green", "blue"}
@@ -849,7 +849,7 @@ def test_sidecar_fields():
 def test_audit_mesh_summary():
     t = subdivide(octahedron())
     colors = three_color(t)
-    audit = audit_mesh(t, colors, mesh_geometry(t), gluing_pattern(t, colors))
+    audit = audit_mesh(t, colors, mesh_geometry(t), color_pairs(t, colors))
     assert audit["even"] and audit["proper_coloring"]
     assert audit["euler_characteristic"] == 2
     assert audit["gluing_euler"] == 2
@@ -857,19 +857,20 @@ def test_audit_mesh_summary():
     assert audit["max_equidistance_residual"] < 1e-10
 
 
-# "computed": the glue gluing_pattern builds for the improper coloring, as
-# mesh export passes it; "passed_in": the proper coloring's glue; neither counts
-@pytest.mark.parametrize("with_glue", [False, True], ids=["computed", "passed_in"])
-def test_audit_mesh_reports_improper_coloring(with_glue):
+# "computed": the color pairs of the improper coloring, as mesh export passes
+# them; "passed_in": the proper coloring's pairs; neither is glued
+@pytest.mark.parametrize("passed_in", [False, True], ids=["computed", "passed_in"])
+def test_audit_mesh_reports_improper_coloring(passed_in):
     t = octahedron()
     proper, improper = three_color(t), np.zeros(6, dtype=np.int64)
-    glue = gluing_pattern(t, proper)
-    audit = audit_mesh(t, improper, mesh_geometry(t), glue if with_glue else gluing_pattern(t, improper))
+    pairs = color_pairs(t, proper)
+    audit = audit_mesh(t, improper, mesh_geometry(t), pairs if passed_in else color_pairs(t, improper))
     assert audit["proper_coloring"] is False
     assert audit["gluing_euler"] is None
     assert not (audit["gluing_closed"] or audit["gluing_links_single_cycles"] or audit["gluing_color_matched"])
+    assert {k: audit[k] for k in meshaudit.UNGLUED} == meshaudit.UNGLUED
     assert not audit_passes(audit)
     # the fields that do not depend on the coloring are those of the proper audit
-    good = audit_mesh(t, proper, mesh_geometry(t), glue)
+    good = audit_mesh(t, proper, mesh_geometry(t), pairs)
     same = ("even", "euler_characteristic", "circumcenters_inside", "max_equidistance_residual", "fineness")
     assert {k: audit[k] for k in same} == {k: good[k] for k in same}

@@ -9,9 +9,10 @@ For s = 5, 6, 7 and 8 this records:
 * ``stage_peak_mb``: in this process, under tracemalloc, the peak of each
   stage of the export above the memory traced when it starts:
   ``subdivide`` (the last subdivision, with the validation of the new mesh),
-  ``three_color``, ``mesh_geometry``, ``gluing_pattern`` and ``export_text``
-  (the sidecar document and the OFF and sidecar text, consumed piece by
-  piece).  ``stage_kept_mb`` is what each stage leaves allocated.
+  ``three_color``, ``mesh_geometry``, ``gluing_pattern`` (with the
+  ``color_pairs`` it glues) and ``export_text`` (the sidecar document and
+  the OFF and sidecar text, consumed piece by piece).  ``stage_kept_mb`` is
+  what each stage leaves allocated.
 
 The JSON written holds the git revision of the measured sources (with a
 ``dirty`` flag), the Python and numpy versions and ``nproc``.
@@ -50,8 +51,13 @@ def stage_peaks(s: int) -> tuple[dict, dict]:
     """Traced peak and kept memory of each export stage at s subdivisions, in MB."""
     from hodge_domains import spheremesh, wire
 
-    def export_text(tri, colors, geometry, glue):
-        doc = spheremesh.sidecar_document(colors, geometry, glue)
+    def gluing_pattern(tri, colors):
+        pairs = spheremesh.color_pairs(tri, colors)
+        spheremesh.gluing_pattern(tri, pairs)
+        return pairs
+
+    def export_text(tri, colors, centers, pairs):
+        doc = spheremesh.sidecar_document(tri, colors, centers, pairs)
         for chunks in (spheremesh.off_chunks(tri), wire.indented_chunks(doc)):
             for _ in chunks:
                 pass
@@ -72,9 +78,9 @@ def stage_peaks(s: int) -> tuple[dict, dict]:
     tracemalloc.start()
     tri = traced("subdivide", spheremesh.subdivide, tri)
     colors = traced("three_color", spheremesh.three_color, tri)
-    geometry = traced("mesh_geometry", spheremesh.mesh_geometry, tri)
-    glue = traced("gluing_pattern", spheremesh.gluing_pattern, tri, colors)
-    traced("export_text", export_text, tri, colors, geometry, glue)
+    centers = traced("mesh_geometry", spheremesh.mesh_geometry, tri)[0]
+    pairs = traced("gluing_pattern", gluing_pattern, tri, colors)
+    traced("export_text", export_text, tri, colors, centers, pairs)
     tracemalloc.stop()
     return peak, kept
 
