@@ -73,6 +73,9 @@ class RunConfig:
             raise ResourceGuardError(
                 f"total rank {self.ranks.m} exceeds the guard {MAX_TOTAL_RANK}"
             )
+        for option, path in (("--out", self.output), ("--classify-out", self.classify_out)):
+            if path is not None and os.path.basename(path) in ("", ".", ".."):
+                raise ValueError(f"{option} {path!r} names a directory, not a file")
         if self.classify_out and not _is_1n1(self.ranks):
             raise ValueError(f"--classify-out needs ranks (1, n, 1), got {self.ranks.ranks}")
 
@@ -194,19 +197,9 @@ def _suite_flags(cfg: RunConfig) -> tuple[bool, dict]:
 
 def _suite_pu2n(cfg: RunConfig) -> tuple[bool, dict]:
     from . import horizontal as horizontal_mod
-    n = cfg.ranks.ranks[1]
     with open(cfg.classify_out, "w") if cfg.classify_out else nullcontext() as sink:
         record = (lambda entry: sink.write(wire.dumps(entry) + "\n")) if sink else None
-        details = horizontal_mod.verify_pu2n_criterion(n, cfg.samples, cfg.seed, record=record)
-    half_zero_independent = details.pop("half_zero_independent")
-    if n == 1:
-        passed = not details["found_regular_isotropic"] and details["isotropic_noncomplex"] == 0
-    else:
-        # regular isotropic planes are looked for on the half-zero stratum only,
-        # so their existence is claimed only once a run has drawn a
-        # complex-independent plane from it
-        passed = details["found_regular_isotropic"] or not half_zero_independent
-    return details["mismatches"] == 0 and passed, details
+        return horizontal_mod.verify_pu2n_criterion(cfg.ranks.ranks[1], cfg.samples, cfg.seed, record=record)
 
 
 def _suite_stabilizers(cfg: RunConfig) -> tuple[bool, dict]:

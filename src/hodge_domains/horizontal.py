@@ -3,9 +3,11 @@ bracket 2-form, isotropy, regularity, the rank-(1,n,1) criterion, stabilizer
 dimension counts, and the check of the rank-(1,2,1) model embedded at a wide
 middle block.
 
-A horizontal vector is a tuple of matrices A_i from block i to block i+1.
-The bracket 2-form takes two horizontal vectors to the level-two piece,
-component i being B_{i+1} A_i - A_{i+1} B_i.  For ranks (1,n,1), writing
+A horizontal vector is a tuple of matrices A_i from block i to block i+1,
+held here as the (re, im) int pairs of its Gaussian-integer entries in
+flatten order, the order of horizontal_positions.  The bracket 2-form takes
+two horizontal vectors to the level-two piece, component i being
+B_{i+1} A_i - A_{i+1} B_i.  For ranks (1,n,1), writing
 u = (v1, v2) with v1 the first component column and v2 the transpose of the
 second, this is literally the complex symplectic scalar  t(v1) w2 - t(v2) w1.
 
@@ -13,7 +15,8 @@ A real 2-plane S = span_R(u, w) is isotropic when the form vanishes on it and
 regular when v -> (s -> bracket(v, s)) maps the horizontal fiber onto all
 real-linear maps S -> (level-two piece); regularity is decided by an exact
 real rank computation.  A positive multiple of u or w spans the same plane,
-so the tests below work on u and w cleared of denominators, over Z[i].
+so a plane with Gaussian-rational spanning vectors is decided on them
+cleared of denominators, over Z[i].
 
 When a middle block has rank r_{i+1} >= 2, the (1,2,1) model sits at four
 coordinates around walls i and i+1, which is why kernel generator i has a
@@ -24,43 +27,17 @@ there and checks, exactly, that the ambient bracket is the model's scalar.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, chain
 from operator import itemgetter, neg
 from typing import Callable, Optional, Sequence
 
-from .exactla import GaussianRational, _cleared, as_matrix, rank
+from .exactla import rank
 from .hodge import HodgeNumbers
 
 
 class NotApplicableError(ValueError):
     """The construction requires a middle block of rank at least 2."""
-
-
-@dataclass(frozen=True)
-class HorizontalVector:
-    """components[i] maps block i to block i+1 (an r_{i+1} x r_i matrix)."""
-
-    ranks: HodgeNumbers
-    components: tuple
-
-    def __post_init__(self):
-        r = self.ranks.ranks
-        if len(self.components) != self.ranks.k:
-            raise ValueError(f"expected {self.ranks.k} components")
-        comps = tuple(as_matrix(mx, r[i + 1], r[i]) for i, mx in enumerate(self.components))
-        object.__setattr__(self, "components", comps)
-
-    def flatten(self) -> list[GaussianRational]:
-        return [x for mx in self.components for row in mx for x in row]
-
-    @cached_property
-    def gaussian_integers(self) -> tuple[tuple[int, int], ...]:
-        """The entries of l * self as (re, im) int pairs in flatten order,
-        with l > 0 the lcm of their denominators."""
-        _, re, im = _cleared(self.flatten())
-        return tuple(zip(re, im))
 
 
 def _independent(x: Sequence[tuple[int, int]], y: Sequence[tuple[int, int]], real: bool = False) -> bool:
@@ -91,25 +68,9 @@ def horizontal_positions(ranks: HodgeNumbers) -> tuple[tuple[int, int, int], ...
     )
 
 
-@dataclass(frozen=True)
 class TwoPlane:
-    """An oriented real 2-plane spanned by R-independent horizontal vectors."""
-
-    u: HorizontalVector
-    w: HorizontalVector
-    orientation: int = 1
-
-    def __post_init__(self):
-        if self.u.ranks != self.w.ranks:
-            raise ValueError("rank mismatch between spanning vectors")
-        if self.orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
-        if not _independent(self.u.gaussian_integers, self.w.gaussian_integers, real=True):
-            raise ValueError("spanning vectors are linearly dependent over R")
-
-    @property
-    def ranks(self) -> HodgeNumbers:
-        return self.u.ranks
+    """A name only: perfbench/tracer.py hooks TwoPlane.__init__ and its install raises
+    without the class, which goes when the tracer drops the name (ROADMAP items 1 and 11)."""
 
 
 @lru_cache(maxsize=None)
@@ -252,18 +213,18 @@ def verify_pu2n_criterion(
     samples: int,
     seed: int,
     record: Optional[Callable[[dict], None]],
-) -> dict:
+) -> tuple[bool, dict]:
     """Seeded check of the regularity criterion in the rank-(1,n,1) model:
-    the suite's details, keyed as the report prints them, plus
-    "half_zero_independent".
+    (passed, the suite's details, keyed as the report prints them).
 
     Compares regularity with complex-linear independence sample by sample
-    ("mismatches" counts disagreements) and counts regular and isotropic
-    planes.  Every HALF_ZERO_PERIOD-th sample, from idx 7 on, is drawn from
-    the second-half-zero stratum, on which the symplectic scalar vanishes, so
-    isotropic planes appear at a stable rate; a complex-independent one among
-    them ("half_zero_independent") should be a regular isotropic plane.  For
-    n = 1, "isotropic_noncomplex" counts isotropic samples that fail to be
+    ("mismatches" counts disagreements, and there must be none) and counts
+    regular and isotropic planes.  Every HALF_ZERO_PERIOD-th sample, from
+    idx 7 on, is drawn from the second-half-zero stratum, on which the
+    symplectic scalar vanishes, so isotropic planes appear at a stable rate;
+    for n >= 2 a complex-independent one among them should be a regular
+    isotropic plane.  For n = 1 there must be no regular isotropic plane,
+    and "isotropic_noncomplex" counts isotropic samples that fail to be
     complex lines (there must be none).
     """
     if n < 1:
@@ -287,9 +248,17 @@ def verify_pu2n_criterion(
         half_zero_independent = half_zero_independent or (half_zero and not line)
         if record is not None:
             record({"seed": seed * 1_000_003 + idx, "isotropic": iso, "regular": reg, "complex_line": line})
-    return {"n": n, "samples": samples, "mismatches": mismatches, "regular": regular_count,
-            "isotropic": isotropic_count, "found_regular_isotropic": found_reg_iso,
-            "isotropic_noncomplex": noncomplex_iso, "half_zero_independent": half_zero_independent}
+    if n == 1:
+        passed = not found_reg_iso and noncomplex_iso == 0
+    else:
+        # regular isotropic planes are looked for on the half-zero stratum only,
+        # so their existence is claimed only once a run has drawn a
+        # complex-independent plane from it
+        passed = found_reg_iso or not half_zero_independent
+    return mismatches == 0 and passed, {
+        "n": n, "samples": samples, "mismatches": mismatches, "regular": regular_count,
+        "isotropic": isotropic_count, "found_regular_isotropic": found_reg_iso,
+        "isotropic_noncomplex": noncomplex_iso}
 
 
 # ---------------------------------------------------------------------------

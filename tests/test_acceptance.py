@@ -101,8 +101,8 @@ def test_criterion_04_pu2n_regularity_criterion():
     start = time.perf_counter()
     ok = True
     for n in (2, 3, 4):
-        rep = verify_pu2n_criterion(n, 10_000, seed=20_2400 + n, record=None)
-        ok = ok and rep["mismatches"] == 0 and rep["found_regular_isotropic"]
+        passed, rep = verify_pu2n_criterion(n, 10_000, seed=20_2400 + n, record=None)
+        ok = ok and passed and rep["mismatches"] == 0 and rep["found_regular_isotropic"]
     _finish(
         4,
         "regular iff complex-independent on 10^4 exact planes each for n=2,3,4, with a regular isotropic witness",
@@ -114,9 +114,10 @@ def test_criterion_04_pu2n_regularity_criterion():
 
 def test_criterion_05_n1_obstruction():
     start = time.perf_counter()
-    rep = verify_pu2n_criterion(1, 10_000, seed=51, record=None)
+    passed, rep = verify_pu2n_criterion(1, 10_000, seed=51, record=None)
     ok = (
-        rep["mismatches"] == 0
+        passed
+        and rep["mismatches"] == 0
         and not rep["found_regular_isotropic"]
         and rep["isotropic_noncomplex"] == 0
         and rep["isotropic"] > 0

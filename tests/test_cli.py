@@ -460,6 +460,39 @@ def test_classify_out_rejected_for_other_ranks(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "x.jsonl").exists()
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["empty_dir", "existing_files"])
+@pytest.mark.parametrize("argv", [
+    ["report", "--ranks", "1,2,1", "--out", "rep/"],
+    ["report", "--ranks", "1,2,1", "--out", ""],
+    ["mesh", "--out", "sub/"],
+    ["mesh", "--format", "json", "--out", "jsn/"],
+    ["mesh", "--out", "."],
+    ["mesh", "--out", "./"],
+    ["mesh", "--out", "sub/.."],
+    ["verify", "--ranks", "1,2,1", "--samples", "5", "--out", "ver/"],
+    ["verify", "--ranks", "1,2,1", "--samples", "5", "--classify-out", "cls/"],
+], ids=["report_slash", "report_empty", "mesh_slash", "mesh_json_slash", "mesh_dot", "mesh_dot_slash",
+        "mesh_dotdot", "verify_out_slash", "classify_out_slash"])
+def test_output_path_naming_a_directory_exits_2(tmp_path, capsys, monkeypatch, argv, existing):
+    # an output path whose last component is empty, . or .. names no file:
+    # RunConfig rejects it before any suite or mesh build, and writes nothing
+    import hodge_domains.cli as cli
+
+    def never(cfg):
+        raise AssertionError("the command ran")
+
+    for name in ("run_report", "run_verify", "export_mesh"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.chdir(tmp_path)
+    files = {name: f"{name} kept\n" for name in ("rep", "sub", "sub.json", "jsn.json", "ver", "cls")} if existing else {}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == EXIT_INVALID_INPUT
+    option, path = argv[-2:]
+    assert capsys.readouterr() == ("", f"invalid input: {option} {path!r} names a directory, not a file\n")
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == files
+
+
 # -- mesh export ------------------------------------------------------------------
 
 

@@ -41,7 +41,6 @@ from hodge_domains.exactla import (
 )
 from hodge_domains.higgs import HiggsField
 from hodge_domains.hodge import HodgeNumbers
-from hodge_domains.horizontal import HorizontalVector
 
 
 def is_real(x: GaussianRational) -> bool:
@@ -538,10 +537,9 @@ def test_scalar_matches_fraction_pair_reference(parts, operand):
         lambda: Qi(0.1, 0),
         lambda: as_matrix([[0.1, 0], [0, 1]], 2, 2),
         lambda: Flag(HodgeNumbers((1, 1)), ((0.1, 0), (0, 1))),
-        lambda: HorizontalVector(HodgeNumbers((1, 1)), (((0.25,),),)),
         lambda: HiggsField(HodgeNumbers((1, 1)), 1, ((((1.0,),),),)),
     ],
-    ids=["real", "imaginary", "Qi", "as_matrix", "Flag", "HorizontalVector", "HiggsField"],
+    ids=["real", "imaginary", "Qi", "as_matrix", "Flag", "HiggsField"],
 )
 def test_float_entries_raise_value_error(build):
     with pytest.raises(ValueError, match="inexact entry"):

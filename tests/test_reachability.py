@@ -19,17 +19,21 @@ imports and never mentions (the package root re-exports nothing, so no module
 is exempt), one every parameter default that no call in the package
 overrides, one every default that every call overrides (it serves only
 callers outside the package), one every parameter that every call passes the
-same literal, and one every annotated class field that nothing in the
-package reads, which catches the method-less class above.  A call matches a
-function by name, and by module where the call names one: a bare name
-resolves to the module defining or importing it, and x.name to module x.  A
-method call names no module, so a function whose name a called method shares
-escapes the call guards.  Fields are matched by bare name, so a field whose
-name any attribute read in the package shares escapes the field guard.  One
-reports every class-body assignment whose value names a method of that
-class, which catches the alias above (written as a def, the line guard
-traces it).  The last reports every entry of KEPT_DEFAULTS and KEPT_FIELDS
-that names no parameter or field in the package, so no exemption goes stale.
+same literal, one every annotated class field that nothing in the package
+reads, and one every class that no call and no raise in the package names,
+unless KEPT_CLASSES names it with a reason; these two catch the method-less
+class above, with or without fields.  A call matches a function, or a class,
+by name, and by module where the call names one: a bare name resolves to the
+module defining or importing it, and x.name to module x.  A method call names
+no module, so a function whose name a called method shares escapes the call
+guards.  Fields are matched by bare name, so a field whose name any attribute
+read in the package shares escapes the field guard.  One reports every
+class-body assignment whose value names a method of that class, which catches
+the alias above (written as a def, the line guard traces it).  The last
+reports every entry of KEPT_DEFAULTS and KEPT_FIELDS that names no parameter
+or field in the package; a KEPT_CLASSES entry that names a class the package
+builds, or no class, is reported with the classes.  So no exemption goes
+stale.
 """
 
 from __future__ import annotations
@@ -86,9 +90,6 @@ GRID = (
 # stripped, is the source line.
 _FAILING = "a failing verdict, which the grid's passing runs never reach; tests reach it"
 KEPT_LINES = {
-    "horizontal.HorizontalVector": "the value type of TwoPlane's spanning vectors, which tests build planes from",
-    "horizontal.TwoPlane": "perfbench/tracer.py names it in CLASSES and hooks TwoPlane.__init__ (its install "
-                           "raises without it); tests run the (1,n,1) verdicts on its vectors",
     **dict.fromkeys((
         "cli.run_verify: except Exception as exc:  # a crashing suite is a failing suite",
         'cli.run_verify: passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}',
@@ -140,6 +141,11 @@ KEPT_LINES = {
 KEPT_DEFAULTS = ("cli.main.argv",)
 # Fields nothing in the package reads, each kept for a stated reason.
 KEPT_FIELDS = ()
+# Classes no call or raise in the package names, each kept for a stated reason.
+KEPT_CLASSES = {
+    "horizontal.TwoPlane": "perfbench/tracer.py names it in CLASSES and hooks TwoPlane.__init__ (its install "
+                           "raises without it)",
+}
 
 # The child process of the line guard: argv[1] is the package directory and
 # argv[2] the JSON list of command lines.  A code object stops being traced
@@ -580,6 +586,44 @@ def test_guard_sees_an_unread_field(tmp_path):
         "def use(r):\n    r.c = r.a\n    return getattr(r, 'b', 0)\n"
         "X = use(R())\n")
     assert unread_fields(tmp_path) == ["extra.D.e", "extra.R.c"]
+
+
+def unbuilt_classes(package_dir: Path = PACKAGE_DIR, kept=KEPT_CLASSES) -> list[str]:
+    """module.Class for each module-level class of the package that no call
+    names (a call matches a class as _calls_of matches a constructor) and no
+    raise names, unless kept names it; then each entry of kept that names a
+    class the package builds, or no class."""
+    _, calls = _functions_and_calls(package_dir)
+    trees = dict(_modules(package_dir))
+    raised = {getattr(node.exc, "id", getattr(node.exc, "attr", None)) for tree in trees.values()
+              for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc is not None}
+    built = {f"{module}.{stmt.name}": bool(_calls_of(module, stmt.name, calls)) or stmt.name in raised
+             for module, tree in trees.items() for stmt in tree.body if isinstance(stmt, ast.ClassDef)}
+    return ([name for name, made in built.items() if not made and name not in kept]
+            + [f"KEPT_CLASSES entry {name!r} names a class the package builds" for name in kept if built.get(name)]
+            + [f"KEPT_CLASSES entry {name!r} names no class" for name in kept if name not in built])
+
+
+def test_every_class_is_built():
+    found = unbuilt_classes()
+    assert not found, "classes no call or raise in src/ names, unexplained:\n" + "\n".join(found)
+
+
+def test_guard_sees_an_unbuilt_class(tmp_path):
+    # A is built by a call, E only by a bare raise and F through a module
+    # attribute; B has no fields or methods, C only a field and D only a
+    # method, and nothing builds any of them; a class inside a function is
+    # not the module's
+    (tmp_path / "extra.py").write_text(
+        "class A: pass\nclass B:\n    'a name only'\nclass C:\n    x: int\nclass D:\n    def m(self): pass\n"
+        "class E(Exception): pass\nclass F: pass\n"
+        "def run(o):\n    class G: pass\n    if o:\n        raise E\n    return A(), o.m()\n")
+    (tmp_path / "other.py").write_text("from . import extra\n\nX = extra.F()\n")
+    assert unbuilt_classes(tmp_path, {}) == ["extra.B", "extra.C", "extra.D"]
+    kept = {"extra.B": "kept", "extra.A": "built", "extra.Gone": "deleted"}
+    assert unbuilt_classes(tmp_path, kept) == [
+        "extra.C", "extra.D", "KEPT_CLASSES entry 'extra.A' names a class the package builds",
+        "KEPT_CLASSES entry 'extra.Gone' names no class"]
 
 
 def method_aliases(package_dir: Path = PACKAGE_DIR) -> list[str]:
