@@ -17,7 +17,7 @@ import argparse
 import os
 import random
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -233,7 +233,7 @@ def _suite_higgs(cfg: RunConfig) -> tuple[bool, dict]:
             ok = ok and holds
             triggered += hit
             round_trip = higgs_mod.higgs_loads(higgs_mod.higgs_dumps(field))
-            ok = ok and round_trip.theta == field.theta
+            ok = ok and round_trip == field
     return ok, {"fields": count * len(interior), "triggered": triggered}
 
 
@@ -266,18 +266,30 @@ _SUITES = (
 )
 
 
-def run_verify(cfg: RunConfig) -> dict:
-    paths = [path for path in (cfg.classify_out, cfg.output) if path]
-    created = [path for path in paths if not os.path.exists(path)]
+@contextmanager
+def _claimed(paths: list):
+    """Probe each output path with mode "a", which truncates nothing, so that
+    an unwritable one fails before any work.  The body gets the paths the
+    probe created and empties the list once its outputs stand; whatever is
+    left in it when the body ends, by an exception or a return, is removed,
+    so a rejected run leaves no file that it made and every file that it did
+    not make."""
+    created = [path for path in paths if not os.path.lexists(path)]
     try:
         for path in paths:
-            open(path, "a").close()  # an unwritable path fails before any suite runs; nothing is truncated
-        if len(paths) == 2 and os.path.samefile(*paths):
-            raise ValueError(f"--out and --classify-out name the same file {cfg.output}")
-    except BaseException:  # a rejected run leaves no file that it made
+            open(path, "a").close()
+        yield created
+    finally:
         for path in created:
             Path(path).unlink(missing_ok=True)
-        raise
+
+
+def run_verify(cfg: RunConfig) -> dict:
+    paths = [path for path in (cfg.classify_out, cfg.output) if path]
+    with _claimed(paths) as created:
+        if len(paths) == 2 and os.path.samefile(*paths):
+            raise ValueError(f"--out and --classify-out name the same file {cfg.output}")
+        created.clear()  # the suites and the report write them
     suites = []
     for name, applies, reason, run in _SUITES:
         if not applies(cfg.ranks):
@@ -315,49 +327,42 @@ def _verify_text(doc: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _write_files(pieces: dict) -> None:
-    """Write each path's text pieces; if one fails, remove the files opened so far and re-raise."""
-    opened = []
-    try:
-        for path, chunks in pieces.items():
-            with open(path, "w") as handle:
-                opened.append(path)
-                handle.writelines(chunks)
-    except BaseException:
-        for path in opened:
-            path.unlink(missing_ok=True)
-        raise
-
-
 def export_mesh(cfg: RunConfig) -> tuple[int, list[str]]:
     """Build, audit and write the subdivided colored octahedron.
 
-    Returns (exit_code, written_paths); nothing is written if an audit fails,
-    and no file is left behind if one of the paths cannot be written.
+    Returns (exit_code, written_paths).  Every output path is probed before
+    the mesh is built; if one cannot be written or an audit fails, no file
+    that the export made is left behind, and no file that it did not make is
+    removed.
     """
     out = Path(cfg.output) if cfg.output else Path(f"octahedron_s{cfg.subdivisions}.off")
     if cfg.fmt != "json" and out.suffix == ".json":
         raise ValueError("OFF output path must not end in .json (the sidecar uses it)")
+    paths = [out.with_suffix(".json")] if cfg.fmt == "json" else [out, out.with_suffix(".json")]
     from . import meshaudit
     from . import spheremesh as spheremesh_mod
-    tri = spheremesh_mod.octahedron()
-    for _ in range(cfg.subdivisions):
-        tri = spheremesh_mod.subdivide(tri)
-    coloring = spheremesh_mod.three_color(tri)
-    # the geometry and the color pairs are computed once and shared by the audit and the sidecar
-    geometry = spheremesh_mod.mesh_geometry(tri)
-    pairs = spheremesh_mod.color_pairs(tri, coloring)
-    if not meshaudit.audit_passes(spheremesh_mod.audit_mesh(tri, coloring, geometry, pairs)):
-        return EXIT_SUITE_FAILURE, []
-    doc = spheremesh_mod.sidecar_document(tri, coloring, geometry[0], pairs)
-    if cfg.fmt == "json":
-        doc["vertices"] = wire.Table([None] * 3, tuple(tri.vertices.T))
-        doc["faces"] = wire.Table([None] * 3, tuple(tri.face_array.T))
-        pieces = {out.with_suffix(".json"): wire.indented_chunks(doc)}
-    else:
-        pieces = {out: spheremesh_mod.off_chunks(tri), out.with_suffix(".json"): wire.indented_chunks(doc)}
-    _write_files(pieces)
-    return EXIT_OK, [str(path) for path in pieces]
+    with _claimed(paths) as created:
+        tri = spheremesh_mod.octahedron()
+        for _ in range(cfg.subdivisions):
+            tri = spheremesh_mod.subdivide(tri)
+        coloring = spheremesh_mod.three_color(tri)
+        # the geometry and the color pairs are computed once and shared by the audit and the sidecar
+        geometry = spheremesh_mod.mesh_geometry(tri)
+        pairs = spheremesh_mod.color_pairs(tri, coloring)
+        if not meshaudit.audit_passes(spheremesh_mod.audit_mesh(tri, coloring, geometry, pairs)):
+            return EXIT_SUITE_FAILURE, []
+        doc = spheremesh_mod.sidecar_document(tri, coloring, geometry[0], pairs)
+        if cfg.fmt == "json":
+            doc["vertices"] = wire.Table([None] * 3, tuple(tri.vertices.T))
+            doc["faces"] = wire.Table([None] * 3, tuple(tri.face_array.T))
+            texts = [wire.indented_chunks(doc)]
+        else:
+            texts = [spheremesh_mod.off_chunks(tri), wire.indented_chunks(doc)]
+        for path, chunks in zip(paths, texts):
+            with open(path, "w") as handle:
+                handle.writelines(chunks)
+        created.clear()
+    return EXIT_OK, [str(path) for path in paths]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ written with sorted keys (a large array may be a Table, written in chunks
 with the bytes json would write); an exact scalar a + b*i is written
 [[re_num, re_den], [im_num, im_den]].  Reading raises ValueError, and nothing
 else, on bad JSON, a wrong or missing schema or key, a leaf that is not an
-int, or a zero denominator; the constructors fed the decoded values check
-shapes and ranks.
+int, or a zero denominator; the Flag constructor and higgs_loads check the
+decoded values' shapes and ranks.
 """
 
 from __future__ import annotations
@@ -62,11 +62,16 @@ def dumps_indented(doc: dict) -> str:
     return "".join(indented_chunks(doc))
 
 
+def encode_scalar(a: int, b: int, d: int) -> list:
+    """The exact scalar (a + b*i) / d, for ints a, b and d > 0, with each part in lowest terms."""
+    g, h = gcd(a, d), gcd(b, d)
+    return [[a // g, d // g], [b // h, d // h]]
+
+
 def encode_array(values) -> list:
     """Nested tuples of GaussianRational as nested lists of exact scalars."""
     if type(values) is GaussianRational:
-        g, h = gcd(values.a, values.d), gcd(values.b, values.d)  # the parts in lowest terms
-        return [[values.a // g, values.d // g], [values.b // h, values.d // h]]
+        return encode_scalar(values.a, values.b, values.d)
     return [encode_array(v) for v in values]
 
 

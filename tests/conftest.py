@@ -7,7 +7,8 @@ from pathlib import Path
 from typing import Sequence
 
 import hodge_domains
-from hodge_domains.exactla import Qi, rank
+from hodge_domains.exactla import Qi, _cleared, _gaussian, as_matrix, rank
+from hodge_domains.higgs import HiggsField
 from hodge_domains.hodge import HodgeNumbers
 
 
@@ -36,10 +37,34 @@ def bridge_root(ranks: HodgeNumbers, i: int, j: int) -> tuple[int, int]:
     return walls[j], walls[i] - 1
 
 
-def pointwise_rank(h, i: int) -> int:
+def theta_of(h: HiggsField) -> tuple:
+    """theta[i][a]: the matrix of theta_i in direction a + 1 of the Higgs field
+    h, with GaussianRational entries, read off its directions (l, v)."""
+    r, layers, start = h.ranks.ranks, [], 0
+    for i in range(h.ranks.k):
+        rows = range(start, start + r[i + 1] * r[i], r[i])
+        layers.append(tuple(tuple(tuple(_gaussian(a, b, l) for a, b in v[j:j + r[i]]) for j in rows)
+                            for l, v in h.directions))
+        start = rows.stop
+    return tuple(layers)
+
+
+def higgs_field(ranks: HodgeNumbers, theta) -> HiggsField:
+    """The Higgs field with theta[i][a] the matrix of theta_i in direction
+    a + 1 (entries anything as_matrix takes), each direction cleared of
+    denominators as higgs_loads clears it."""
+    r, directions = ranks.ranks, []
+    for a in range(len(theta[0])):
+        l, re, im = _cleared([x for i, layer in enumerate(theta) for row in as_matrix(layer[a], r[i + 1], r[i])
+                              for x in row])
+        directions.append((l, tuple(zip(re, im))))
+    return HiggsField(ranks, tuple(directions))
+
+
+def pointwise_rank(h: HiggsField, i: int) -> int:
     """Rank of theta_i of a Higgs field h with its directions stacked into one
     (tangent_dim * r_{i+1}) x r_i map: the rank the rank-one lemma reads."""
-    return rank([row for mx in h.theta[i] for row in mx])
+    return rank([row for mx in theta_of(h)[i] for row in mx])
 
 
 def compositions(m: int):

@@ -12,16 +12,12 @@ import subprocess
 import sys
 import time
 
-from conftest import all_rank_tuples, bounded_rank_tuples, cli_env, pointwise_rank, reference_is_kernel_basis
+from conftest import (all_rank_tuples, bounded_rank_tuples, cli_env, higgs_field, pointwise_rank,
+                      reference_is_kernel_basis)
 from hodge_domains.cli import RunConfig, run_verify
 from hodge_domains.domain import describe_domain
 from hodge_domains.exactla import Qi
-from hodge_domains.higgs import (
-    HiggsField,
-    check_commutation,
-    random_commuting_higgs,
-    rank_one_lemma_check,
-)
+from hodge_domains.higgs import check_commutation, random_commuting_higgs, rank_one_lemma_check
 from hodge_domains.hodge import HodgeNumbers
 from hodge_domains.horizontal import (
     isotropic_tuple_orbit_dimension,
@@ -171,7 +167,7 @@ def test_criterion_07_rank_one_lemma():
         theta0 = (((Qi(t0[0]), Qi(t0[1])),), ((Qi(t0[2]), Qi(t0[3])),))
         for t1 in itertools.product(entries, repeat=4):
             theta1 = (((Qi(t1[0]),), (Qi(t1[1]),)), ((Qi(t1[2]),), (Qi(t1[3]),)))
-            field = HiggsField(hn, 2, (theta0, theta1))
+            field = higgs_field(hn, (theta0, theta1))
             if check_commutation(field) is not None:
                 continue
             grid_checked += 1

@@ -624,6 +624,12 @@ def test_unwritable_mesh_path_leaves_no_file(tmp_path, capsys, monkeypatch, bloc
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("invalid input: ") and err.count("\n") == 1
+    # a file that was there keeps its bytes: a rejected export removes only what it made
+    kept = ({"x.off", "x.json"} - {blocked}).pop()
+    (tmp_path / kept).write_bytes(b"keep me\n")
+    assert main(["mesh", "--subdivisions", "1", *argv]) == EXIT_INVALID_INPUT
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([blocked, kept])
+    assert (tmp_path / kept).read_bytes() == b"keep me\n"
 
 
 def test_mesh_export_verifies_the_coloring_once(tmp_path, monkeypatch):

@@ -22,7 +22,7 @@ from typing import Sequence
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from conftest import MINUS_ONE, reference_hermite_normal_form
+from conftest import MINUS_ONE, reference_hermite_normal_form, theta_of
 from hodge_domains.domain import Flag
 from hodge_domains.exactla import (
     GaussianRational,
@@ -39,7 +39,7 @@ from hodge_domains.exactla import (
     nullspace,
     rank,
 )
-from hodge_domains.higgs import HiggsField
+from hodge_domains.higgs import random_commuting_higgs
 from hodge_domains.hodge import HodgeNumbers
 
 
@@ -537,9 +537,8 @@ def test_scalar_matches_fraction_pair_reference(parts, operand):
         lambda: Qi(0.1, 0),
         lambda: as_matrix([[0.1, 0], [0, 1]], 2, 2),
         lambda: Flag(HodgeNumbers((1, 1)), ((0.1, 0), (0, 1))),
-        lambda: HiggsField(HodgeNumbers((1, 1)), 1, ((((1.0,),),),)),
     ],
-    ids=["real", "imaginary", "Qi", "as_matrix", "Flag", "HiggsField"],
+    ids=["real", "imaginary", "Qi", "as_matrix", "Flag"],
 )
 def test_float_entries_raise_value_error(build):
     with pytest.raises(ValueError, match="inexact entry"):
@@ -557,7 +556,9 @@ def _pickled(x):
         (lambda: Qi(1, 2), lambda x: x),
         (lambda: Qi(3), lambda x: x),
         (lambda: Flag(HodgeNumbers((1, 1)), ((Qi(1), Qi(Fraction(1, 3), 1)), (0, 1))), lambda f: f.basis[0][1]),
-        (lambda: HiggsField(HodgeNumbers((1, 1)), 1, ((((Qi(Fraction(1, 2), -3),),),),)), lambda h: h.theta[0][0][0][0]),
+        # direction 2 of this sampled field is (l, v) with l = 2; its entry theta_0[0][1] is 1/2
+        (lambda: random_commuting_higgs(HodgeNumbers((2, 1, 2)), 2, seed=6, strategy="nullspace"),
+         lambda h: theta_of(h)[0][1][0][1]),
     ],
     ids=["Qi(1, 2)", "Qi(3)", "Flag", "HiggsField"],
 )

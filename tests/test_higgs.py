@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MINUS_ONE, mat_sub, pointwise_rank
+from conftest import MINUS_ONE, higgs_field, mat_sub, pointwise_rank, theta_of
 from hodge_domains.exactla import GaussianRational, Qi, QI_ZERO, mat_mul, nullspace, rank
 from hodge_domains.hodge import HodgeNumbers
 from hodge_domains.higgs import (
@@ -38,18 +38,20 @@ def directional_image_rank(h: HiggsField, i: int) -> int:
     columns theta_i^(a) inside block i+1."""
     if h.ranks.ranks[i] != 1:
         raise PreconditionError(f"block {i} must have rank 1")
-    cols = [[h.theta[i][a][r][0] for a in range(h.tangent_dim)] for r in range(h.ranks.ranks[i + 1])]
+    theta = theta_of(h)
+    cols = [[theta[i][a][r][0] for a in range(len(h.directions))] for r in range(h.ranks.ranks[i + 1])]
     return rank(cols)
 
 
 def reference_check_commutation(h: HiggsField):
     """The first (layer i, direction a, direction b), a < b, with
     theta_{i+1}^(a) theta_i^(b) != theta_{i+1}^(b) theta_i^(a), or None."""
+    theta, m_t = theta_of(h), len(h.directions)
     for i in range(h.ranks.k - 1):
-        for a in range(1, h.tangent_dim + 1):
-            for b in range(a + 1, h.tangent_dim + 1):
-                lhs = mat_mul(list(map(list, h.theta[i + 1][a - 1])), list(map(list, h.theta[i][b - 1])))
-                rhs = mat_mul(list(map(list, h.theta[i + 1][b - 1])), list(map(list, h.theta[i][a - 1])))
+        for a in range(1, m_t + 1):
+            for b in range(a + 1, m_t + 1):
+                lhs = mat_mul(list(map(list, theta[i + 1][a - 1])), list(map(list, theta[i][b - 1])))
+                rhs = mat_mul(list(map(list, theta[i + 1][b - 1])), list(map(list, theta[i][a - 1])))
                 if not is_zero_matrix(mat_sub(lhs, rhs)):
                     return i, a, b
     return None
@@ -121,13 +123,12 @@ def reference_sample_nullspace(ranks: HodgeNumbers, m_t: int, rng: random.Random
     theta = tuple(
         tuple(directions[a][i] for a in range(m_t)) for i in range(k)
     )
-    return HiggsField(ranks, m_t, theta)
+    return higgs_field(ranks, theta)
 
 
 def field_111(theta0_dirs, theta1_dirs):
-    return HiggsField(
+    return higgs_field(
         HodgeNumbers((1, 1, 1)),
-        len(theta0_dirs),
         (
             tuple(((Qi(x),),) for x in theta0_dirs),
             tuple(((Qi(x),),) for x in theta1_dirs),
@@ -164,9 +165,8 @@ def test_pointwise_rank_zero():
 
 
 def test_pointwise_rank_stacked_identity():
-    h = HiggsField(
+    h = higgs_field(
         HodgeNumbers((2, 1)),
-        2,
         ((((Qi(1), Qi(0)),), ((Qi(0), Qi(1)),)),),
     )
     assert pointwise_rank(h, 0) == 2
@@ -254,7 +254,7 @@ def test_lemma_mirror_statement_exhaustive_grid():
         theta0 = (((Qi(t0[0]), Qi(t0[1])),), ((Qi(t0[2]), Qi(t0[3])),))
         for t1 in itertools.product(entries, repeat=4):
             theta1 = (((Qi(t1[0]),), (Qi(t1[1]),)), ((Qi(t1[2]),), (Qi(t1[3]),)))
-            h = HiggsField(hn, 2, (theta0, theta1))
+            h = higgs_field(hn, (theta0, theta1))
             if check_commutation(h) is not None:
                 continue
             if directional_image_rank(h, 1) >= 2:
@@ -283,7 +283,7 @@ def test_sampler_deterministic_per_seed():
     for strategy in ("pullback", "nullspace"):
         a = random_commuting_higgs(HodgeNumbers((2, 1, 2)), 2, seed=99, strategy=strategy)
         b = random_commuting_higgs(HodgeNumbers((2, 1, 2)), 2, seed=99, strategy=strategy)
-        assert a.theta == b.theta
+        assert a == b
 
 
 def test_sampler_nullspace_commutes():
@@ -339,14 +339,14 @@ def test_commutation_matches_dense_reference(ranks, m_t, data):
             # perturb one entry, which usually breaks the relation
             i, a = data.draw(st.integers(0, ranks.k - 1)), data.draw(st.integers(0, m_t - 1))
             row, col = data.draw(st.integers(0, r[i + 1] - 1)), data.draw(st.integers(0, r[i] - 1))
-            theta = [list(layer) for layer in h.theta]
+            theta = [list(layer) for layer in theta_of(h)]
             mx = [list(x) for x in theta[i][a]]
             mx[row][col] = mx[row][col] + data.draw(scalars)
             theta[i][a] = mx
-            h = HiggsField(ranks, m_t, theta)
+            h = higgs_field(ranks, theta)
     else:
         entry = scalars if kind == "random" else st.one_of(st.just(0), st.just(0), scalars)
-        h = HiggsField(ranks, m_t, tuple(
+        h = higgs_field(ranks, tuple(
             tuple(tuple(tuple(data.draw(entry) for _ in range(r[i])) for _ in range(r[i + 1]))
                   for _ in range(m_t))
             for i in range(ranks.k)))
@@ -389,12 +389,55 @@ def test_sampled_fields_match_the_pinned_digest():
     assert higgs_digest() == HIGGS_DIGEST
 
 
+def test_lemma_trigger_is_the_exact_rank():
+    # the lemma reads rank(theta_0) >= 2 off pairs of rows, with no elimination;
+    # on every field the digest samples at a shape the lemma takes (each
+    # interior rank-one block of DIGEST_SHAPES), it must agree with the rank
+    shapes = sorted({(r[i - 1], 1, r[i + 1]) for r in DIGEST_SHAPES for i in range(1, len(r) - 1) if r[i] == 1})
+    triggered = 0
+    for shape in shapes:
+        for seed in range(150):
+            for strategy in ("nullspace", "pullback"):
+                for m_t in (2, 3):
+                    h = random_commuting_higgs(HodgeNumbers(shape), m_t, seed=seed, strategy=strategy)
+                    holds, hit = rank_one_lemma_check(h)
+                    assert holds and hit == (pointwise_rank(h, 0) >= 2)
+                    triggered += hit
+    assert triggered > 0
+
+
+def test_lemma_trigger_is_independence_over_c():
+    # theta_0 rows (1, i) and (i, -1) = i * (1, i): dependent over C, though
+    # their real coordinate vectors are independent; theta_1 = 0
+    h = HiggsField(HodgeNumbers((2, 1, 1)), ((1, ((1, 0), (0, 1), (0, 0))), (1, ((0, 1), (-1, 0), (0, 0)))))
+    assert pointwise_rank(h, 0) == 1
+    assert rank_one_lemma_check(h) == (True, False)
+
+
 def test_higgs_json_roundtrip():
     h = random_commuting_higgs(HodgeNumbers((2, 1, 3)), 2, seed=12, strategy="nullspace")
     again = higgs_loads(higgs_dumps(h))
     assert again.ranks == h.ranks
-    assert again.tangent_dim == h.tangent_dim
-    assert again.theta == h.theta
+    assert again.directions == h.directions
+
+
+# theta[layer][direction][row][col] for ranks (1, 1, 1) and two directions,
+# with scalars that are not real and not in lowest terms, one denominator
+# negative: (1 + i)/2, 2 in direction 1 and -2i/3, -1/3 - 5i/2 in direction 2
+GAUSSIAN_THETA = [[[[[[2, 4], [3, 6]]]], [[[[0, 5], [-4, 6]]]]], [[[[[6, 3], [0, -2]]]], [[[[-3, 9], [10, -4]]]]]]
+# its canonical text, as the GaussianRational-entry field wrote it
+GAUSSIAN_TEXT = ('{"ranks": [1, 1, 1], "schema": "hodge-domains/1", "tangent_dim": 2, "theta": '
+                 '[[[[[[1, 2], [1, 2]]]], [[[[0, 1], [-2, 3]]]]], [[[[[2, 1], [0, 1]]]], [[[[-1, 3], [-5, 2]]]]]]}')
+
+
+def test_higgs_loads_gaussian_document():
+    import json
+
+    doc = {"schema": "hodge-domains/1", "ranks": [1, 1, 1], "tangent_dim": 2, "theta": GAUSSIAN_THETA}
+    h = higgs_loads(json.dumps(doc))
+    assert h == higgs_loads(GAUSSIAN_TEXT)
+    assert higgs_dumps(h) == GAUSSIAN_TEXT
+    assert h.directions == ((2, ((1, 1), (4, 0))), (6, ((0, -4), (-2, -15))))
 
 
 def test_higgs_json_schema_fields():

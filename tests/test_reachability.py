@@ -129,8 +129,6 @@ KEPT_LINES = {
     "exactla.GaussianRational.im": "perfbench/tracer.py's _bits reads it, and __repr__ uses it",
     "exactla.GaussianRational.__repr__": "error messages and failure reports print scalars; a test pins it",
     "exactla.nullspace: return []": "an empty matrix has no row to count the columns by; tests pin nullspace([])",
-    "horizontal._independent: return False": "a zero first vector, which a draw of the (1,n,1) suite can give "
-                                             "(with probability at most 49**-n)",
     "spheremesh._fault": "names the fault of a mesh the constructor rejects, which only bad meshes reach; its "
                          "fallback names faces that are no integer array and that meshaudit.Mesh accepts or "
                          "cannot read",
